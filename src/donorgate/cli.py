@@ -192,7 +192,7 @@ def _cmd_gate_run(args):
         spins=(("C", "control"), ("Q1", "qubit"), ("Q2", "qubit")),
         couplings={(0, 1): args.j1, (0, 2): args.j2},
     )
-    tau_range = (0.0, args.tau_max) if args.tau_max else None
+    tau_range = None if args.tau_max is None else (0.0, args.tau_max)
     try:
         report = sfg_gate(system, "C", tau_range,
                           residual_threshold=args.threshold)

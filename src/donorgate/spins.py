@@ -255,30 +255,39 @@ def _single_qubit_probes() -> np.ndarray:
 _PROBES = _single_qubit_probes()
 
 
+# tau points per batched residual evaluation; bounds the scan's temporaries
+# (roughly 15 kB per point) whatever the length of the grid
+_SCAN_CHUNK = 512
+
+
+def _control_rows(control: int, n: int) -> tuple:
+    """Basis indices with the control up, and with it down."""
+    bits = (np.arange(1 << n) >> (n - 1 - control)) & 1
+    return np.flatnonzero(bits == 0), np.flatnonzero(bits == 1)
+
+
 def _control_blocks(U: np.ndarray, control: int, n: int):
-    states = np.arange(1 << n)
-    up = np.flatnonzero(((states >> (n - 1 - control)) & 1) == 0)
-    down = np.flatnonzero(((states >> (n - 1 - control)) & 1) == 1)
+    up, down = _control_rows(control, n)
     return U[np.ix_(up, up)], U[np.ix_(down, up)]
 
 
-def _residual_bits(M: np.ndarray, N: np.ndarray) -> float:
+def _residual_bits(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Worst control entropy over a grid of qubit product-state probes.
 
-    The control starts up; after the interval its reduced state against
-    probe psi has populations |M psi|^2, |N psi|^2 and coherence <N psi|M psi>.
+    The control starts up; A and B (batch x 4 x 36) hold, for each interval
+    in the batch, the control-up and control-down parts of every evolved
+    probe psi, so the control's reduced state has populations |A psi|^2,
+    |B psi|^2 and coherence <B psi|A psi>. Returns one value per interval.
     """
-    A = M @ _PROBES
-    B = N @ _PROBES
-    p_up = np.sum(np.abs(A) ** 2, axis=0)
-    p_down = np.sum(np.abs(B) ** 2, axis=0)
-    coh = np.abs(np.sum(A * B.conj(), axis=0)) ** 2
+    p_up = np.sum(np.abs(A) ** 2, axis=-2)
+    p_down = np.sum(np.abs(B) ** 2, axis=-2)
+    coh = np.abs(np.sum(A * B.conj(), axis=-2)) ** 2
     disc = np.sqrt((p_up - p_down) ** 2 + 4.0 * coh)
     total = p_up + p_down
     lam = np.stack([(total + disc) / 2.0, (total - disc) / 2.0]) / total
     lam = np.clip(lam, 1e-300, 1.0)
     entropy = -np.sum(lam * np.log2(lam), axis=0)
-    return float(np.max(entropy))
+    return np.max(entropy, axis=-1)
 
 
 def induced_qubit_operator(system: SpinSystem, control_id: str,
@@ -289,7 +298,31 @@ def induced_qubit_operator(system: SpinSystem, control_id: str,
     control = system.index_of(control_id)
     U = propagator(build_hamiltonian(system), tau_ps)
     M, N = _control_blocks(U, control, system.n_spins)
-    return M, _residual_bits(M, N)
+    return M, float(_residual_bits((M @ _PROBES)[None], (N @ _PROBES)[None])[0])
+
+
+def _residual_scan(H: np.ndarray, control: int, n: int):
+    """Residual control entropy as a function of an array of intervals.
+
+    The probes are carried into the eigenbasis of H once; each chunk of
+    intervals is then one phase product and two stacked matrix products.
+    """
+    w, V = np.linalg.eigh(H)
+    up, down = _control_rows(control, n)
+    V_up, V_down = V[up], V[down]
+    probes = V_up.conj().T @ _PROBES
+
+    def residuals(taus: np.ndarray) -> np.ndarray:
+        out = np.empty(len(taus))
+        for start in range(0, len(taus), _SCAN_CHUNK):
+            chunk = taus[start:start + _SCAN_CHUNK]
+            phases = np.exp(-1j * w * chunk[:, None] / HBAR_MEV_PS)
+            evolved = phases[:, :, None] * probes
+            out[start:start + _SCAN_CHUNK] = _residual_bits(V_up @ evolved,
+                                                            V_down @ evolved)
+        return out
+
+    return residuals
 
 
 def sfg_gate(system: SpinSystem, control_id: str, tau_range: tuple = None, *,
@@ -303,6 +336,9 @@ def sfg_gate(system: SpinSystem, control_id: str, tau_range: tuple = None, *,
     1e-3 * pi*hbar/max|J|), refines every near-clean interval, and returns
     the clean one with the largest entangling power. If none gets below
     `residual_threshold`, raises NoCleanGateError carrying the best candidate.
+
+    The scan is evaluated in fixed-size chunks of tau points, a few matrix
+    products each, so its memory stays bounded for any grid length.
     """
     control = system.index_of(control_id)
     n = system.n_spins
@@ -325,26 +361,25 @@ def sfg_gate(system: SpinSystem, control_id: str, tau_range: tuple = None, *,
     if tau_range is None:
         tau_range = (0.0, 4.0 * math.pi * HBAR_MEV_PS / j_min)
     lo, hi = float(tau_range[0]), float(tau_range[1])
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise PreconditionError("tau range bounds must be finite")
     if hi <= lo or hi <= 0:
         raise PreconditionError("tau range must be a forward interval")
+    if not (math.isfinite(resolution_ps) and resolution_ps > 0):
+        raise PreconditionError("resolution_ps must be finite and positive")
     # narrow explicit ranges must still get a usable grid
     resolution_ps = min(resolution_ps, (hi - lo) / 200.0)
 
     H = build_hamiltonian(system)
-    w, V = np.linalg.eigh(H)
-    Vh = V.conj().T
-
-    def blocks_at(tau):
-        U = (V * np.exp(-1j * w * tau / HBAR_MEV_PS)) @ Vh
-        return _control_blocks(U, control, n)
+    residuals = _residual_scan(H, control, n)
 
     def residual_at(tau):
-        return _residual_bits(*blocks_at(tau))
+        return residuals(np.array([tau]))[0]
 
     taus = np.arange(max(lo, resolution_ps), hi, resolution_ps)
     if len(taus) == 0:
         taus = np.array([0.5 * (lo + hi)])
-    coarse = np.array([residual_at(t) for t in taus])
+    coarse = residuals(taus)
 
     left = np.concatenate(([np.inf], coarse[:-1]))
     right = np.concatenate((coarse[1:], [np.inf]))
@@ -372,7 +407,7 @@ def sfg_gate(system: SpinSystem, control_id: str, tau_range: tuple = None, *,
         candidates.append((float(taus[k]), float(coarse[k])))
 
     def report_at(tau, residual):
-        M, _ = blocks_at(tau)
+        M, _ = _control_blocks(propagator(H, tau), control, n)
         # report the unitary part (polar projection); for a clean interval
         # this is M itself to machine precision, and the non-unitary part is
         # already accounted for by the residual entanglement field

@@ -146,6 +146,15 @@ def test_presets_list(capsys):
                                         "shen-nv"}
 
 
+@pytest.mark.parametrize("tau_max", ["0", "nan"])
+def test_gate_run_rejects_bad_tau_max(capsys, tau_max):
+    code, out, err = _run(capsys, "gate", "run", "--j1", "20", "--j2", "20",
+                          "--tau-max", tau_max)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("donorgate: error: tau range")
+
+
 def test_errors_exit_nonzero_with_message(capsys):
     code, out, err = _run(capsys, "exchange", "curve",
                           "--binding-ev", "-3", "--epsilon", "5.7")

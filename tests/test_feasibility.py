@@ -24,6 +24,18 @@ EXCITED_J = {
     ("C2", "Q3"): 147.517,
 }
 
+# gate searches of the bundled cluster, frozen from a run of the per-interval
+# scan: (duration_ps, residual_bits, entangling_power) per control
+TABLE1_GATES = {
+    "C1": (0.16050319005268462, 0.007479520899628051, 0.0010224266330343124),
+    "C2": (0.2695902179956986, 0.011122190557227008, 0.0008960831991231544),
+}
+# calibrations from inferred couplings: (duration_ps, fidelity_to_target)
+TABLE1_CALIBRATIONS = {
+    "C1": (0.16050288910268865, 0.9999999998033604),
+    "C2": (0.26958983018652277, 0.999999999518181),
+}
+
 
 @pytest.fixture(scope="module")
 def table1_report():
@@ -71,6 +83,20 @@ def test_cluster_gate_records(table1_report):
         assert 0 < g["duration_ps"] < 1.0
         assert g["entangling_power"] > 0
         assert all(m > 1e6 for m in g["t1_margin"].values())
+
+
+def test_cluster_gates_match_frozen_search(table1_report):
+    d = table1_report.to_dict()
+    got = {g["control"]: (g["duration_ps"], g["residual_bits"],
+                          g["entangling_power"]) for g in d["gates"]}
+    assert set(got) == set(TABLE1_GATES)
+    for control, want in TABLE1_GATES.items():
+        assert got[control] == pytest.approx(want, rel=1e-9)
+    cals = {c["control"]: (c["duration_ps"], c["fidelity_to_target"])
+            for c in d["configuration"]["calibrations"]}
+    assert set(cals) == set(TABLE1_CALIBRATIONS)
+    for control, want in TABLE1_CALIBRATIONS.items():
+        assert cals[control] == pytest.approx(want, rel=1e-9)
 
 
 def test_cluster_configuration_round_trip(table1_report):

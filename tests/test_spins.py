@@ -22,6 +22,7 @@ from donorgate import (
     propagator,
     sfg_gate,
 )
+from donorgate.spins import _SCAN_CHUNK, _residual_scan
 
 HBAR = 0.6582  # meV ps
 
@@ -186,6 +187,36 @@ def test_sfg_gate_topology_validation():
         sfg_gate(SpinSystem(
             spins=(("C", "control"), ("Q1", "qubit"), ("Q2", "qubit")),
             couplings={(0, 1): 5.0, (0, 2): 5.0}), "missing")
+
+
+def test_sfg_gate_grid_validation():
+    trio = SpinSystem(
+        spins=(("C", "control"), ("Q1", "qubit"), ("Q2", "qubit")),
+        couplings={(0, 1): 5.0, (0, 2): 5.0})
+    for bad_range in ((0.0, math.nan), (math.nan, 1.0), (0.0, math.inf),
+                      (-math.inf, 1.0)):
+        with pytest.raises(PreconditionError):
+            sfg_gate(trio, "C", bad_range)
+    for bad_resolution in (0.0, -1e-3, math.nan, math.inf):
+        with pytest.raises(PreconditionError):
+            sfg_gate(trio, "C", resolution_ps=bad_resolution)
+
+
+@pytest.mark.parametrize("j1, j2", [
+    (32.3, 10.5), (41.2, 5.6),  # quoted table1 gate couplings
+    (147.5, 20.9),  # the bundled cluster's C2 trio
+    (116.4, 38.6),  # generic ratio, no clean interval
+])
+def test_batched_scan_matches_propagator(j1, j2):
+    trio = SpinSystem(
+        spins=(("C", "control"), ("Q1", "qubit"), ("Q2", "qubit")),
+        couplings={(0, 1): j1, (0, 2): j2})
+    # a grid that ends in a partial chunk
+    taus = np.linspace(1e-3, 4.0 * math.pi * HBAR / j2, 2 * _SCAN_CHUNK + 37)
+    scanned = _residual_scan(build_hamiltonian(trio), 0, 3)(taus)
+    direct = np.array([induced_qubit_operator(trio, "C", t)[1] for t in taus])
+    assert scanned.shape == taus.shape
+    assert np.max(np.abs(scanned - direct)) < 1e-12
 
 
 def test_system_validation():

@@ -11,6 +11,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 
 import numpy as np
@@ -82,6 +83,9 @@ def _curve_models(args):
     qubit = with_radius_scale(
         model_from_ionization("N", args.binding_ev, args.epsilon, role="qubit"),
         args.qubit_scale)
+    bounds = (args.r_min, args.r_max, args.r_step)
+    if not all(map(math.isfinite, bounds)):
+        raise InvalidSpecError("r-min, r-max and r-step must be finite")
     if args.r_max <= args.r_min or args.r_step <= 0:
         raise InvalidSpecError("need r-min < r-max and a positive r-step")
     grid = tuple(np.round(np.arange(args.r_min, args.r_max + args.r_step / 2,

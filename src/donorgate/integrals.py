@@ -1,13 +1,23 @@
 """Two-center integrals and Heitler-London pair energies.
 
-Primitive Gaussian integrals follow the McMurchie-Davidson scheme (Hermite
-expansion coefficients by recursion, Coulomb kernels through the Boys
-function), over the Gaussian expansions from `orbitals`. Everything runs in
-the medium's atomic units: lengths in units of center A's Bohr radius l,
-energies in units of e^2/(eps*l), so one dimensionless geometry serves every
-(binding, eps) pair that shares it. Effective charges default to Z = l/a per
-center, which makes each 1s envelope the ground state of its own screened
-Coulomb potential.
+Every block is a contraction over the Gaussian expansions from `orbitals`,
+priced by McMurchie & Davidson's Hermite recursions (J. Comput. Phys. 26,
+218, 1978): Hermite expansion coefficients E_t by recursion in each Cartesian
+direction, Hermite-Coulomb kernels R_tuv from the Boys function. The
+recursions run once per block with the primitive exponents as numpy grids,
+so an overlap, kinetic, nuclear-attraction or electron-repulsion block is
+one contracted call whatever the expansion length.
+
+A contracted orbital is a single block: its coefficients and exponents, one
+Cartesian angular triple, one center. A p2 orbital is the 2p-sigma envelope
+of its pair, pointing along the line between the two centers; the reduced
+frame puts that line on z, so its triple is (0, 0, 1).
+
+Everything runs in the medium's atomic units: lengths in units of center A's
+Bohr radius l, energies in units of e^2/(eps*l), so one dimensionless
+geometry serves every (binding, eps) pair that shares it. Effective charges
+default to Z = l/a per center, which makes each 1s envelope the ground state
+of its own screened Coulomb potential.
 
 The pair assembly is the textbook two-electron Heitler-London treatment of
 the {A, B} minimal basis: covalent configurations A(1)B(2) +/- B(1)A(2),
@@ -21,6 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import gammainc, gammaln
@@ -34,153 +45,7 @@ _OVERLAP_LIMIT = 0.999
 
 
 # ---------------------------------------------------------------------------
-# primitive integrals (McMurchie-Davidson)
-# ---------------------------------------------------------------------------
-
-def _boys(n: int, x: float) -> float:
-    if x < 1e-12:
-        return 1.0 / (2 * n + 1)
-    # regularized lower incomplete gamma keeps this stable for large x
-    return math.exp(gammaln(n + 0.5)) * gammainc(n + 0.5, x) / (2.0 * x ** (n + 0.5))
-
-
-def _hermite_e(i, j, t, p, mu, xab, xpa, xpb, cache):
-    if t < 0 or t > i + j:
-        return 0.0
-    key = (i, j, t)
-    if key in cache:
-        return cache[key]
-    if i == 0 and j == 0 and t == 0:
-        val = math.exp(-mu * xab * xab)
-    elif i > 0:
-        val = (_hermite_e(i - 1, j, t - 1, p, mu, xab, xpa, xpb, cache) / (2 * p)
-               + xpa * _hermite_e(i - 1, j, t, p, mu, xab, xpa, xpb, cache)
-               + (t + 1) * _hermite_e(i - 1, j, t + 1, p, mu, xab, xpa, xpb, cache))
-    else:
-        val = (_hermite_e(i, j - 1, t - 1, p, mu, xab, xpa, xpb, cache) / (2 * p)
-               + xpb * _hermite_e(i, j - 1, t, p, mu, xab, xpa, xpb, cache)
-               + (t + 1) * _hermite_e(i, j - 1, t + 1, p, mu, xab, xpa, xpb, cache))
-    cache[key] = val
-    return val
-
-
-def _e_coeffs(la, lb, a, b, A, B):
-    p = a + b
-    mu = a * b / p
-    P = (a * A + b * B) / p
-    dims = []
-    for d in range(3):
-        cache = {}
-        dims.append([
-            _hermite_e(la[d], lb[d], t, p, mu, A[d] - B[d], P[d] - A[d], P[d] - B[d], cache)
-            for t in range(la[d] + lb[d] + 1)
-        ])
-    return dims, p, P
-
-
-def _hermite_coulomb(tmax, umax, vmax, p, PC):
-    nmax = tmax + umax + vmax
-    x = p * float(PC @ PC)
-    fn = [_boys(n, x) for n in range(nmax + 1)]
-    table = {}
-    for n in range(nmax + 1):
-        table[(n, 0, 0, 0)] = (-2.0 * p) ** n * fn[n]
-
-    def get(n, t, u, v):
-        if t < 0 or u < 0 or v < 0:
-            return 0.0
-        key = (n, t, u, v)
-        if key in table:
-            return table[key]
-        if t > 0:
-            val = (t - 1) * get(n + 1, t - 2, u, v) + PC[0] * get(n + 1, t - 1, u, v)
-        elif u > 0:
-            val = (u - 1) * get(n + 1, t, u - 2, v) + PC[1] * get(n + 1, t, u - 1, v)
-        else:
-            val = (v - 1) * get(n + 1, t, u, v - 2) + PC[2] * get(n + 1, t, u, v - 1)
-        table[key] = val
-        return val
-
-    out = np.zeros((tmax + 1, umax + 1, vmax + 1))
-    for t in range(tmax + 1):
-        for u in range(umax + 1):
-            for v in range(vmax + 1):
-                out[t, u, v] = get(0, t, u, v)
-    return out
-
-
-def _overlap_1d(i, j, a, b, Ad, Bd):
-    p = a + b
-    mu = a * b / p
-    P = (a * Ad + b * Bd) / p
-    return math.sqrt(math.pi / p) * _hermite_e(i, j, 0, p, mu, Ad - Bd, P - Ad, P - Bd, {})
-
-
-def _prim_overlap(la, a, A, lb, b, B):
-    E, p, _ = _e_coeffs(la, lb, a, b, A, B)
-    return (math.pi / p) ** 1.5 * E[0][0] * E[1][0] * E[2][0]
-
-
-def _prim_kinetic(la, a, A, lb, b, B):
-    S = [_overlap_1d(la[d], lb[d], a, b, A[d], B[d]) for d in range(3)]
-    T = []
-    for d in range(3):
-        j = lb[d]
-        t = b * (2 * j + 1) * S[d]
-        t -= 2.0 * b * b * _overlap_1d(la[d], j + 2, a, b, A[d], B[d])
-        if j >= 2:
-            t -= 0.5 * j * (j - 1) * _overlap_1d(la[d], j - 2, a, b, A[d], B[d])
-        T.append(t)
-    return T[0] * S[1] * S[2] + S[0] * T[1] * S[2] + S[0] * S[1] * T[2]
-
-
-def _prim_nuclear(la, a, A, lb, b, B, C):
-    """(a| 1/r_C |b), positive sign; the caller applies -Z."""
-    E, p, P = _e_coeffs(la, lb, a, b, A, B)
-    tmax, umax, vmax = la[0] + lb[0], la[1] + lb[1], la[2] + lb[2]
-    R = _hermite_coulomb(tmax, umax, vmax, p, P - C)
-    val = 0.0
-    for t in range(tmax + 1):
-        for u in range(umax + 1):
-            for v in range(vmax + 1):
-                e = E[0][t] * E[1][u] * E[2][v]
-                if e != 0.0:
-                    val += e * R[t, u, v]
-    return 2.0 * math.pi / p * val
-
-
-def _prim_eri(la, a, A, lb, b, B, lc, c, C, ld, d, D):
-    Eab, p, P = _e_coeffs(la, lb, a, b, A, B)
-    Ecd, q, Q = _e_coeffs(lc, ld, c, d, C, D)
-    reduced = p * q / (p + q)
-    t1, u1, v1 = la[0] + lb[0], la[1] + lb[1], la[2] + lb[2]
-    t2, u2, v2 = lc[0] + ld[0], lc[1] + ld[1], lc[2] + ld[2]
-    R = _hermite_coulomb(t1 + t2, u1 + u2, v1 + v2, reduced, P - Q)
-    val = 0.0
-    for t in range(t1 + 1):
-        for u in range(u1 + 1):
-            for v in range(v1 + 1):
-                eab = Eab[0][t] * Eab[1][u] * Eab[2][v]
-                if eab == 0.0:
-                    continue
-                for tt in range(t2 + 1):
-                    for uu in range(u2 + 1):
-                        for vv in range(v2 + 1):
-                            ecd = Ecd[0][tt] * Ecd[1][uu] * Ecd[2][vv]
-                            if ecd == 0.0:
-                                continue
-                            val += eab * ecd * (-1.0) ** (tt + uu + vv) * R[t + tt, u + uu, v + vv]
-    return 2.0 * math.pi**2.5 / (p * q * math.sqrt(p + q)) * val
-
-
-# ---------------------------------------------------------------------------
-# batched two-electron integrals
-#
-# The scalar routines above price each primitive quadruple separately, which
-# is fine for the one-electron blocks but makes the ERIs the bottleneck (a
-# 6-term pair already needs 6^4 quadruples). The batched path runs the same
-# Hermite recursions with the exponents as numpy grids, one call per angular
-# class, and is checked against the scalar path in the tests.
+# Hermite recursions over exponent grids (McMurchie-Davidson)
 # ---------------------------------------------------------------------------
 
 def _boys_array(nmax: int, x):
@@ -248,24 +113,81 @@ def _r_entries(tmax, umax, vmax, p, PC):
             for t in range(tmax + 1) for u in range(umax + 1) for v in range(vmax + 1)}
 
 
-def _eri_block(block_a, A, block_b, B, block_c, C, block_d, D):
-    """Contracted ERI restricted to one angular class per slot."""
-    (coef_a, exp_a, la) = block_a
-    (coef_b, exp_b, lb) = block_b
-    (coef_c, exp_c, lc) = block_c
-    (coef_d, exp_d, ld) = block_d
+# ---------------------------------------------------------------------------
+# contracted blocks
+# ---------------------------------------------------------------------------
 
-    a = exp_a[:, None]
-    b = exp_b[None, :]
+class _Orbital(NamedTuple):
+    """A contracted orbital: primitive coefficients and exponents sharing one
+    Cartesian angular triple and one center."""
+
+    coef: np.ndarray
+    exp: np.ndarray
+    ang: tuple
+    center: tuple
+
+
+def _orbital(spec: OrbitalSpec, n_terms: int) -> _Orbital:
+    exponents, coefs = np.array(fit_gaussian_expansion(spec, n_terms).terms).T
+    ang = (0, 0, 0) if spec.kind == "s1" else (0, 0, 1)
+    return _Orbital(coefs, exponents, ang, tuple(float(c) for c in spec.center))
+
+
+def _charge_grid(x: _Orbital, y: _Orbital):
+    """Exponent sum p, product center P and Hermite coefficients of x*y,
+    over the (len x, len y) primitive grid."""
+    a = x.exp[:, None]
+    b = y.exp[None, :]
     p = a + b
-    P = [(a * A[d] + b * B[d]) / p for d in range(3)]
-    e_bra = [_e_table(la[d], lb[d], a, b, A[d], B[d]) for d in range(3)]
+    P = [(a * x.center[d] + b * y.center[d]) / p for d in range(3)]
+    E = [_e_table(x.ang[d], y.ang[d], a, b, x.center[d], y.center[d]) for d in range(3)]
+    return p, P, E
 
-    c = exp_c[:, None]
-    d = exp_d[None, :]
-    q = c + d
-    Q = [(c * C[k] + d * D[k]) / q for k in range(3)]
-    e_ket = [_e_table(lc[k], ld[k], c, d, C[k], D[k]) for k in range(3)]
+
+def _overlap(x: _Orbital, y: _Orbital) -> float:
+    p, _, E = _charge_grid(x, y)
+    grid = (np.pi / p) ** 1.5 * E[0][0] * E[1][0] * E[2][0]
+    return float(x.coef @ grid @ y.coef)
+
+
+def _kinetic(x: _Orbital, y: _Orbital) -> float:
+    """<x| -laplacian/2 |y>, differentiating y's Cartesian Gaussian."""
+    a = x.exp[:, None]
+    b = y.exp[None, :]
+    root = np.sqrt(np.pi / (a + b))
+
+    def s1d(d, j):
+        return root * _e_table(x.ang[d], j, a, b, x.center[d], y.center[d])[0]
+
+    S, T = [], []
+    for d in range(3):
+        j = y.ang[d]
+        S.append(s1d(d, j))
+        t = b * (2 * j + 1) * S[d] - 2.0 * b * b * s1d(d, j + 2)
+        if j >= 2:
+            t = t - 0.5 * j * (j - 1) * s1d(d, j - 2)
+        T.append(t)
+    grid = T[0] * S[1] * S[2] + S[0] * T[1] * S[2] + S[0] * S[1] * T[2]
+    return float(x.coef @ grid @ y.coef)
+
+
+def _attraction(x: _Orbital, y: _Orbital, nuclei) -> float:
+    """<x| -sum_C Z_C / r_C |y> over `nuclei`, a sequence of (Z_C, C)."""
+    p, P, E = _charge_grid(x, y)
+    lt, lu, lv = (x.ang[d] + y.ang[d] for d in range(3))
+    total = 0.0
+    for charge, C in nuclei:
+        R = _r_entries(lt, lu, lv, p, [P[d] - C[d] for d in range(3)])
+        total = total - charge * sum(E[0][t] * E[1][u] * E[2][v] * R[(t, u, v)]
+                                     for t, u, v in R)
+    return float(x.coef @ (2.0 * math.pi / p * total) @ y.coef)
+
+
+def _eri(oa: _Orbital, ob: _Orbital, oc: _Orbital, od: _Orbital) -> float:
+    """Contracted (ab|cd) over the four primitive grids at once."""
+    p, P, e_bra = _charge_grid(oa, ob)
+    q, Q, e_ket = _charge_grid(oc, od)
+    la, lb, lc, ld = oa.ang, ob.ang, oc.ang, od.ang
 
     p4 = p[:, :, None, None]
     q4 = q[None, None, :, :]
@@ -291,76 +213,9 @@ def _eri_block(block_a, A, block_b, B, block_c, C, block_d, D):
                                 * rtab[(t + tt, u + uu, v + vv)])
 
     total = total * 2.0 * math.pi**2.5 / (p4 * q4 * np.sqrt(p4 + q4))
-    weights = (coef_a[:, None, None, None] * coef_b[None, :, None, None]
-               * coef_c[None, None, :, None] * coef_d[None, None, None, :])
+    weights = (oa.coef[:, None, None, None] * ob.coef[None, :, None, None]
+               * oc.coef[None, None, :, None] * od.coef[None, None, None, :])
     return float(np.sum(weights * total))
-
-
-# ---------------------------------------------------------------------------
-# contracted orbitals
-# ---------------------------------------------------------------------------
-
-class _Contracted:
-    """Primitive list (coeff, exponent, angular triple) at a common center."""
-
-    __slots__ = ("prims", "center", "blocks")
-
-    def __init__(self, prims, center):
-        self.prims = prims
-        self.center = np.asarray(center, dtype=float)
-        groups: dict = {}
-        for coef, alpha, ang in prims:
-            groups.setdefault(ang, ([], []))
-            groups[ang][0].append(coef)
-            groups[ang][1].append(alpha)
-        self.blocks = [(np.asarray(cs), np.asarray(es), ang)
-                       for ang, (cs, es) in groups.items()]
-
-
-def _contract(spec: OrbitalSpec, n_terms: int) -> _Contracted:
-    exp = fit_gaussian_expansion(spec, n_terms)
-    if spec.kind == "s1":
-        prims = [(c, a, (0, 0, 0)) for a, c in exp.terms]
-    else:
-        angs = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-        prims = []
-        for a, c in exp.terms:
-            for weight, ang in zip(spec.axis, angs):
-                if abs(weight) > 1e-15:
-                    prims.append((c * weight, a, ang))
-    return _Contracted(prims, spec.center)
-
-
-def _pairwise(f, oa: _Contracted, ob: _Contracted, *args) -> float:
-    return sum(
-        ca * cb * f(anga, aa, oa.center, angb, ab, ob.center, *args)
-        for ca, aa, anga in oa.prims
-        for cb, ab, angb in ob.prims
-    )
-
-
-def _eri(oa, ob, oc, od) -> float:
-    val = 0.0
-    for block_a in oa.blocks:
-        for block_b in ob.blocks:
-            for block_c in oc.blocks:
-                for block_d in od.blocks:
-                    val += _eri_block(block_a, oa.center, block_b, ob.center,
-                                      block_c, oc.center, block_d, od.center)
-    return val
-
-
-def _eri_scalar(oa, ob, oc, od) -> float:
-    """Reference contraction over scalar primitive quadruples (slow path)."""
-    val = 0.0
-    for ca, aa, anga in oa.prims:
-        for cb, ab, angb in ob.prims:
-            for cc, ac, angc in oc.prims:
-                for cd, ad, angd in od.prims:
-                    val += ca * cb * cc * cd * _prim_eri(
-                        anga, aa, oa.center, angb, ab, ob.center,
-                        angc, ac, oc.center, angd, ad, od.center)
-    return val
 
 
 # ---------------------------------------------------------------------------
@@ -368,34 +223,27 @@ def _eri_scalar(oa, ob, oc, od) -> float:
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=4096)
-def _reduced_pair(kind_a, kind_b, radius_a, radius_b, r, axis, za, zb, n_terms,
+def _reduced_pair(kind_a, kind_b, radius_a, radius_b, r, za, zb, n_terms,
                   two_electron=True):
     """All pair blocks for the dimensionless geometry (lengths in units l).
 
     Center A sits at the origin with radius parameter `radius_a` (= 1 when l
-    is A's own Bohr radius), center B at (0, 0, r). `axis` is the p-orbital
-    axis expressed in this frame. Returns plain floats in medium hartrees.
+    is A's own Bohr radius), center B at (0, 0, r); a p2 orbital points
+    along z. Returns plain floats in medium hartrees.
     """
-    spec_a = OrbitalSpec(kind_a, radius_a, (0.0, 0.0, 0.0),
-                         axis if kind_a == "p2" else None)
-    spec_b = OrbitalSpec(kind_b, radius_b, (0.0, 0.0, r),
-                         axis if kind_b == "p2" else None)
-    A = _contract(spec_a, n_terms)
-    B = _contract(spec_b, n_terms)
-    ca, cb = A.center, B.center
+    A = _orbital(OrbitalSpec(kind_a, radius_a, (0.0, 0.0, 0.0)), n_terms)
+    B = _orbital(OrbitalSpec(kind_b, radius_b, (0.0, 0.0, r)), n_terms)
 
-    s = _pairwise(_prim_overlap, A, B)
+    s = _overlap(A, B)
     if abs(s) > _OVERLAP_LIMIT:
         raise IllConditionedGeometryError(
             f"|S| = {abs(s):.4f} at reduced separation {r:.3f}; "
             "orbitals nearly coincide"
         )
-    h = {}
-    for name, (x, y) in (("aa", (A, A)), ("bb", (B, B)), ("ab", (A, B))):
-        kin = _pairwise(_prim_kinetic, x, y)
-        att = -za * _pairwise(_prim_nuclear, x, y, ca) - zb * _pairwise(_prim_nuclear, x, y, cb)
-        h[name] = kin + att
-    out = {"S": s, "hAA": h["aa"], "hBB": h["bb"], "hAB": h["ab"]}
+    nuclei = ((za, A.center), (zb, B.center))
+    out = {"S": s}
+    for name, (x, y) in (("hAA", (A, A)), ("hBB", (B, B)), ("hAB", (A, B))):
+        out[name] = _kinetic(x, y) + _attraction(x, y, nuclei)
     if two_electron:
         out["Jc"] = _eri(A, A, B, B)
         out["Kx"] = _eri(A, B, A, B)
@@ -438,17 +286,6 @@ class PairIntegralResult:
         return 2.0 * (s2 * self.coulomb_mev - self.exchange_integral_mev) / (1.0 - s2 * s2)
 
 
-def _canonical_axis(axis, direction) -> tuple:
-    """Express `axis` in the frame whose z is the inter-center direction."""
-    ax = np.asarray(axis, dtype=float)
-    ax = ax / np.linalg.norm(ax)
-    along = float(ax @ direction)
-    perp = ax - along * direction
-    p = float(np.linalg.norm(perp))
-    # azimuth is irrelevant by symmetry; land the axis in the xz plane
-    return (p, 0.0, along)
-
-
 def pair_integrals(
     A: OrbitalSpec,
     B: OrbitalSpec,
@@ -458,17 +295,18 @@ def pair_integrals(
 ) -> PairIntegralResult:
     """Heitler-London integrals for two centers in a screened medium.
 
+    A p2 orbital on either center is the 2p-sigma envelope pointing along
+    the line between the two centers, so only their separation enters.
     Charges default to (l/a_A, l/a_B): each isolated center then binds its
     own 1s envelope with its Coulombic binding energy in the medium. Pass
     `effective_charges` to override.
     """
-    ca = np.asarray(A.center, dtype=float)
-    cb = np.asarray(B.center, dtype=float)
-    delta = cb - ca
+    delta = np.asarray(B.center, dtype=float) - np.asarray(A.center, dtype=float)
     r_ang = float(np.linalg.norm(delta))
+    if not math.isfinite(r_ang):
+        raise PreconditionError("centers must be finite")
     if r_ang <= 0.0:
         raise PreconditionError("centers must be distinct")
-    direction = delta / r_ang
 
     scale = A.bohr_radius_a  # length unit l
     hartree = medium_hartree_mev(epsilon, scale)
@@ -477,18 +315,11 @@ def pair_integrals(
     else:
         za, zb = effective_charges
 
-    axis = (0.0, 0.0, 1.0)
-    for spec in (A, B):
-        if spec.kind == "p2":
-            axis = _canonical_axis(spec.axis if spec.axis is not None else direction,
-                                   direction)
-
     key = lambda x: round(x, 12)
     blocks = _reduced_pair(
         A.kind, B.kind,
         key(A.bohr_radius_a / scale), key(B.bohr_radius_a / scale),
         key(r_ang / scale),
-        tuple(key(c) for c in axis),
         key(za), key(zb), n_terms,
     )
 
@@ -515,14 +346,19 @@ def pair_integrals(
     )
 
 
-def _pair_orbitals(control: DonorModel, qubit: DonorModel, excited: bool,
-                   r: float, axis=None):
+def _check_grid(r_grid) -> list[float]:
+    grid = [float(r) for r in r_grid]
+    if (not all(math.isfinite(r) and r > 0 for r in grid)
+            or any(b <= a for a, b in zip(grid, grid[1:]))):
+        raise PreconditionError("R grid must be finite, positive and strictly increasing")
+    return grid
+
+
+def _pair_orbitals(control: DonorModel, qubit: DonorModel, excited: bool, r: float):
     kind = "p2" if excited else "s1"
     radius = (control.excited_orbital_radius_a() if excited
               else control.ground_orbital_radius_a())
-    a = OrbitalSpec(kind, radius, (0.0, 0.0, 0.0),
-                    axis if (excited and axis is not None) else
-                    ((0.0, 0.0, 1.0) if excited else None))
+    a = OrbitalSpec(kind, radius, (0.0, 0.0, 0.0))
     b = OrbitalSpec("s1", qubit.ground_orbital_radius_a(), (0.0, 0.0, r))
     return a, b
 
@@ -532,23 +368,18 @@ def exchange_curve(
     qubit: DonorModel,
     excited: bool,
     r_grid,
-    axis=None,
     n_terms: int = 6,
 ) -> list[PairIntegralResult]:
     """J(R) for the control-qubit pair, control ground (1s) or excited (2p).
 
-    The p axis defaults to the inter-center line; pass `axis` (a 3-vector in
-    the frame whose z is the inter-center direction) to study other
-    orientations.
+    The excited control is the 2p-sigma envelope pointing at the qubit.
     """
-    grid = [float(r) for r in r_grid]
-    if any(r <= 0 for r in grid) or any(b <= a for a, b in zip(grid, grid[1:])):
-        raise PreconditionError("R grid must be positive and strictly increasing")
+    grid = _check_grid(r_grid)
     if abs(control.dielectric_constant - qubit.dielectric_constant) > 1e-9:
         raise InvalidModelError("pair models must share the medium dielectric")
     out = []
     for r in grid:
-        a, b = _pair_orbitals(control, qubit, excited, r, axis)
+        a, b = _pair_orbitals(control, qubit, excited, r)
         out.append(pair_integrals(a, b, control.dielectric_constant, n_terms=n_terms))
     return out
 
@@ -577,9 +408,7 @@ def transfer_splitting_curve(
     2|t|. Monopole shifts are excluded: both donors are neutral, so the
     ion-ion and electron-ion monopole tails compensate.
     """
-    grid = [float(r) for r in r_grid]
-    if any(r <= 0 for r in grid) or any(b <= a for a, b in zip(grid, grid[1:])):
-        raise PreconditionError("R grid must be positive and strictly increasing")
+    grid = _check_grid(r_grid)
     radius = control.excited_orbital_radius_a()
     scale = radius
     hartree = medium_hartree_mev(control.dielectric_constant, scale)
@@ -587,7 +416,7 @@ def transfer_splitting_curve(
     for r in grid:
         blocks = _reduced_pair(
             "p2", "p2", 1.0, 1.0, round(r / scale, 12),
-            (0.0, 0.0, 1.0), 1.0, 1.0, n_terms, two_electron=False,
+            1.0, 1.0, n_terms, two_electron=False,
         )
         s, h_aa, h_bb, h_ab = blocks["S"], blocks["hAA"], blocks["hBB"], blocks["hAB"]
         t_hop = (h_ab - s * (h_aa + h_bb) / 2.0) / (1.0 - s * s)

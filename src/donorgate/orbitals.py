@@ -37,29 +37,21 @@ _AMIN = 2e-4
 class OrbitalSpec:
     """A hydrogenic envelope: kind, radius parameter, placement.
 
-    kind "s1" decays as exp(-r/a); kind "p2" as r exp(-r/2a) along `axis`.
-    `bohr_radius_a` is the 1s Bohr-radius parameter a in angstrom for both
-    kinds (the 2p of the same center shares the center's a).
+    kind "s1" decays as exp(-r/a); kind "p2" is the 2p-sigma envelope
+    r cos(theta) exp(-r/2a), whose axis is the line to the other center of
+    the pair it enters. `bohr_radius_a` is the 1s Bohr-radius parameter a in
+    angstrom for both kinds (the 2p of the same center shares the center's a).
     """
 
     kind: str
     bohr_radius_a: float
     center: tuple = (0.0, 0.0, 0.0)
-    axis: tuple | None = None
 
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise InvalidModelError(f"orbital kind must be one of {_KINDS}")
-        if self.bohr_radius_a <= 0:
-            raise InvalidModelError("bohr radius must be positive")
-        if self.kind == "p2":
-            ax = np.asarray(self.axis if self.axis is not None else (0.0, 0.0, 1.0))
-            n = float(np.linalg.norm(ax))
-            if n < 1e-12:
-                raise InvalidModelError("p2 axis must be a nonzero vector")
-            object.__setattr__(self, "axis", tuple(ax / n))
-        elif self.axis is not None:
-            raise InvalidModelError("axis only applies to p2 orbitals")
+        if not (math.isfinite(self.bohr_radius_a) and self.bohr_radius_a > 0):
+            raise InvalidModelError("bohr radius must be finite and positive")
 
     @property
     def decay_constant(self) -> float:
@@ -69,7 +61,7 @@ class OrbitalSpec:
         return 0.5 / self.bohr_radius_a
 
     def at(self, center) -> "OrbitalSpec":
-        return OrbitalSpec(self.kind, self.bohr_radius_a, tuple(center), self.axis)
+        return OrbitalSpec(self.kind, self.bohr_radius_a, tuple(center))
 
 
 @dataclass(frozen=True)
@@ -157,7 +149,7 @@ def _canonical_fit(kind: str, n_terms: int) -> tuple[tuple, float]:
 
 
 def _self_overlap(kind: str, terms) -> float:
-    """3D self-overlap of the expansion (p2 taken along its axis)."""
+    """3D self-overlap of the expansion (p2 as its z-pointing component)."""
     a = np.array([t[0] for t in terms])
     c = np.array([t[1] for t in terms])
     pair = a[:, None] + a[None, :]

@@ -367,6 +367,8 @@ def sfg_gate(system: SpinSystem, control_id: str, tau_range: tuple = None, *,
         raise PreconditionError("tau range must be a forward interval")
     if not (math.isfinite(resolution_ps) and resolution_ps > 0):
         raise PreconditionError("resolution_ps must be finite and positive")
+    if not (math.isfinite(residual_threshold) and residual_threshold > 0):
+        raise PreconditionError("residual_threshold must be finite and positive")
     # narrow explicit ranges must still get a usable grid
     resolution_ps = min(resolution_ps, (hi - lo) / 200.0)
 

@@ -155,6 +155,25 @@ def test_gate_run_rejects_bad_tau_max(capsys, tau_max):
     assert err.startswith("donorgate: error: tau range")
 
 
+@pytest.mark.parametrize("threshold", ["nan", "-1"])
+def test_gate_run_rejects_bad_threshold(capsys, threshold):
+    code, out, err = _run(capsys, "gate", "run", "--j1", "20", "--j2", "20",
+                          "--threshold", threshold)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("donorgate: error: residual_threshold")
+
+
+@pytest.mark.parametrize("option, value", [
+    ("--r-min", "nan"), ("--r-max", "inf"), ("--r-step", "nan")])
+def test_exchange_curve_rejects_non_finite_grid(capsys, option, value):
+    code, out, err = _run(capsys, "exchange", "curve", "--binding-ev", "0.6",
+                          "--epsilon", "5.7", option, value)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("donorgate: error: r-min, r-max and r-step must be finite")
+
+
 def test_errors_exit_nonzero_with_message(capsys):
     code, out, err = _run(capsys, "exchange", "curve",
                           "--binding-ev", "-3", "--epsilon", "5.7")

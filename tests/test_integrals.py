@@ -2,7 +2,9 @@
 
 The oracle (quad_oracle.py) never touches the Gaussian machinery; it was
 written and converged first, and its outputs for the frozen geometry are
-pinned below so a regression in either side is visible.
+pinned below so a regression in either side is visible. The 2p-sigma blocks,
+which the oracle does not cover yet, are checked against the scalar
+McMurchie-Davidson loops in md_reference.py.
 """
 
 import math
@@ -20,8 +22,9 @@ from donorgate import (
     pair_integrals,
     transfer_splitting_curve,
 )
-from donorgate.integrals import _contract, _eri, _eri_scalar
+from donorgate.integrals import _reduced_pair
 
+import md_reference
 import quad_oracle
 
 # frozen geometry: 1s-1s, a = 2.1 A on both centers, R = 10 A, eps = 5.7
@@ -147,15 +150,20 @@ def test_two_electron_splitting_property_consistent():
     assert res.two_electron_splitting_mev == pytest.approx(want, rel=1e-12)
 
 
-def test_batched_eri_matches_scalar_contraction():
-    # the batched Hermite path is the production one; pin it to the plain
-    # quadruple loop on a p-p geometry where the angular blocks matter
-    oa = _contract(OrbitalSpec("p2", 2.1, (0, 0, 0), (0.3, 0.0, 1.0)), 4)
-    ob = _contract(OrbitalSpec("s1", 2.1, (0, 0, 6.0)), 4)
-    for bra, ket in (((oa, oa), (ob, ob)), ((oa, ob), (oa, ob))):
-        fast = _eri(bra[0], bra[1], ket[0], ket[1])
-        slow = _eri_scalar(bra[0], bra[1], ket[0], ket[1])
-        assert fast == pytest.approx(slow, rel=1e-10)
+def test_blocks_match_scalar_reference():
+    # the grid recursions against the primitive-by-primitive loops: the
+    # excited control with a compact qubit (radii 1 and 0.5, charges l/a),
+    # and the p2-p2 transfer geometry, one-electron blocks only
+    cases = (
+        (("p2", "s1", 1.0, 0.5, 3.0, 1.0, 2.0, 4), {}),
+        (("p2", "p2", 1.0, 1.0, 6.0, 1.0, 1.0, 4), {"two_electron": False}),
+    )
+    for args, kw in cases:
+        engine = _reduced_pair(*args, **kw)
+        reference = md_reference.reduced_pair(*args)
+        assert set(engine) <= set(reference)
+        for key, got in engine.items():
+            assert got == pytest.approx(reference[key], rel=1e-12), (args[:2], key)
 
 
 def test_far_separation_splitting_underflows_cleanly():
@@ -170,6 +178,21 @@ def test_coincident_centers_rejected():
     a = OrbitalSpec("s1", RADIUS_A, (0.0, 0.0, 0.0))
     with pytest.raises(PreconditionError):
         pair_integrals(a, a.at((0.0, 0.0, 0.0)), EPS)
+
+
+def test_non_finite_geometry_rejected():
+    a = OrbitalSpec("s1", RADIUS_A, (0.0, 0.0, 0.0))
+    for far in ((0.0, 0.0, math.nan), (math.inf, 0.0, 0.0)):
+        with pytest.raises(PreconditionError):
+            pair_integrals(a, a.at(far), EPS)
+    control = model_from_ionization("P", 0.6, 5.7)
+    qubit = model_from_ionization("N", 0.6, 5.7, role="qubit")
+    with pytest.raises(PreconditionError):
+        exchange_curve(control, qubit, True, [math.nan])
+    with pytest.raises(PreconditionError):
+        exchange_curve(control, qubit, False, [8.0, math.inf])
+    with pytest.raises(PreconditionError):
+        transfer_splitting_curve(control, [math.inf])
 
 
 def test_near_coincident_centers_flagged_ill_conditioned():

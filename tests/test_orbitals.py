@@ -37,14 +37,13 @@ def test_s_expansion_is_normalized():
 
 
 def test_p_expansion_is_normalized():
-    exp = fit_gaussian_expansion(OrbitalSpec("p2", 2.1, axis=(0, 0, 1)))
+    exp = fit_gaussian_expansion(OrbitalSpec("p2", 2.1))
     assert _self_overlap_p(exp.terms) == pytest.approx(1.0, rel=1e-10)
 
 
 def test_fit_error_reported_and_below_tolerance():
     for kind in ("s1", "p2"):
-        spec = OrbitalSpec(kind, 1.0, axis=(0, 0, 1) if kind == "p2" else None)
-        exp = fit_gaussian_expansion(spec, n_terms=6, tol=0.05)
+        exp = fit_gaussian_expansion(OrbitalSpec(kind, 1.0), n_terms=6, tol=0.05)
         assert 0.0 < exp.fit_error < 0.05
 
 
@@ -74,20 +73,15 @@ def test_fitted_radial_shape_tracks_slater():
 
 def test_decay_constants():
     assert OrbitalSpec("s1", 2.0).decay_constant == pytest.approx(0.5)
-    assert OrbitalSpec("p2", 2.0, axis=(0, 0, 1)).decay_constant == pytest.approx(0.25)
+    assert OrbitalSpec("p2", 2.0).decay_constant == pytest.approx(0.25)
 
 
-def test_axis_normalized_and_validated():
-    spec = OrbitalSpec("p2", 1.0, axis=(0, 0, 2))
-    assert spec.axis == pytest.approx((0.0, 0.0, 1.0))
-    with pytest.raises(InvalidModelError):
-        OrbitalSpec("p2", 1.0, axis=(0.0, 0.0, 0.0))
-    with pytest.raises(InvalidModelError):
-        OrbitalSpec("s1", 1.0, axis=(0, 0, 1))
+def test_kind_and_radius_validated():
     with pytest.raises(InvalidModelError):
         OrbitalSpec("d3", 1.0)
-    with pytest.raises(InvalidModelError):
-        OrbitalSpec("s1", -1.0)
+    for bad_radius in (-1.0, math.nan, math.inf):
+        with pytest.raises(InvalidModelError):
+            OrbitalSpec("s1", bad_radius)
 
 
 def test_unreachable_tolerance_raises():

@@ -202,6 +202,17 @@ def test_sfg_gate_grid_validation():
             sfg_gate(trio, "C", resolution_ps=bad_resolution)
 
 
+def test_sfg_gate_threshold_validation():
+    # no residual compares below NaN or a non-positive bound, so these would
+    # report an exactly clean trio as not clean
+    trio = SpinSystem(
+        spins=(("C", "control"), ("Q1", "qubit"), ("Q2", "qubit")),
+        couplings={(0, 1): 5.0, (0, 2): 5.0})
+    for bad_threshold in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(PreconditionError):
+            sfg_gate(trio, "C", residual_threshold=bad_threshold)
+
+
 @pytest.mark.parametrize("j1, j2", [
     (32.3, 10.5), (41.2, 5.6),  # quoted table1 gate couplings
     (147.5, 20.9),  # the bundled cluster's C2 trio

@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import find_peaks
 
 from .errors import (DependencyError, InvalidSpecError, NoCleanGateError,
                      PreconditionError)
@@ -196,6 +195,9 @@ class AdjacencyHypothesis:
 
 def _peak_positions(axis: np.ndarray, values: np.ndarray, floor: float) -> list:
     """Sub-sample peak centers by parabolic refinement of local maxima."""
+    # scipy.signal loads scipy.stats (~0.7 s); only scan inference needs it
+    from scipy.signal import find_peaks
+
     idx, _ = find_peaks(values, height=floor, prominence=floor / 2.0)
     out = []
     step = axis[1] - axis[0]

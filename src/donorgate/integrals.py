@@ -39,7 +39,7 @@ from scipy.special import gammainc, gammaln
 from .constants import medium_hartree_mev
 from .donor import DonorModel
 from .errors import IllConditionedGeometryError, InvalidModelError, PreconditionError
-from .orbitals import OrbitalSpec, fit_gaussian_expansion
+from .orbitals import OrbitalSpec, check_n_terms, fit_gaussian_expansion
 
 _OVERLAP_LIMIT = 0.999
 
@@ -301,6 +301,7 @@ def pair_integrals(
     own 1s envelope with its Coulombic binding energy in the medium. Pass
     `effective_charges` to override.
     """
+    check_n_terms(n_terms)  # before the cache, where 6.0 would hit a 6 entry
     delta = np.asarray(B.center, dtype=float) - np.asarray(A.center, dtype=float)
     r_ang = float(np.linalg.norm(delta))
     if not math.isfinite(r_ang):
@@ -375,6 +376,7 @@ def exchange_curve(
     The excited control is the 2p-sigma envelope pointing at the qubit.
     """
     grid = _check_grid(r_grid)
+    check_n_terms(n_terms)
     if abs(control.dielectric_constant - qubit.dielectric_constant) > 1e-9:
         raise InvalidModelError("pair models must share the medium dielectric")
     out = []
@@ -409,6 +411,7 @@ def transfer_splitting_curve(
     ion-ion and electron-ion monopole tails compensate.
     """
     grid = _check_grid(r_grid)
+    check_n_terms(n_terms)
     radius = control.excited_orbital_radius_a()
     scale = radius
     hartree = medium_hartree_mev(control.dielectric_constant, scale)

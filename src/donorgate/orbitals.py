@@ -5,32 +5,31 @@ envelopes exp(-zeta r) (1s) and r exp(-zeta r) (2p). The bridge is a
 least-squares radial fit at canonical zeta = 1, reused for every radius
 through the exact scaling rule alpha -> alpha * zeta^2.
 
-The fit minimizes the relative L2 error of the radial function under the
-weight r^(2+2l), solving coefficients exactly per exponent set (variable
-projection) and optimizing only the exponents. Exponent sets are
-parameterized with a minimum ratio between successive exponents, which keeps
-the Gram matrix well conditioned; without it, fits beyond ~5 terms collapse
-into near-duplicate exponents with huge cancelling coefficients and the
-two-electron integrals built from them lose all precision.
+The canonical fits are frozen package data, data/gaussian_fits.json: one row
+per kind and supported expansion length, n_terms = 3 to 8. No fit runs at
+run time; an n_terms outside that range is an InvalidModelError. The table is
+written by the fitter in `donorgate.gaussian_fits`; regenerate it with
+
+    python -m donorgate.gaussian_fits
 """
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from importlib import resources
 
 import numpy as np
-from scipy.optimize import minimize
-from scipy.special import erfcx, gammaln
 
 from .errors import FitFailureError, InvalidModelError
 
-_KINDS = ("s1", "p2")
+ORBITAL_KINDS = ("s1", "p2")
+# expansion lengths with a frozen canonical fit
+N_TERMS = range(3, 9)
 
-# exponent-ratio floor and absolute exponent floor for the fit parameterization
-_RMIN = 1.35
-_AMIN = 2e-4
+_TABLE_FILE = "gaussian_fits.json"
 
 
 @dataclass(frozen=True)
@@ -48,8 +47,8 @@ class OrbitalSpec:
     center: tuple = (0.0, 0.0, 0.0)
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise InvalidModelError(f"orbital kind must be one of {_KINDS}")
+        if self.kind not in ORBITAL_KINDS:
+            raise InvalidModelError(f"orbital kind must be one of {ORBITAL_KINDS}")
         if not (math.isfinite(self.bohr_radius_a) and self.bohr_radius_a > 0):
             raise InvalidModelError("bohr radius must be finite and positive")
 
@@ -73,79 +72,19 @@ class GaussianExpansion:
     fit_error: float
 
 
-def _moments(alphas: np.ndarray, zeta: float, nmax: int) -> np.ndarray:
-    """M[n, i] = integral_0^inf r^n exp(-alphas[i] r^2 - zeta r) dr."""
-    a = np.asarray(alphas, dtype=float)
-    sq = np.sqrt(a)
-    out = np.empty((nmax + 1, a.size))
-    out[0] = 0.5 * np.sqrt(np.pi / a) * erfcx(zeta / (2.0 * sq))
-    if nmax >= 1:
-        out[1] = (1.0 - zeta * out[0]) / (2.0 * a)
-    for n in range(1, nmax):
-        out[n + 1] = (n * out[n - 1] - zeta * out[n]) / (2.0 * a)
-    return out
-
-
-def _unpack(params: np.ndarray) -> np.ndarray:
-    """Exponents from free parameters, ratio floor _RMIN enforced."""
-    a1 = _AMIN + math.exp(params[0])
-    if params.size == 1:
-        return np.array([a1])
-    gaps = math.log(_RMIN) + np.logaddexp(0.0, params[1:])
-    return a1 * np.exp(np.concatenate(([0.0], np.cumsum(gaps))))
-
-
-def _fit_pieces(kind: str):
-    # weight r^(2+2l); Nf = integral r^w exp(-2r) = w!/2^(w+1)
-    w = 2 if kind == "s1" else 4
-    nf = math.factorial(w) / 2.0 ** (w + 1)
-    half = (w + 1) / 2.0
-    gram_const = 0.5 * math.exp(gammaln(half))
-
-    def solve(alphas: np.ndarray):
-        pair = alphas[:, None] + alphas[None, :]
-        g = gram_const * pair**(-half)
-        m = _moments(alphas, 1.0, w)[w]
-        try:
-            c = np.linalg.solve(g, m)
-        except np.linalg.LinAlgError:
-            return None, np.inf
-        res2 = max(nf - float(m @ c), 0.0) / nf
-        return c, math.sqrt(res2)
-
-    return solve
-
-
-def _objective(kind: str):
-    solve = _fit_pieces(kind)
-
-    def f(params):
-        _, res = solve(_unpack(params))
-        return res
-
-    return f, solve
-
-
 @lru_cache(maxsize=None)
-def _canonical_fit(kind: str, n_terms: int) -> tuple[tuple, float]:
-    """Best exponents/coefficients for exp(-r) (or r exp(-r)) at zeta = 1."""
-    f, solve = _objective(kind)
-    best = None
-    # deterministic multistart over geometric-progression seeds
-    for beta in (2.4, 3.2, 4.2):
-        gap_param = math.log(math.expm1(max(math.log(beta) - math.log(_RMIN), 1e-6)))
-        for lo in (-4.5, -3.0):
-            x0 = np.array([lo] + [gap_param] * (n_terms - 1))
-            r = minimize(f, x0, method="Nelder-Mead",
-                         options={"maxiter": 4000, "xatol": 1e-10, "fatol": 1e-14})
-            if best is None or r.fun < best.fun:
-                best = r
-    alphas = _unpack(best.x)
-    coeffs, res = solve(alphas)
-    if coeffs is None or not np.isfinite(res):
-        raise FitFailureError(f"{kind} fit with {n_terms} terms did not converge",
-                              residual=float("inf"))
-    return tuple(zip(alphas.tolist(), coeffs.tolist())), res
+def _fit_table() -> dict:
+    """(kind, n_terms) -> (canonical terms, fit error), loaded once."""
+    doc = json.loads(resources.files("donorgate").joinpath("data", _TABLE_FILE).read_text())
+    return {(row["kind"], row["n_terms"]): (tuple(map(tuple, row["terms"])), row["fit_error"])
+            for row in doc["fits"]}
+
+
+def check_n_terms(n_terms) -> None:
+    """Raise InvalidModelError unless `n_terms` is an int with a frozen fit."""
+    if isinstance(n_terms, bool) or not isinstance(n_terms, int) or n_terms not in N_TERMS:
+        raise InvalidModelError(
+            f"n_terms must be an int from {N_TERMS[0]} to {N_TERMS[-1]}, got {n_terms!r}")
 
 
 def _self_overlap(kind: str, terms) -> float:
@@ -165,14 +104,13 @@ def fit_gaussian_expansion(
 ) -> GaussianExpansion:
     """Gaussian expansion of `orbital`, normalized to unit self-overlap.
 
-    Fits once per (kind, n_terms) at canonical zeta and rescales: exponents
-    carry the exact factor zeta^2, which leaves the relative fit error
-    unchanged. Raises FitFailureError when the relative L2 residual exceeds
-    `tol`.
+    Rescales the frozen canonical fit for (kind, n_terms), n_terms an int
+    from 3 to 8: exponents carry the exact factor zeta^2, which leaves the
+    relative fit error unchanged. Raises FitFailureError when the relative
+    L2 residual exceeds `tol`.
     """
-    if n_terms < 3:
-        raise InvalidModelError("n_terms must be >= 3")
-    canonical, res = _canonical_fit(orbital.kind, n_terms)
+    check_n_terms(n_terms)
+    canonical, res = _fit_table()[orbital.kind, n_terms]
     if res > tol:
         raise FitFailureError(
             f"fit error {res:.3e} above tolerance {tol:.1e} "

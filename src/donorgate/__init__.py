@@ -15,7 +15,7 @@ otherwise; all linewidth-like parameters are FWHM.
 
 from .constants import (BOHR_ANGSTROM, DIAMOND_LATTICE_CONSTANT, HBAR_MEV_PS,
                         HC_MEV_NM, RYDBERG_EV, medium_hartree_mev)
-from .donor import (DonorModel, ZeemanCheck, load_presets, model_from_exciton,
+from .donor import (DonorModel, ZeemanCheck, model_from_exciton,
                     model_from_ionization, with_radius_scale, zeeman_check)
 from .errors import (DependencyError, DimensionError, DonorgateError,
                      FitFailureError, IllConditionedGeometryError,
@@ -31,9 +31,8 @@ from .integrals import (PairIntegralResult, TransferSplitting, exchange_curve,
 from .spectra import (SpectralModel, TransitionLine, gate_transitions,
                       resolvable_gate_count, wavelength_to_mev,
                       wavelength_width_to_mev)
-from .spins import (GateReport, SpinSystem, build_hamiltonian, concurrence,
-                    effective_coupling, entanglement_entropy,
-                    entanglement_metrics, entangling_power, evolve,
+from .spins import (GateReport, SpinSystem, build_hamiltonian,
+                    effective_coupling, entangling_power, evolve,
                     gate_fidelity, induced_qubit_operator, propagator,
                     sfg_gate)
 from .configure import (AdjacencyHypothesis, ControlHypothesis,

@@ -14,10 +14,8 @@ hydrogenic envelope, so a* always follows the Coulombic part alone.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, replace
-from importlib import resources
 
 from .constants import BOHR_ANGSTROM, K_B_MEV_PER_K, MU_B_MEV_PER_T, RYDBERG_EV
 from .errors import InvalidModelError
@@ -140,43 +138,6 @@ def zeeman_check(g_factor: float, field_t: float, temperature_k: float) -> Zeema
         ratio=ratio,
         polarization=math.tanh(ratio / 2.0),
     )
-
-
-_PRESET_FILE = "donor_presets.json"
-
-
-def load_presets() -> dict[str, DonorModel]:
-    """Built-in species catalog from the packaged data file.
-
-    The file is a versioned key-value document (see data/donor_presets.json);
-    new species can be added there without code changes.
-    """
-    raw = json.loads(
-        resources.files("donorgate").joinpath("data", _PRESET_FILE).read_text()
-    )
-    if raw.get("schema_version") != 1:
-        raise InvalidModelError("unsupported donor preset schema version")
-    catalog = {}
-    for name, entry in raw["species"].items():
-        catalog[name] = model_from_ionization(
-            species_name=entry["species_name"],
-            binding_energy_ev=entry["binding_energy_ev"],
-            dielectric_constant=entry["dielectric_constant"],
-            central_cell_split_ev=entry.get("central_cell_split_ev", 0.0),
-            role=entry["role"],
-            radius_scale_factor=entry.get("radius_scale_factor", 1.0),
-            spin=entry.get("spin", 0.5),
-            t1_s=entry.get("t1_s"),
-            t2_s=entry.get("t2_s"),
-        )
-    return catalog
-
-
-def preset(name: str) -> DonorModel:
-    try:
-        return load_presets()[name]
-    except KeyError:
-        raise InvalidModelError(f"unknown donor preset {name!r}") from None
 
 
 def with_radius_scale(model: DonorModel, scale: float) -> DonorModel:

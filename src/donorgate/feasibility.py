@@ -73,21 +73,27 @@ def _placement_stage(scenario):
     return realized, realized.controls(), realized.qubits()
 
 
+def _qubits_in_reach(scenario, c_label, c_pos, qubits):
+    """(qubit label, separation) for each qubit within the pair cutoff of
+    one control, in qubit order; a qubit on the control's site raises."""
+    for q_label, q_pos in qubits:
+        sep = float(np.linalg.norm(q_pos - c_pos))
+        if sep <= 0.0:
+            raise InvalidSpecError(f"{c_label} and {q_label} share a site")
+        if sep <= scenario.pair_cutoff_a:
+            yield q_label, sep
+
+
 @_stage("integrals")
 def _integrals_stage(scenario, controls, qubits):
     """Exchange for every control-qubit pair inside the cutoff, transfer for
-    every control-control pair (the spectra stage needs all of them)."""
+    every control-control pair (the spectra stage needs all of them, keyed
+    by the unordered label pair)."""
     exchange_rows = []
     couplings = {}
     for c_label, c_pos in controls:
         c_model = scenario.model_for(c_label)
-        for q_label, q_pos in qubits:
-            sep = float(np.linalg.norm(q_pos - c_pos))
-            if sep <= 0.0:
-                raise InvalidSpecError(
-                    f"{c_label} and {q_label} share a site")
-            if sep > scenario.pair_cutoff_a:
-                continue
+        for q_label, sep in _qubits_in_reach(scenario, c_label, c_pos, qubits):
             q_model = scenario.model_for(q_label)
             excited = exchange_curve(c_model, q_model, True, (sep,))[0]
             ground = exchange_curve(c_model, q_model, False, (sep,))[0]
@@ -100,7 +106,7 @@ def _integrals_stage(scenario, controls, qubits):
             couplings[(c_label, q_label)] = float(excited.exchange_splitting_mev)
 
     transfer_rows = []
-    transfer_results = []
+    hopping = {}
     for i in range(len(controls)):
         for j in range(i + 1, len(controls)):
             (la, pa), (lb, pb) = controls[i], controls[j]
@@ -110,18 +116,18 @@ def _integrals_stage(scenario, controls, qubits):
             model = scenario.model_for(min(la, lb))
             row = transfer_splitting_curve(
                 model, (sep,), scenario.spectral.base_transition_mev)[0]
-            transfer_results.append(row)
+            hopping[frozenset((la, lb))] = float(row.transfer_mev)
             transfer_rows.append({
                 "pair": (la, lb), "separation_a": sep,
                 "transfer_mev": float(row.transfer_mev),
                 "splitting_mev": float(row.splitting_mev),
             })
-    return exchange_rows, couplings, transfer_rows, transfer_results
+    return exchange_rows, couplings, transfer_rows, hopping
 
 
 @_stage("spectra")
-def _spectra_stage(scenario, transfer_results, seed):
-    lines = gate_transitions(scenario, scenario.spectral, transfer_results,
+def _spectra_stage(scenario, hopping, seed):
+    lines = gate_transitions(scenario, scenario.spectral, hopping,
                              seed=[seed, 0x53])
     resolvable = (resolvable_gate_count(lines,
                                         scenario.spectral.homogeneous_fwhm_mev,
@@ -300,8 +306,8 @@ def resolve_cluster(scenario: Scenario, seed: int = None):
     """
     seed = scenario.seed if seed is None else int(seed)
     realized, controls, qubits = _placement_stage(scenario)
-    _, couplings, _, transfer_results = _integrals_stage(realized, controls, qubits)
-    lines, _, _ = _spectra_stage(realized, transfer_results, seed)
+    _, couplings, _, hopping = _integrals_stage(realized, controls, qubits)
+    lines, _, _ = _spectra_stage(realized, hopping, seed)
     return realized, CouplingResults(transitions=tuple(lines), couplings=couplings)
 
 
@@ -309,9 +315,9 @@ def run_feasibility(scenario: Scenario, seed: int = None) -> FeasibilityReport:
     """Run the full pipeline on one scenario and collect the report."""
     seed = scenario.seed if seed is None else int(seed)
     realized, controls, qubits = _placement_stage(scenario)
-    exchange_rows, couplings, transfer_rows, transfer_results = \
+    exchange_rows, couplings, transfer_rows, hopping = \
         _integrals_stage(realized, controls, qubits)
-    lines, line_rows, resolvable = _spectra_stage(realized, transfer_results, seed)
+    lines, line_rows, resolvable = _spectra_stage(realized, hopping, seed)
     gate_records = _spins_stage(realized, couplings)
     configuration = _configure_stage(realized, lines, couplings, gate_records)
 
@@ -383,10 +389,7 @@ def _capable_controls(scenario, controls, qubits) -> int:
     for c_label, c_pos in controls:
         c_model = scenario.model_for(c_label)
         strong = 0
-        for q_label, q_pos in qubits:
-            sep = float(np.linalg.norm(q_pos - c_pos))
-            if not 0.0 < sep <= scenario.pair_cutoff_a:
-                continue
+        for q_label, sep in _qubits_in_reach(scenario, c_label, c_pos, qubits):
             j = exchange_curve(c_model, scenario.model_for(q_label),
                                True, (sep,))[0].exchange_splitting_mev
             if abs(j) >= scenario.min_gate_coupling_mev:

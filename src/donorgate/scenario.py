@@ -96,6 +96,11 @@ class Scenario:
             if missing:
                 raise InvalidSpecError(f"placements reference unknown species {sorted(missing)}")
             object.__setattr__(self, "placements", placements)
+            by_name = dict(zip(names, species))
+            # label -> species model, built once; not a dataclass field, so
+            # it stays out of equality, repr and serialization
+            object.__setattr__(self, "_model_of",
+                               {p.label: by_name[p.species] for p in placements})
         else:
             missing = {n for n, _ in self.random_placement.mix} - set(names)
             if missing:
@@ -120,10 +125,11 @@ class Scenario:
         raise InvalidSpecError(f"unknown species {name!r}")
 
     def model_for(self, label: str) -> DonorModel:
-        for p in self.require_placements():
-            if p.label == label:
-                return self.species_by_name(p.species)
-        raise InvalidSpecError(f"unknown placement label {label!r}")
+        self.require_placements()
+        try:
+            return self._model_of[label]
+        except KeyError:
+            raise InvalidSpecError(f"unknown placement label {label!r}") from None
 
     def require_placements(self) -> tuple:
         if self.placements is None:
@@ -134,7 +140,7 @@ class Scenario:
     def _of_role(self, role: str):
         return [(p.label, np.asarray(p.position_a))
                 for p in self.require_placements()
-                if self.species_by_name(p.species).role == role]
+                if self._model_of[p.label].role == role]
 
     def controls(self):
         return self._of_role("control")
@@ -403,6 +409,13 @@ def _control_04() -> DonorModel:
 
 
 def _qubit_for(control: DonorModel) -> DonorModel:
+    """Compact qubit paired with `control`: same binding and dielectric
+    constant, radius_scale_factor 0.5 on its ground orbital.
+
+    The qubit radius is tied to the control's energy scale (the half-radius
+    scoping convention), not to the qubit species' own deep level, which
+    lies outside effective-mass validity.
+    """
     return model_from_ionization(
         "N", control.binding_energy_ev, control.dielectric_constant,
         role="qubit", radius_scale_factor=0.5, t1_s=1e-3)

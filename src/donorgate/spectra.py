@@ -1,13 +1,14 @@
 """Optical transition lines of the controls, and how many gates they resolve.
 
 Each control donor carries one optical transition. Overlap with other excited
-controls shifts it deterministically (the shared excitation delocalizes, so
+controls shifts it deterministically: the shared excitation delocalizes, so
 the branch energies are the eigenvalues of the one-excitation hopping
-matrix); strain and charged-defect fields shift it randomly. The spread of
-these shifts across a patch is the inhomogeneous width, and it is a resource:
-lines far enough apart can be addressed one at a time, so the number of
-usable gates is the number of lines that remain pairwise separated on the
-scale of the homogeneous width.
+matrix, whose off-diagonals are the transfer amplitudes of each control pair,
+read from a map keyed by the pair's two labels. Strain and charged-defect
+fields shift it randomly. The spread of these shifts across a patch is the
+inhomogeneous width, and it is a resource: lines far enough apart can be
+addressed one at a time, so the number of usable gates is the number of
+lines that remain pairwise separated on the scale of the homogeneous width.
 
 All width parameters are full widths at half maximum.
 """
@@ -21,7 +22,6 @@ import numpy as np
 
 from .constants import HC_MEV_NM
 from .errors import DependencyError, InvalidSpecError, PreconditionError
-from .integrals import TransferSplitting
 
 # FWHM of a unit-sigma Gaussian
 GAUSSIAN_FWHM = 2.0 * math.sqrt(2.0 * math.log(2.0))
@@ -87,53 +87,50 @@ class TransitionLine:
         return sum(value for _, value in self.shift_breakdown)
 
 
-def _transfer_lookup(transfer_results, separation: float) -> float:
-    for row in transfer_results:
-        if isinstance(row, TransferSplitting) and math.isclose(
-                row.separation_a, separation, rel_tol=1e-9, abs_tol=1e-9):
-            return row.transfer_mev
-    raise DependencyError(
-        f"no transfer result covers the control separation {separation:.4f} A; "
-        "evaluate transfer_splitting_curve at the pairwise separations first"
-    )
+def _overlap_shifts(labels, hopping) -> np.ndarray:
+    """Branch shifts from excitation sharing among the labelled controls.
 
-
-def _overlap_shifts(positions: np.ndarray, transfer_results) -> np.ndarray:
-    """Branch shifts from excitation sharing among nearby controls.
-
-    The single shared excitation hops between controls with amplitude t(R),
-    so the transition energies are base + eigenvalues of the hopping matrix.
-    Branches are assigned to controls in label order, ascending in energy;
-    for an isolated control the shift is exactly zero.
+    The single shared excitation hops between controls i and j with the
+    amplitude `hopping[frozenset((label_i, label_j))]`, so the transition
+    energies are base + eigenvalues of the hopping matrix. Branches are
+    assigned to controls in the order of `labels`, ascending in energy; for
+    an isolated control the shift is exactly zero.
     """
-    m = len(positions)
+    m = len(labels)
     if m == 1:
         return np.zeros(1)
     hop = np.zeros((m, m))
     for i in range(m):
         for j in range(i + 1, m):
-            sep = float(np.linalg.norm(positions[i] - positions[j]))
-            hop[i, j] = hop[j, i] = _transfer_lookup(transfer_results, sep)
+            try:
+                hop[i, j] = hop[j, i] = hopping[frozenset((labels[i], labels[j]))]
+            except KeyError:
+                raise DependencyError(
+                    f"no hopping amplitude for the control pair {labels[i]}-"
+                    f"{labels[j]}; evaluate transfer_splitting_curve at their "
+                    "separation first") from None
     return np.linalg.eigvalsh(hop)
 
 
-def gate_transitions(scenario, spectral_model: SpectralModel, transfer_results,
+def gate_transitions(scenario, spectral_model: SpectralModel, hopping,
                      seed=None) -> list:
     """Optical lines for every control in the scenario.
 
-    `transfer_results` must cover every control-control separation (see
-    `integrals.transfer_splitting_curve`). Random shift components are drawn
-    one control at a time in label order, so a fixed seed fixes the lines.
+    `hopping` maps the unordered label pair of every two controls,
+    `frozenset((label_a, label_b))`, to their transfer amplitude in meV (the
+    `transfer_mev` of `integrals.transfer_splitting_curve` at their
+    separation); a missing pair raises DependencyError. Random shift
+    components are drawn one control at a time in label order, so a fixed
+    seed fixes the lines.
     """
-    controls = sorted(scenario.controls(), key=lambda c: c[0])
-    if not controls:
+    labels = sorted(label for label, _ in scenario.controls())
+    if not labels:
         return []
-    positions = np.asarray([pos for _, pos in controls], dtype=float)
-    shifts = _overlap_shifts(positions, transfer_results)
+    shifts = _overlap_shifts(labels, hopping)
 
     rng = np.random.default_rng(seed)
     lines = []
-    for (label, _), overlap in zip(controls, shifts):
+    for label, overlap in zip(labels, shifts):
         breakdown = [(_RESERVED_COMPONENT, float(overlap))]
         for name, width in spectral_model.disorder_components:
             breakdown.append((name, float(rng.normal(0.0, width / GAUSSIAN_FWHM))))

@@ -155,24 +155,6 @@ def effective_coupling(j1_mev: float, j2_mev: float,
 # entanglement metrics
 # ---------------------------------------------------------------------------
 
-def concurrence(state: np.ndarray) -> float:
-    """Concurrence of a pure two-qubit state: |<psi|sy x sy|psi*>|."""
-    psi = np.asarray(state, dtype=complex).reshape(-1)
-    if psi.shape != (4,):
-        raise DimensionError("concurrence is defined for two-qubit states")
-    a, b, c, d = psi
-    return float(2.0 * abs(a * d - b * c))
-
-
-def entanglement_entropy(state: np.ndarray, dims: tuple = (2, 2)) -> float:
-    """Bipartite von Neumann entropy of a pure state, in bits."""
-    da, db = dims
-    psi = np.asarray(state, dtype=complex).reshape(da, db)
-    lam = np.linalg.svd(psi, compute_uv=False) ** 2
-    lam = lam[lam > 1e-300]
-    return float(-np.sum(lam * np.log2(lam)))
-
-
 def _qubit_swap(n_qubits: int, a: int, b: int) -> np.ndarray:
     dim = 1 << n_qubits
     states = np.arange(dim)
@@ -203,19 +185,6 @@ def entangling_power(unitary: np.ndarray) -> float:
     avg_in = (np.eye(16) + s_a) @ (np.eye(16) + s_b) / 36.0
     purity = np.trace(W @ avg_in @ W.conj().T @ s_a).real
     return float(1.0 - purity)
-
-
-def entanglement_metrics(obj) -> tuple:
-    """(concurrence, entropy_bits, entangling_power); entries that do not
-    apply to the input kind are None."""
-    arr = np.asarray(obj, dtype=complex)
-    if arr.ndim == 1:
-        if arr.shape != (4,):
-            raise DimensionError("state metrics need a two-qubit state vector")
-        return concurrence(arr), entanglement_entropy(arr), None
-    if arr.shape == (4, 4):
-        return None, None, entangling_power(arr)
-    raise DimensionError("expected a 4-vector state or a 4x4 unitary")
 
 
 def gate_fidelity(U: np.ndarray, V: np.ndarray) -> float:

@@ -11,7 +11,6 @@ from donorgate import (
     with_radius_scale,
     zeeman_check,
 )
-from donorgate.donor import load_presets, preset
 
 
 def test_radius_anchor_for_deep_donor():
@@ -88,14 +87,3 @@ def test_zeeman_check_matches_hand_formula():
     assert zeeman_check(2.0, 12.0, 0.1).polarization > 0.999
     with pytest.raises(InvalidModelError):
         zeeman_check(2.0, 5.0, 0.0)
-
-
-def test_preset_catalog_loads_and_is_consistent():
-    catalog = load_presets()
-    assert catalog, "catalog must not be empty"
-    for name, model in catalog.items():
-        assert model.effective_bohr_radius_a == pytest.approx(
-            0.529 * 13.6 / (model.dielectric_constant * model.coulombic_binding_ev),
-            rel=1e-9), name
-    with pytest.raises(InvalidModelError):
-        preset("unobtainium")

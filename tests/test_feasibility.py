@@ -2,17 +2,23 @@
 
 import dataclasses
 
+import numpy as np
 import pytest
 
 from donorgate import (
+    EprModel,
     InvalidSpecError,
+    LatticeSpec,
+    Placement,
     RandomPlacementSpec,
     StageError,
     get_preset,
+    model_from_ionization,
     patch_statistics,
     realize_placements,
     run_feasibility,
 )
+from donorgate.feasibility import _capable_controls
 
 # excited-state couplings of the bundled cluster, frozen from a direct run
 EXCITED_J = {
@@ -136,6 +142,46 @@ def test_stage_failures_name_the_stage():
     assert "stage 'integrals' failed" in str(err.value)
 
 
+def test_qubit_on_a_control_site_is_rejected_on_both_paths():
+    _, sc = get_preset("table1")
+    on_c2 = dataclasses.replace(sc.placements[4], position_a=sc.placements[1].position_a)
+    bad = dataclasses.replace(sc, placements=sc.placements[:4] + (on_c2,))
+    with pytest.raises(StageError, match="C2 and Q3 share a site"):
+        run_feasibility(bad)
+    with pytest.raises(InvalidSpecError, match="C2 and Q3 share a site"):
+        _capable_controls(bad, bad.controls(), bad.qubits())
+
+
+def test_line_energies_use_each_pairs_own_transfer():
+    # C1-C2 and C2-C3 are both 12 A apart but are priced with different
+    # control models, so their transfer amplitudes differ; each must enter
+    # the hopping matrix under its own labels
+    _, sc = get_preset("table1")
+    hard = model_from_ionization("P", 0.6, 5.7, role="control")
+    soft = model_from_ionization("Ps", 0.6, 5.7, central_cell_split_ev=0.2,
+                                 role="control")
+    in_line = dataclasses.replace(sc, species=(hard, soft), placements=(
+        Placement("C1", "P", (-12.0, 0.0)),
+        Placement("C2", "Ps", (0.0, 0.0)),
+        Placement("C3", "P", (12.0, 0.0)),
+    ))
+    rep = run_feasibility(in_line)
+    transfer = {tuple(r["pair"]): r for r in rep.transfer}
+    near = transfer[("C1", "C2")], transfer[("C2", "C3")]
+    assert near[0]["separation_a"] == near[1]["separation_a"] == 12.0
+    assert abs(near[0]["transfer_mev"] - near[1]["transfer_mev"]) > 0.05
+
+    labels = ["C1", "C2", "C3"]
+    hop = np.zeros((3, 3))
+    for (a, b), r in transfer.items():
+        i, j = labels.index(a), labels.index(b)
+        hop[i, j] = hop[j, i] = r["transfer_mev"]
+    want = 600.0 + np.linalg.eigvalsh(hop)
+    assert [line["control"] for line in rep.lines] == labels
+    assert [line["energy_mev"] for line in rep.lines] == pytest.approx(
+        want, rel=1e-12)
+
+
 # --- random patches ----------------------------------------------------------
 
 def _random_scenario(seed=3):
@@ -173,6 +219,26 @@ def test_patch_statistics_require_random_spec():
         patch_statistics(sc, n_patches=2, seed=1)
     with pytest.raises(InvalidSpecError):
         patch_statistics(_random_scenario(), n_patches=0, seed=1)
+
+
+def test_patch_tally_matches_the_full_pipeline():
+    # patch_statistics counts gate-capable controls without running the
+    # spins stage; on the same patch that count must equal the number of
+    # gate records the full pipeline produces
+    _, sc = get_preset("table1")
+    sc = dataclasses.replace(
+        sc, placements=None, lattice=LatticeSpec(20.0),
+        epr=EprModel(0.05, zeeman_spread_fwhm_mev=4.0),
+        random_placement=RandomPlacementSpec(1e-3, {"P": 0.4, "N": 0.6}, seed=0))
+    counts = []
+    for seed in range(6):
+        (tallied,) = patch_statistics(sc, n_patches=1, seed=seed).gate_counts
+        child = np.random.SeedSequence(seed).spawn(1)[0]
+        patch = dataclasses.replace(sc, random_placement=dataclasses.replace(
+            sc.random_placement, seed=int(child.generate_state(1)[0])))
+        assert tallied == len(run_feasibility(patch).gates), seed
+        counts.append(tallied)
+    assert min(counts) == 0 and max(counts) >= 2
 
 
 def test_empty_region_reports_zero_everything():

@@ -1,5 +1,6 @@
 """Scenario schema, validation paths, and the bundled presets."""
 
+import dataclasses
 import itertools
 import json
 
@@ -70,6 +71,23 @@ def test_roles_split_by_species_role():
     sc = _minimal()
     assert [l for l, _ in sc.controls()] == ["C1"]
     assert [l for l, _ in sc.qubits()] == ["Q1"]
+
+
+def test_model_for_follows_the_placements():
+    sc = _minimal()
+    assert sc.model_for("C1") is CONTROL and sc.model_for("Q1") is QUBIT
+    with pytest.raises(InvalidSpecError, match="Q2"):
+        sc.model_for("Q2")
+    # a replaced scenario maps its labels afresh
+    moved = dataclasses.replace(sc, placements=(Placement("Q2", "N", (0, 0, 0)),))
+    assert moved.model_for("Q2") is QUBIT
+    with pytest.raises(InvalidSpecError):
+        moved.model_for("C1")
+    unrealized = dataclasses.replace(
+        sc, placements=None,
+        random_placement=RandomPlacementSpec(0.01, {"P": 1.0}, seed=1))
+    with pytest.raises(InvalidSpecError, match="realize"):
+        unrealized.model_for("C1")
 
 
 def test_epr_offsets_explicit_must_cover_all_qubits():

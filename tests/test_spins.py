@@ -12,9 +12,7 @@ from donorgate import (
     PreconditionError,
     SpinSystem,
     build_hamiltonian,
-    concurrence,
     effective_coupling,
-    entanglement_entropy,
     entangling_power,
     evolve,
     gate_fidelity,
@@ -111,18 +109,6 @@ def test_effective_coupling_formula():
     assert effective_coupling(41.2, 5.6, 600.0) == pytest.approx(0.384533, abs=1e-6)
     with pytest.raises(PreconditionError):
         effective_coupling(1.0, 1.0, 0.0)
-
-
-def test_concurrence_and_entropy_anchors():
-    bell = np.array([1.0, 0.0, 0.0, 1.0]) / math.sqrt(2.0)
-    product = np.array([1.0, 0.0, 0.0, 0.0])
-    assert concurrence(bell) == pytest.approx(1.0, abs=1e-12)
-    assert concurrence(product) == pytest.approx(0.0, abs=1e-12)
-    assert entanglement_entropy(bell) == pytest.approx(1.0, abs=1e-12)
-    assert entanglement_entropy(product) == pytest.approx(0.0, abs=1e-12)
-    theta = 0.3
-    partial = np.array([math.cos(theta), 0.0, 0.0, math.sin(theta)])
-    assert concurrence(partial) == pytest.approx(math.sin(2 * theta), abs=1e-12)
 
 
 def test_entangling_power_anchors():

@@ -32,9 +32,8 @@ from .spectra import (SpectralModel, TransitionLine, gate_transitions,
                       resolvable_gate_count, wavelength_to_mev,
                       wavelength_width_to_mev)
 from .spins import (GateReport, SpinSystem, build_hamiltonian,
-                    effective_coupling, entangling_power, evolve,
-                    gate_fidelity, induced_qubit_operator, propagator,
-                    sfg_gate)
+                    effective_coupling, entangling_power, gate_fidelity,
+                    induced_qubit_operator, propagator, sfg_gate)
 from .configure import (AdjacencyHypothesis, ControlHypothesis,
                         CouplingResults, EprModel, ScanMap,
                         calibrate_gate_time, infer_adjacency, simulate_scan)

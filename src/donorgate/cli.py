@@ -1,8 +1,10 @@
 """Command-line front end.
 
-Every subcommand takes --seed, --out and --format csv|json and writes one
-artifact to stdout or the file given. Library errors exit with status 2 and
-a one-line message; pipeline failures name the stage that died.
+Every subcommand takes --out and --format csv|json and writes one artifact
+to stdout or the file given; the subcommands that draw random numbers
+(`dope stats` and the scenario commands) also take --seed. Library errors
+exit with status 2 and a one-line message; pipeline failures name the stage
+that died.
 """
 
 from __future__ import annotations
@@ -16,7 +18,9 @@ import sys
 
 import numpy as np
 
+from . import __version__
 from .configure import infer_adjacency, simulate_scan
+from .constants import DIAMOND_LATTICE_CONSTANT
 from .donor import model_from_ionization, with_radius_scale, zeeman_check
 from .errors import DonorgateError, InvalidSpecError, NoCleanGateError
 from .feasibility import patch_statistics, resolve_cluster, run_feasibility
@@ -26,12 +30,8 @@ from .lattice import (LatticeSpec, neighbor_statistics, place_dopants,
 from .scenario import get_preset, list_presets, load_scenario
 from .spins import SpinSystem, sfg_gate
 
-__version__ = "0.1.0"
-
 
 def _common(parser):
-    parser.add_argument("--seed", type=int, default=None,
-                        help="override the random seed where one applies")
     parser.add_argument("--out", default=None, metavar="FILE",
                         help="write the artifact here instead of stdout")
     parser.add_argument("--format", choices=("csv", "json"), default=None,
@@ -111,16 +111,15 @@ def _cmd_lattice_shells(args):
 
 
 def _cmd_dope_stats(args):
-    seed = 0 if args.seed is None else args.seed
     region = place_dopants(LatticeSpec(args.radius, args.lattice_constant),
-                           args.concentration, {"dopant": 1.0}, seed)
+                           args.concentration, {"dopant": 1.0}, args.seed)
     stats = neighbor_statistics(region, n_shells=args.shells)
     ks = sorted(set(stats.empirical) | set(stats.analytic))
     rows = [[k, f"{stats.empirical.get(k, 0.0):.6g}",
              f"{stats.analytic.get(k, 0.0):.6g}"] for k in ks]
     payload = {
         "concentration": args.concentration,
-        "seed": seed,
+        "seed": args.seed,
         "shell_sites": stats.shell_sites,
         "dopants_counted": stats.dopants_counted,
         "empirical": {str(k): v for k, v in stats.empirical.items()},
@@ -219,7 +218,7 @@ def _cmd_gate_run(args):
 def _cmd_configure_scan(args):
     scenario = _scenario_from_args(args)
     realized, resolved = resolve_cluster(scenario, args.seed)
-    scan = simulate_scan(realized, realized.spectral, resolved)
+    scan = simulate_scan(realized, resolved)
     header, rows = scan.to_rows()
     payload = {
         "optical_axis_mev": [float(v) for v in scan.optical_axis_mev],
@@ -232,12 +231,8 @@ def _cmd_configure_scan(args):
 def _cmd_configure_infer(args):
     scenario = _scenario_from_args(args)
     realized, resolved = resolve_cluster(scenario, args.seed)
-    scan = simulate_scan(realized, realized.spectral, resolved)
-    hypothesis = infer_adjacency(
-        scan, realized.detection_threshold_mev,
-        homogeneous_fwhm_mev=realized.spectral.homogeneous_fwhm_mev,
-        epr_line_labels=dict(realized.qubit_epr_offsets()),
-        epr_linewidth_mev=realized.epr.linewidth_mev)
+    hypothesis = infer_adjacency(simulate_scan(realized, resolved),
+                                 realized.detection_threshold_mev)
     rows = []
     for entry in hypothesis.entries:
         for q, j in entry.couplings:
@@ -295,6 +290,8 @@ def _add_scenario_source(parser):
                         help="scenario JSON file")
     parser.add_argument("--preset", default=None,
                         help="built-in scenario preset (e.g. table1)")
+    parser.add_argument("--seed", type=int, default=None,
+                        help="override the scenario seed")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -308,13 +305,15 @@ def build_parser() -> argparse.ArgumentParser:
     lsub = lattice.add_subparsers(dest="subcommand", required=True)
     p = lsub.add_parser("count", help="sites inside a bounding sphere")
     p.add_argument("--radius", type=float, required=True)
-    p.add_argument("--lattice-constant", type=float, default=3.567)
+    p.add_argument("--lattice-constant", type=float,
+                   default=DIAMOND_LATTICE_CONSTANT)
     _common(p)
     p.set_defaults(func=_cmd_lattice_count)
     p = lsub.add_parser("shells", help="neighbor shell distances and counts")
     p.add_argument("--shells", type=int, default=5)
     p.add_argument("--radius", type=float, default=10.0)
-    p.add_argument("--lattice-constant", type=float, default=3.567)
+    p.add_argument("--lattice-constant", type=float,
+                   default=DIAMOND_LATTICE_CONSTANT)
     _common(p)
     p.set_defaults(func=_cmd_lattice_shells)
 
@@ -322,9 +321,11 @@ def build_parser() -> argparse.ArgumentParser:
     dsub = dope.add_subparsers(dest="subcommand", required=True)
     p = dsub.add_parser("stats", help="neighbors-per-dopant distribution")
     p.add_argument("--radius", type=float, default=60.0)
-    p.add_argument("--lattice-constant", type=float, default=3.567)
+    p.add_argument("--lattice-constant", type=float,
+                   default=DIAMOND_LATTICE_CONSTANT)
     p.add_argument("--concentration", type=float, required=True)
     p.add_argument("--shells", type=int, default=5)
+    p.add_argument("--seed", type=int, default=0, help="placement seed")
     _common(p)
     p.set_defaults(func=_cmd_dope_stats)
 

@@ -6,25 +6,27 @@ transition lies within the homogeneous width of it is excited. While a
 control is excited, every qubit EPR line coupled to it splits into two
 components displaced by half the coupling (both signs, equal weight, so m
 simultaneously excited couplings fan a line into 2^m components). Rows are
-sums of unit-height Lorentzians over the EPR axis. Inference reads the map
-back without touching ground truth: resonance positions from the rows whose
-deviation from the baseline spectrum steps up, couplings from the splitting
-of each vanished EPR line.
+sums of unit-height Lorentzians over the EPR axis. Every model the scan is
+rendered with is the scenario's own (`scenario.spectral`, `scenario.epr`),
+and the map carries the instrument settings it was taken with: the EPR line
+position of each qubit label, the EPR linewidth and the homogeneous width.
+Inference reads the map back without touching ground truth: resonance
+positions from the rows whose deviation from the baseline spectrum steps up,
+couplings from the splitting of each vanished EPR line.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (DependencyError, InvalidSpecError, NoCleanGateError,
                      PreconditionError)
-from .spectra import SpectralModel, TransitionLine
+from .spectra import TransitionLine
 from .spins import (GateReport, SpinSystem, gate_fidelity,
-                    induced_qubit_operator, sfg_gate)
+                    induced_qubit_operator, sfg_gate, unitary_part)
 
 # beyond this many simultaneously split couplings the 2^m fan is truncated
 # to the strongest ones; far outside any configuration of interest
@@ -82,12 +84,17 @@ class CouplingResults:
 
 @dataclass(frozen=True, eq=False)
 class ScanMap:
-    """EPR response versus optical excitation frequency."""
+    """EPR response versus optical excitation frequency, stamped with the
+    instrument settings it was rendered with: `epr_lines_mev` is the
+    ((qubit label, EPR line position), ...) table that names the lines, and
+    the EPR linewidth and homogeneous width are FWHM in meV."""
 
     optical_axis_mev: np.ndarray
     epr_axis_mev: np.ndarray
     response: np.ndarray
-    ground_truth_hidden: bool = True
+    epr_lines_mev: tuple
+    epr_linewidth_mev: float
+    homogeneous_fwhm_mev: float
 
     def __post_init__(self):
         object.__setattr__(self, "optical_axis_mev",
@@ -116,48 +123,39 @@ def _lorentzian(axis: np.ndarray, center: float, fwhm: float) -> np.ndarray:
     return half * half / ((axis - center) ** 2 + half * half)
 
 
-def simulate_scan(scenario, spectral_model: SpectralModel,
-                  exchange_results: CouplingResults, epr_model: EprModel = None, *,
-                  optical_axis=None, epr_axis=None) -> ScanMap:
+def simulate_scan(scenario, resolved: CouplingResults) -> ScanMap:
     """Render the two-dimensional configuration scan for a scenario.
 
-    Axes default to covering every optical line within 4 homogeneous widths
-    (step delta_h/4) and every EPR component within 8 linewidths (step
+    The optical lines and couplings come from `resolved`; the spectral and
+    EPR models and the qubits' EPR line positions from the scenario. The
+    optical axis covers every line within 4 homogeneous widths (step
+    delta_h/4), the EPR axis every component within 8 linewidths (step
     linewidth/5).
     """
-    if epr_model is None:
-        epr_model = scenario.epr
-    if exchange_results is None:
-        raise DependencyError("exchange results (transitions + couplings) required")
-    delta_h = spectral_model.homogeneous_fwhm_mev
-    gamma = epr_model.linewidth_mev
+    delta_h = scenario.spectral.homogeneous_fwhm_mev
+    gamma = scenario.epr.linewidth_mev
 
-    lines = {line.gate_id: line.energy_mev for line in exchange_results.transitions}
-    offsets = dict(scenario.qubit_epr_offsets())
+    lines = {line.gate_id: line.energy_mev for line in resolved.transitions}
+    epr_lines = scenario.qubit_epr_offsets()
+    offsets = dict(epr_lines)
 
-    if optical_axis is None:
-        center = (min(lines.values()), max(lines.values())) if lines else (
-            spectral_model.base_transition_mev,) * 2
-        optical_axis = np.arange(center[0] - 4.0 * delta_h,
-                                 center[1] + 4.0 * delta_h, delta_h / 4.0)
-    else:
-        optical_axis = np.asarray(optical_axis, dtype=float)
+    center = (min(lines.values()), max(lines.values())) if lines else (
+        scenario.spectral.base_transition_mev,) * 2
+    optical_axis = np.arange(center[0] - 4.0 * delta_h,
+                             center[1] + 4.0 * delta_h, delta_h / 4.0)
 
     per_qubit = {q: [] for q in offsets}
-    for (c, q), j in exchange_results.couplings:
+    for (c, q), j in resolved.couplings:
         if q in per_qubit and j != 0.0:
             per_qubit[q].append((c, j))
 
-    if epr_axis is None:
-        if offsets:
-            reach = [abs(off) + sum(abs(j) for _, j in per_qubit[q]) / 2.0
-                     for q, off in offsets.items()]
-            span = max(reach) + 8.0 * gamma
-        else:
-            span = 8.0 * gamma
-        epr_axis = np.arange(-span, span, gamma / 5.0)
+    if offsets:
+        reach = [abs(off) + sum(abs(j) for _, j in per_qubit[q]) / 2.0
+                 for q, off in offsets.items()]
+        span = max(reach) + 8.0 * gamma
     else:
-        epr_axis = np.asarray(epr_axis, dtype=float)
+        span = 8.0 * gamma
+    epr_axis = np.arange(-span, span, gamma / 5.0)
 
     response = np.zeros((len(optical_axis), len(epr_axis)))
     for i, freq in enumerate(optical_axis):
@@ -171,7 +169,7 @@ def simulate_scan(scenario, spectral_model: SpectralModel,
                 shift = sum(s * j for s, j in zip(signs, couplings))
                 row += weight * _lorentzian(epr_axis, base + shift, gamma)
         response[i] = row
-    return ScanMap(optical_axis, epr_axis, response)
+    return ScanMap(optical_axis, epr_axis, response, epr_lines, gamma, delta_h)
 
 
 @dataclass(frozen=True)
@@ -211,25 +209,28 @@ def _peak_positions(axis: np.ndarray, values: np.ndarray, floor: float) -> list:
     return out
 
 
-def infer_adjacency(scan: ScanMap, detection_threshold_mev: float, *,
-                    homogeneous_fwhm_mev: float, epr_line_labels=None,
-                    epr_linewidth_mev: float = None) -> AdjacencyHypothesis:
+def infer_adjacency(scan: ScanMap,
+                    detection_threshold_mev: float) -> AdjacencyHypothesis:
     """Recover which optical resonances move which EPR lines, and by how much.
 
-    Works purely from the map: the baseline spectrum is the elementwise
-    median row (most frequencies excite nothing); each control occupies a
-    window of full width 2*delta_h in which rows deviate, so rising steps of
-    the row deviation locate transitions at (step edge) + delta_h; the
-    splitting of a vanished EPR line in the window's exclusive row is the
-    coupling. Estimated couplings below the detection threshold are dropped.
-    Resonances closer than delta_h to a neighbor are flagged ambiguous.
+    Works purely from the map and the settings stamped on it: the baseline
+    spectrum is the elementwise median row (most frequencies excite
+    nothing); each control occupies a window of full width 2*delta_h in
+    which rows deviate, so rising steps of the row deviation locate
+    transitions at (step edge) + delta_h; the splitting of a vanished EPR
+    line in the window's exclusive row is the coupling, labelled by the
+    nearest stamped EPR line. Estimated couplings
+    below the detection threshold are dropped. Resonances closer than delta_h
+    to a neighbor are flagged ambiguous.
     """
     if detection_threshold_mev <= 0:
         raise PreconditionError("detection threshold must be positive")
     optical = scan.optical_axis_mev
     epr = scan.epr_axis_mev
     step_epr = epr[1] - epr[0] if len(epr) > 1 else 1.0
-    gamma = epr_linewidth_mev if epr_linewidth_mev is not None else 6.0 * step_epr
+    gamma = scan.epr_linewidth_mev
+    delta_h = scan.homogeneous_fwhm_mev
+    epr_lines = dict(scan.epr_lines_mev)
 
     baseline = np.median(scan.response, axis=0)
     deviation = np.sum(np.abs(scan.response - baseline), axis=1)
@@ -239,7 +240,7 @@ def infer_adjacency(scan: ScanMap, detection_threshold_mev: float, *,
 
     # rising steps of the (piecewise-constant) deviation profile
     jumps = np.flatnonzero(np.diff(deviation) > 0.05 * top) + 1
-    energies = [float(0.5 * (optical[k - 1] + optical[k]) + homogeneous_fwhm_mev)
+    energies = [float(0.5 * (optical[k - 1] + optical[k]) + delta_h)
                 for k in jumps]
 
     base_floor = 0.12 * float(np.max(baseline))
@@ -281,29 +282,22 @@ def infer_adjacency(scan: ScanMap, detection_threshold_mev: float, *,
             if coupling >= detection_threshold_mev:
                 couplings.append((z, coupling))
 
-        labeled = []
-        for z, coupling in couplings:
-            if epr_line_labels:
-                label = min(epr_line_labels,
-                            key=lambda l: abs(epr_line_labels[l] - z))
-            else:
-                label = f"L{1 + min(range(len(base_peaks)), key=lambda k: abs(base_peaks[k] - z))}"
-            labeled.append((label, float(coupling)))
+        labeled = [(min(epr_lines, key=lambda l: abs(epr_lines[l] - z)),
+                    float(coupling)) for z, coupling in couplings]
         entries.append(ControlHypothesis(energy, tuple(sorted(labeled))))
 
     flagged = []
     for k, entry in enumerate(entries):
         near = any(abs(entry.optical_energy_mev - other.optical_energy_mev)
-                   < homogeneous_fwhm_mev
+                   < delta_h
                    for m, other in enumerate(entries) if m != k)
         flagged.append(ControlHypothesis(entry.optical_energy_mev,
                                          entry.couplings, ambiguous=near))
     return AdjacencyHypothesis(tuple(flagged), detection_threshold_mev)
 
 
-def calibrate_gate_time(scenario, adjacency: AdjacencyHypothesis,
-                        control_id: str, resolved: CouplingResults, *,
-                        tau_range=None) -> GateReport:
+def calibrate_gate_time(adjacency: AdjacencyHypothesis, control_id: str,
+                        resolved: CouplingResults) -> GateReport:
     """Pick the gate interval from inferred couplings and score the result.
 
     The interval and reported unitary come from the inferred couplings (what
@@ -330,8 +324,7 @@ def calibrate_gate_time(scenario, adjacency: AdjacencyHypothesis,
         )
 
     try:
-        inferred_report = sfg_gate(cluster(ja_inferred, jb_inferred), control_id,
-                                   tau_range)
+        inferred_report = sfg_gate(cluster(ja_inferred, jb_inferred), control_id)
     except NoCleanGateError as err:
         # generic coupling ratios have no exactly clean interval; run the
         # gate at the best dip, as the bench procedure would
@@ -351,8 +344,7 @@ def calibrate_gate_time(scenario, adjacency: AdjacencyHypothesis,
     realized, _ = induced_qubit_operator(true_system, control_id, tau)
     # compare gates, not raw blocks: at a best-dip interval the induced block
     # carries a small non-unitary part that is not a calibration error
-    u, _, vh = np.linalg.svd(realized)
-    realized_gate = u @ vh
+    realized_gate = unitary_part(realized)
 
     return GateReport(
         duration_ps=tau,

@@ -127,8 +127,7 @@ def _integrals_stage(scenario, controls, qubits):
 
 @_stage("spectra")
 def _spectra_stage(scenario, hopping, seed):
-    lines = gate_transitions(scenario, scenario.spectral, hopping,
-                             seed=[seed, 0x53])
+    lines = gate_transitions(scenario, hopping, seed=[seed, 0x53])
     resolvable = (resolvable_gate_count(lines,
                                         scenario.spectral.homogeneous_fwhm_mev,
                                         scenario.spectral.resolution_factor)
@@ -189,15 +188,16 @@ def _configure_stage(scenario, lines, couplings, gate_records):
     if n_controls > _CONFIGURE_MAX_CONTROLS:
         return {"attempted": False,
                 "reason": f"{n_controls} controls exceed the scan budget"}
+    # an explicit offset table names fixed qubits; a random patch may
+    # realize others, whose EPR lines the scan could not place
+    missing = scenario.qubits_without_epr_offset()
+    if missing:
+        return {"attempted": False,
+                "reason": f"no EPR offset for qubits {missing}"}
 
     resolved = CouplingResults(transitions=tuple(lines), couplings=couplings)
-    scan = simulate_scan(scenario, scenario.spectral, resolved)
-    offsets = dict(scenario.qubit_epr_offsets())
-    hypothesis = infer_adjacency(
-        scan, scenario.detection_threshold_mev,
-        homogeneous_fwhm_mev=scenario.spectral.homogeneous_fwhm_mev,
-        epr_line_labels=offsets,
-        epr_linewidth_mev=scenario.epr.linewidth_mev)
+    scan = simulate_scan(scenario, resolved)
+    hypothesis = infer_adjacency(scan, scenario.detection_threshold_mev)
 
     truth = {}
     for (c, q), j in couplings.items():
@@ -229,7 +229,7 @@ def _configure_stage(scenario, lines, couplings, gate_records):
         if control not in claimed:
             continue
         try:
-            cal = calibrate_gate_time(scenario, hypothesis, control, resolved)
+            cal = calibrate_gate_time(hypothesis, control, resolved)
         except (PreconditionError, NoCleanGateError):
             continue
         calibrations.append({

@@ -290,16 +290,15 @@ def pair_integrals(
     A: OrbitalSpec,
     B: OrbitalSpec,
     epsilon: float,
-    effective_charges: tuple | None = None,
     n_terms: int = 6,
 ) -> PairIntegralResult:
     """Heitler-London integrals for two centers in a screened medium.
 
     A p2 orbital on either center is the 2p-sigma envelope pointing along
-    the line between the two centers, so only their separation enters.
-    Charges default to (l/a_A, l/a_B): each isolated center then binds its
-    own 1s envelope with its Coulombic binding energy in the medium. Pass
-    `effective_charges` to override.
+    the line between the two centers, so only their separation enters. In
+    the length unit l = a_A the nuclear charges are (l/a_A, l/a_B): each
+    isolated center then binds its own 1s envelope with its Coulombic
+    binding energy in the medium.
     """
     check_n_terms(n_terms)  # before the cache, where 6.0 would hit a 6 entry
     delta = np.asarray(B.center, dtype=float) - np.asarray(A.center, dtype=float)
@@ -311,10 +310,7 @@ def pair_integrals(
 
     scale = A.bohr_radius_a  # length unit l
     hartree = medium_hartree_mev(epsilon, scale)
-    if effective_charges is None:
-        za, zb = 1.0, scale / B.bohr_radius_a
-    else:
-        za, zb = effective_charges
+    za, zb = 1.0, scale / B.bohr_radius_a
 
     key = lambda x: round(x, 12)
     blocks = _reduced_pair(

@@ -10,10 +10,11 @@ so shells can never merge through floating-point rounding.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
+from .constants import DIAMOND_LATTICE_CONSTANT
 from .errors import InsufficientRegionError, InvalidSpecError
 
 
@@ -21,30 +22,25 @@ from .errors import InsufficientRegionError, InvalidSpecError
 class LatticeSpec:
     """Geometry of the enumerated crystal region.
 
+    The sphere is centred on a lattice site, and that site itself is
+    counted.
+
     Parameters
     ----------
     bounding_radius : float
         Sphere radius in angstrom; sites with |r| <= bounding_radius are in.
     lattice_constant : float
         Conventional cubic cell edge in angstrom.
-    origin_convention : str
-        Only "atom_centered" is defined: the sphere is centred on a lattice
-        site, and that site itself is counted.
     """
 
     bounding_radius: float
-    lattice_constant: float = 3.567
-    origin_convention: str = "atom_centered"
+    lattice_constant: float = DIAMOND_LATTICE_CONSTANT
 
     def __post_init__(self):
         if self.lattice_constant <= 0:
             raise InvalidSpecError("lattice_constant must be positive")
         if self.bounding_radius < 0:
             raise InvalidSpecError("bounding_radius must be non-negative")
-        if self.origin_convention != "atom_centered":
-            raise InvalidSpecError(
-                f"unknown origin convention {self.origin_convention!r}"
-            )
 
 
 @dataclass(frozen=True)
@@ -60,10 +56,6 @@ class ShellTable:
     """Ordered neighbor shells of the origin site."""
 
     shells: tuple  # of (shell_radius_angstrom, site_count)
-
-    @property
-    def total_sites(self) -> int:
-        return sum(count for _, count in self.shells)
 
 
 @dataclass(frozen=True)

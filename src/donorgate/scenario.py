@@ -148,16 +148,24 @@ class Scenario:
     def qubits(self):
         return self._of_role("qubit")
 
+    def qubits_without_epr_offset(self) -> list:
+        """Labels of placed qubits that an explicit offset table misses; a
+        sampled spread covers every qubit."""
+        if self.epr.zeeman_offsets_mev is None:
+            return []
+        table = dict(self.epr.zeeman_offsets_mev)
+        return [l for l, _ in self.qubits() if l not in table]
+
     def qubit_epr_offsets(self) -> tuple:
         """(label, meV) EPR line positions for every placed qubit: explicit
         offsets when the EPR model has them, otherwise sampled from the
         configured spread with the scenario seed."""
         labels = [l for l, _ in self.qubits()]
         if self.epr.zeeman_offsets_mev is not None:
-            table = dict(self.epr.zeeman_offsets_mev)
-            missing = [l for l in labels if l not in table]
+            missing = self.qubits_without_epr_offset()
             if missing:
                 raise InvalidSpecError(f"no EPR offset for qubits {missing}")
+            table = dict(self.epr.zeeman_offsets_mev)
             return tuple((l, table[l]) for l in labels)
         rng = np.random.default_rng([self.seed, 0xE9])
         sigma = self.epr.zeeman_spread_fwhm_mev / GAUSSIAN_FWHM

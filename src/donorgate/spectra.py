@@ -68,10 +68,6 @@ class SpectralModel:
         object.__setattr__(self, "disorder_components",
                            tuple((str(n), float(w)) for n, w in self.disorder_components))
 
-    @property
-    def inhomogeneous_fwhm_mev(self) -> float:
-        return math.sqrt(sum(w * w for _, w in self.disorder_components))
-
 
 @dataclass(frozen=True)
 class TransitionLine:
@@ -112,9 +108,9 @@ def _overlap_shifts(labels, hopping) -> np.ndarray:
     return np.linalg.eigvalsh(hop)
 
 
-def gate_transitions(scenario, spectral_model: SpectralModel, hopping,
-                     seed=None) -> list:
-    """Optical lines for every control in the scenario.
+def gate_transitions(scenario, hopping, seed=None) -> list:
+    """Optical lines for every control in the scenario, from its spectral
+    model (`scenario.spectral`).
 
     `hopping` maps the unordered label pair of every two controls,
     `frozenset((label_a, label_b))`, to their transfer amplitude in meV (the
@@ -127,18 +123,19 @@ def gate_transitions(scenario, spectral_model: SpectralModel, hopping,
     if not labels:
         return []
     shifts = _overlap_shifts(labels, hopping)
+    spectral = scenario.spectral
 
     rng = np.random.default_rng(seed)
     lines = []
     for label, overlap in zip(labels, shifts):
         breakdown = [(_RESERVED_COMPONENT, float(overlap))]
-        for name, width in spectral_model.disorder_components:
+        for name, width in spectral.disorder_components:
             breakdown.append((name, float(rng.normal(0.0, width / GAUSSIAN_FWHM))))
-        energy = spectral_model.base_transition_mev + sum(v for _, v in breakdown)
+        energy = spectral.base_transition_mev + sum(v for _, v in breakdown)
         lines.append(TransitionLine(
             gate_id=label,
             energy_mev=energy,
-            width_mev=spectral_model.homogeneous_fwhm_mev,
+            width_mev=spectral.homogeneous_fwhm_mev,
             shift_breakdown=tuple(breakdown),
         ))
     return lines

@@ -135,14 +135,6 @@ def propagator(H: np.ndarray, t_ps: float) -> np.ndarray:
     return (V * phases) @ V.conj().T
 
 
-def evolve(state: np.ndarray, H: np.ndarray, t_ps: float) -> np.ndarray:
-    state = np.asarray(state, dtype=complex)
-    if abs(np.linalg.norm(state) - 1.0) > 1e-8:
-        raise PreconditionError("state must be normalized")
-    w, V = np.linalg.eigh(H)
-    return V @ (np.exp(-1j * w * t_ps / HBAR_MEV_PS) * (V.conj().T @ state))
-
-
 def effective_coupling(j1_mev: float, j2_mev: float,
                        excitation_energy_mev: float) -> float:
     """Second-order qubit-qubit coupling J1*J2/dE mediated by the excitation."""
@@ -185,6 +177,12 @@ def entangling_power(unitary: np.ndarray) -> float:
     avg_in = (np.eye(16) + s_a) @ (np.eye(16) + s_b) / 36.0
     purity = np.trace(W @ avg_in @ W.conj().T @ s_a).real
     return float(1.0 - purity)
+
+
+def unitary_part(M: np.ndarray) -> np.ndarray:
+    """The unitary factor of the polar decomposition M = U P, from the SVD."""
+    u, _, vh = np.linalg.svd(M)
+    return u @ vh
 
 
 def gate_fidelity(U: np.ndarray, V: np.ndarray) -> float:
@@ -295,16 +293,16 @@ def _residual_scan(H: np.ndarray, control: int, n: int):
 
 
 def sfg_gate(system: SpinSystem, control_id: str, tau_range: tuple = None, *,
-             residual_threshold: float = 1e-6,
-             resolution_ps: float = None) -> GateReport:
+             residual_threshold: float = 1e-6) -> GateReport:
     """Find an interval that disentangles the control and entangles the qubits.
 
     The system must be one control coupled to exactly two qubits with no
     direct qubit-qubit coupling. Scans tau over `tau_range` (default up to
-    two of the slowest exchange periods) at `resolution_ps` (default
-    1e-3 * pi*hbar/max|J|), refines every near-clean interval, and returns
-    the clean one with the largest entangling power. If none gets below
-    `residual_threshold`, raises NoCleanGateError carrying the best candidate.
+    two of the slowest exchange periods) in steps of 1e-3 * pi*hbar/max|J|,
+    or finer, so that even a narrow range gets 200 steps; refines every
+    near-clean interval, and returns the clean one with the largest
+    entangling power. If none gets below `residual_threshold`, raises
+    NoCleanGateError carrying the best candidate.
 
     The scan is evaluated in fixed-size chunks of tau points, a few matrix
     products each, so its memory stays bounded for any grid length.
@@ -325,8 +323,6 @@ def sfg_gate(system: SpinSystem, control_id: str, tau_range: tuple = None, *,
 
     j_values = [abs(v) for _, v in system.couplings if v != 0.0]
     j_max, j_min = max(j_values), min(j_values)
-    if resolution_ps is None:
-        resolution_ps = 1e-3 * math.pi * HBAR_MEV_PS / j_max
     if tau_range is None:
         tau_range = (0.0, 4.0 * math.pi * HBAR_MEV_PS / j_min)
     lo, hi = float(tau_range[0]), float(tau_range[1])
@@ -334,12 +330,10 @@ def sfg_gate(system: SpinSystem, control_id: str, tau_range: tuple = None, *,
         raise PreconditionError("tau range bounds must be finite")
     if hi <= lo or hi <= 0:
         raise PreconditionError("tau range must be a forward interval")
-    if not (math.isfinite(resolution_ps) and resolution_ps > 0):
-        raise PreconditionError("resolution_ps must be finite and positive")
     if not (math.isfinite(residual_threshold) and residual_threshold > 0):
         raise PreconditionError("residual_threshold must be finite and positive")
     # narrow explicit ranges must still get a usable grid
-    resolution_ps = min(resolution_ps, (hi - lo) / 200.0)
+    resolution_ps = min(1e-3 * math.pi * HBAR_MEV_PS / j_max, (hi - lo) / 200.0)
 
     H = build_hamiltonian(system)
     residuals = _residual_scan(H, control, n)
@@ -382,8 +376,7 @@ def sfg_gate(system: SpinSystem, control_id: str, tau_range: tuple = None, *,
         # report the unitary part (polar projection); for a clean interval
         # this is M itself to machine precision, and the non-unitary part is
         # already accounted for by the residual entanglement field
-        u, _, vh = np.linalg.svd(M)
-        gate = u @ vh
+        gate = unitary_part(M)
         return GateReport(
             duration_ps=tau,
             qubit_unitary=gate,

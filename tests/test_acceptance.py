@@ -275,12 +275,8 @@ def test_criterion_09_adjacency_round_trip(table1_report):
     failures = []
     for seed in range(100):
         sc, results, adj = _random_case(seed)
-        scan = simulate_scan(sc, sc.spectral, results, sc.epr)
-        hyp = infer_adjacency(
-            scan, sc.detection_threshold_mev,
-            homogeneous_fwhm_mev=sc.spectral.homogeneous_fwhm_mev,
-            epr_line_labels=dict(sc.qubit_epr_offsets()),
-            epr_linewidth_mev=sc.epr.linewidth_mev)
+        hyp = infer_adjacency(simulate_scan(sc, results),
+                              sc.detection_threshold_mev)
         recovered = len(hyp.entries) == 2
         if recovered:
             for cid, line in (("C1", results.transitions[0].energy_mev),

@@ -51,6 +51,14 @@ def test_lattice_count_json(capsys):
     assert report["continuum_estimate"] == pytest.approx(311.5, abs=0.1)
 
 
+def test_seed_only_where_a_seed_is_used(capsys):
+    # lattice enumeration draws no random numbers, so --seed is not an option
+    with pytest.raises(SystemExit) as exc:
+        main(["lattice", "count", "--radius", "5", "--seed", "1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+
+
 def test_lattice_shells_csv(capsys):
     code, out, _ = _run(capsys, "lattice", "shells", "--shells", "4")
     assert code == 0

@@ -61,71 +61,76 @@ def _one_control_case(j1=8.0, j2=0.0):
     return _scenario(placements, offsets), results
 
 
+def _row_nearest(scan, optical_mev):
+    return scan.response[int(np.argmin(np.abs(scan.optical_axis_mev - optical_mev)))]
+
+
 def test_unexcited_row_equals_baseline_spectrum():
     sc, results = _one_control_case(j1=8.0)
-    optical = np.array([560.0, 600.0])  # far off resonance, on resonance
-    epr = np.arange(-14.0, 14.0, GAMMA / 5.0)
-    scan = simulate_scan(sc, SPECTRAL, results, sc.epr,
-                         optical_axis=optical, epr_axis=epr)
+    scan = simulate_scan(sc, results)
+    epr = scan.epr_axis_mev
+    # the first row sits 4 homogeneous widths below the line: nothing excited
+    assert abs(scan.optical_axis_mev[0] - 600.0) > DELTA_H
     baseline = _lorentzian(epr, -8.0, GAMMA) + _lorentzian(epr, 8.0, GAMMA)
     assert np.max(np.abs(scan.response[0] - baseline)) < 1e-12
 
 
 def test_excited_row_splits_only_coupled_lines():
     sc, results = _one_control_case(j1=8.0)
-    epr = np.arange(-14.0, 14.0, GAMMA / 5.0)
-    scan = simulate_scan(sc, SPECTRAL, results, sc.epr,
-                         optical_axis=np.array([600.0]), epr_axis=epr)
+    scan = simulate_scan(sc, results)
+    epr = scan.epr_axis_mev
     want = (0.5 * _lorentzian(epr, -8.0 - 4.0, GAMMA)
             + 0.5 * _lorentzian(epr, -8.0 + 4.0, GAMMA)
             + _lorentzian(epr, 8.0, GAMMA))  # Q2 uncoupled, unmoved
-    assert np.max(np.abs(scan.response[0] - want)) < 1e-12
+    assert np.max(np.abs(_row_nearest(scan, 600.0) - want)) < 1e-12
 
 
 def test_doubling_coupling_doubles_displacement():
-    epr = np.arange(-16.0, 16.0, GAMMA / 5.0)
-    rows = []
     for j in (4.0, 8.0):
         sc, results = _one_control_case(j1=j)
-        scan = simulate_scan(sc, SPECTRAL, results, sc.epr,
-                             optical_axis=np.array([600.0]), epr_axis=epr)
-        rows.append(scan.response[0])
-    for j, row in zip((4.0, 8.0), rows):
+        scan = simulate_scan(sc, results)
+        epr = scan.epr_axis_mev
         want = (0.5 * _lorentzian(epr, -8.0 - j / 2.0, GAMMA)
                 + 0.5 * _lorentzian(epr, -8.0 + j / 2.0, GAMMA)
                 + _lorentzian(epr, 8.0, GAMMA))
-        assert np.max(np.abs(row - want)) < 1e-12
+        assert np.max(np.abs(_row_nearest(scan, 600.0) - want)) < 1e-12
 
 
 def test_scan_is_additive_over_disjoint_clusters():
     # two controls far apart in optical energy, disjoint qubit sets: the
-    # union's response is the sum of the parts minus the doubled baseline
+    # union's response is the sum of the parts minus the doubled baseline.
+    # Q3, uncoupled and farthest out, sets the EPR span, so the three scans
+    # share their axes
     placements = [
         Placement("C1", "P", (0.0, 0.0, 0.0)),
         Placement("C2", "P", (24.0, 0.0, 0.0)),
         Placement("Q1", "N", (0.0, 8.0, 0.0)),
         Placement("Q2", "N", (24.0, 8.0, 0.0)),
+        Placement("Q3", "N", (48.0, 8.0, 0.0)),
     ]
-    offsets = (("Q1", -8.0), ("Q2", 8.0))
+    offsets = (("Q1", -8.0), ("Q2", 8.0), ("Q3", 20.0))
     lines = (TransitionLine("C1", 590.0, DELTA_H, ()),
              TransitionLine("C2", 610.0, DELTA_H, ()))
     both = CouplingResults(lines, {("C1", "Q1"): 6.0, ("C2", "Q2"): 9.0})
     only1 = CouplingResults(lines, {("C1", "Q1"): 6.0})
     only2 = CouplingResults(lines, {("C2", "Q2"): 9.0})
     sc = _scenario(placements, offsets)
-    optical = np.arange(585.0, 615.0, DELTA_H / 4.0)
-    epr = np.arange(-16.0, 16.0, GAMMA / 5.0)
-    kw = dict(optical_axis=optical, epr_axis=epr)
-    r_both = simulate_scan(sc, SPECTRAL, both, sc.epr, **kw).response
-    r_1 = simulate_scan(sc, SPECTRAL, only1, sc.epr, **kw).response
-    r_2 = simulate_scan(sc, SPECTRAL, only2, sc.epr, **kw).response
-    baseline = _lorentzian(epr, -8.0, GAMMA) + _lorentzian(epr, 8.0, GAMMA)
+    scans = [simulate_scan(sc, r) for r in (both, only1, only2)]
+    for scan in scans[1:]:
+        assert np.array_equal(scan.optical_axis_mev, scans[0].optical_axis_mev)
+        assert np.array_equal(scan.epr_axis_mev, scans[0].epr_axis_mev)
+    epr = scans[0].epr_axis_mev
+    r_both, r_1, r_2 = (scan.response for scan in scans)
+    baseline = sum(_lorentzian(epr, z, GAMMA) for _, z in offsets)
     assert np.max(np.abs(r_both - (r_1 + r_2 - baseline[None, :]))) < 1e-12
+    # both excitation windows are in the scan
+    assert np.max(np.abs(_row_nearest(scans[0], 590.0) - baseline)) > 0.1
+    assert np.max(np.abs(_row_nearest(scans[0], 610.0) - baseline)) > 0.1
 
 
 def test_scan_invariants_and_csv_shape():
     sc, results = _one_control_case(j1=8.0)
-    scan = simulate_scan(sc, SPECTRAL, results, sc.epr)
+    scan = simulate_scan(sc, results)
     assert np.all(np.diff(scan.optical_axis_mev) > 0)
     assert np.all(np.diff(scan.epr_axis_mev) > 0)
     assert np.all(scan.response >= 0.0)
@@ -136,17 +141,20 @@ def test_scan_invariants_and_csv_shape():
 
 
 def _infer(sc, scan):
-    return infer_adjacency(
-        scan, sc.detection_threshold_mev,
-        homogeneous_fwhm_mev=sc.spectral.homogeneous_fwhm_mev,
-        epr_line_labels=dict(sc.qubit_epr_offsets()),
-        epr_linewidth_mev=sc.epr.linewidth_mev,
-    )
+    return infer_adjacency(scan, sc.detection_threshold_mev)
+
+
+def test_scan_carries_its_instrument_settings():
+    sc, results = _one_control_case(j1=8.0, j2=11.0)
+    scan = simulate_scan(sc, results)
+    assert scan.epr_lines_mev == (("Q1", -8.0), ("Q2", 8.0))
+    assert scan.epr_linewidth_mev == GAMMA
+    assert scan.homogeneous_fwhm_mev == DELTA_H
 
 
 def test_inference_recovers_single_cluster():
     sc, results = _one_control_case(j1=8.0, j2=11.0)
-    scan = simulate_scan(sc, SPECTRAL, results, sc.epr)
+    scan = simulate_scan(sc, results)
     hyp = _infer(sc, scan)
     assert len(hyp.entries) == 1
     entry = hyp.entries[0]
@@ -162,7 +170,7 @@ def test_inference_recovers_single_cluster():
 
 def test_inference_deterministic():
     sc, results = _one_control_case(j1=8.0, j2=11.0)
-    scan = simulate_scan(sc, SPECTRAL, results, sc.epr)
+    scan = simulate_scan(sc, results)
     a, b = _infer(sc, scan), _infer(sc, scan)
     assert a == b
 
@@ -171,7 +179,7 @@ def test_empty_scenario_gives_empty_hypothesis():
     placements = [Placement("Q1", "N", (0.0, 8.0, 0.0))]
     sc = _scenario(placements, (("Q1", -8.0),))
     results = CouplingResults((), {})
-    scan = simulate_scan(sc, SPECTRAL, results, sc.epr)
+    scan = simulate_scan(sc, results)
     hyp = _infer(sc, scan)
     assert hyp.entries == ()
 
@@ -189,7 +197,7 @@ def test_overlapping_optical_lines_flagged_ambiguous():
              TransitionLine("C2", 600.0 + 0.4 * DELTA_H, DELTA_H, ()))
     results = CouplingResults(lines, {("C1", "Q1"): 6.0, ("C2", "Q2"): 9.0})
     sc = _scenario(placements, offsets)
-    scan = simulate_scan(sc, SPECTRAL, results, sc.epr)
+    scan = simulate_scan(sc, results)
     hyp = _infer(sc, scan)
     assert any(e.ambiguous for e in hyp.entries)
 
@@ -221,7 +229,7 @@ def _random_case(seed):
 def test_round_trip_recovers_random_scenarios():
     for seed in range(10):
         sc, results, adj = _random_case(seed)
-        scan = simulate_scan(sc, SPECTRAL, results, sc.epr)
+        scan = simulate_scan(sc, results)
         hyp = _infer(sc, scan)
         assert len(hyp.entries) == 2, f"seed {seed}"
         for cid, line in (("C1", results.transitions[0].energy_mev),
@@ -241,14 +249,7 @@ LINES_T1 = (TransitionLine("C1", 574.264, DELTA_H, ()),
             TransitionLine("C2", 625.736, DELTA_H, ()))
 
 
-def _table1_scenario():
-    from donorgate import get_preset
-    _, sc = get_preset("table1")
-    return sc
-
-
 def test_exact_inference_calibrates_to_unit_fidelity():
-    sc = _table1_scenario()
     truth = {("C1", "Q1"): 116.4, ("C1", "Q2"): 38.61,
              ("C2", "Q2"): 20.92, ("C2", "Q3"): 147.5}
     resolved = CouplingResults(LINES_T1, truth)
@@ -257,7 +258,7 @@ def test_exact_inference_calibrates_to_unit_fidelity():
                  ControlHypothesis(625.736, (("Q3", 147.5), ("Q2", 20.92)))),
         detection_threshold_mev=1.0)
     for cid in ("C1", "C2"):
-        rep = calibrate_gate_time(sc, exact, cid, resolved)
+        rep = calibrate_gate_time(exact, cid, resolved)
         assert rep.fidelity_to_target == pytest.approx(1.0, abs=1e-8), cid
         assert rep.entangling_power > 1e-6
 
@@ -265,7 +266,6 @@ def test_exact_inference_calibrates_to_unit_fidelity():
 def test_five_percent_error_tolerable_for_clean_ratio_clusters():
     # equal couplings calibrate at the first clean interval, where a 5%
     # coupling error costs little (measured worst 0.989 over wider sweeps)
-    sc = _table1_scenario()
     truth = {("C1", "Q1"): 40.0, ("C1", "Q2"): 40.0,
              ("C2", "Q2"): 25.0, ("C2", "Q3"): 25.0}
     resolved = CouplingResults(LINES_T1, truth)
@@ -277,7 +277,7 @@ def test_five_percent_error_tolerable_for_clean_ratio_clusters():
                      ControlHypothesis(625.736, (("Q3", f(25.0)), ("Q2", f(25.0))))),
             detection_threshold_mev=1.0)
         for cid in ("C1", "C2"):
-            rep = calibrate_gate_time(sc, pert, cid, resolved)
+            rep = calibrate_gate_time(pert, cid, resolved)
             assert rep.fidelity_to_target >= 0.95
 
 
@@ -285,7 +285,6 @@ def test_generic_ratio_clusters_are_tau_sensitive():
     # at the table1 coupling ratios the usable dip sits near J*tau/hbar of
     # 25-30 rad, so a 5% coupling error is a large phase error; the sweep
     # documents that honestly rather than asserting robustness
-    sc = _table1_scenario()
     truth = {("C1", "Q1"): 116.4, ("C1", "Q2"): 38.61,
              ("C2", "Q2"): 20.92, ("C2", "Q3"): 147.5}
     resolved = CouplingResults(LINES_T1, truth)
@@ -298,23 +297,22 @@ def test_generic_ratio_clusters_are_tau_sensitive():
                      ControlHypothesis(625.736, (("Q3", f(147.5)), ("Q2", f(20.92))))),
             detection_threshold_mev=1.0)
         for cid in ("C1", "C2"):
-            fids.append(calibrate_gate_time(sc, pert, cid, resolved).fidelity_to_target)
+            fids.append(calibrate_gate_time(pert, cid, resolved).fidelity_to_target)
     assert all(0.0 < f_ <= 1.0 + 1e-12 for f_ in fids)
     assert max(fids) > 0.9  # some draws stay close
     assert min(fids) > 0.2  # none collapse to an unrelated gate
 
 
 def test_calibration_needs_two_inferred_qubits():
-    sc = _table1_scenario()
     resolved = CouplingResults(LINES_T1, {("C1", "Q1"): 116.4})
     one = AdjacencyHypothesis(
         entries=(ControlHypothesis(574.264, (("Q1", 116.4),)),),
         detection_threshold_mev=1.0)
     with pytest.raises(PreconditionError):
-        calibrate_gate_time(sc, one, "C1", resolved)
+        calibrate_gate_time(one, "C1", resolved)
     with pytest.raises(PreconditionError):
-        calibrate_gate_time(sc, AdjacencyHypothesis(entries=(),
-                                                    detection_threshold_mev=1.0),
+        calibrate_gate_time(AdjacencyHypothesis(entries=(),
+                                                detection_threshold_mev=1.0),
                             "C1", resolved)
 
 

@@ -201,6 +201,22 @@ def test_realized_placements_are_labelled_by_role():
     assert realize_placements(_random_scenario()) == real
 
 
+def test_random_patch_beyond_the_offset_table_skips_configure():
+    # table1's explicit EPR offsets name Q1-Q3 only; this patch realizes
+    # Q1-Q7, so the scan cannot place four of the lines and configure is
+    # skipped with the reason instead of failing the run
+    _, sc = get_preset("table1")
+    sc = dataclasses.replace(
+        sc, placements=None, lattice=LatticeSpec(15.0),
+        random_placement=RandomPlacementSpec(2e-3, {"P": 0.4, "N": 0.6}, seed=3))
+    report = run_feasibility(sc)
+    assert report.n_qubits == 7
+    assert report.configuration == {
+        "attempted": False,
+        "reason": "no EPR offset for qubits ['Q4', 'Q5', 'Q6', 'Q7']"}
+    assert len(report.gates) == 1  # the stages before configure still ran
+
+
 def test_patch_statistics_deterministic():
     sc = _random_scenario()
     ps = patch_statistics(sc, n_patches=6, seed=9)

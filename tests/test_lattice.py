@@ -105,8 +105,6 @@ def test_spec_validation():
         LatticeSpec(10.0, lattice_constant=-1.0)
     with pytest.raises(InvalidSpecError):
         LatticeSpec(-5.0)
-    with pytest.raises(InvalidSpecError):
-        LatticeSpec(10.0, origin_convention="bond_centered")
 
 
 def test_placement_reproducible_and_complete():

@@ -1,6 +1,7 @@
 """Optical transition bookkeeping: line placement, widths, resolvability."""
 
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -55,7 +56,7 @@ def test_two_control_lines_sit_at_transfer_branches():
     transfer = transfer_splitting_curve(CONTROL, [24.0], base_transition_mev=600.0)
     t = abs(transfer[0].transfer_mev)
     hopping = {frozenset(("C1", "C2")): transfer[0].transfer_mev}
-    lines = gate_transitions(sc, SPECTRAL, hopping, seed=5)
+    lines = gate_transitions(sc, hopping, seed=5)
     energies = sorted(ln.energy_mev for ln in lines)
     assert energies[0] == pytest.approx(600.0 - t, rel=1e-9)
     assert energies[1] == pytest.approx(600.0 + t, rel=1e-9)
@@ -68,16 +69,19 @@ def test_two_control_lines_sit_at_transfer_branches():
 
 def test_single_control_is_unshifted_without_disorder():
     sc = _scenario([Placement("C1", "P", (0.0, 0.0, 0.0))])
-    (line,) = gate_transitions(sc, SPECTRAL, {}, seed=3)
+    (line,) = gate_transitions(sc, {}, seed=3)
     assert line.energy_mev == pytest.approx(600.0)
 
 
+NOISY = SpectralModel(600.0, 1.1, (("strain", 10.0),), 1.5)
+
+
 def test_lines_deterministic_in_seed():
-    sc = _scenario([Placement("C1", "P", (0.0, 0.0, 0.0))])
-    noisy = SpectralModel(600.0, 1.1, (("strain", 10.0),), 1.5)
-    a = gate_transitions(sc, noisy, {}, seed=42)
-    b = gate_transitions(sc, noisy, {}, seed=42)
-    c = gate_transitions(sc, noisy, {}, seed=43)
+    sc = replace(_scenario([Placement("C1", "P", (0.0, 0.0, 0.0))]),
+                 spectral=NOISY)
+    a = gate_transitions(sc, {}, seed=42)
+    b = gate_transitions(sc, {}, seed=42)
+    c = gate_transitions(sc, {}, seed=43)
     assert a[0].energy_mev == b[0].energy_mev
     assert a[0].energy_mev != c[0].energy_mev
 
@@ -85,9 +89,9 @@ def test_lines_deterministic_in_seed():
 def test_disorder_width_is_fwhm():
     # component FWHM 10 meV -> sample sigma 10/2.3548; 600 draws pins the
     # estimate to ~3%, assert 10%
-    sc = _scenario([Placement("C1", "P", (0.0, 0.0, 0.0))])
-    noisy = SpectralModel(600.0, 1.1, (("strain", 10.0),), 1.5)
-    shifts = [gate_transitions(sc, noisy, {}, seed=s)[0].energy_mev - 600.0
+    sc = replace(_scenario([Placement("C1", "P", (0.0, 0.0, 0.0))]),
+                 spectral=NOISY)
+    shifts = [gate_transitions(sc, {}, seed=s)[0].energy_mev - 600.0
               for s in range(600)]
     assert np.std(shifts) == pytest.approx(10.0 / 2.3548, rel=0.10)
 
@@ -100,7 +104,7 @@ def test_missing_transfer_row_is_a_dependency_error():
     ])
     hopping = {frozenset(("C1", "C2")): 30.0, frozenset(("C1", "C3")): 40.0}
     with pytest.raises(DependencyError, match="C2-C3"):
-        gate_transitions(sc, SPECTRAL, hopping, seed=5)
+        gate_transitions(sc, hopping, seed=5)
 
 
 def _brute_max_subset(energies, min_gap):

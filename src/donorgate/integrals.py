@@ -2,22 +2,42 @@
 
 Every block is a contraction over the Gaussian expansions from `orbitals`,
 priced by McMurchie & Davidson's Hermite recursions (J. Comput. Phys. 26,
-218, 1978): Hermite expansion coefficients E_t by recursion in each Cartesian
-direction, Hermite-Coulomb kernels R_tuv from the Boys function. The
-recursions run once per block with the primitive exponents as numpy grids,
-so an overlap, kinetic, nuclear-attraction or electron-repulsion block is
-one contracted call whatever the expansion length.
+218, 1978): Hermite expansion coefficients E_t, Hermite-Coulomb kernels R_tuv
+from the Boys function. The recursions run once per block with the primitive
+exponents as numpy grids, so an overlap, kinetic, nuclear-attraction or
+electron-repulsion block is one contracted call whatever the expansion
+length.
 
-A contracted orbital is a single block: its coefficients and exponents, one
-Cartesian angular triple, one center. A p2 orbital is the 2p-sigma envelope
-of its pair, pointing along the line between the two centers; the reduced
-frame puts that line on z, so its triple is (0, 0, 1).
+The grids also carry a leading separation axis: center A sits at the origin
+and center B at (0, 0, r) with r an array of reduced separations, so one
+kernel call, `_pair_blocks`, prices every block at every separation it is
+given and returns one value per separation. The electron-repulsion grids
+hold n_terms^4 primitives per separation, so the kernel takes at most
+`_R_CHUNK` separations at a time, which bounds its temporaries. The Boys
+function is evaluated at its top order only (erf for F_0) and recurred
+downward, F_n = (2x F_{n+1} + e^-x) / (2n + 1), which is stable in that
+direction (Helgaker, Jorgensen & Olsen, Molecular Electronic-Structure
+Theory, section 9.8).
+
+`exchange_curve`, `transfer_splitting_curve` and `pair_integrals` read each
+reduced point from one cache, `_reduced_pair`, which keeps at most
+`_CACHE_POINTS` (4096) points, least recently used out first. A curve first
+prices all of its grid's misses through the one kernel, then reads its
+points; `exchange_curve` reads each through `pair_integrals`, and a lone
+`pair_integrals` call prices its miss as a batch of one.
+
+Every center and every orbital axis lies on the pair axis z. A contracted
+orbital is its coefficients and exponents, its angular momentum along z and
+its position on z; a p2 orbital is the 2p-sigma envelope pointing along the
+line between the two centers. Across the axis each Gaussian product is that
+of two s primitives on a common center, so the x and y factors are closed
+forms and only the z recursions run.
 
 Everything runs in the medium's atomic units: lengths in units of center A's
 Bohr radius l, energies in units of e^2/(eps*l), so one dimensionless
-geometry serves every (binding, eps) pair that shares it. Effective charges
-default to Z = l/a per center, which makes each 1s envelope the ground state
-of its own screened Coulomb potential.
+geometry serves every (binding, eps) pair that shares it. The nuclear charge
+of each center is Z = l/a, which makes each 1s envelope the ground state of
+its own screened Coulomb potential.
 
 The pair assembly is the textbook two-electron Heitler-London treatment of
 the {A, B} minimal basis: covalent configurations A(1)B(2) +/- B(1)A(2),
@@ -29,12 +49,12 @@ enters both energies identically and cancels in J.
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import gammainc, gammaln
+from scipy.special import erf, gammainc
 
 from .constants import medium_hartree_mev
 from .donor import DonorModel
@@ -42,6 +62,11 @@ from .errors import IllConditionedGeometryError, InvalidModelError, Precondition
 from .orbitals import OrbitalSpec, check_n_terms, fit_gaussian_expansion
 
 _OVERLAP_LIMIT = 0.999
+# separations per kernel call; the electron-repulsion grids hold
+# n_terms^4 primitives per separation, so this bounds their temporaries
+_R_CHUNK = 8
+# reduced pair points the cache keeps
+_CACHE_POINTS = 4096
 
 
 # ---------------------------------------------------------------------------
@@ -49,198 +74,171 @@ _OVERLAP_LIMIT = 0.999
 # ---------------------------------------------------------------------------
 
 def _boys_array(nmax: int, x):
+    """[F_0(x), ..., F_nmax(x)]: the top order from the incomplete gamma
+    function (erf for nmax = 0), the lower ones by downward recursion."""
     x = np.asarray(x, dtype=float)
     small = x < 1e-10
     safe = np.where(small, 1.0, x)
-    out = []
-    for n in range(nmax + 1):
-        f = math.exp(gammaln(n + 0.5)) * gammainc(n + 0.5, safe) / (2.0 * safe ** (n + 0.5))
-        out.append(np.where(small, 1.0 / (2 * n + 1) - x / (2 * n + 3), f))
+    if nmax == 0:
+        root = np.sqrt(safe)
+        top = math.sqrt(math.pi) * erf(root) / (2.0 * root)
+    else:
+        a = nmax + 0.5
+        top = math.gamma(a) * gammainc(a, safe) / (2.0 * safe**a)
+    out = [np.where(small, 1.0 / (2 * nmax + 1) - x / (2 * nmax + 3), top)]
+    if nmax:
+        decay = np.exp(-x)
+        for n in range(nmax - 1, -1, -1):
+            out.append((2.0 * x * out[-1] + decay) / (2 * n + 1))
+    return out[::-1]
+
+
+def _e_table(la: int, lb: int, a, b, Az, Bz):
+    """E_t^{la,lb}, t = 0..la+lb, along z over broadcastable exponent grids.
+
+    Built up from E^{00}: lb steps on the B index, then la on the A index,
+    each E^{+1}_t = E_{t-1} / 2p + X E_t + (t+1) E_{t+1} with X = P - B or
+    P - A.
+    """
+    p = a + b
+    Pz = (a * Az + b * Bz) / p
+    xab = Az - Bz
+    row = [np.exp(-(a * b / p) * xab * xab)]
+    for step in range(la + lb):
+        X = Pz - Bz if step < lb else Pz - Az
+        n = len(row)
+        nxt = []
+        for t in range(n + 1):
+            v = X * row[t] if t < n else 0.0
+            if t:
+                v = row[t - 1] / (2 * p) + v
+            if t + 1 < n:
+                v = v + (t + 1) * row[t + 1]
+            nxt.append(v)
+        row = nxt
+    return row
+
+
+def _r_table(vmax: int, p, PC):
+    """Hermite-Coulomb R_{00v}, v = 0..vmax, over grid-shaped p and PC.
+
+    Every charge sits on the z axis, so only the z offset PC enters. Level v
+    holds R^n_{00v} for n = 0..vmax-v, from
+    R^n_{00v} = (v-1) R^{n+1}_{00,v-2} + PC R^{n+1}_{00,v-1}.
+    """
+    F = _boys_array(vmax, p * PC**2)
+    lower, level = None, [(-2.0 * p) ** n * F[n] for n in range(vmax + 1)]
+    out = [level[0]]
+    for v in range(1, vmax + 1):
+        lower, level = level, [
+            PC * level[n + 1] if v == 1 else (v - 1) * lower[n + 1] + PC * level[n + 1]
+            for n in range(vmax + 1 - v)]
+        out.append(level[0])
     return out
 
 
-def _e_table(la: int, lb: int, a, b, Ad: float, Bd: float):
-    """E_t^{la,lb} for one dimension, over broadcastable exponent grids."""
-    p = a + b
-    xab = Ad - Bd
-    Pd = (a * Ad + b * Bd) / p
-    xpa, xpb = Pd - Ad, Pd - Bd
-    mu = a * b / p
-    cache = {}
-
-    def E(i, j, t):
-        if t < 0 or t > i + j:
-            return 0.0
-        key = (i, j, t)
-        if key in cache:
-            return cache[key]
-        if i == 0 and j == 0 and t == 0:
-            v = np.exp(-mu * xab * xab)
-        elif i > 0:
-            v = E(i - 1, j, t - 1) / (2 * p) + xpa * E(i - 1, j, t) + (t + 1) * E(i - 1, j, t + 1)
-        else:
-            v = E(i, j - 1, t - 1) / (2 * p) + xpb * E(i, j - 1, t) + (t + 1) * E(i, j - 1, t + 1)
-        cache[key] = v
-        return v
-
-    return [E(la, lb, t) for t in range(la + lb + 1)]
-
-
-def _r_entries(tmax, umax, vmax, p, PC):
-    """Hermite-Coulomb R_{tuv} arrays at n = 0, over grid-shaped p and PC."""
-    nmax = tmax + umax + vmax
-    F = _boys_array(nmax, p * (PC[0] ** 2 + PC[1] ** 2 + PC[2] ** 2))
-    cache = {}
-
-    def R(n, t, u, v):
-        if t < 0 or u < 0 or v < 0:
-            return 0.0
-        key = (n, t, u, v)
-        if key in cache:
-            return cache[key]
-        if t == 0 and u == 0 and v == 0:
-            val = (-2.0 * p) ** n * F[n]
-        elif t > 0:
-            val = (t - 1) * R(n + 1, t - 2, u, v) + PC[0] * R(n + 1, t - 1, u, v)
-        elif u > 0:
-            val = (u - 1) * R(n + 1, t, u - 2, v) + PC[1] * R(n + 1, t, u - 1, v)
-        else:
-            val = (v - 1) * R(n + 1, t, u, v - 2) + PC[2] * R(n + 1, t, u, v - 1)
-        cache[key] = val
-        return val
-
-    return {(t, u, v): R(0, t, u, v)
-            for t in range(tmax + 1) for u in range(umax + 1) for v in range(vmax + 1)}
-
-
 # ---------------------------------------------------------------------------
-# contracted blocks
+# contracted blocks, one value per separation
 # ---------------------------------------------------------------------------
 
 class _Orbital(NamedTuple):
-    """A contracted orbital: primitive coefficients and exponents sharing one
-    Cartesian angular triple and one center."""
+    """A contracted orbital on the pair axis: primitive coefficients and
+    exponents, the angular momentum `l` along z (0 for s1, 1 for p2) and the
+    position `z`, a float or an (m, 1, 1) array with one entry per
+    separation."""
 
     coef: np.ndarray
     exp: np.ndarray
-    ang: tuple
-    center: tuple
+    l: int
+    z: object
 
 
-def _orbital(spec: OrbitalSpec, n_terms: int) -> _Orbital:
-    exponents, coefs = np.array(fit_gaussian_expansion(spec, n_terms).terms).T
-    ang = (0, 0, 0) if spec.kind == "s1" else (0, 0, 1)
-    return _Orbital(coefs, exponents, ang, tuple(float(c) for c in spec.center))
+def _orbital(kind: str, radius: float, z, n_terms: int) -> _Orbital:
+    exponents, coefs = np.array(fit_gaussian_expansion(OrbitalSpec(kind, radius), n_terms).terms).T
+    return _Orbital(coefs, exponents, 0 if kind == "s1" else 1, z)
 
 
 def _charge_grid(x: _Orbital, y: _Orbital):
-    """Exponent sum p, product center P and Hermite coefficients of x*y,
-    over the (len x, len y) primitive grid."""
+    """Exponent sum p, product center Pz and Hermite coefficients of x*y,
+    over the ([m,] len x, len y) primitive grid. Across the pair axis the
+    product is that of two s primitives on a common center."""
     a = x.exp[:, None]
     b = y.exp[None, :]
     p = a + b
-    P = [(a * x.center[d] + b * y.center[d]) / p for d in range(3)]
-    E = [_e_table(x.ang[d], y.ang[d], a, b, x.center[d], y.center[d]) for d in range(3)]
-    return p, P, E
+    return p, (a * x.z + b * y.z) / p, _e_table(x.l, y.l, a, b, x.z, y.z)
 
 
-def _overlap(x: _Orbital, y: _Orbital) -> float:
+def _overlap(x: _Orbital, y: _Orbital):
     p, _, E = _charge_grid(x, y)
-    grid = (np.pi / p) ** 1.5 * E[0][0] * E[1][0] * E[2][0]
-    return float(x.coef @ grid @ y.coef)
+    return x.coef @ ((np.pi / p) ** 1.5 * E[0]) @ y.coef
 
 
-def _kinetic(x: _Orbital, y: _Orbital) -> float:
-    """<x| -laplacian/2 |y>, differentiating y's Cartesian Gaussian."""
+def _kinetic(x: _Orbital, y: _Orbital):
+    """<x| -laplacian/2 |y>, differentiating y's Gaussian along z (l <= 1);
+    each transverse direction adds the s-s term (ab/p) times the overlap."""
     a = x.exp[:, None]
     b = y.exp[None, :]
-    root = np.sqrt(np.pi / (a + b))
-
-    def s1d(d, j):
-        return root * _e_table(x.ang[d], j, a, b, x.center[d], y.center[d])[0]
-
-    S, T = [], []
-    for d in range(3):
-        j = y.ang[d]
-        S.append(s1d(d, j))
-        t = b * (2 * j + 1) * S[d] - 2.0 * b * b * s1d(d, j + 2)
-        if j >= 2:
-            t = t - 0.5 * j * (j - 1) * s1d(d, j - 2)
-        T.append(t)
-    grid = T[0] * S[1] * S[2] + S[0] * T[1] * S[2] + S[0] * S[1] * T[2]
-    return float(x.coef @ grid @ y.coef)
+    p = a + b
+    j = y.l
+    s = _e_table(x.l, j, a, b, x.z, y.z)[0]
+    t = b * (2 * j + 1) * s - 2.0 * b * b * _e_table(x.l, j + 2, a, b, x.z, y.z)[0]
+    grid = (np.pi / p) ** 1.5 * (t + 2.0 * a * b / p * s)
+    return x.coef @ grid @ y.coef
 
 
-def _attraction(x: _Orbital, y: _Orbital, nuclei) -> float:
-    """<x| -sum_C Z_C / r_C |y> over `nuclei`, a sequence of (Z_C, C)."""
-    p, P, E = _charge_grid(x, y)
-    lt, lu, lv = (x.ang[d] + y.ang[d] for d in range(3))
+def _attraction(x: _Orbital, y: _Orbital, nuclei):
+    """<x| -sum_C Z_C / r_C |y> over `nuclei`, a sequence of (Z_C, z_C)."""
+    p, Pz, E = _charge_grid(x, y)
     total = 0.0
-    for charge, C in nuclei:
-        R = _r_entries(lt, lu, lv, p, [P[d] - C[d] for d in range(3)])
-        total = total - charge * sum(E[0][t] * E[1][u] * E[2][v] * R[(t, u, v)]
-                                     for t, u, v in R)
-    return float(x.coef @ (2.0 * math.pi / p * total) @ y.coef)
+    for charge, zc in nuclei:
+        R = _r_table(len(E) - 1, p, Pz - zc)
+        total = total - charge * sum(e * r for e, r in zip(E, R))
+    return x.coef @ (2.0 * math.pi / p * total) @ y.coef
 
 
-def _eri(oa: _Orbital, ob: _Orbital, oc: _Orbital, od: _Orbital) -> float:
+def _eri(oa: _Orbital, ob: _Orbital, oc: _Orbital, od: _Orbital):
     """Contracted (ab|cd) over the four primitive grids at once."""
     p, P, e_bra = _charge_grid(oa, ob)
     q, Q, e_ket = _charge_grid(oc, od)
-    la, lb, lc, ld = oa.ang, ob.ang, oc.ang, od.ang
-
     p4 = p[:, :, None, None]
     q4 = q[None, None, :, :]
-    rho = p4 * q4 / (p4 + q4)
-    PQ = [P[d][:, :, None, None] - Q[d][None, None, :, :] for d in range(3)]
-
-    t1, u1, v1 = la[0] + lb[0], la[1] + lb[1], la[2] + lb[2]
-    t2, u2, v2 = lc[0] + ld[0], lc[1] + ld[1], lc[2] + ld[2]
-    rtab = _r_entries(t1 + t2, u1 + u2, v1 + v2, rho, PQ)
+    PQ = P[..., :, :, None, None] - Q[..., None, None, :, :]
+    R = _r_table(len(e_bra) + len(e_ket) - 2, p4 * q4 / (p4 + q4), PQ)
 
     total = 0.0
-    for t in range(t1 + 1):
-        for u in range(u1 + 1):
-            for v in range(v1 + 1):
-                eab = e_bra[0][t] * e_bra[1][u] * e_bra[2][v]
-                for tt in range(t2 + 1):
-                    for uu in range(u2 + 1):
-                        for vv in range(v2 + 1):
-                            ecd = e_ket[0][tt] * e_ket[1][uu] * e_ket[2][vv]
-                            sign = (-1.0) ** (tt + uu + vv)
-                            total = total + sign * (
-                                eab[:, :, None, None] * ecd[None, None, :, :]
-                                * rtab[(t + tt, u + uu, v + vv)])
+    for v, eab in enumerate(e_bra):
+        for w, ecd in enumerate(e_ket):
+            total = total + (-1.0) ** w * (
+                eab[..., :, :, None, None] * ecd[..., None, None, :, :] * R[v + w])
 
-    total = total * 2.0 * math.pi**2.5 / (p4 * q4 * np.sqrt(p4 + q4))
     weights = (oa.coef[:, None, None, None] * ob.coef[None, :, None, None]
-               * oc.coef[None, None, :, None] * od.coef[None, None, None, :])
-    return float(np.sum(weights * total))
+               * oc.coef[None, None, :, None] * od.coef[None, None, None, :]
+               * (2.0 * math.pi**2.5 / (p4 * q4 * np.sqrt(p4 + q4))))
+    return total.reshape(total.shape[:-4] + (-1,)) @ weights.ravel()
 
 
-# ---------------------------------------------------------------------------
-# reduced (dimensionless) pair problem, cached
-# ---------------------------------------------------------------------------
+def _pair_blocks(kind_a, kind_b, radius_b, r, n_terms, two_electron):
+    """All pair blocks at the reduced separations `r`, a 1-D array.
 
-@lru_cache(maxsize=4096)
-def _reduced_pair(kind_a, kind_b, radius_a, radius_b, r, za, zb, n_terms,
-                  two_electron=True):
-    """All pair blocks for the dimensionless geometry (lengths in units l).
-
-    Center A sits at the origin with radius parameter `radius_a` (= 1 when l
-    is A's own Bohr radius), center B at (0, 0, r); a p2 orbital points
-    along z. Returns plain floats in medium hartrees.
+    Center A (radius 1, the length unit) sits at the origin, center B at
+    (0, 0, r); a p2 orbital points along z, and each nuclear charge is the
+    inverse of its center's radius. Returns one array per block, in medium
+    hartrees, with one value per separation. Raises
+    IllConditionedGeometryError for the first separation, in the order of
+    `r`, whose orbitals nearly coincide.
     """
-    A = _orbital(OrbitalSpec(kind_a, radius_a, (0.0, 0.0, 0.0)), n_terms)
-    B = _orbital(OrbitalSpec(kind_b, radius_b, (0.0, 0.0, r)), n_terms)
+    A = _orbital(kind_a, 1.0, 0.0, n_terms)
+    B = _orbital(kind_b, radius_b, r[:, None, None], n_terms)
 
     s = _overlap(A, B)
-    if abs(s) > _OVERLAP_LIMIT:
+    close = np.flatnonzero(np.abs(s) > _OVERLAP_LIMIT)
+    if close.size:
+        i = close[0]
         raise IllConditionedGeometryError(
-            f"|S| = {abs(s):.4f} at reduced separation {r:.3f}; "
+            f"|S| = {abs(s[i]):.4f} at reduced separation {r[i]:.3f}; "
             "orbitals nearly coincide"
         )
-    nuclei = ((za, A.center), (zb, B.center))
+    nuclei = ((1.0, A.z), (1.0 / radius_b, B.z))
     out = {"S": s}
     for name, (x, y) in (("hAA", (A, A)), ("hBB", (B, B)), ("hAB", (A, B))):
         out[name] = _kinetic(x, y) + _attraction(x, y, nuclei)
@@ -248,6 +246,61 @@ def _reduced_pair(kind_a, kind_b, radius_a, radius_b, r, za, zb, n_terms,
         out["Jc"] = _eri(A, A, B, B)
         out["Kx"] = _eri(A, B, A, B)
     return out
+
+
+# ---------------------------------------------------------------------------
+# reduced (dimensionless) pair points, cached
+# ---------------------------------------------------------------------------
+
+class _PairCache:
+    """Pair blocks per reduced point, at most `maxsize` points, least
+    recently used out first.
+
+    A point is a pair configuration (kind_a, kind_b, radius_b, n_terms,
+    two_electron) and a reduced separation; its row is one dict of plain
+    floats. `fill` prices every separation of a configuration it does not
+    hold through `_pair_blocks`, `_R_CHUNK` at a time in the order given, so
+    a curve's misses are one batch; calling the cache reads one point,
+    pricing it alone if it is not held (as a point that a fill into a full
+    cache pushed out is). `cache_info()` is (hits, misses): reads served
+    from the cache and points priced.
+    """
+
+    def __init__(self, maxsize: int):
+        self.maxsize = maxsize
+        self._rows = OrderedDict()
+        self._hits = self._misses = 0
+
+    def fill(self, config, separations) -> None:
+        missing = [r for r in dict.fromkeys(separations) if (config, r) not in self._rows]
+        self._misses += len(missing)
+        for i in range(0, len(missing), _R_CHUNK):
+            chunk = missing[i:i + _R_CHUNK]
+            blocks = _pair_blocks(*config[:3], np.array(chunk), *config[3:])
+            for j, r in enumerate(chunk):
+                self._rows[(config, r)] = {name: float(v[j]) for name, v in blocks.items()}
+                if len(self._rows) > self.maxsize:
+                    self._rows.popitem(last=False)
+
+    def __call__(self, config, r) -> dict:
+        row = self._rows.get((config, r))
+        if row is None:
+            self.fill(config, [r])
+            return self._rows[(config, r)]
+        self._hits += 1
+        self._rows.move_to_end((config, r))
+        return row
+
+    def cache_info(self) -> tuple:
+        return self._hits, self._misses
+
+
+_reduced_pair = _PairCache(_CACHE_POINTS)
+
+
+def _key(x: float) -> float:
+    """Reduced lengths are cached at 12 decimals."""
+    return round(x, 12)
 
 
 # ---------------------------------------------------------------------------
@@ -298,11 +351,10 @@ def pair_integrals(
     the line between the two centers, so only their separation enters. In
     the length unit l = a_A the nuclear charges are (l/a_A, l/a_B): each
     isolated center then binds its own 1s envelope with its Coulombic
-    binding energy in the medium.
+    binding energy in the medium. The blocks are read from the pair cache.
     """
     check_n_terms(n_terms)  # before the cache, where 6.0 would hit a 6 entry
-    delta = np.asarray(B.center, dtype=float) - np.asarray(A.center, dtype=float)
-    r_ang = float(np.linalg.norm(delta))
+    r_ang = math.dist(A.center, B.center)
     if not math.isfinite(r_ang):
         raise PreconditionError("centers must be finite")
     if r_ang <= 0.0:
@@ -310,20 +362,14 @@ def pair_integrals(
 
     scale = A.bohr_radius_a  # length unit l
     hartree = medium_hartree_mev(epsilon, scale)
-    za, zb = 1.0, scale / B.bohr_radius_a
-
-    key = lambda x: round(x, 12)
-    blocks = _reduced_pair(
-        A.kind, B.kind,
-        key(A.bohr_radius_a / scale), key(B.bohr_radius_a / scale),
-        key(r_ang / scale),
-        key(za), key(zb), n_terms,
-    )
+    zb = scale / B.bohr_radius_a
+    config = (A.kind, B.kind, _key(B.bohr_radius_a / scale), n_terms, True)
+    blocks = _reduced_pair(config, _key(r_ang / scale))
 
     s = blocks["S"]
     h_aa, h_bb, h_ab = blocks["hAA"], blocks["hBB"], blocks["hAB"]
     jc, kx = blocks["Jc"], blocks["Kx"]
-    vnn = za * zb / (r_ang / scale)
+    vnn = zb / (r_ang / scale)
     h11 = h_aa + h_bb + jc + vnn
     h12 = 2.0 * s * h_ab + kx + s * s * vnn
     e_singlet = (h11 + h12) / (1.0 + s * s)
@@ -351,15 +397,6 @@ def _check_grid(r_grid) -> list[float]:
     return grid
 
 
-def _pair_orbitals(control: DonorModel, qubit: DonorModel, excited: bool, r: float):
-    kind = "p2" if excited else "s1"
-    radius = (control.excited_orbital_radius_a() if excited
-              else control.ground_orbital_radius_a())
-    a = OrbitalSpec(kind, radius, (0.0, 0.0, 0.0))
-    b = OrbitalSpec("s1", qubit.ground_orbital_radius_a(), (0.0, 0.0, r))
-    return a, b
-
-
 def exchange_curve(
     control: DonorModel,
     qubit: DonorModel,
@@ -370,16 +407,28 @@ def exchange_curve(
     """J(R) for the control-qubit pair, control ground (1s) or excited (2p).
 
     The excited control is the 2p-sigma envelope pointing at the qubit.
+
+    The grid's points missing from the pair cache (at most 4096 reduced
+    points, least recently used out first) are priced first, as one batch
+    through the integral kernel along a separation axis, eight separations
+    per call, with the Boys function evaluated at its top order and recurred
+    downward. Each point is then a `pair_integrals` call that reads the
+    cache.
     """
     grid = _check_grid(r_grid)
     check_n_terms(n_terms)
     if abs(control.dielectric_constant - qubit.dielectric_constant) > 1e-9:
         raise InvalidModelError("pair models must share the medium dielectric")
-    out = []
-    for r in grid:
-        a, b = _pair_orbitals(control, qubit, excited, r)
-        out.append(pair_integrals(a, b, control.dielectric_constant, n_terms=n_terms))
-    return out
+    kind = "p2" if excited else "s1"
+    radius = (control.excited_orbital_radius_a() if excited
+              else control.ground_orbital_radius_a())
+    qubit_radius = qubit.ground_orbital_radius_a()
+    _reduced_pair.fill((kind, "s1", _key(qubit_radius / radius), n_terms, True),
+                       [_key(r / radius) for r in grid])
+    a = OrbitalSpec(kind, radius)
+    return [pair_integrals(a, OrbitalSpec("s1", qubit_radius, (0.0, 0.0, r)),
+                           control.dielectric_constant, n_terms)
+            for r in grid]
 
 
 @dataclass(frozen=True)
@@ -405,18 +454,21 @@ def transfer_splitting_curve(
     splits the transition into branches at base +/- |t|; the splitting is
     2|t|. Monopole shifts are excluded: both donors are neutral, so the
     ion-ion and electron-ion monopole tails compensate.
+
+    As in `exchange_curve`, the grid's cache misses are priced first as one
+    batch through the kernel along a separation axis, one-electron blocks
+    only, and each point is then read from the pair cache.
     """
     grid = _check_grid(r_grid)
     check_n_terms(n_terms)
-    radius = control.excited_orbital_radius_a()
-    scale = radius
+    scale = control.excited_orbital_radius_a()
     hartree = medium_hartree_mev(control.dielectric_constant, scale)
+    config = ("p2", "p2", 1.0, n_terms, False)
+    keys = [_key(r / scale) for r in grid]
+    _reduced_pair.fill(config, keys)
     out = []
-    for r in grid:
-        blocks = _reduced_pair(
-            "p2", "p2", 1.0, 1.0, round(r / scale, 12),
-            1.0, 1.0, n_terms, two_electron=False,
-        )
+    for r, key in zip(grid, keys):
+        blocks = _reduced_pair(config, key)
         s, h_aa, h_bb, h_ab = blocks["S"], blocks["hAA"], blocks["hBB"], blocks["hAB"]
         t_hop = (h_ab - s * (h_aa + h_bb) / 2.0) / (1.0 - s * s)
         t_mev = t_hop * hartree

@@ -9,9 +9,12 @@ over numpy exponent grids; this module is the slow, loop-by-loop form the
 tests compare those grids against. It shares only the Gaussian fit with the
 package, not any integral code.
 
-`reduced_pair` returns the same blocks as `donorgate.integrals._reduced_pair`
-for the same dimensionless geometry: center A at the origin, center B at
-(0, 0, r), a p2 orbital pointing along z.
+`reduced_pair` returns the same blocks as `donorgate.integrals._pair_blocks`
+returns at one separation, for the same dimensionless geometry: center A at
+the origin, center B at (0, 0, r), a p2 orbital pointing along z. It takes
+both radii and both charges explicitly; the package fixes radius_a = 1 and
+derives each charge as 1/radius. It stays general in x and y, where the
+package keeps only the pair axis.
 """
 
 from __future__ import annotations

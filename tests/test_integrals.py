@@ -18,11 +18,12 @@ from donorgate import (
     OrbitalSpec,
     PreconditionError,
     exchange_curve,
+    get_preset,
     model_from_ionization,
     pair_integrals,
     transfer_splitting_curve,
 )
-from donorgate.integrals import _reduced_pair
+from donorgate import integrals
 
 import md_reference
 import quad_oracle
@@ -153,17 +154,22 @@ def test_two_electron_splitting_property_consistent():
 def test_blocks_match_scalar_reference():
     # the grid recursions against the primitive-by-primitive loops: the
     # excited control with a compact qubit (radii 1 and 0.5, charges l/a),
-    # and the p2-p2 transfer geometry, one-electron blocks only
+    # and the p2-p2 transfer geometry, one-electron blocks only; the kernel
+    # derives each charge from its radius and prices both separations of a
+    # case in one call
     cases = (
-        (("p2", "s1", 1.0, 0.5, 3.0, 1.0, 2.0, 4), {}),
-        (("p2", "p2", 1.0, 1.0, 6.0, 1.0, 1.0, 4), {"two_electron": False}),
+        (("p2", "s1", 0.5, (3.0, 4.5), 4), True),
+        (("p2", "p2", 1.0, (6.0, 7.5), 4), False),
     )
-    for args, kw in cases:
-        engine = _reduced_pair(*args, **kw)
-        reference = md_reference.reduced_pair(*args)
-        assert set(engine) <= set(reference)
-        for key, got in engine.items():
-            assert got == pytest.approx(reference[key], rel=1e-12), (args[:2], key)
+    for (kind_a, kind_b, radius_b, seps, n_terms), two_electron in cases:
+        engine = integrals._pair_blocks(kind_a, kind_b, radius_b, np.array(seps),
+                                        n_terms, two_electron)
+        for i, r in enumerate(seps):
+            reference = md_reference.reduced_pair(
+                kind_a, kind_b, 1.0, radius_b, r, 1.0, 1.0 / radius_b, n_terms)
+            assert set(engine) <= set(reference)
+            for key, got in engine.items():
+                assert got[i] == pytest.approx(reference[key], rel=1e-12), (kind_b, r, key)
 
 
 def test_far_separation_splitting_underflows_cleanly():
@@ -238,3 +244,155 @@ def test_transfer_curve_branches_and_decay():
             r.splitting_mev, rel=1e-12)
         assert 0.5 * (r.branch_upper_mev + r.branch_lower_mev) == pytest.approx(
             600.0, abs=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# the separation axis, the pair cache and the Boys function
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def cold_cache(monkeypatch):
+    """An empty pair cache of the package's size, for this test only."""
+    cache = integrals._PairCache(integrals._CACHE_POINTS)
+    monkeypatch.setattr(integrals, "_reduced_pair", cache)
+    return cache
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """Separations passed to each `_pair_blocks` call, in call order."""
+    calls = []
+    kernel = integrals._pair_blocks
+
+    def counted(kind_a, kind_b, radius_b, r, *rest):
+        calls.append(list(r))
+        return kernel(kind_a, kind_b, radius_b, r, *rest)
+
+    monkeypatch.setattr(integrals, "_pair_blocks", counted)
+    return calls
+
+
+def _rows(results):
+    return [tuple(float(v) for v in vars(res).values() if isinstance(v, float))
+            for res in results]
+
+
+def _assert_rows_close(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g == pytest.approx(w, rel=1e-12, abs=1e-300)
+
+
+def _fresh_cache(monkeypatch):
+    cache = integrals._PairCache(integrals._CACHE_POINTS)
+    monkeypatch.setattr(integrals, "_reduced_pair", cache)
+    return cache
+
+
+def _one_at_a_time(monkeypatch, curve, grid):
+    out = []
+    for r in grid:
+        _fresh_cache(monkeypatch)
+        out.extend(curve([r]))
+    return out
+
+
+def test_curves_match_points_priced_one_at_a_time(monkeypatch, kernel_calls):
+    _, fig2a = get_preset("fig2a")
+    _, fig3 = get_preset("fig3")
+    curves = [
+        (lambda g, ex=ex: exchange_curve(fig2a.control, fig2a.qubit, ex, g), fig2a.r_grid)
+        for ex in (True, False)
+    ] + [(lambda g: transfer_splitting_curve(fig3.control, g), fig3.r_grid)]
+    for curve, grid in curves:
+        _fresh_cache(monkeypatch)
+        kernel_calls.clear()
+        batched = curve(grid)
+        # the misses go through the kernel in grid order, a chunk at a time
+        assert [r for call in kernel_calls for r in call] == sorted(
+            r for call in kernel_calls for r in call)
+        assert len(kernel_calls) == math.ceil(len(grid) / integrals._R_CHUNK)
+        assert max(len(call) for call in kernel_calls) == integrals._R_CHUNK
+        single = _one_at_a_time(monkeypatch, curve, grid)
+        assert [res.separation_a for res in batched] == list(grid)
+        _assert_rows_close(_rows(batched), _rows(single))
+
+
+def test_partly_warm_grid_gives_the_cold_rows(monkeypatch, kernel_calls):
+    _, fig2a = get_preset("fig2a")
+    grid = fig2a.r_grid
+    _fresh_cache(monkeypatch)
+    cold = exchange_curve(fig2a.control, fig2a.qubit, True, grid)
+    cache = _fresh_cache(monkeypatch)
+    exchange_curve(fig2a.control, fig2a.qubit, True, grid[::3])
+    assert cache.cache_info() == (len(grid[::3]), len(grid[::3]))
+    kernel_calls.clear()
+    warm = exchange_curve(fig2a.control, fig2a.qubit, True, grid)
+    # only the points the priming left out reach the kernel
+    priced = sum(len(call) for call in kernel_calls)
+    assert priced == len(grid) - len(grid[::3])
+    assert cache.cache_info() == (len(grid[::3]) + len(grid), len(grid))
+    _assert_rows_close(_rows(warm), _rows(cold))
+
+
+def test_ill_conditioned_error_names_the_first_close_separation(cold_cache):
+    # twelve near-coincident p2-p2 pairs span two kernel chunks; the error
+    # must name the first of them, not the last or the first of a later chunk
+    control = model_from_ionization("P", 0.6, 5.7)
+    scale = control.excited_orbital_radius_a()
+    close = [0.01 * k for k in range(1, 13)]
+    transfer_splitting_curve(control, [40.0])  # a warm point after them
+    with pytest.raises(IllConditionedGeometryError,
+                       match=rf"reduced separation {close[0] / scale:.3f};"):
+        transfer_splitting_curve(control, close + [40.0])
+    with pytest.raises(IllConditionedGeometryError,
+                       match=rf"reduced separation {close[5] / scale:.3f};"):
+        transfer_splitting_curve(control, close[5:] + [40.0])
+
+
+def test_boys_downward_recursion_matches_reference():
+    # below x = 1e-12 the reference drops the linear term of the series,
+    # which moves it by less than x relative
+    x = np.concatenate([[0.0], np.logspace(-14, 3, 171),
+                        [np.nextafter(1e-10, 0.0), 1e-10, np.nextafter(1e-10, 1.0)]])
+    for nmax in range(7):
+        boys = integrals._boys_array(nmax, x)
+        assert len(boys) == nmax + 1
+        for n, fn in enumerate(boys):
+            want = np.array([md_reference._boys(n, xi) for xi in x])
+            np.testing.assert_allclose(fn, want, rtol=1e-12, atol=0.0,
+                                       err_msg=f"nmax={nmax}, n={n}")
+
+
+def test_cache_keeps_at_most_its_bound_least_recently_used_out(cold_cache, kernel_calls):
+    control = model_from_ionization("P", 0.6, 5.7)
+    size = integrals._CACHE_POINTS
+    assert cold_cache.maxsize == size
+    grid = list(np.linspace(20.0, 60.0, size + 100))
+    transfer_splitting_curve(control, grid[:size])
+    transfer_splitting_curve(control, grid[:1])  # a hit refreshes the oldest
+    transfer_splitting_curve(control, grid[size:])
+    assert len(cold_cache._rows) == size
+    assert cold_cache.cache_info()[1] == len(grid)
+    kernel_calls.clear()
+    transfer_splitting_curve(control, grid[:1])   # kept: used recently
+    assert kernel_calls == []
+    transfer_splitting_curve(control, grid[1:2])  # dropped: least recently used
+    assert [len(call) for call in kernel_calls] == [1]
+    assert cold_cache.cache_info()[1] == len(grid) + 1
+    assert len(cold_cache._rows) == size
+
+
+def test_second_pricing_of_a_curve_calls_no_kernel(cold_cache, kernel_calls):
+    _, fig2a = get_preset("fig2a")
+    first = exchange_curve(fig2a.control, fig2a.qubit, True, fig2a.r_grid)
+    assert kernel_calls
+    kernel_calls.clear()
+    second = exchange_curve(fig2a.control, fig2a.qubit, True, fig2a.r_grid)
+    assert kernel_calls == []
+    assert _rows(second) == _rows(first)
+    # a one-point call reads the same cache
+    a = OrbitalSpec("p2", fig2a.control.excited_orbital_radius_a(), (0.0, 0.0, 0.0))
+    b = OrbitalSpec("s1", fig2a.qubit.ground_orbital_radius_a(), (0.0, 0.0, fig2a.r_grid[4]))
+    assert _rows([pair_integrals(a, b, fig2a.control.dielectric_constant)]) == [_rows(first)[4]]
+    assert kernel_calls == []

@@ -34,9 +34,9 @@ from .spectra import (SpectralModel, TransitionLine, gate_transitions,
 from .spins import (GateReport, SpinSystem, build_hamiltonian,
                     effective_coupling, entangling_power, gate_fidelity,
                     induced_qubit_operator, propagator, sfg_gate)
-from .configure import (AdjacencyHypothesis, ControlHypothesis,
-                        CouplingResults, EprModel, ScanMap,
-                        calibrate_gate_time, infer_adjacency, simulate_scan)
+from .configure import (AdjacencyHypothesis, ControlHypothesis, EprModel,
+                        ScanMap, calibrate_gate_time, infer_adjacency,
+                        simulate_scan)
 from .scenario import (CurvePreset, Placement, RandomPlacementSpec, Scenario,
                        get_preset, list_presets, load_scenario, save_scenario,
                        scenario_from_dict)

@@ -217,8 +217,8 @@ def _cmd_gate_run(args):
 
 def _cmd_configure_scan(args):
     scenario = _scenario_from_args(args)
-    realized, resolved = resolve_cluster(scenario, args.seed)
-    scan = simulate_scan(realized, resolved)
+    realized, lines, couplings = resolve_cluster(scenario, args.seed)
+    scan = simulate_scan(realized, lines, couplings)
     header, rows = scan.to_rows()
     payload = {
         "optical_axis_mev": [float(v) for v in scan.optical_axis_mev],
@@ -230,8 +230,8 @@ def _cmd_configure_scan(args):
 
 def _cmd_configure_infer(args):
     scenario = _scenario_from_args(args)
-    realized, resolved = resolve_cluster(scenario, args.seed)
-    hypothesis = infer_adjacency(simulate_scan(realized, resolved),
+    realized, lines, couplings = resolve_cluster(scenario, args.seed)
+    hypothesis = infer_adjacency(simulate_scan(realized, lines, couplings),
                                  realized.detection_threshold_mev)
     rows = []
     for entry in hypothesis.entries:

@@ -6,13 +6,18 @@ transition lies within the homogeneous width of it is excited. While a
 control is excited, every qubit EPR line coupled to it splits into two
 components displaced by half the coupling (both signs, equal weight, so m
 simultaneously excited couplings fan a line into 2^m components). Rows are
-sums of unit-height Lorentzians over the EPR axis. Every model the scan is
-rendered with is the scenario's own (`scenario.spectral`, `scenario.epr`),
-and the map carries the instrument settings it was taken with: the EPR line
-position of each qubit label, the EPR linewidth and the homogeneous width.
-Inference reads the map back without touching ground truth: resonance
-positions from the rows whose deviation from the baseline spectrum steps up,
-couplings from the splitting of each vanished EPR line.
+sums of unit-height Lorentzians over the EPR axis. The scan is rendered from
+the controls' optical lines and the couplings keyed by (control label,
+qubit label); every model it is rendered with is the scenario's own
+(`scenario.spectral`, `scenario.epr`), and the map carries the instrument
+settings it was taken with: the EPR line position of each qubit label, the
+EPR linewidth and the homogeneous width. Inference reads the map back
+without touching ground truth: resonance positions from the rows whose
+deviation from the baseline spectrum steps up, couplings from the splitting
+of each vanished EPR line. Calibration times one control's gate from the
+resonance the caller attributed to that control (the feasibility pipeline
+gives each resonance to the control with the nearest line) and scores it
+against the true couplings.
 """
 
 from __future__ import annotations
@@ -24,7 +29,6 @@ import numpy as np
 
 from .errors import (DependencyError, InvalidSpecError, NoCleanGateError,
                      PreconditionError)
-from .spectra import TransitionLine
 from .spins import (GateReport, SpinSystem, gate_fidelity,
                     induced_qubit_operator, sfg_gate, unitary_part)
 
@@ -51,35 +55,6 @@ class EprModel:
         if self.zeeman_offsets_mev is not None:
             object.__setattr__(self, "zeeman_offsets_mev",
                                tuple((str(l), float(v)) for l, v in self.zeeman_offsets_mev))
-
-
-@dataclass(frozen=True)
-class CouplingResults:
-    """Resolved inputs the scan is rendered from: the controls' optical
-    lines and the control-qubit exchange couplings (meV, excited-state)."""
-
-    transitions: tuple
-    couplings: tuple  # (((control_label, qubit_label), J_mev), ...)
-
-    def __post_init__(self):
-        object.__setattr__(self, "transitions", tuple(self.transitions))
-        raw = (self.couplings.items() if hasattr(self.couplings, "items")
-               else self.couplings)
-        object.__setattr__(
-            self, "couplings",
-            tuple(sorted(((str(c), str(q)), float(j)) for (c, q), j in raw)))
-
-    def coupling(self, control: str, qubit: str) -> float:
-        for (c, q), j in self.couplings:
-            if c == control and q == qubit:
-                return j
-        return 0.0
-
-    def transition(self, control: str) -> TransitionLine:
-        for line in self.transitions:
-            if line.gate_id == control:
-                return line
-        raise DependencyError(f"no transition line for control {control!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -123,29 +98,31 @@ def _lorentzian(axis: np.ndarray, center: float, fwhm: float) -> np.ndarray:
     return half * half / ((axis - center) ** 2 + half * half)
 
 
-def simulate_scan(scenario, resolved: CouplingResults) -> ScanMap:
+def simulate_scan(scenario, lines, couplings) -> ScanMap:
     """Render the two-dimensional configuration scan for a scenario.
 
-    The optical lines and couplings come from `resolved`; the spectral and
-    EPR models and the qubits' EPR line positions from the scenario. The
-    optical axis covers every line within 4 homogeneous widths (step
-    delta_h/4), the EPR axis every component within 8 linewidths (step
-    linewidth/5).
+    `lines` are the controls' optical lines (`TransitionLine`s) and
+    `couplings` maps (control label, qubit label) to the excited-state
+    exchange in meV, as the pipeline's integrals stage keys it; pairs it
+    omits are uncoupled. The spectral and EPR models and the qubits' EPR
+    line positions come from the scenario. The optical axis covers every
+    line within 4 homogeneous widths (step delta_h/4), the EPR axis every
+    component within 8 linewidths (step linewidth/5).
     """
     delta_h = scenario.spectral.homogeneous_fwhm_mev
     gamma = scenario.epr.linewidth_mev
 
-    lines = {line.gate_id: line.energy_mev for line in resolved.transitions}
+    line_of = {line.gate_id: line.energy_mev for line in lines}
     epr_lines = scenario.qubit_epr_offsets()
     offsets = dict(epr_lines)
 
-    center = (min(lines.values()), max(lines.values())) if lines else (
+    center = (min(line_of.values()), max(line_of.values())) if line_of else (
         scenario.spectral.base_transition_mev,) * 2
     optical_axis = np.arange(center[0] - 4.0 * delta_h,
                              center[1] + 4.0 * delta_h, delta_h / 4.0)
 
     per_qubit = {q: [] for q in offsets}
-    for (c, q), j in resolved.couplings:
+    for (c, q), j in sorted(couplings.items()):
         if q in per_qubit and j != 0.0:
             per_qubit[q].append((c, j))
 
@@ -159,14 +136,14 @@ def simulate_scan(scenario, resolved: CouplingResults) -> ScanMap:
 
     response = np.zeros((len(optical_axis), len(epr_axis)))
     for i, freq in enumerate(optical_axis):
-        excited = {c for c, e in lines.items() if abs(e - freq) <= delta_h}
+        excited = {c for c, e in line_of.items() if abs(e - freq) <= delta_h}
         row = np.zeros_like(epr_axis)
         for q, base in offsets.items():
-            couplings = sorted((j for c, j in per_qubit[q] if c in excited),
-                               key=abs, reverse=True)[:_MAX_SPLIT]
-            weight = 1.0 / (1 << len(couplings))
-            for signs in itertools.product((0.5, -0.5), repeat=len(couplings)):
-                shift = sum(s * j for s, j in zip(signs, couplings))
+            split = sorted((j for c, j in per_qubit[q] if c in excited),
+                           key=abs, reverse=True)[:_MAX_SPLIT]
+            weight = 1.0 / (1 << len(split))
+            for signs in itertools.product((0.5, -0.5), repeat=len(split)):
+                shift = sum(s * j for s, j in zip(signs, split))
                 row += weight * _lorentzian(epr_axis, base + shift, gamma)
         response[i] = row
     return ScanMap(optical_axis, epr_axis, response, epr_lines, gamma, delta_h)
@@ -178,17 +155,11 @@ class ControlHypothesis:
     couplings: tuple  # ((qubit_label, J_mev), ...)
     ambiguous: bool = False
 
-    def qubit_labels(self) -> frozenset:
-        return frozenset(q for q, _ in self.couplings)
-
 
 @dataclass(frozen=True)
 class AdjacencyHypothesis:
     entries: tuple
     detection_threshold_mev: float
-
-    def adjacency(self) -> tuple:
-        return tuple(e.qubit_labels() for e in self.entries)
 
 
 def _peak_positions(axis: np.ndarray, values: np.ndarray, floor: float) -> list:
@@ -249,7 +220,7 @@ def infer_adjacency(scan: ScanMap,
     mid_tol = max(3.0 * step_epr, gamma / 2.0)
 
     entries = []
-    for energy in energies:
+    for k, energy in enumerate(energies):
         row = scan.response[int(np.argmin(np.abs(optical - energy)))]
         row_peaks = _peak_positions(epr, row, 0.12 * float(np.max(row)))
         vanished = [z for z in base_peaks
@@ -284,32 +255,24 @@ def infer_adjacency(scan: ScanMap,
 
         labeled = [(min(epr_lines, key=lambda l: abs(epr_lines[l] - z)),
                     float(coupling)) for z, coupling in couplings]
-        entries.append(ControlHypothesis(energy, tuple(sorted(labeled))))
-
-    flagged = []
-    for k, entry in enumerate(entries):
-        near = any(abs(entry.optical_energy_mev - other.optical_energy_mev)
-                   < delta_h
-                   for m, other in enumerate(entries) if m != k)
-        flagged.append(ControlHypothesis(entry.optical_energy_mev,
-                                         entry.couplings, ambiguous=near))
-    return AdjacencyHypothesis(tuple(flagged), detection_threshold_mev)
+        near = any(abs(energy - other) < delta_h
+                   for m, other in enumerate(energies) if m != k)
+        entries.append(ControlHypothesis(energy, tuple(sorted(labeled)),
+                                         ambiguous=near))
+    return AdjacencyHypothesis(tuple(entries), detection_threshold_mev)
 
 
-def calibrate_gate_time(adjacency: AdjacencyHypothesis, control_id: str,
-                        resolved: CouplingResults) -> GateReport:
-    """Pick the gate interval from inferred couplings and score the result.
+def calibrate_gate_time(entry: ControlHypothesis, control_id: str,
+                        couplings: dict) -> GateReport:
+    """Pick the gate interval from one inferred resonance and score it.
 
-    The interval and reported unitary come from the inferred couplings (what
-    an experiment would know). Fidelity is then the overlap between the gate
-    the true system realizes at that interval and the gate it would realize
-    if calibrated from the true couplings directly.
+    `entry` is the resonance attributed to `control_id`; its two strongest
+    inferred couplings name the qubits and time the gate (what an
+    experiment would know). `couplings` holds the true excited-state
+    exchange keyed by (control label, qubit label). Fidelity is the overlap
+    between the gate the true system realizes at the chosen interval and
+    the gate it would realize if calibrated from the true couplings directly.
     """
-    line = resolved.transition(control_id)
-    if not adjacency.entries:
-        raise PreconditionError("adjacency hypothesis is empty")
-    entry = min(adjacency.entries,
-                key=lambda e: abs(e.optical_energy_mev - line.energy_mev))
     ranked = sorted(entry.couplings, key=lambda c: abs(c[1]), reverse=True)
     if len(ranked) < 2:
         raise PreconditionError(
@@ -331,8 +294,8 @@ def calibrate_gate_time(adjacency: AdjacencyHypothesis, control_id: str,
         inferred_report = err.best_candidate
     tau = inferred_report.duration_ps
 
-    ja_true = resolved.coupling(control_id, qa)
-    jb_true = resolved.coupling(control_id, qb)
+    ja_true = couplings.get((control_id, qa), 0.0)
+    jb_true = couplings.get((control_id, qb), 0.0)
     if ja_true == 0.0 or jb_true == 0.0:
         raise DependencyError("ground-truth couplings missing for fidelity scoring")
     true_system = cluster(ja_true, jb_true)

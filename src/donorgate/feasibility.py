@@ -15,8 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .configure import (CouplingResults, calibrate_gate_time, infer_adjacency,
-                        simulate_scan)
+from .configure import calibrate_gate_time, infer_adjacency, simulate_scan
 from .constants import HBAR_MEV_PS
 from .errors import (DonorgateError, InvalidSpecError, NoCleanGateError,
                      PreconditionError, StageError)
@@ -195,8 +194,7 @@ def _configure_stage(scenario, lines, couplings, gate_records):
         return {"attempted": False,
                 "reason": f"no EPR offset for qubits {missing}"}
 
-    resolved = CouplingResults(transitions=tuple(lines), couplings=couplings)
-    scan = simulate_scan(scenario, resolved)
+    scan = simulate_scan(scenario, lines, couplings)
     hypothesis = infer_adjacency(scan, scenario.detection_threshold_mev)
 
     truth = {}
@@ -205,8 +203,9 @@ def _configure_stage(scenario, lines, couplings, gate_records):
             truth.setdefault(c, set()).add(q)
     line_of = {l.gate_id: l.energy_mev for l in lines}
 
+    # each resonance belongs to the control with the nearest line
     matches = []
-    claimed = set()
+    attributed = {}
     for entry in hypothesis.entries:
         control = min(line_of, key=lambda c: abs(line_of[c] - entry.optical_energy_mev))
         inferred = {q: j for q, j in entry.couplings}
@@ -219,17 +218,20 @@ def _configure_stage(scenario, lines, couplings, gate_records):
             "true_qubits": sorted(expected),
             "match": set(inferred) == expected,
         })
-        claimed.add(control)
-    missed = sorted(c for c in truth if c not in claimed)
+        attributed.setdefault(control, []).append(entry)
+    missed = sorted(c for c in truth if c not in attributed)
     recovered = (not missed) and all(m["match"] for m in matches)
 
     calibrations = []
     for record in gate_records:
         control = record["control"]
-        if control not in claimed:
+        if control not in attributed:
             continue
+        # a control with several resonances is timed from its nearest one
+        entry = min(attributed[control],
+                    key=lambda e: abs(e.optical_energy_mev - line_of[control]))
         try:
-            cal = calibrate_gate_time(hypothesis, control, resolved)
+            cal = calibrate_gate_time(entry, control, couplings)
         except (PreconditionError, NoCleanGateError):
             continue
         calibrations.append({
@@ -300,7 +302,10 @@ class FeasibilityReport:
 
 
 def resolve_cluster(scenario: Scenario, seed: int = None):
-    """(realized scenario, CouplingResults) for scan and inference work.
+    """(realized scenario, optical lines, couplings) for scan and inference
+    work: the `TransitionLine`s of the controls and the excited-state
+    exchange keyed by (control label, qubit label), as `simulate_scan` takes
+    them.
 
     Runs the placement, integrals and spectra stages only.
     """
@@ -308,7 +313,7 @@ def resolve_cluster(scenario: Scenario, seed: int = None):
     realized, controls, qubits = _placement_stage(scenario)
     _, couplings, _, hopping = _integrals_stage(realized, controls, qubits)
     lines, _, _ = _spectra_stage(realized, hopping, seed)
-    return realized, CouplingResults(transitions=tuple(lines), couplings=couplings)
+    return realized, lines, couplings
 
 
 def run_feasibility(scenario: Scenario, seed: int = None) -> FeasibilityReport:

@@ -223,23 +223,14 @@ def _pair_blocks(kind_a, kind_b, radius_b, r, n_terms, two_electron):
     Center A (radius 1, the length unit) sits at the origin, center B at
     (0, 0, r); a p2 orbital points along z, and each nuclear charge is the
     inverse of its center's radius. Returns one array per block, in medium
-    hartrees, with one value per separation. Raises
-    IllConditionedGeometryError for the first separation, in the order of
-    `r`, whose orbitals nearly coincide.
+    hartrees, with one value per separation. Near-coincident orbitals are
+    priced too; the readers of the blocks reject them (`_check_overlap`).
     """
     A = _orbital(kind_a, 1.0, 0.0, n_terms)
     B = _orbital(kind_b, radius_b, r[:, None, None], n_terms)
 
-    s = _overlap(A, B)
-    close = np.flatnonzero(np.abs(s) > _OVERLAP_LIMIT)
-    if close.size:
-        i = close[0]
-        raise IllConditionedGeometryError(
-            f"|S| = {abs(s[i]):.4f} at reduced separation {r[i]:.3f}; "
-            "orbitals nearly coincide"
-        )
     nuclei = ((1.0, A.z), (1.0 / radius_b, B.z))
-    out = {"S": s}
+    out = {"S": _overlap(A, B)}
     for name, (x, y) in (("hAA", (A, A)), ("hBB", (B, B)), ("hAB", (A, B))):
         out[name] = _kinetic(x, y) + _attraction(x, y, nuclei)
     if two_electron:
@@ -301,6 +292,15 @@ _reduced_pair = _PairCache(_CACHE_POINTS)
 def _key(x: float) -> float:
     """Reduced lengths are cached at 12 decimals."""
     return round(x, 12)
+
+
+def _check_overlap(s: float, separation_a: float) -> None:
+    """Reject a pair whose orbitals nearly coincide, naming the separation
+    in angstrom the caller passed."""
+    if abs(s) > _OVERLAP_LIMIT:
+        raise IllConditionedGeometryError(
+            f"|S| = {abs(s):.4f} at separation {separation_a:g} A; "
+            "orbitals nearly coincide")
 
 
 # ---------------------------------------------------------------------------
@@ -367,6 +367,7 @@ def pair_integrals(
     blocks = _reduced_pair(config, _key(r_ang / scale))
 
     s = blocks["S"]
+    _check_overlap(s, r_ang)
     h_aa, h_bb, h_ab = blocks["hAA"], blocks["hBB"], blocks["hAB"]
     jc, kx = blocks["Jc"], blocks["Kx"]
     vnn = zb / (r_ang / scale)
@@ -470,6 +471,7 @@ def transfer_splitting_curve(
     for r, key in zip(grid, keys):
         blocks = _reduced_pair(config, key)
         s, h_aa, h_bb, h_ab = blocks["S"], blocks["hAA"], blocks["hBB"], blocks["hAB"]
+        _check_overlap(s, r)
         t_hop = (h_ab - s * (h_aa + h_bb) / 2.0) / (1.0 - s * s)
         t_mev = t_hop * hartree
         out.append(TransferSplitting(

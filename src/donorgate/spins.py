@@ -86,21 +86,11 @@ class SpinSystem:
     def dimension(self) -> int:
         return 1 << self.n_spins
 
-    def labels(self) -> tuple:
-        return tuple(l for l, _ in self.spins)
-
     def index_of(self, label: str) -> int:
         for k, (l, _) in enumerate(self.spins):
             if l == label:
                 return k
         raise InvalidSpecError(f"no spin labeled {label!r}")
-
-    def coupling(self, i: int, j: int) -> float:
-        key = (min(i, j), max(i, j))
-        for pair, value in self.couplings:
-            if pair == key:
-                return value
-        return 0.0
 
 
 def build_hamiltonian(system: SpinSystem) -> np.ndarray:

@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from donorgate import (
-    CouplingResults,
     EprModel,
     LatticeSpec,
     Placement,
@@ -268,22 +267,21 @@ def _random_case(seed):
         placements=tuple(placements),
         detection_threshold_mev=thr,
     )
-    return scenario, CouplingResults(lines, adj), adj
+    return scenario, lines, adj
 
 
 def test_criterion_09_adjacency_round_trip(table1_report):
     failures = []
     for seed in range(100):
-        sc, results, adj = _random_case(seed)
-        hyp = infer_adjacency(simulate_scan(sc, results),
+        sc, lines, adj = _random_case(seed)
+        hyp = infer_adjacency(simulate_scan(sc, lines, adj),
                               sc.detection_threshold_mev)
         recovered = len(hyp.entries) == 2
         if recovered:
-            for cid, line in (("C1", results.transitions[0].energy_mev),
-                              ("C2", results.transitions[1].energy_mev)):
+            for line in lines:
                 entry = min(hyp.entries,
-                            key=lambda e: abs(e.optical_energy_mev - line))
-                want = {q for (c, q) in adj if c == cid}
+                            key=lambda e: abs(e.optical_energy_mev - line.energy_mev))
+                want = {q for (c, q) in adj if c == line.gate_id}
                 recovered &= set(dict(entry.couplings)) == want
         if not recovered:
             failures.append(seed)

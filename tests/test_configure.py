@@ -4,8 +4,6 @@ import numpy as np
 import pytest
 
 from donorgate import (
-    AdjacencyHypothesis,
-    CouplingResults,
     EprModel,
     InvalidSpecError,
     LatticeSpec,
@@ -56,9 +54,8 @@ def _one_control_case(j1=8.0, j2=0.0):
     couplings = {("C1", "Q1"): j1}
     if j2:
         couplings[("C1", "Q2")] = j2
-    results = CouplingResults(
-        (TransitionLine("C1", 600.0, DELTA_H, ()),), couplings)
-    return _scenario(placements, offsets), results
+    lines = (TransitionLine("C1", 600.0, DELTA_H, ()),)
+    return _scenario(placements, offsets), lines, couplings
 
 
 def _row_nearest(scan, optical_mev):
@@ -66,8 +63,8 @@ def _row_nearest(scan, optical_mev):
 
 
 def test_unexcited_row_equals_baseline_spectrum():
-    sc, results = _one_control_case(j1=8.0)
-    scan = simulate_scan(sc, results)
+    sc, lines, couplings = _one_control_case(j1=8.0)
+    scan = simulate_scan(sc, lines, couplings)
     epr = scan.epr_axis_mev
     # the first row sits 4 homogeneous widths below the line: nothing excited
     assert abs(scan.optical_axis_mev[0] - 600.0) > DELTA_H
@@ -76,8 +73,8 @@ def test_unexcited_row_equals_baseline_spectrum():
 
 
 def test_excited_row_splits_only_coupled_lines():
-    sc, results = _one_control_case(j1=8.0)
-    scan = simulate_scan(sc, results)
+    sc, lines, couplings = _one_control_case(j1=8.0)
+    scan = simulate_scan(sc, lines, couplings)
     epr = scan.epr_axis_mev
     want = (0.5 * _lorentzian(epr, -8.0 - 4.0, GAMMA)
             + 0.5 * _lorentzian(epr, -8.0 + 4.0, GAMMA)
@@ -87,8 +84,8 @@ def test_excited_row_splits_only_coupled_lines():
 
 def test_doubling_coupling_doubles_displacement():
     for j in (4.0, 8.0):
-        sc, results = _one_control_case(j1=j)
-        scan = simulate_scan(sc, results)
+        sc, lines, couplings = _one_control_case(j1=j)
+        scan = simulate_scan(sc, lines, couplings)
         epr = scan.epr_axis_mev
         want = (0.5 * _lorentzian(epr, -8.0 - j / 2.0, GAMMA)
                 + 0.5 * _lorentzian(epr, -8.0 + j / 2.0, GAMMA)
@@ -111,11 +108,11 @@ def test_scan_is_additive_over_disjoint_clusters():
     offsets = (("Q1", -8.0), ("Q2", 8.0), ("Q3", 20.0))
     lines = (TransitionLine("C1", 590.0, DELTA_H, ()),
              TransitionLine("C2", 610.0, DELTA_H, ()))
-    both = CouplingResults(lines, {("C1", "Q1"): 6.0, ("C2", "Q2"): 9.0})
-    only1 = CouplingResults(lines, {("C1", "Q1"): 6.0})
-    only2 = CouplingResults(lines, {("C2", "Q2"): 9.0})
+    both = {("C1", "Q1"): 6.0, ("C2", "Q2"): 9.0}
+    only1 = {("C1", "Q1"): 6.0}
+    only2 = {("C2", "Q2"): 9.0}
     sc = _scenario(placements, offsets)
-    scans = [simulate_scan(sc, r) for r in (both, only1, only2)]
+    scans = [simulate_scan(sc, lines, c) for c in (both, only1, only2)]
     for scan in scans[1:]:
         assert np.array_equal(scan.optical_axis_mev, scans[0].optical_axis_mev)
         assert np.array_equal(scan.epr_axis_mev, scans[0].epr_axis_mev)
@@ -129,8 +126,8 @@ def test_scan_is_additive_over_disjoint_clusters():
 
 
 def test_scan_invariants_and_csv_shape():
-    sc, results = _one_control_case(j1=8.0)
-    scan = simulate_scan(sc, results)
+    sc, lines, couplings = _one_control_case(j1=8.0)
+    scan = simulate_scan(sc, lines, couplings)
     assert np.all(np.diff(scan.optical_axis_mev) > 0)
     assert np.all(np.diff(scan.epr_axis_mev) > 0)
     assert np.all(scan.response >= 0.0)
@@ -145,16 +142,16 @@ def _infer(sc, scan):
 
 
 def test_scan_carries_its_instrument_settings():
-    sc, results = _one_control_case(j1=8.0, j2=11.0)
-    scan = simulate_scan(sc, results)
+    sc, lines, couplings = _one_control_case(j1=8.0, j2=11.0)
+    scan = simulate_scan(sc, lines, couplings)
     assert scan.epr_lines_mev == (("Q1", -8.0), ("Q2", 8.0))
     assert scan.epr_linewidth_mev == GAMMA
     assert scan.homogeneous_fwhm_mev == DELTA_H
 
 
 def test_inference_recovers_single_cluster():
-    sc, results = _one_control_case(j1=8.0, j2=11.0)
-    scan = simulate_scan(sc, results)
+    sc, lines, couplings = _one_control_case(j1=8.0, j2=11.0)
+    scan = simulate_scan(sc, lines, couplings)
     hyp = _infer(sc, scan)
     assert len(hyp.entries) == 1
     entry = hyp.entries[0]
@@ -169,8 +166,8 @@ def test_inference_recovers_single_cluster():
 
 
 def test_inference_deterministic():
-    sc, results = _one_control_case(j1=8.0, j2=11.0)
-    scan = simulate_scan(sc, results)
+    sc, lines, couplings = _one_control_case(j1=8.0, j2=11.0)
+    scan = simulate_scan(sc, lines, couplings)
     a, b = _infer(sc, scan), _infer(sc, scan)
     assert a == b
 
@@ -178,8 +175,7 @@ def test_inference_deterministic():
 def test_empty_scenario_gives_empty_hypothesis():
     placements = [Placement("Q1", "N", (0.0, 8.0, 0.0))]
     sc = _scenario(placements, (("Q1", -8.0),))
-    results = CouplingResults((), {})
-    scan = simulate_scan(sc, results)
+    scan = simulate_scan(sc, (), {})
     hyp = _infer(sc, scan)
     assert hyp.entries == ()
 
@@ -195,9 +191,9 @@ def test_overlapping_optical_lines_flagged_ambiguous():
     # two controls 0.4 delta_h apart: inside each other's excitation window
     lines = (TransitionLine("C1", 600.0, DELTA_H, ()),
              TransitionLine("C2", 600.0 + 0.4 * DELTA_H, DELTA_H, ()))
-    results = CouplingResults(lines, {("C1", "Q1"): 6.0, ("C2", "Q2"): 9.0})
+    couplings = {("C1", "Q1"): 6.0, ("C2", "Q2"): 9.0}
     sc = _scenario(placements, offsets)
-    scan = simulate_scan(sc, results)
+    scan = simulate_scan(sc, lines, couplings)
     hyp = _infer(sc, scan)
     assert any(e.ambiguous for e in hyp.entries)
 
@@ -223,19 +219,19 @@ def _random_case(seed):
                   Placement("C2", "P", (24.0, 0.0, 0.0))]
     placements += [Placement(q, "N", (8.0 * i, 8.0, 0.0)) for i, q in enumerate(qs)]
     sc = _scenario(placements, offsets, threshold=thr)
-    return sc, CouplingResults(lines, adj), adj
+    return sc, lines, adj
 
 
 def test_round_trip_recovers_random_scenarios():
     for seed in range(10):
-        sc, results, adj = _random_case(seed)
-        scan = simulate_scan(sc, results)
+        sc, lines, adj = _random_case(seed)
+        scan = simulate_scan(sc, lines, adj)
         hyp = _infer(sc, scan)
         assert len(hyp.entries) == 2, f"seed {seed}"
-        for cid, line in (("C1", results.transitions[0].energy_mev),
-                          ("C2", results.transitions[1].energy_mev)):
+        for line in lines:
+            cid = line.gate_id
             entry = min(hyp.entries,
-                        key=lambda e: abs(e.optical_energy_mev - line))
+                        key=lambda e: abs(e.optical_energy_mev - line.energy_mev))
             want = {q: j for (c, q), j in adj.items() if c == cid}
             got = dict(entry.couplings)
             assert set(got) == set(want), f"seed {seed} {cid}"
@@ -245,20 +241,13 @@ def test_round_trip_recovers_random_scenarios():
 
 # --- calibration ----------------------------------------------------------
 
-LINES_T1 = (TransitionLine("C1", 574.264, DELTA_H, ()),
-            TransitionLine("C2", 625.736, DELTA_H, ()))
-
-
 def test_exact_inference_calibrates_to_unit_fidelity():
     truth = {("C1", "Q1"): 116.4, ("C1", "Q2"): 38.61,
              ("C2", "Q2"): 20.92, ("C2", "Q3"): 147.5}
-    resolved = CouplingResults(LINES_T1, truth)
-    exact = AdjacencyHypothesis(
-        entries=(ControlHypothesis(574.264, (("Q1", 116.4), ("Q2", 38.61))),
-                 ControlHypothesis(625.736, (("Q3", 147.5), ("Q2", 20.92)))),
-        detection_threshold_mev=1.0)
-    for cid in ("C1", "C2"):
-        rep = calibrate_gate_time(exact, cid, resolved)
+    exact = {"C1": ControlHypothesis(574.264, (("Q1", 116.4), ("Q2", 38.61))),
+             "C2": ControlHypothesis(625.736, (("Q3", 147.5), ("Q2", 20.92)))}
+    for cid, entry in exact.items():
+        rep = calibrate_gate_time(entry, cid, truth)
         assert rep.fidelity_to_target == pytest.approx(1.0, abs=1e-8), cid
         assert rep.entangling_power > 1e-6
 
@@ -268,16 +257,13 @@ def test_five_percent_error_tolerable_for_clean_ratio_clusters():
     # coupling error costs little (measured worst 0.989 over wider sweeps)
     truth = {("C1", "Q1"): 40.0, ("C1", "Q2"): 40.0,
              ("C2", "Q2"): 25.0, ("C2", "Q3"): 25.0}
-    resolved = CouplingResults(LINES_T1, truth)
     rng = np.random.default_rng(1)
     for _ in range(2):
         f = lambda j: float(j * (1.0 + rng.uniform(-0.05, 0.05)))
-        pert = AdjacencyHypothesis(
-            entries=(ControlHypothesis(574.264, (("Q1", f(40.0)), ("Q2", f(40.0)))),
-                     ControlHypothesis(625.736, (("Q3", f(25.0)), ("Q2", f(25.0))))),
-            detection_threshold_mev=1.0)
-        for cid in ("C1", "C2"):
-            rep = calibrate_gate_time(pert, cid, resolved)
+        pert = (ControlHypothesis(574.264, (("Q1", f(40.0)), ("Q2", f(40.0)))),
+                ControlHypothesis(625.736, (("Q3", f(25.0)), ("Q2", f(25.0)))))
+        for cid, entry in zip(("C1", "C2"), pert):
+            rep = calibrate_gate_time(entry, cid, truth)
             assert rep.fidelity_to_target >= 0.95
 
 
@@ -287,33 +273,23 @@ def test_generic_ratio_clusters_are_tau_sensitive():
     # documents that honestly rather than asserting robustness
     truth = {("C1", "Q1"): 116.4, ("C1", "Q2"): 38.61,
              ("C2", "Q2"): 20.92, ("C2", "Q3"): 147.5}
-    resolved = CouplingResults(LINES_T1, truth)
     rng = np.random.default_rng(0)
     fids = []
     for _ in range(2):
         f = lambda j: float(j * (1.0 + rng.uniform(-0.05, 0.05)))
-        pert = AdjacencyHypothesis(
-            entries=(ControlHypothesis(574.264, (("Q1", f(116.4)), ("Q2", f(38.61)))),
-                     ControlHypothesis(625.736, (("Q3", f(147.5)), ("Q2", f(20.92))))),
-            detection_threshold_mev=1.0)
-        for cid in ("C1", "C2"):
-            fids.append(calibrate_gate_time(pert, cid, resolved).fidelity_to_target)
+        pert = (ControlHypothesis(574.264, (("Q1", f(116.4)), ("Q2", f(38.61)))),
+                ControlHypothesis(625.736, (("Q3", f(147.5)), ("Q2", f(20.92)))))
+        for cid, entry in zip(("C1", "C2"), pert):
+            fids.append(calibrate_gate_time(entry, cid, truth).fidelity_to_target)
     assert all(0.0 < f_ <= 1.0 + 1e-12 for f_ in fids)
     assert max(fids) > 0.9  # some draws stay close
     assert min(fids) > 0.2  # none collapse to an unrelated gate
 
 
 def test_calibration_needs_two_inferred_qubits():
-    resolved = CouplingResults(LINES_T1, {("C1", "Q1"): 116.4})
-    one = AdjacencyHypothesis(
-        entries=(ControlHypothesis(574.264, (("Q1", 116.4),)),),
-        detection_threshold_mev=1.0)
+    one = ControlHypothesis(574.264, (("Q1", 116.4),))
     with pytest.raises(PreconditionError):
-        calibrate_gate_time(one, "C1", resolved)
-    with pytest.raises(PreconditionError):
-        calibrate_gate_time(AdjacencyHypothesis(entries=(),
-                                                detection_threshold_mev=1.0),
-                            "C1", resolved)
+        calibrate_gate_time(one, "C1", {("C1", "Q1"): 116.4})
 
 
 def test_epr_model_validation():

@@ -18,6 +18,7 @@ from donorgate import (
     realize_placements,
     run_feasibility,
 )
+from donorgate import feasibility
 from donorgate.feasibility import _capable_controls
 
 # excited-state couplings of the bundled cluster, frozen from a direct run
@@ -116,6 +117,32 @@ def test_cluster_configuration_round_trip(table1_report):
                                       rel=5e-3)
     for cal in conf["calibrations"]:
         assert cal["fidelity_to_target"] > 1 - 1e-6
+
+
+def test_each_control_is_calibrated_from_a_resonance_attributed_to_it(monkeypatch):
+    # the lines sit at 574.264 (C1) and 625.736 meV (C2). The 601 meV entry
+    # is the one nearest C1's line, but it lies nearer C2's, so it is C2's;
+    # C1 must be timed from its own 540 meV entry
+    real = feasibility.infer_adjacency
+
+    def shifted(scan, threshold):
+        hyp = real(scan, threshold)
+        c1, c2 = sorted(hyp.entries, key=lambda e: e.optical_energy_mev)
+        entries = (dataclasses.replace(c1, optical_energy_mev=540.0),
+                   dataclasses.replace(c2, optical_energy_mev=601.0),
+                   dataclasses.replace(c2, optical_energy_mev=626.0))
+        return dataclasses.replace(hyp, entries=entries)
+
+    monkeypatch.setattr(feasibility, "infer_adjacency", shifted)
+    _, sc = get_preset("table1")
+    conf = run_feasibility(sc).configuration
+    assert [e["control"] for e in conf["entries"]] == ["C1", "C2", "C2"]
+    cals = {c["control"]: c for c in conf["calibrations"]}
+    assert sorted(cals["C1"]["qubits"]) == ["Q1", "Q2"]
+    assert sorted(cals["C2"]["qubits"]) == ["Q2", "Q3"]
+    for control, want in TABLE1_CALIBRATIONS.items():
+        got = (cals[control]["duration_ps"], cals[control]["fidelity_to_target"])
+        assert got == pytest.approx(want, rel=1e-9), control
 
 
 def test_report_is_deterministic(table1_report):

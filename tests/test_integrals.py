@@ -337,17 +337,22 @@ def test_partly_warm_grid_gives_the_cold_rows(monkeypatch, kernel_calls):
 
 def test_ill_conditioned_error_names_the_first_close_separation(cold_cache):
     # twelve near-coincident p2-p2 pairs span two kernel chunks; the error
-    # must name the first of them, not the last or the first of a later chunk
+    # must name the first of them, not the last or the first of a later
+    # chunk, as the separation in angstrom the caller passed
     control = model_from_ionization("P", 0.6, 5.7)
     scale = control.excited_orbital_radius_a()
     close = [0.01 * k for k in range(1, 13)]
     transfer_splitting_curve(control, [40.0])  # a warm point after them
     with pytest.raises(IllConditionedGeometryError,
-                       match=rf"reduced separation {close[0] / scale:.3f};"):
+                       match=r"at separation 0\.01 A;"):
         transfer_splitting_curve(control, close + [40.0])
     with pytest.raises(IllConditionedGeometryError,
-                       match=rf"reduced separation {close[5] / scale:.3f};"):
+                       match=r"at separation 0\.06 A;"):
         transfer_splitting_curve(control, close[5:] + [40.0])
+    a = OrbitalSpec("p2", scale)
+    with pytest.raises(IllConditionedGeometryError,
+                       match=r"at separation 0\.03 A;"):
+        pair_integrals(a, OrbitalSpec("p2", scale, (0.0, 0.0, 0.03)), EPS)
 
 
 def test_boys_downward_recursion_matches_reference():

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (DependencyError, InvalidSpecError, NoCleanGateError,
-                     PreconditionError)
+                     PreconditionError, finite, sorted_pairs, store_finite)
 from .spins import (GateReport, SpinSystem, gate_fidelity,
                     induced_qubit_operator, sfg_gate, unitary_part)
 
@@ -44,17 +44,18 @@ class EprModel:
     spread sampled by the owning scenario)."""
 
     linewidth_mev: float
-    zeeman_offsets_mev: tuple = None  # ((label, meV), ...) explicit
+    zeeman_offsets_mev: tuple = None  # ((label, meV), ...) explicit, by label
     zeeman_spread_fwhm_mev: float = None
 
     def __post_init__(self):
+        store_finite(self, "linewidth_mev", "zeeman_spread_fwhm_mev")
         if self.linewidth_mev <= 0:
             raise InvalidSpecError("EPR linewidth must be positive")
         if self.zeeman_offsets_mev is None and self.zeeman_spread_fwhm_mev is None:
             raise InvalidSpecError("give explicit zeeman offsets or a spread")
         if self.zeeman_offsets_mev is not None:
-            object.__setattr__(self, "zeeman_offsets_mev",
-                               tuple((str(l), float(v)) for l, v in self.zeeman_offsets_mev))
+            object.__setattr__(self, "zeeman_offsets_mev", sorted_pairs(
+                self.zeeman_offsets_mev, lambda v: finite(v, "zeeman offset")))
 
 
 @dataclass(frozen=True, eq=False)

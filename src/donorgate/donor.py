@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass, replace
 
 from .constants import BOHR_ANGSTROM, K_B_MEV_PER_K, MU_B_MEV_PER_T, RYDBERG_EV
-from .errors import InvalidModelError
+from .errors import InvalidModelError, store_finite
 
 _ROLES = ("qubit", "control")
 
@@ -30,15 +30,19 @@ class DonorModel:
     species_name: str
     role: str
     binding_energy_ev: float
-    central_cell_split_ev: float
     dielectric_constant: float
     effective_bohr_radius_a: float
+    central_cell_split_ev: float = 0.0
     radius_scale_factor: float = 1.0
     spin: float = 0.5
     t1_s: float | None = None
     t2_s: float | None = None
 
     def __post_init__(self):
+        store_finite(self, "binding_energy_ev", "dielectric_constant",
+                     "effective_bohr_radius_a", "central_cell_split_ev",
+                     "radius_scale_factor", "spin", "t1_s", "t2_s",
+                     error=InvalidModelError)
         if self.role not in _ROLES:
             raise InvalidModelError(f"role must be one of {_ROLES}")
         if self.binding_energy_ev <= 0:

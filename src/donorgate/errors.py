@@ -1,9 +1,13 @@
-"""Exception hierarchy.
+"""Exception hierarchy, and the value checks the input records share.
 
 Every error raised by the library derives from DonorgateError so callers can
 catch at the package boundary. The harness maps these onto per-stage exit
 codes.
 """
+
+import math
+import numbers
+from dataclasses import fields
 
 
 class DonorgateError(Exception):
@@ -73,3 +77,42 @@ class StageError(DonorgateError):
         super().__init__(f"stage '{stage}' failed: {cause}")
         self.stage = stage
         self.cause = cause
+
+
+# -- value checks shared by the input records --------------------------------
+
+def finite(value, what: str, error=InvalidSpecError) -> float:
+    """`value` as a float; it must be a finite real number (a bool or a
+    string is not one)."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not math.isfinite(value)):
+        raise error(f"{what} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def count(value, what: str, error=InvalidSpecError) -> int:
+    """`value` as an int; it must be a non-negative integer."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 0:
+        raise error(f"{what} must be a non-negative integer, got {value!r}")
+    return int(value)
+
+
+def store_finite(record, *names, error=InvalidSpecError) -> None:
+    """Store the named fields of the frozen dataclass `record` as finite
+    floats; a field whose default is None may also be None."""
+    optional = {f.name for f in fields(record) if f.default is None}
+    for name in names:
+        value = getattr(record, name)
+        if value is not None or name not in optional:
+            object.__setattr__(record, name, finite(value, name, error))
+
+
+def sorted_pairs(items, value) -> tuple:
+    """A mapping, or (key, value) pairs with unique keys, as (str, value(v))
+    pairs sorted by key."""
+    pairs = items.items() if hasattr(items, "items") else items
+    out = tuple(sorted((str(k), value(v)) for k, v in pairs))
+    keys = [k for k, _ in out]
+    if len(set(keys)) != len(keys):
+        raise InvalidSpecError(f"duplicate keys in {keys}")
+    return out

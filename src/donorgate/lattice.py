@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import DIAMOND_LATTICE_CONSTANT
-from .errors import InsufficientRegionError, InvalidSpecError
+from .errors import InsufficientRegionError, InvalidSpecError, store_finite
 
 
 @dataclass(frozen=True)
@@ -37,6 +37,7 @@ class LatticeSpec:
     lattice_constant: float = DIAMOND_LATTICE_CONSTANT
 
     def __post_init__(self):
+        store_finite(self, "bounding_radius", "lattice_constant")
         if self.lattice_constant <= 0:
             raise InvalidSpecError("lattice_constant must be positive")
         if self.bounding_radius < 0:

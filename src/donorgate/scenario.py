@@ -5,19 +5,26 @@ coordinates or a random doping spec), the optical and EPR measurement
 models, and the thresholds and targets the report is judged against. It
 serializes to a versioned JSON schema with unknown keys rejected, so a saved
 file regenerates its outputs exactly.
+
+The schema lives in the records themselves: each JSON section holds one
+record's dataclass fields, a field without a default is a required key, and
+the record's `__post_init__` checks and normalises every value. The one key
+table `_KEYS` names the few keys that differ from their field names; the
+writer (`Scenario.to_dict`) and the reader (`scenario_from_dict`) both walk
+it.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, dataclass, fields, is_dataclass, replace
 
 import numpy as np
 
 from .configure import EprModel
-from .constants import DIAMOND_LATTICE_CONSTANT
 from .donor import DonorModel, model_from_ionization
-from .errors import InvalidSpecError, ScenarioValidationError
+from .errors import (DonorgateError, InvalidSpecError, ScenarioValidationError,
+                     count, finite, sorted_pairs, store_finite)
 from .lattice import LatticeSpec
 from .spectra import (GAUSSIAN_FWHM, SpectralModel, wavelength_to_mev,
                       wavelength_width_to_mev)
@@ -32,7 +39,8 @@ class Placement:
     position_a: tuple
 
     def __post_init__(self):
-        pos = tuple(float(x) for x in self.position_a)
+        pos = tuple(finite(x, f"placement {self.label!r} coordinate")
+                    for x in self.position_a)
         if len(pos) == 2:
             pos = pos + (0.0,)
         if len(pos) != 3:
@@ -49,16 +57,16 @@ class RandomPlacementSpec:
     seed: int
 
     def __post_init__(self):
+        store_finite(self, "concentration")
         if not 0.0 <= self.concentration < 1.0:
             raise InvalidSpecError("concentration must be in [0, 1)")
-        mix = tuple(sorted((str(n), float(f)) for n, f in (
-            self.mix.items() if hasattr(self.mix, "items") else self.mix)))
+        mix = sorted_pairs(self.mix, lambda f: finite(f, "mix fraction"))
         if not mix or abs(sum(f for _, f in mix) - 1.0) > 1e-9:
             raise InvalidSpecError("species mix fractions must sum to 1")
         if any(f < 0 for _, f in mix):
             raise InvalidSpecError("mix fractions must be non-negative")
         object.__setattr__(self, "mix", mix)
-        object.__setattr__(self, "seed", int(self.seed))
+        object.__setattr__(self, "seed", count(self.seed, "seed"))
 
 
 @dataclass(frozen=True)
@@ -77,9 +85,19 @@ class Scenario:
     n_qubit_target: int = 0
     n_gate_target: int = 0
     seed: int = 0
-    metadata: tuple = ()
+    metadata: tuple = ()  # ((key, text), ...) by key
 
     def __post_init__(self):
+        positive = ("detection_threshold_mev", "min_gate_coupling_mev",
+                    "pair_cutoff_a", "excitation_energy_mev")
+        store_finite(self, *positive)
+        for name in positive:
+            if getattr(self, name) <= 0:
+                raise InvalidSpecError(f"{name} must be positive")
+        for name in ("n_qubit_target", "n_gate_target", "seed"):
+            object.__setattr__(self, name, count(getattr(self, name), name))
+        object.__setattr__(self, "name", str(self.name))
+        object.__setattr__(self, "metadata", sorted_pairs(self.metadata, str))
         if (self.placements is None) == (self.random_placement is None):
             raise InvalidSpecError(
                 "exactly one of explicit placements or a random spec is required")
@@ -105,16 +123,7 @@ class Scenario:
             missing = {n for n, _ in self.random_placement.mix} - set(names)
             if missing:
                 raise InvalidSpecError(f"random mix references unknown species {sorted(missing)}")
-        for value, what in ((self.detection_threshold_mev, "detection threshold"),
-                            (self.min_gate_coupling_mev, "gate coupling floor"),
-                            (self.pair_cutoff_a, "pair cutoff"),
-                            (self.excitation_energy_mev, "excitation energy")):
-            if value <= 0:
-                raise InvalidSpecError(f"{what} must be positive")
         object.__setattr__(self, "species", species)
-        object.__setattr__(self, "seed", int(self.seed))
-        object.__setattr__(self, "metadata",
-                           tuple((str(k), str(v)) for k, v in self.metadata))
 
     # -- accessors ---------------------------------------------------------
 
@@ -178,196 +187,114 @@ class Scenario:
     # -- serialization -----------------------------------------------------
 
     def to_dict(self) -> dict:
-        out = {
-            "schema_version": SCHEMA_VERSION,
-            "name": self.name,
-            "seed": self.seed,
-            "lattice": {
-                "bounding_radius_a": self.lattice.bounding_radius,
-                "lattice_constant_a": self.lattice.lattice_constant,
-            },
-            "species": [_species_to_dict(s) for s in self.species],
-            "spectral": {
-                "base_transition_mev": self.spectral.base_transition_mev,
-                "homogeneous_fwhm_mev": self.spectral.homogeneous_fwhm_mev,
-                "disorder_components": [list(c) for c in self.spectral.disorder_components],
-                "resolution_factor": self.spectral.resolution_factor,
-            },
-            "epr": {
-                "linewidth_mev": self.epr.linewidth_mev,
-                "zeeman_offsets_mev": (None if self.epr.zeeman_offsets_mev is None
-                                       else {l: v for l, v in self.epr.zeeman_offsets_mev}),
-                "zeeman_spread_fwhm_mev": self.epr.zeeman_spread_fwhm_mev,
-            },
-            "thresholds": {
-                "detection_mev": self.detection_threshold_mev,
-                "min_gate_coupling_mev": self.min_gate_coupling_mev,
-                "pair_cutoff_a": self.pair_cutoff_a,
-            },
-            "targets": {"n_qubits": self.n_qubit_target, "n_gates": self.n_gate_target},
-            "excitation_energy_mev": self.excitation_energy_mev,
-            "metadata": {k: v for k, v in self.metadata},
-        }
-        if self.placements is not None:
-            out["placements"] = [
-                {"label": p.label, "species": p.species, "position_a": list(p.position_a)}
-                for p in self.placements
-            ]
-        else:
-            out["random_placement"] = {
-                "concentration": self.random_placement.concentration,
-                "mix": {n: f for n, f in self.random_placement.mix},
-                "seed": self.random_placement.seed,
-            }
+        out = {"schema_version": SCHEMA_VERSION, **_write(self)}
+        # only the placement source in use is written
+        for key in ("placements", "random_placement"):
+            if out[key] is None:
+                del out[key]
         return out
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
 
-_SPECIES_KEYS = frozenset({
-    "species_name", "role", "binding_energy_ev", "central_cell_split_ev",
-    "dielectric_constant", "effective_bohr_radius_a", "radius_scale_factor",
-    "spin", "t1_s", "t2_s"})
+# The JSON key of every record field is its name, except these: a new name,
+# or a "group.key" path that nests the field in a sub-object of its section.
+_KEYS = {
+    (LatticeSpec, "bounding_radius"): "bounding_radius_a",
+    (LatticeSpec, "lattice_constant"): "lattice_constant_a",
+    (Scenario, "detection_threshold_mev"): "thresholds.detection_mev",
+    (Scenario, "min_gate_coupling_mev"): "thresholds.min_gate_coupling_mev",
+    (Scenario, "pair_cutoff_a"): "thresholds.pair_cutoff_a",
+    (Scenario, "n_qubit_target"): "targets.n_qubits",
+    (Scenario, "n_gate_target"): "targets.n_gates",
+}
+# fields held as sorted (key, value) pairs, written as JSON objects
+_OBJECTS = {(EprModel, "zeeman_offsets_mev"), (RandomPlacementSpec, "mix"),
+            (Scenario, "metadata")}
+# the scenario's sections that hold records, and those that hold lists of them
+_RECORDS = {"lattice": LatticeSpec, "spectral": SpectralModel, "epr": EprModel,
+            "random_placement": RandomPlacementSpec}
+_RECORD_LISTS = {"species": DonorModel, "placements": Placement}
 
 
-def _species_to_dict(s: DonorModel) -> dict:
-    return {
-        "species_name": s.species_name,
-        "role": s.role,
-        "binding_energy_ev": s.binding_energy_ev,
-        "central_cell_split_ev": s.central_cell_split_ev,
-        "dielectric_constant": s.dielectric_constant,
-        "effective_bohr_radius_a": s.effective_bohr_radius_a,
-        "radius_scale_factor": s.radius_scale_factor,
-        "spin": s.spin,
-        "t1_s": s.t1_s,
-        "t2_s": s.t2_s,
-    }
+def _json_keys(cls) -> dict:
+    return {f.name: _KEYS.get((cls, f.name), f.name) for f in fields(cls)}
 
 
-def _check_keys(mapping: dict, allowed: set, required: set, path: str):
-    unknown = set(mapping) - allowed
-    if unknown:
+def _plain(value):
+    if is_dataclass(value):
+        return _write(value)
+    if isinstance(value, tuple):
+        return [_plain(v) for v in value]
+    return value
+
+
+def _write(record) -> dict:
+    out = {}
+    for name, key in _json_keys(type(record)).items():
+        value = getattr(record, name)
+        if (type(record), name) in _OBJECTS and value is not None:
+            value = dict(value)
+        *group, key = key.split(".")
+        section = out.setdefault(group[0], {}) if group else out
+        section[key] = _plain(value)
+    return out
+
+
+def _expect(value, kind, path: str):
+    if not isinstance(value, kind):
         raise ScenarioValidationError(
-            f"unknown key(s) {sorted(unknown)}", path=path)
-    missing = required - set(mapping)
+            f"must be a JSON {'object' if kind is dict else 'list'}, "
+            f"got {type(value).__name__}", path=path)
+
+
+def _read(cls, data, path: str):
+    """`cls` built from its JSON section `data`, whose keys are the fields
+    of `cls` under their `_KEYS` names; a field without a default is
+    required. Any failure, the record's own checks included, is reported at
+    `path`."""
+    _expect(data, dict, path)
+    keys = _json_keys(cls)
+    groups = {key.split(".")[0] for key in keys.values() if "." in key}
+    flat = {}
+    for key, value in data.items():
+        if key in groups:
+            _expect(value, dict, f"{path}.{key}")
+            flat.update({f"{key}.{k}": v for k, v in value.items()})
+        else:
+            flat[key] = value
+    unknown = set(flat) - set(keys.values())
+    if unknown:
+        raise ScenarioValidationError(f"unknown key(s) {sorted(unknown)}", path=path)
+    missing = {keys[f.name] for f in fields(cls) if f.default is MISSING} - set(flat)
     if missing:
         raise ScenarioValidationError(
             f"missing required key(s) {sorted(missing)}", path=path)
+    kwargs = {name: flat[key] for name, key in keys.items() if key in flat}
+    try:
+        return cls(**kwargs)
+    except (DonorgateError, TypeError, ValueError) as err:
+        raise ScenarioValidationError(str(err), path=path) from err
 
 
 def scenario_from_dict(data: dict, path: str = "scenario") -> Scenario:
-    if not isinstance(data, dict):
-        raise ScenarioValidationError("scenario must be a JSON object", path=path)
-    _check_keys(
-        data,
-        allowed={"schema_version", "name", "seed", "lattice", "species",
-                 "placements", "random_placement", "spectral", "epr",
-                 "thresholds", "targets", "excitation_energy_mev", "metadata"},
-        required={"schema_version", "name", "lattice", "species", "spectral", "epr"},
-        path=path,
-    )
-    if data["schema_version"] != SCHEMA_VERSION:
+    _expect(data, dict, path)
+    data = dict(data)
+    version = data.pop("schema_version", None)
+    if version != SCHEMA_VERSION:
         raise ScenarioValidationError(
-            f"unsupported schema_version {data['schema_version']!r} "
+            f"missing or unsupported schema_version {version!r} "
             f"(this build reads {SCHEMA_VERSION})", path=f"{path}.schema_version")
-
-    lat = data["lattice"]
-    _check_keys(lat, {"bounding_radius_a", "lattice_constant_a"},
-                {"bounding_radius_a"}, f"{path}.lattice")
-    lattice = LatticeSpec(
-        bounding_radius=float(lat["bounding_radius_a"]),
-        lattice_constant=float(lat.get("lattice_constant_a", DIAMOND_LATTICE_CONSTANT)),
-    )
-
-    species = []
-    for k, sd in enumerate(data["species"]):
-        spath = f"{path}.species[{k}]"
-        _check_keys(sd, _SPECIES_KEYS,
-                    {"species_name", "role", "binding_energy_ev",
-                     "dielectric_constant", "effective_bohr_radius_a"}, spath)
-        try:
-            species.append(DonorModel(**{"central_cell_split_ev": 0.0, **sd}))
-        except Exception as err:
-            raise ScenarioValidationError(str(err), path=spath) from err
-
-    spec = data["spectral"]
-    _check_keys(spec, {"base_transition_mev", "homogeneous_fwhm_mev",
-                       "disorder_components", "resolution_factor"},
-                {"base_transition_mev", "homogeneous_fwhm_mev"}, f"{path}.spectral")
-    spectral = SpectralModel(
-        base_transition_mev=float(spec["base_transition_mev"]),
-        homogeneous_fwhm_mev=float(spec["homogeneous_fwhm_mev"]),
-        disorder_components=tuple((n, w) for n, w in spec.get("disorder_components", [])),
-        resolution_factor=float(spec.get("resolution_factor", 1.5)),
-    )
-
-    epr_d = data["epr"]
-    _check_keys(epr_d, {"linewidth_mev", "zeeman_offsets_mev", "zeeman_spread_fwhm_mev"},
-                {"linewidth_mev"}, f"{path}.epr")
-    offsets = epr_d.get("zeeman_offsets_mev")
-    epr = EprModel(
-        linewidth_mev=float(epr_d["linewidth_mev"]),
-        zeeman_offsets_mev=(None if offsets is None else tuple(sorted(offsets.items()))),
-        zeeman_spread_fwhm_mev=epr_d.get("zeeman_spread_fwhm_mev"),
-    )
-
-    placements = None
-    random_placement = None
-    if "placements" in data and "random_placement" in data:
-        raise ScenarioValidationError(
-            "placements and random_placement are mutually exclusive", path=path)
-    if "placements" in data:
-        placements = []
-        for k, pd in enumerate(data["placements"]):
-            ppath = f"{path}.placements[{k}]"
-            _check_keys(pd, {"label", "species", "position_a"},
-                        {"label", "species", "position_a"}, ppath)
-            try:
-                placements.append(Placement(pd["label"], pd["species"],
-                                            tuple(pd["position_a"])))
-            except Exception as err:
-                raise ScenarioValidationError(str(err), path=ppath) from err
-    elif "random_placement" in data:
-        rd = data["random_placement"]
-        _check_keys(rd, {"concentration", "mix", "seed"},
-                    {"concentration", "mix", "seed"}, f"{path}.random_placement")
-        random_placement = RandomPlacementSpec(
-            concentration=float(rd["concentration"]),
-            mix=tuple(sorted(rd["mix"].items())),
-            seed=int(rd["seed"]),
-        )
-    else:
-        raise ScenarioValidationError(
-            "one of placements or random_placement is required", path=path)
-
-    thr = data.get("thresholds", {})
-    _check_keys(thr, {"detection_mev", "min_gate_coupling_mev", "pair_cutoff_a"},
-                set(), f"{path}.thresholds")
-    targets = data.get("targets", {})
-    _check_keys(targets, {"n_qubits", "n_gates"}, set(), f"{path}.targets")
-
-    try:
-        return Scenario(
-            name=str(data["name"]),
-            lattice=lattice,
-            species=tuple(species),
-            spectral=spectral,
-            epr=epr,
-            placements=None if placements is None else tuple(placements),
-            random_placement=random_placement,
-            detection_threshold_mev=float(thr.get("detection_mev", 1.0)),
-            min_gate_coupling_mev=float(thr.get("min_gate_coupling_mev", 1.0)),
-            pair_cutoff_a=float(thr.get("pair_cutoff_a", 40.0)),
-            excitation_energy_mev=float(data.get("excitation_energy_mev", 600.0)),
-            n_qubit_target=int(targets.get("n_qubits", 0)),
-            n_gate_target=int(targets.get("n_gates", 0)),
-            seed=int(data.get("seed", 0)),
-            metadata=tuple(sorted(data.get("metadata", {}).items())),
-        )
-    except InvalidSpecError as err:
-        raise ScenarioValidationError(str(err), path=path) from err
+    for key, value in data.items():
+        where = f"{path}.{key}"
+        if key in _RECORDS:
+            data[key] = _read(_RECORDS[key], value, where)
+        elif key in _RECORD_LISTS:
+            _expect(value, list, where)
+            data[key] = tuple(_read(_RECORD_LISTS[key], item, f"{where}[{k}]")
+                              for k, item in enumerate(value))
+    return _read(Scenario, data, path)
 
 
 def load_scenario(file) -> Scenario:

@@ -21,7 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import HC_MEV_NM
-from .errors import DependencyError, InvalidSpecError, PreconditionError
+from .errors import (DependencyError, InvalidSpecError, PreconditionError,
+                     finite, store_finite)
 
 # FWHM of a unit-sigma Gaussian
 GAUSSIAN_FWHM = 2.0 * math.sqrt(2.0 * math.log(2.0))
@@ -54,19 +55,23 @@ class SpectralModel:
     resolution_factor: float = 1.5
 
     def __post_init__(self):
+        store_finite(self, "base_transition_mev", "homogeneous_fwhm_mev",
+                     "resolution_factor")
+        # kept in the given order: it fixes the order of the random draws
+        components = tuple((str(n), finite(w, f"disorder width {n!r}"))
+                           for n, w in self.disorder_components)
+        object.__setattr__(self, "disorder_components", components)
         if self.homogeneous_fwhm_mev <= 0:
             raise InvalidSpecError("homogeneous width must be positive")
         if self.resolution_factor < 1.0:
             raise InvalidSpecError("resolution factor below 1 merges adjacent lines")
-        names = [name for name, _ in self.disorder_components]
+        names = [name for name, _ in components]
         if len(set(names)) != len(names):
             raise InvalidSpecError("disorder component names must be unique")
         if _RESERVED_COMPONENT in names:
             raise InvalidSpecError(f"component name '{_RESERVED_COMPONENT}' is reserved")
-        if any(width < 0 for _, width in self.disorder_components):
+        if any(width < 0 for _, width in components):
             raise InvalidSpecError("disorder widths must be non-negative")
-        object.__setattr__(self, "disorder_components",
-                           tuple((str(n), float(w)) for n, w in self.disorder_components))
 
 
 @dataclass(frozen=True)

@@ -145,6 +145,48 @@ def test_scenario_file_input(capsys, tmp_path):
     assert len(json.loads(out)["entries"]) == 2
 
 
+def test_saved_preset_reproduces_the_preset_report(capsys, tmp_path):
+    from donorgate import get_preset, save_scenario
+    path = tmp_path / "saved_table1.json"
+    save_scenario(get_preset("table1")[1], path)
+    code_file, from_file, _ = _run(capsys, "feasibility", "run", "--scenario", str(path))
+    code_preset, from_preset, _ = _run(capsys, "feasibility", "run", "--preset", "table1")
+    assert code_file == code_preset == 0
+    assert from_file == from_preset
+
+
+# one edit each to a saved table1: (key path, new value, the JSON path the
+# error names after the file name, a word the message must contain)
+@pytest.mark.parametrize("keys, value, where, said", [
+    (("lattice",), 5, ".lattice", "object"),
+    (("species",), 3, ".species", "list"),
+    (("thresholds", "detection_mev"), "abc", "", "detection"),
+    (("epr", "zeeman_spread_fwhm_mev"), "x", ".epr", "zeeman_spread_fwhm_mev"),
+    (("spectral", "homogeneous_fwhm_mev"), float("nan"), ".spectral", "homogeneous"),
+    (("thresholds", "pair_cutoff_a"), float("nan"), "", "pair_cutoff_a"),
+    (("targets", "n_gates"), -1, "", "n_gate_target"),
+    (("lattice", "bounding_radius_a"), float("nan"), ".lattice", "bounding_radius"),
+], ids=["lattice-not-object", "species-not-list", "detection-string",
+        "zeeman-spread-string", "homogeneous-nan", "pair-cutoff-nan",
+        "negative-gate-target", "bounding-radius-nan"])
+def test_malformed_scenario_file_exits_2_naming_its_path(capsys, tmp_path, keys,
+                                                         value, where, said):
+    from donorgate import get_preset
+    data = json.loads(get_preset("table1")[1].to_json())
+    *parents, leaf = keys
+    section = data
+    for key in parents:
+        section = section[key]
+    section[leaf] = value
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(data))
+    code, out, err = _run(capsys, "feasibility", "run", "--scenario", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"donorgate: error: {path}{where}: ")
+    assert said in err
+
+
 def test_presets_list(capsys):
     code, out, _ = _run(capsys, "presets", "list", "--format", "csv")
     assert code == 0

@@ -110,10 +110,45 @@ def test_epr_offsets_sampled_deterministically_from_seed():
     assert sc1.qubit_epr_offsets() != sc3.qubit_epr_offsets()
 
 
-def test_json_round_trip_is_lossless():
-    sc = _minimal(metadata=(("note", "round trip"),))
+def _random_patch():
+    """table1's species placed at random: R = 40 A, c = 0.3 %, P:N = 0.4:0.6."""
+    _, table1 = get_preset("table1")
+    return dataclasses.replace(
+        table1, name="patch", placements=None, lattice=LatticeSpec(40.0),
+        random_placement=RandomPlacementSpec(0.003, {"P": 0.4, "N": 0.6}, seed=0))
+
+
+@pytest.mark.parametrize("build", [
+    _minimal,
+    lambda: get_preset("table1")[1],
+    _random_patch,
+    lambda: _minimal(epr=EprModel(0.05, zeeman_offsets_mev=(("Q1", 1.0), ("Q0", -2.0)))),
+    lambda: _minimal(metadata=(("note", "round trip"), ("author", "unit"))),
+    lambda: _minimal(spectral=SpectralModel(
+        600.0, 1.1, (("strain", 3.0), ("charge", 2.0)), 1.5)),
+], ids=["minimal", "table1", "random-patch", "unsorted-zeeman-offsets",
+        "unsorted-metadata", "disorder-order"])
+def test_json_round_trip_is_lossless(build):
+    sc = build()
     back = scenario_from_dict(json.loads(sc.to_json()))
     assert back == sc
+    assert back.to_json() == sc.to_json()
+
+
+def test_disorder_components_keep_their_order():
+    # the order fixes the order of the random draws, so it is not sorted
+    sc = _minimal(spectral=SpectralModel(600.0, 1.1, (("strain", 3.0), ("charge", 2.0)), 1.5))
+    back = scenario_from_dict(json.loads(sc.to_json()))
+    assert [n for n, _ in back.spectral.disorder_components] == ["strain", "charge"]
+
+
+def test_integer_values_load_as_floats():
+    sc = _minimal(lattice=LatticeSpec(40.0))
+    data = json.loads(sc.to_json())
+    data["lattice"]["bounding_radius_a"] = 40
+    back = scenario_from_dict(data)
+    assert back == sc
+    assert '"bounding_radius_a": 40.0,' in back.to_json()
 
 
 def test_file_round_trip(tmp_path):
@@ -121,6 +156,16 @@ def test_file_round_trip(tmp_path):
     path = tmp_path / "unit.json"
     save_scenario(sc, path)
     assert load_scenario(path) == sc
+
+
+def test_duplicate_labels_rejected():
+    # a JSON object cannot hold them, so they could not be saved
+    with pytest.raises(InvalidSpecError, match="duplicate"):
+        EprModel(0.05, zeeman_offsets_mev=(("Q1", 1.0), ("Q1", 2.0)))
+    with pytest.raises(InvalidSpecError, match="duplicate"):
+        RandomPlacementSpec(0.01, (("P", 0.5), ("P", 0.5)), seed=1)
+    with pytest.raises(InvalidSpecError, match="duplicate"):
+        _minimal(metadata=(("note", "a"), ("note", "b")))
 
 
 def test_schema_version_checked():

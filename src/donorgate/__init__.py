@@ -15,15 +15,15 @@ otherwise; all linewidth-like parameters are FWHM.
 
 from .constants import (BOHR_ANGSTROM, DIAMOND_LATTICE_CONSTANT, HBAR_MEV_PS,
                         HC_MEV_NM, RYDBERG_EV, medium_hartree_mev)
-from .donor import (DonorModel, ZeemanCheck, model_from_exciton,
-                    model_from_ionization, with_radius_scale, zeeman_check)
+from .donor import (DonorModel, ZeemanCheck, model_from_ionization,
+                    with_radius_scale, zeeman_check)
 from .errors import (DependencyError, DimensionError, DonorgateError,
                      FitFailureError, IllConditionedGeometryError,
                      InsufficientRegionError, InvalidModelError,
                      InvalidSpecError, NoCleanGateError, PreconditionError,
                      ScenarioValidationError, StageError)
 from .lattice import (DopedRegion, LatticeSpec, NeighborStatistics, ShellTable,
-                      Site, enumerate_sites, neighbor_statistics,
+                      Site, neighbor_statistics,
                       place_dopants, shell_sizes, sphere_count_report)
 from .orbitals import GaussianExpansion, OrbitalSpec, fit_gaussian_expansion
 from .integrals import (PairIntegralResult, TransferSplitting, exchange_curve,

@@ -28,7 +28,7 @@ from .integrals import exchange_curve, transfer_splitting_curve
 from .lattice import (LatticeSpec, neighbor_statistics, place_dopants,
                       shell_sizes, sphere_count_report)
 from .scenario import get_preset, list_presets, load_scenario
-from .spins import SpinSystem, sfg_gate
+from .spins import sfg_gate
 
 
 def _common(parser):
@@ -191,13 +191,9 @@ def _cmd_splitting_curve(args):
 
 
 def _cmd_gate_run(args):
-    system = SpinSystem(
-        spins=(("C", "control"), ("Q1", "qubit"), ("Q2", "qubit")),
-        couplings={(0, 1): args.j1, (0, 2): args.j2},
-    )
     tau_range = None if args.tau_max is None else (0.0, args.tau_max)
     try:
-        report = sfg_gate(system, "C", tau_range,
+        report = sfg_gate(args.j1, args.j2, tau_range,
                           residual_threshold=args.threshold)
         clean = True
     except NoCleanGateError as err:

@@ -23,14 +23,14 @@ against the true couplings.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import (DependencyError, InvalidSpecError, NoCleanGateError,
                      PreconditionError, finite, sorted_pairs, store_finite)
-from .spins import (GateReport, SpinSystem, gate_fidelity,
-                    induced_qubit_operator, sfg_gate, unitary_part)
+from .spins import (GateReport, gate_fidelity, induced_qubit_operator,
+                    sfg_gate, unitary_part)
 
 # beyond this many simultaneously split couplings the 2^m fan is truncated
 # to the strongest ones; far outside any configuration of interest
@@ -280,15 +280,8 @@ def calibrate_gate_time(entry: ControlHypothesis, control_id: str,
             f"control {control_id!r} needs two coupled qubits, "
             f"inference found {len(ranked)}")
     (qa, ja_inferred), (qb, jb_inferred) = ranked[:2]
-
-    def cluster(j1, j2):
-        return SpinSystem(
-            spins=((control_id, "control"), (qa, "qubit"), (qb, "qubit")),
-            couplings={(0, 1): j1, (0, 2): j2},
-        )
-
     try:
-        inferred_report = sfg_gate(cluster(ja_inferred, jb_inferred), control_id)
+        inferred_report = sfg_gate(ja_inferred, jb_inferred)
     except NoCleanGateError as err:
         # generic coupling ratios have no exactly clean interval; run the
         # gate at the best dip, as the bench procedure would
@@ -299,22 +292,15 @@ def calibrate_gate_time(entry: ControlHypothesis, control_id: str,
     jb_true = couplings.get((control_id, qb), 0.0)
     if ja_true == 0.0 or jb_true == 0.0:
         raise DependencyError("ground-truth couplings missing for fidelity scoring")
-    true_system = cluster(ja_true, jb_true)
     try:
-        target_unitary = sfg_gate(true_system, control_id,
-                                  (0.7 * tau, 1.3 * tau)).qubit_unitary
+        target_unitary = sfg_gate(ja_true, jb_true, (0.7 * tau, 1.3 * tau)).qubit_unitary
     except NoCleanGateError as err:
         target_unitary = err.best_candidate.qubit_unitary
-    realized, _ = induced_qubit_operator(true_system, control_id, tau)
+    realized, _ = induced_qubit_operator(ja_true, jb_true, tau)
     # compare gates, not raw blocks: at a best-dip interval the induced block
     # carries a small non-unitary part that is not a calibration error
     realized_gate = unitary_part(realized)
 
-    return GateReport(
-        duration_ps=tau,
-        qubit_unitary=inferred_report.qubit_unitary,
-        control_residual_entanglement=inferred_report.control_residual_entanglement,
-        entangling_power=inferred_report.entangling_power,
-        fidelity_to_target=gate_fidelity(realized_gate, target_unitary),
-        qubit_labels=(qa, qb),
-    )
+    return replace(inferred_report,
+                   fidelity_to_target=gate_fidelity(realized_gate, target_unitary),
+                   qubit_labels=(qa, qb))

@@ -1,8 +1,6 @@
 """Effective-mass donor models and the thermal-initialization check.
 
-Two estimation routes are implemented: directly from an ionization energy,
-and from a bound-exciton binding via the Haynes-rule ratio. Both reduce to
-the same scaling relations
+A model is estimated from an ionization energy by the scaling relations
 
     m*/m0 = eps^2 * R_c / 13.6 eV
     a*    = 0.529 A * eps / (m*/m0) = 0.529 A * (13.6 eV / eps) / R_c
@@ -18,7 +16,7 @@ import math
 from dataclasses import dataclass, replace
 
 from .constants import BOHR_ANGSTROM, K_B_MEV_PER_K, MU_B_MEV_PER_T, RYDBERG_EV
-from .errors import InvalidModelError, store_finite
+from .errors import InvalidModelError, store_finite, text
 
 _ROLES = ("qubit", "control")
 
@@ -43,6 +41,7 @@ class DonorModel:
                      "effective_bohr_radius_a", "central_cell_split_ev",
                      "radius_scale_factor", "spin", "t1_s", "t2_s",
                      error=InvalidModelError)
+        text(self.species_name, "species_name", InvalidModelError)
         if self.role not in _ROLES:
             raise InvalidModelError(f"role must be one of {_ROLES}")
         if self.binding_energy_ev <= 0:
@@ -55,6 +54,9 @@ class DonorModel:
             raise InvalidModelError("effective Bohr radius must be positive")
         if not (0.0 < self.radius_scale_factor <= 1.0):
             raise InvalidModelError("radius_scale_factor must lie in (0, 1]")
+        for name in ("t1_s", "t2_s"):
+            if getattr(self, name) is not None and getattr(self, name) <= 0:
+                raise InvalidModelError(f"{name} must be positive when given")
 
     @property
     def coulombic_binding_ev(self) -> float:
@@ -96,26 +98,6 @@ def model_from_ionization(
         spin=spin,
         t1_s=t1_s,
         t2_s=t2_s,
-    )
-
-
-def model_from_exciton(
-    species_name: str,
-    exciton_binding_ev: float,
-    haynes_factor: float = 0.1,
-    dielectric_constant: float = 5.7,
-    **kwargs,
-) -> DonorModel:
-    """Donor model from a bound-exciton binding and a Haynes-rule factor."""
-    if exciton_binding_ev <= 0:
-        raise InvalidModelError("exciton binding must be positive")
-    if not (0.0 < haynes_factor < 1.0):
-        raise InvalidModelError("haynes_factor must lie in (0, 1)")
-    return model_from_ionization(
-        species_name,
-        exciton_binding_ev / haynes_factor,
-        dielectric_constant,
-        **kwargs,
     )
 
 

@@ -97,6 +97,13 @@ def count(value, what: str, error=InvalidSpecError) -> int:
     return int(value)
 
 
+def text(value, what: str, error=InvalidSpecError) -> str:
+    """`value` itself; it must already be a string (a number is not one)."""
+    if not isinstance(value, str):
+        raise error(f"{what} must be a string, got {value!r}")
+    return value
+
+
 def store_finite(record, *names, error=InvalidSpecError) -> None:
     """Store the named fields of the frozen dataclass `record` as finite
     floats; a field whose default is None may also be None."""
@@ -108,10 +115,10 @@ def store_finite(record, *names, error=InvalidSpecError) -> None:
 
 
 def sorted_pairs(items, value) -> tuple:
-    """A mapping, or (key, value) pairs with unique keys, as (str, value(v))
-    pairs sorted by key."""
+    """A mapping, or (key, value) pairs with unique string keys, as
+    (key, value(v)) pairs sorted by key."""
     pairs = items.items() if hasattr(items, "items") else items
-    out = tuple(sorted((str(k), value(v)) for k, v in pairs))
+    out = tuple(sorted((text(k, "key"), value(v)) for k, v in pairs))
     keys = [k for k, _ in out]
     if len(set(keys)) != len(keys):
         raise InvalidSpecError(f"duplicate keys in {keys}")

@@ -23,7 +23,7 @@ from .integrals import exchange_curve, transfer_splitting_curve
 from .lattice import place_dopants
 from .scenario import Placement, RandomPlacementSpec, Scenario
 from .spectra import gate_transitions, resolvable_gate_count
-from .spins import SpinSystem, effective_coupling, sfg_gate
+from .spins import effective_coupling, sfg_gate
 
 # blind configuration is only attempted on clusters small enough that the
 # scan stays readable; larger patches report adjacency from thresholding
@@ -149,12 +149,8 @@ def _spins_stage(scenario, couplings):
             continue
         (qa, ja), (qb, jb) = ranked[:2]
         j_eff = effective_coupling(ja, jb, scenario.excitation_energy_mev)
-        trio = SpinSystem(
-            spins=((c_label, "control"), (qa, "qubit"), (qb, "qubit")),
-            couplings={(0, 1): ja, (0, 2): jb},
-        )
         try:
-            report = sfg_gate(trio, c_label)
+            report = sfg_gate(ja, jb)
             clean = True
         except NoCleanGateError as err:
             report = err.best_candidate
@@ -232,7 +228,7 @@ def _configure_stage(scenario, lines, couplings, gate_records):
                     key=lambda e: abs(e.optical_energy_mev - line_of[control]))
         try:
             cal = calibrate_gate_time(entry, control, couplings)
-        except (PreconditionError, NoCleanGateError):
+        except PreconditionError:
             continue
         calibrations.append({
             "control": control, "qubits": tuple(cal.qubit_labels),

@@ -111,26 +111,6 @@ def _integer_sites(lattice_constant: float, radius: float) -> np.ndarray:
     return np.vstack(chunks)
 
 
-def _sorted_by_distance(coords: np.ndarray) -> np.ndarray:
-    d2 = (coords.astype(np.int64) ** 2).sum(axis=1)
-    order = np.lexsort((coords[:, 2], coords[:, 1], coords[:, 0], d2))
-    return coords[order]
-
-
-def enumerate_sites(spec: LatticeSpec) -> list[Site]:
-    """Every lattice site inside the bounding sphere, origin included.
-
-    Sites are ordered by distance from the origin, ties broken
-    lexicographically, and indexed in that order.
-    """
-    coords = _sorted_by_distance(_integer_sites(spec.lattice_constant, spec.bounding_radius))
-    scale = spec.lattice_constant / 4.0
-    return [
-        Site(position=coords[i].astype(float) * scale, index=i)
-        for i in range(coords.shape[0])
-    ]
-
-
 def sphere_count_report(spec: LatticeSpec) -> dict:
     """Site count plus the metadata needed to interpret it.
 

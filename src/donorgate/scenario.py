@@ -24,7 +24,7 @@ import numpy as np
 from .configure import EprModel
 from .donor import DonorModel, model_from_ionization
 from .errors import (DonorgateError, InvalidSpecError, ScenarioValidationError,
-                     count, finite, sorted_pairs, store_finite)
+                     count, finite, sorted_pairs, store_finite, text)
 from .lattice import LatticeSpec
 from .spectra import (GAUSSIAN_FWHM, SpectralModel, wavelength_to_mev,
                       wavelength_width_to_mev)
@@ -39,6 +39,8 @@ class Placement:
     position_a: tuple
 
     def __post_init__(self):
+        text(self.label, "placement label")
+        text(self.species, f"placement {self.label!r} species")
         pos = tuple(finite(x, f"placement {self.label!r} coordinate")
                     for x in self.position_a)
         if len(pos) == 2:
@@ -46,8 +48,6 @@ class Placement:
         if len(pos) != 3:
             raise InvalidSpecError(f"placement {self.label!r}: position must be 2D or 3D")
         object.__setattr__(self, "position_a", pos)
-        object.__setattr__(self, "label", str(self.label))
-        object.__setattr__(self, "species", str(self.species))
 
 
 @dataclass(frozen=True)
@@ -96,8 +96,9 @@ class Scenario:
                 raise InvalidSpecError(f"{name} must be positive")
         for name in ("n_qubit_target", "n_gate_target", "seed"):
             object.__setattr__(self, name, count(getattr(self, name), name))
-        object.__setattr__(self, "name", str(self.name))
-        object.__setattr__(self, "metadata", sorted_pairs(self.metadata, str))
+        text(self.name, "name")
+        object.__setattr__(self, "metadata", sorted_pairs(
+            self.metadata, lambda v: text(v, "metadata value")))
         if (self.placements is None) == (self.random_placement is None):
             raise InvalidSpecError(
                 "exactly one of explicit placements or a random spec is required")

@@ -22,7 +22,7 @@ import numpy as np
 
 from .constants import HC_MEV_NM
 from .errors import (DependencyError, InvalidSpecError, PreconditionError,
-                     finite, store_finite)
+                     finite, store_finite, text)
 
 # FWHM of a unit-sigma Gaussian
 GAUSSIAN_FWHM = 2.0 * math.sqrt(2.0 * math.log(2.0))
@@ -58,9 +58,12 @@ class SpectralModel:
         store_finite(self, "base_transition_mev", "homogeneous_fwhm_mev",
                      "resolution_factor")
         # kept in the given order: it fixes the order of the random draws
-        components = tuple((str(n), finite(w, f"disorder width {n!r}"))
+        components = tuple((text(n, "disorder component name"),
+                            finite(w, f"disorder width {n!r}"))
                            for n, w in self.disorder_components)
         object.__setattr__(self, "disorder_components", components)
+        if self.base_transition_mev <= 0:
+            raise InvalidSpecError("base_transition_mev must be positive")
         if self.homogeneous_fwhm_mev <= 0:
             raise InvalidSpecError("homogeneous width must be positive")
         if self.resolution_factor < 1.0:

@@ -5,10 +5,14 @@ The model is isotropic Heisenberg exchange plus per-spin Zeeman terms,
 
     H = sum_{i<j} J_ij S_i.S_j + sum_i D_i S_i^z   (meV),
 
-diagonalized densely. While a control is excited it couples to its two
-qubits; the qubits themselves never couple directly. Leaving the control
-excited for the right interval returns it unentangled while the qubits pick
-up a joint unitary: `sfg_gate` scans for such intervals and reports the gate.
+diagonalized densely. The gate is one excited control coupled to two qubits,
+
+    H = J1 S0.S1 + J2 S0.S2,
+
+with the control as spin 0, no qubit-qubit term and no Zeeman term; it is
+fixed by its two couplings alone. Leaving the control excited for the right
+interval returns it unentangled while the qubits pick up a joint unitary:
+`sfg_gate(j1, j2)` scans for such intervals and reports the gate.
 
 Basis convention: spin k maps to bit (n-1-k) of the state index, bit value 0
 meaning m = +1/2. Equivalently the basis is the Kronecker product of the
@@ -25,7 +29,7 @@ from scipy.optimize import minimize_scalar
 
 from .constants import HBAR_MEV_PS
 from .errors import (DimensionError, InvalidSpecError, NoCleanGateError,
-                     PreconditionError)
+                     PreconditionError, finite)
 
 MAX_SPINS = 14  # dense-matrix budget
 MAX_ENTANGLING_POWER = 2.0 / 9.0  # two-qubit ceiling (CNOT class)
@@ -85,12 +89,6 @@ class SpinSystem:
     @property
     def dimension(self) -> int:
         return 1 << self.n_spins
-
-    def index_of(self, label: str) -> int:
-        for k, (l, _) in enumerate(self.spins):
-            if l == label:
-                return k
-        raise InvalidSpecError(f"no spin labeled {label!r}")
 
 
 def build_hamiltonian(system: SpinSystem) -> np.ndarray:
@@ -197,7 +195,7 @@ class GateReport:
     control_residual_entanglement: float  # bits
     entangling_power: float
     fidelity_to_target: float = None
-    qubit_labels: tuple = ()
+    qubit_labels: tuple = ()  # named by calibrate_gate_time; the search has none
 
 
 def _single_qubit_probes() -> np.ndarray:
@@ -217,15 +215,24 @@ _PROBES = _single_qubit_probes()
 _SCAN_CHUNK = 512
 
 
-def _control_rows(control: int, n: int) -> tuple:
-    """Basis indices with the control up, and with it down."""
-    bits = (np.arange(1 << n) >> (n - 1 - control)) & 1
-    return np.flatnonzero(bits == 0), np.flatnonzero(bits == 1)
+# basis rows of the gate trio with the control (spin 0) up, and with it down
+_UP, _DOWN = np.arange(4), np.arange(4, 8)
 
 
-def _control_blocks(U: np.ndarray, control: int, n: int):
-    up, down = _control_rows(control, n)
-    return U[np.ix_(up, up)], U[np.ix_(down, up)]
+def _trio_hamiltonian(j1_mev: float, j2_mev: float) -> np.ndarray:
+    """H of the gate trio: the control, spin 0, coupled to qubits 1 and 2."""
+    for name, j in (("j1", j1_mev), ("j2", j2_mev)):
+        if finite(j, name, PreconditionError) == 0.0:
+            raise PreconditionError(f"{name} must be nonzero: the control "
+                                    "couples both qubits")
+    return build_hamiltonian(SpinSystem(
+        spins=(("C", "control"), ("Q1", "qubit"), ("Q2", "qubit")),
+        couplings={(0, 1): j1_mev, (0, 2): j2_mev},
+    ))
+
+
+def _control_blocks(U: np.ndarray):
+    return U[np.ix_(_UP, _UP)], U[np.ix_(_DOWN, _UP)]
 
 
 def _residual_bits(A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -247,26 +254,22 @@ def _residual_bits(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return np.max(entropy, axis=-1)
 
 
-def induced_qubit_operator(system: SpinSystem, control_id: str,
-                           tau_ps: float) -> tuple:
+def induced_qubit_operator(j1_mev: float, j2_mev: float, tau_ps: float) -> tuple:
     """Operator the qubits see when the control, starting up, is excited for
     tau: the control-up block of the propagator, plus the residual control
     entanglement in bits (zero exactly when the block is unitary)."""
-    control = system.index_of(control_id)
-    U = propagator(build_hamiltonian(system), tau_ps)
-    M, N = _control_blocks(U, control, system.n_spins)
+    M, N = _control_blocks(propagator(_trio_hamiltonian(j1_mev, j2_mev), tau_ps))
     return M, float(_residual_bits((M @ _PROBES)[None], (N @ _PROBES)[None])[0])
 
 
-def _residual_scan(H: np.ndarray, control: int, n: int):
+def _residual_scan(H: np.ndarray):
     """Residual control entropy as a function of an array of intervals.
 
     The probes are carried into the eigenbasis of H once; each chunk of
     intervals is then one phase product and two stacked matrix products.
     """
     w, V = np.linalg.eigh(H)
-    up, down = _control_rows(control, n)
-    V_up, V_down = V[up], V[down]
+    V_up, V_down = V[_UP], V[_DOWN]
     probes = V_up.conj().T @ _PROBES
 
     def residuals(taus: np.ndarray) -> np.ndarray:
@@ -282,37 +285,24 @@ def _residual_scan(H: np.ndarray, control: int, n: int):
     return residuals
 
 
-def sfg_gate(system: SpinSystem, control_id: str, tau_range: tuple = None, *,
+def sfg_gate(j1_mev: float, j2_mev: float, tau_range: tuple = None, *,
              residual_threshold: float = 1e-6) -> GateReport:
     """Find an interval that disentangles the control and entangles the qubits.
 
-    The system must be one control coupled to exactly two qubits with no
-    direct qubit-qubit coupling. Scans tau over `tau_range` (default up to
-    two of the slowest exchange periods) in steps of 1e-3 * pi*hbar/max|J|,
-    or finer, so that even a narrow range gets 200 steps; refines every
-    near-clean interval, and returns the clean one with the largest
-    entangling power. If none gets below `residual_threshold`, raises
-    NoCleanGateError carrying the best candidate.
+    The trio is the control, spin 0, coupled to qubit 1 by `j1_mev` and to
+    qubit 2 by `j2_mev` (both finite and nonzero), with no qubit-qubit and
+    no Zeeman term. Scans tau over `tau_range` (default up to two of the
+    slowest exchange periods) in steps of 1e-3 * pi*hbar/max|J|, or finer,
+    so that even a narrow range gets 200 steps; refines every near-clean
+    interval, and returns the clean one with the largest entangling power.
+    If none gets below `residual_threshold`, raises NoCleanGateError
+    carrying the best candidate.
 
     The scan is evaluated in fixed-size chunks of tau points, a few matrix
     products each, so its memory stays bounded for any grid length.
     """
-    control = system.index_of(control_id)
-    n = system.n_spins
-    coupled = sorted({k for (i, j), v in system.couplings if v != 0.0 and control in (i, j)
-                      for k in (i, j) if k != control})
-    if len(coupled) < 2:
-        raise PreconditionError("the control must couple at least two qubits")
-    for (i, j), value in system.couplings:
-        if control not in (i, j) and value != 0.0:
-            raise PreconditionError("direct qubit-qubit couplings must be zero "
-                                    "while only the control is excited")
-    if n != 3 or len(coupled) != 2:
-        raise PreconditionError("gate extraction expects exactly the control "
-                                "and its two coupled qubits")
-
-    j_values = [abs(v) for _, v in system.couplings if v != 0.0]
-    j_max, j_min = max(j_values), min(j_values)
+    H = _trio_hamiltonian(j1_mev, j2_mev)
+    j_min, j_max = sorted(abs(float(j)) for j in (j1_mev, j2_mev))
     if tau_range is None:
         tau_range = (0.0, 4.0 * math.pi * HBAR_MEV_PS / j_min)
     lo, hi = float(tau_range[0]), float(tau_range[1])
@@ -325,8 +315,7 @@ def sfg_gate(system: SpinSystem, control_id: str, tau_range: tuple = None, *,
     # narrow explicit ranges must still get a usable grid
     resolution_ps = min(1e-3 * math.pi * HBAR_MEV_PS / j_max, (hi - lo) / 200.0)
 
-    H = build_hamiltonian(system)
-    residuals = _residual_scan(H, control, n)
+    residuals = _residual_scan(H)
 
     def residual_at(tau):
         return residuals(np.array([tau]))[0]
@@ -362,7 +351,7 @@ def sfg_gate(system: SpinSystem, control_id: str, tau_range: tuple = None, *,
         candidates.append((float(taus[k]), float(coarse[k])))
 
     def report_at(tau, residual):
-        M, _ = _control_blocks(propagator(H, tau), control, n)
+        M, _ = _control_blocks(propagator(H, tau))
         # report the unitary part (polar projection); for a clean interval
         # this is M itself to machine precision, and the non-unitary part is
         # already accounted for by the residual entanglement field
@@ -372,7 +361,6 @@ def sfg_gate(system: SpinSystem, control_id: str, tau_range: tuple = None, *,
             qubit_unitary=gate,
             control_residual_entanglement=residual,
             entangling_power=entangling_power(gate),
-            qubit_labels=tuple(system.spins[q][0] for q in coupled),
         )
 
     reports = [report_at(tau, r) for tau, r in candidates]

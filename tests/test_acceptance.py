@@ -213,10 +213,7 @@ def test_criterion_08_spin_dynamics():
     U = propagator(build_hamiltonian(pair), math.pi * HBAR_MEV_PS / J)
     swap_err = 1.0 - gate_fidelity(U, swap)
 
-    trio = SpinSystem(
-        spins=(("C", "control"), ("Q1", "qubit"), ("Q2", "qubit")),
-        couplings={(0, 1): 10.0, (0, 2): 10.0})
-    report = sfg_gate(trio, "C")
+    report = sfg_gate(10.0, 10.0)
 
     ok = (unit_err < 1e-10 and swap_err < 1e-10 and sz_err < 1e-12
           and report.control_residual_entanglement < 1e-6

@@ -166,9 +166,13 @@ def test_saved_preset_reproduces_the_preset_report(capsys, tmp_path):
     (("thresholds", "pair_cutoff_a"), float("nan"), "", "pair_cutoff_a"),
     (("targets", "n_gates"), -1, "", "n_gate_target"),
     (("lattice", "bounding_radius_a"), float("nan"), ".lattice", "bounding_radius"),
+    (("species", 1, "t1_s"), -1.0, ".species[1]", "t1_s"),
+    (("spectral", "base_transition_mev"), -600.0, ".spectral", "base_transition_mev"),
+    (("name",), 5, "", "name"),
 ], ids=["lattice-not-object", "species-not-list", "detection-string",
         "zeeman-spread-string", "homogeneous-nan", "pair-cutoff-nan",
-        "negative-gate-target", "bounding-radius-nan"])
+        "negative-gate-target", "bounding-radius-nan", "qubit-t1-negative",
+        "base-transition-negative", "name-not-text"])
 def test_malformed_scenario_file_exits_2_naming_its_path(capsys, tmp_path, keys,
                                                          value, where, said):
     from donorgate import get_preset

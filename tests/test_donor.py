@@ -6,7 +6,6 @@ import pytest
 
 from donorgate import (
     InvalidModelError,
-    model_from_exciton,
     model_from_ionization,
     with_radius_scale,
     zeeman_check,
@@ -46,14 +45,6 @@ def test_orbital_radii_conventions():
         m.effective_bohr_radius_a, rel=1e-12)
 
 
-def test_exciton_route_equals_scaled_ionization_route():
-    via_exciton = model_from_exciton("NV", 0.06, haynes_factor=0.1)
-    direct = model_from_ionization("NV", 0.6, 5.7)
-    assert via_exciton.effective_bohr_radius_a == pytest.approx(
-        direct.effective_bohr_radius_a, rel=1e-12)
-    assert via_exciton.binding_energy_ev == pytest.approx(0.6, rel=1e-12)
-
-
 def test_model_validation():
     with pytest.raises(InvalidModelError):
         model_from_ionization("P", -0.1, 5.7)
@@ -65,8 +56,10 @@ def test_model_validation():
         model_from_ionization("P", 0.6, 5.7, role="bystander")
     with pytest.raises(InvalidModelError):
         model_from_ionization("P", 0.6, 5.7, radius_scale_factor=1.2)
-    with pytest.raises(InvalidModelError):
-        model_from_exciton("P", 0.06, haynes_factor=1.5)
+    with pytest.raises(InvalidModelError, match="t1_s"):
+        model_from_ionization("N", 0.6, 5.7, role="qubit", t1_s=-1.0)
+    with pytest.raises(InvalidModelError, match="t2_s"):
+        model_from_ionization("N", 0.6, 5.7, role="qubit", t2_s=0.0)
 
 
 def test_with_radius_scale_only_touches_compactness():

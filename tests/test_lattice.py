@@ -15,12 +15,12 @@ from donorgate import (
     InsufficientRegionError,
     InvalidSpecError,
     LatticeSpec,
-    enumerate_sites,
     neighbor_statistics,
     place_dopants,
     shell_sizes,
     sphere_count_report,
 )
+from donorgate.lattice import _integer_sites
 
 A0 = 3.567
 
@@ -53,14 +53,13 @@ def _brute_shell_histogram(n_shells: int) -> list[tuple[float, int]]:
 def test_enumerated_counts_match_brute_force():
     for radius in (4.0, 7.5, 11.0):
         spec = LatticeSpec(radius)
-        assert len(enumerate_sites(spec)) == len(_brute_diamond(radius))
+        assert len(_integer_sites(spec.lattice_constant, radius)) == len(_brute_diamond(radius))
+        assert sphere_count_report(spec)["enumerated_count"] == len(_brute_diamond(radius))
 
 
 def test_sites_unique_and_inside_sphere():
-    spec = LatticeSpec(9.0)
-    sites = enumerate_sites(spec)
-    pos = np.array([s.position for s in sites])
-    assert len(np.unique(np.round(pos, 6), axis=0)) == len(sites)
+    pos = _integer_sites(A0, 9.0) * (A0 / 4.0)
+    assert len(np.unique(np.round(pos, 6), axis=0)) == len(pos)
     assert np.all(np.einsum("ij,ij->i", pos, pos) <= 9.0**2 + 1e-6)
     # origin site present under the atom-centered convention
     assert np.min(np.einsum("ij,ij->i", pos, pos)) < 1e-12
@@ -71,7 +70,7 @@ def test_count_report_fields_and_continuum_estimate():
     rep = sphere_count_report(spec)
     assert rep["bounding_radius_angstrom"] == 10.0
     assert rep["lattice_constant_angstrom"] == A0
-    assert rep["enumerated_count"] == len(enumerate_sites(spec))
+    assert rep["enumerated_count"] == len(_brute_diamond(10.0))
     want = 8.0 / A0**3 * 4.0 / 3.0 * np.pi * 10.0**3
     assert rep["continuum_estimate"] == pytest.approx(want, rel=1e-12)
     assert "convention" in rep
@@ -113,7 +112,7 @@ def test_placement_reproducible_and_complete():
     r2 = place_dopants(spec, 0.02, {"P": 0.75, "N": 0.25}, seed=7)
     key = lambda region: [(site.index, name) for site, name in region.placements]
     assert key(r1) == key(r2)
-    assert r1.n_sites == len(enumerate_sites(spec))
+    assert r1.n_sites == sphere_count_report(spec)["enumerated_count"]
     names = {name for _, name in r1.placements}
     assert names <= {"P", "N"}
 

@@ -9,6 +9,7 @@ import pytest
 
 from donorgate import (
     EprModel,
+    InvalidModelError,
     InvalidSpecError,
     LatticeSpec,
     Placement,
@@ -166,6 +167,26 @@ def test_duplicate_labels_rejected():
         RandomPlacementSpec(0.01, (("P", 0.5), ("P", 0.5)), seed=1)
     with pytest.raises(InvalidSpecError, match="duplicate"):
         _minimal(metadata=(("note", "a"), ("note", "b")))
+
+
+def test_text_fields_must_be_strings():
+    # a number would load, run and re-save as its str(), so it is refused
+    with pytest.raises(InvalidSpecError, match="name"):
+        _minimal(name=5)
+    with pytest.raises(InvalidSpecError, match="placement label"):
+        Placement(1, "P", (0.0, 0.0, 0.0))
+    with pytest.raises(InvalidSpecError, match="species"):
+        Placement("C1", 15, (0.0, 0.0, 0.0))
+    with pytest.raises(InvalidModelError, match="species_name"):
+        dataclasses.replace(CONTROL, species_name=15)
+    with pytest.raises(InvalidSpecError, match="metadata value"):
+        _minimal(metadata={"note": 3})
+    with pytest.raises(InvalidSpecError, match="disorder component name"):
+        SpectralModel(600.0, 1.1, ((7, 3.0),), 1.5)
+    with pytest.raises(InvalidSpecError, match="key"):
+        EprModel(0.05, zeeman_offsets_mev={1: 0.0})
+    with pytest.raises(InvalidSpecError, match="key"):
+        RandomPlacementSpec(0.01, {15: 1.0}, seed=1)
 
 
 def test_schema_version_checked():

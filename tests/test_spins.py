@@ -19,7 +19,7 @@ from donorgate import (
     propagator,
     sfg_gate,
 )
-from donorgate.spins import _SCAN_CHUNK, _residual_scan
+from donorgate.spins import _SCAN_CHUNK, _residual_scan, _trio_hamiltonian
 
 HBAR = 0.6582  # meV ps
 
@@ -124,19 +124,14 @@ def test_entangling_power_anchors():
 
 def test_symmetric_trio_clean_gate():
     J = 10.0
-    trio = SpinSystem(
-        spins=(("C", "control"), ("Q1", "qubit"), ("Q2", "qubit")),
-        couplings={(0, 1): J, (0, 2): J},
-    )
-    report = sfg_gate(trio, "C")
+    report = sfg_gate(J, J)
     # equal couplings disentangle at 4 pi hbar / 3J
     tau1 = 4.0 * math.pi * HBAR / (3.0 * J)
     assert report.duration_ps == pytest.approx(tau1, rel=1e-6)
     assert report.control_residual_entanglement < 1e-6
     assert report.entangling_power == pytest.approx(0.125, abs=1e-6)
-    assert report.qubit_labels == ("Q1", "Q2")
     # the reported operator really is what the qubits see at that interval
-    block, residual = induced_qubit_operator(trio, "C", report.duration_ps)
+    block, residual = induced_qubit_operator(J, J, report.duration_ps)
     assert residual < 1e-6
     assert gate_fidelity(block, report.qubit_unitary) == pytest.approx(1.0, abs=1e-9)
 
@@ -144,12 +139,8 @@ def test_symmetric_trio_clean_gate():
 def test_generic_ratio_raises_with_best_candidate():
     # incommensurate couplings admit no exactly clean interval; the error must
     # carry a genuine entangling candidate, not the identity at tau -> 0
-    trio = SpinSystem(
-        spins=(("C", "control"), ("Q1", "qubit"), ("Q2", "qubit")),
-        couplings={(0, 1): 116.4, (0, 2): 38.6},
-    )
     with pytest.raises(NoCleanGateError) as err:
-        sfg_gate(trio, "C")
+        sfg_gate(116.4, 38.6)
     best = err.value.best_candidate
     assert best is not None
     assert best.entangling_power > 1e-6
@@ -157,42 +148,30 @@ def test_generic_ratio_raises_with_best_candidate():
     assert best.control_residual_entanglement < 0.05
 
 
-def test_sfg_gate_topology_validation():
-    with pytest.raises(PreconditionError):
-        # only one coupled qubit
-        sfg_gate(SpinSystem(
-            spins=(("C", "control"), ("Q1", "qubit"), ("Q2", "qubit")),
-            couplings={(0, 1): 5.0}), "C")
-    with pytest.raises(PreconditionError):
-        # direct qubit-qubit coupling breaks the gate topology
-        sfg_gate(SpinSystem(
-            spins=(("C", "control"), ("Q1", "qubit"), ("Q2", "qubit")),
-            couplings={(0, 1): 5.0, (0, 2): 5.0, (1, 2): 1.0}), "C")
-    with pytest.raises(InvalidSpecError):
-        sfg_gate(SpinSystem(
-            spins=(("C", "control"), ("Q1", "qubit"), ("Q2", "qubit")),
-            couplings={(0, 1): 5.0, (0, 2): 5.0}), "missing")
+def test_sfg_gate_coupling_validation():
+    # the control must couple both qubits, each by a finite amount
+    for j1, j2 in ((5.0, 0.0), (0.0, 5.0), (math.nan, 5.0), (5.0, math.inf)):
+        with pytest.raises(PreconditionError):
+            sfg_gate(j1, j2)
+        with pytest.raises(PreconditionError):
+            induced_qubit_operator(j1, j2, 1.0)
+    # either sign of coupling is a gate trio
+    assert sfg_gate(-10.0, -10.0).control_residual_entanglement < 1e-6
 
 
 def test_sfg_gate_grid_validation():
-    trio = SpinSystem(
-        spins=(("C", "control"), ("Q1", "qubit"), ("Q2", "qubit")),
-        couplings={(0, 1): 5.0, (0, 2): 5.0})
     for bad_range in ((0.0, math.nan), (math.nan, 1.0), (0.0, math.inf),
                       (-math.inf, 1.0)):
         with pytest.raises(PreconditionError):
-            sfg_gate(trio, "C", bad_range)
+            sfg_gate(5.0, 5.0, bad_range)
 
 
 def test_sfg_gate_threshold_validation():
     # no residual compares below NaN or a non-positive bound, so these would
     # report an exactly clean trio as not clean
-    trio = SpinSystem(
-        spins=(("C", "control"), ("Q1", "qubit"), ("Q2", "qubit")),
-        couplings={(0, 1): 5.0, (0, 2): 5.0})
     for bad_threshold in (0.0, -1.0, math.nan, math.inf):
         with pytest.raises(PreconditionError):
-            sfg_gate(trio, "C", residual_threshold=bad_threshold)
+            sfg_gate(5.0, 5.0, residual_threshold=bad_threshold)
 
 
 @pytest.mark.parametrize("j1, j2", [
@@ -201,13 +180,10 @@ def test_sfg_gate_threshold_validation():
     (116.4, 38.6),  # generic ratio, no clean interval
 ])
 def test_batched_scan_matches_propagator(j1, j2):
-    trio = SpinSystem(
-        spins=(("C", "control"), ("Q1", "qubit"), ("Q2", "qubit")),
-        couplings={(0, 1): j1, (0, 2): j2})
     # a grid that ends in a partial chunk
     taus = np.linspace(1e-3, 4.0 * math.pi * HBAR / j2, 2 * _SCAN_CHUNK + 37)
-    scanned = _residual_scan(build_hamiltonian(trio), 0, 3)(taus)
-    direct = np.array([induced_qubit_operator(trio, "C", t)[1] for t in taus])
+    scanned = _residual_scan(_trio_hamiltonian(j1, j2))(taus)
+    direct = np.array([induced_qubit_operator(j1, j2, t)[1] for t in taus])
     assert scanned.shape == taus.shape
     assert np.max(np.abs(scanned - direct)) < 1e-12
 

@@ -135,9 +135,7 @@ def simulate_scan(scenario, lines, couplings) -> ScanMap:
         span = 8.0 * gamma
     epr_axis = np.arange(-span, span, gamma / 5.0)
 
-    response = np.zeros((len(optical_axis), len(epr_axis)))
-    for i, freq in enumerate(optical_axis):
-        excited = {c for c, e in line_of.items() if abs(e - freq) <= delta_h}
+    def render(excited):
         row = np.zeros_like(epr_axis)
         for q, base in offsets.items():
             split = sorted((j for c, j in per_qubit[q] if c in excited),
@@ -146,7 +144,17 @@ def simulate_scan(scenario, lines, couplings) -> ScanMap:
             for signs in itertools.product((0.5, -0.5), repeat=len(split)):
                 shift = sum(s * j for s, j in zip(signs, split))
                 row += weight * _lorentzian(epr_axis, base + shift, gamma)
-        response[i] = row
+        return row
+
+    # a row depends only on which controls are excited, and most rows of a
+    # scan share one of a few such sets: render each set once
+    rows = {}
+    response = np.zeros((len(optical_axis), len(epr_axis)))
+    for i, freq in enumerate(optical_axis):
+        excited = frozenset(c for c, e in line_of.items() if abs(e - freq) <= delta_h)
+        if excited not in rows:
+            rows[excited] = render(excited)
+        response[i] = rows[excited]
     return ScanMap(optical_axis, epr_axis, response, epr_lines, gamma, delta_h)
 
 

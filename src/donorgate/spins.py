@@ -211,7 +211,8 @@ _PROBES = _single_qubit_probes()
 
 
 # tau points per batched residual evaluation; bounds the scan's temporaries
-# (roughly 15 kB per point) whatever the length of the grid
+# (about 3 kB per point: the 9 level-pair phases, the three 36-probe
+# moments and the real score arrays) whatever the length of the grid
 _SCAN_CHUNK = 512
 
 
@@ -231,27 +232,66 @@ def _trio_hamiltonian(j1_mev: float, j2_mev: float) -> np.ndarray:
     ))
 
 
+def _trio_levels(j1_mev: float, j2_mev: float) -> tuple:
+    """The trio's three levels (meV) and the projector onto each.
+
+    H = J1 S0.S1 + J2 S0.S2 has the quartet E_Q = (J1+J2)/4 and the two
+    doublets E_+- = -(J1+J2)/4 +- sqrt(J1^2+J2^2-J1 J2)/2, so
+    U(tau) = sum_k exp(-i E_k tau/hbar) P_k. Each eigenvector of H goes to
+    the nearest closed-form level; the multiplicities must come out 4, 2, 2.
+    """
+    H = _trio_hamiltonian(j1_mev, j2_mev)
+    j1, j2 = float(j1_mev), float(j2_mev)
+    root = 0.5 * math.sqrt(j1 * j1 + j2 * j2 - j1 * j2)
+    levels = np.array([0.25 * (j1 + j2), -0.25 * (j1 + j2) + root,
+                       -0.25 * (j1 + j2) - root])
+    w, V = np.linalg.eigh(H)
+    level_of = np.argmin(np.abs(w[:, None] - levels), axis=1)
+    counts = tuple(int(n) for n in np.bincount(level_of, minlength=3))
+    if counts != (4, 2, 2):
+        raise PreconditionError(
+            f"trio ({j1:g}, {j2:g}) meV: eigenvalues fall on its three levels "
+            f"{counts} times, not (4, 2, 2)")
+    projectors = np.array([V[:, level_of == k] @ V[:, level_of == k].T
+                           for k in range(3)])
+    return levels, projectors
+
+
 def _control_blocks(U: np.ndarray):
     return U[np.ix_(_UP, _UP)], U[np.ix_(_DOWN, _UP)]
 
 
-def _residual_bits(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Worst control entropy over a grid of qubit product-state probes.
+def _control_moments(A: np.ndarray, B: np.ndarray) -> tuple:
+    """The control's populations and squared coherence for every probe.
 
-    The control starts up; A and B (batch x 4 x 36) hold, for each interval
-    in the batch, the control-up and control-down parts of every evolved
-    probe psi, so the control's reduced state has populations |A psi|^2,
-    |B psi|^2 and coherence <B psi|A psi>. Returns one value per interval.
+    The control starts up; A and B (... x 4 x 36) hold the control-up and
+    control-down parts of every evolved probe psi, so the control's reduced
+    state has populations |A psi|^2, |B psi|^2 and coherence <B psi|A psi>.
     """
     p_up = np.sum(np.abs(A) ** 2, axis=-2)
     p_down = np.sum(np.abs(B) ** 2, axis=-2)
     coh = np.abs(np.sum(A * B.conj(), axis=-2)) ** 2
-    disc = np.sqrt((p_up - p_down) ** 2 + 4.0 * coh)
+    return p_up, p_down, coh
+
+
+def _residual_bits(p_up: np.ndarray, p_down: np.ndarray,
+                   coh: np.ndarray) -> np.ndarray:
+    """Worst control entropy, in bits, over the probes on the last axis.
+
+    The reduced state of populations p_up, p_down and squared coherence coh
+    has eigenvalues (total +- disc)/2 with disc^2 = (p_up-p_down)^2 + 4 coh;
+    its entropy falls as (disc/total)^2 rises, so the worst probe is the one
+    with the smallest ratio, and the binary entropy is taken for it alone.
+    """
+    split = (p_up - p_down) ** 2 + 4.0 * coh
     total = p_up + p_down
+    worst = np.argmin(split / total ** 2, axis=-1)[..., None]
+    split = np.take_along_axis(split, worst, axis=-1)[..., 0]
+    total = np.take_along_axis(total, worst, axis=-1)[..., 0]
+    disc = np.sqrt(split)
     lam = np.stack([(total + disc) / 2.0, (total - disc) / 2.0]) / total
     lam = np.clip(lam, 1e-300, 1.0)
-    entropy = -np.sum(lam * np.log2(lam), axis=0)
-    return np.max(entropy, axis=-1)
+    return -np.sum(lam * np.log2(lam), axis=0)
 
 
 def induced_qubit_operator(j1_mev: float, j2_mev: float, tau_ps: float) -> tuple:
@@ -259,27 +299,40 @@ def induced_qubit_operator(j1_mev: float, j2_mev: float, tau_ps: float) -> tuple
     tau: the control-up block of the propagator, plus the residual control
     entanglement in bits (zero exactly when the block is unitary)."""
     M, N = _control_blocks(propagator(_trio_hamiltonian(j1_mev, j2_mev), tau_ps))
-    return M, float(_residual_bits((M @ _PROBES)[None], (N @ _PROBES)[None])[0])
+    moments = _control_moments(M @ _PROBES, N @ _PROBES)
+    return M, float(_residual_bits(*moments))
 
 
-def _residual_scan(H: np.ndarray):
-    """Residual control entropy as a function of an array of intervals.
+def _residual_scan(j1_mev: float, j2_mev: float):
+    """Residual control entropy of the trio as a function of an array of
+    intervals.
 
-    The probes are carried into the eigenbasis of H once; each chunk of
-    intervals is then one phase product and two stacked matrix products.
+    With U(tau) = sum_k phi_k P_k over the three levels, the evolved probe
+    parts are A = sum_k phi_k A_k and B = sum_k phi_k B_k, where
+    A_k = P_k[up, up] probes and B_k = P_k[down, up] probes. Each moment is
+    then a quadratic form in the three phases: p_up = sum_kl conj(phi_k)
+    phi_l <A_k psi|A_l psi>, likewise p_down from B and the coherence from
+    <B_k psi|A_l psi>. The three 9 x 36 Gram tables are built once; each
+    chunk of intervals costs three (chunk x 9) @ (9 x 36) products.
     """
-    w, V = np.linalg.eigh(H)
-    V_up, V_down = V[_UP], V[_DOWN]
-    probes = V_up.conj().T @ _PROBES
+    levels, projectors = _trio_levels(j1_mev, j2_mev)
+    A = projectors[:, _UP][:, :, _UP] @ _PROBES
+    B = projectors[:, _DOWN][:, :, _UP] @ _PROBES
+
+    def gram(X, Y):
+        return np.einsum("krp,lrp->klp", X.conj(), Y).reshape(9, -1)
+
+    g_up, g_down, g_coh = gram(A, A), gram(B, B), gram(B, A)
 
     def residuals(taus: np.ndarray) -> np.ndarray:
         out = np.empty(len(taus))
         for start in range(0, len(taus), _SCAN_CHUNK):
             chunk = taus[start:start + _SCAN_CHUNK]
-            phases = np.exp(-1j * w * chunk[:, None] / HBAR_MEV_PS)
-            evolved = phases[:, :, None] * probes
-            out[start:start + _SCAN_CHUNK] = _residual_bits(V_up @ evolved,
-                                                            V_down @ evolved)
+            phases = np.exp(-1j * levels * chunk[:, None] / HBAR_MEV_PS)
+            pairs = (phases.conj()[:, :, None] * phases[:, None, :]).reshape(-1, 9)
+            out[start:start + _SCAN_CHUNK] = _residual_bits(
+                (pairs @ g_up).real, (pairs @ g_down).real,
+                np.abs(pairs @ g_coh) ** 2)
         return out
 
     return residuals
@@ -298,8 +351,11 @@ def sfg_gate(j1_mev: float, j2_mev: float, tau_range: tuple = None, *,
     If none gets below `residual_threshold`, raises NoCleanGateError
     carrying the best candidate.
 
-    The scan is evaluated in fixed-size chunks of tau points, a few matrix
-    products each, so its memory stays bounded for any grid length.
+    The coarse scan and the refine score tau through the trio's three
+    levels: the control's populations and coherence are quadratic forms in
+    the three level phases, tabulated once per search, so each tau point is
+    a 9-term phase product per moment. Points are scored in fixed-size
+    chunks, so memory stays bounded for any grid length.
     """
     H = _trio_hamiltonian(j1_mev, j2_mev)
     j_min, j_max = sorted(abs(float(j)) for j in (j1_mev, j2_mev))
@@ -315,7 +371,7 @@ def sfg_gate(j1_mev: float, j2_mev: float, tau_range: tuple = None, *,
     # narrow explicit ranges must still get a usable grid
     resolution_ps = min(1e-3 * math.pi * HBAR_MEV_PS / j_max, (hi - lo) / 200.0)
 
-    residuals = _residual_scan(H)
+    residuals = _residual_scan(j1_mev, j2_mev)
 
     def residual_at(tau):
         return residuals(np.array([tau]))[0]

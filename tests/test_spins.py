@@ -19,7 +19,8 @@ from donorgate import (
     propagator,
     sfg_gate,
 )
-from donorgate.spins import _SCAN_CHUNK, _residual_scan, _trio_hamiltonian
+from donorgate.spins import (_SCAN_CHUNK, _residual_scan, _trio_hamiltonian,
+                             _trio_levels)
 
 HBAR = 0.6582  # meV ps
 
@@ -148,6 +149,37 @@ def test_generic_ratio_raises_with_best_candidate():
     assert best.control_residual_entanglement < 0.05
 
 
+# sfg_gate outcomes recorded before the gate scan moved to the trio's three
+# levels: (j1, j2, clean, duration_ps, entangling_power, residual_bits)
+_RECORDED_GATES = [
+    (10.0, 10.0, True, 0.27570617214954396, 0.125, 3.1577734916786698e-15),
+    (20.0, 10.0, False, 0.7000569126601289, 0.026644458200076437, 0.06934740622233866),
+    (30.0, 10.0, False, 0.6226269091254465, 0.0016397805667416332, 0.011266758743473954),
+    (10.0, 5.0, False, 1.4001138253202579, 0.026644458200076437, 0.06934740622233866),
+    (41.2, 5.6, False, 1.065072554866187, 0.006048067911936572, 0.057981969445075124),
+    (116.43664836379166, 38.61269955378912, False,  # table1 C1
+     0.16050319005268462, 0.0010224266330343124, 0.007479520899628051),
+    (147.51734661265843, 20.91738401817267, False,  # table1 C2
+     0.2695902179956986, 0.0008960831991231544, 0.011122190557227008),
+]
+
+
+@pytest.mark.parametrize("j1, j2, clean, duration, power, residual", _RECORDED_GATES)
+def test_sfg_gate_matches_recorded_outcomes(j1, j2, clean, duration, power, residual):
+    try:
+        report = sfg_gate(j1, j2)
+        found_clean = True
+    except NoCleanGateError as err:
+        report = err.best_candidate
+        found_clean = False
+    assert found_clean == clean
+    assert report.duration_ps == pytest.approx(duration, rel=1e-9)
+    assert report.entangling_power == pytest.approx(power, rel=1e-9)
+    # a clean interval's residual is rounding noise at the 1e-15 level
+    assert report.control_residual_entanglement == pytest.approx(
+        residual, rel=1e-9, abs=1e-12)
+
+
 def test_sfg_gate_coupling_validation():
     # the control must couple both qubits, each by a finite amount
     for j1, j2 in ((5.0, 0.0), (0.0, 5.0), (math.nan, 5.0), (5.0, math.inf)):
@@ -178,14 +210,42 @@ def test_sfg_gate_threshold_validation():
     (32.3, 10.5), (41.2, 5.6),  # quoted table1 gate couplings
     (147.5, 20.9),  # the bundled cluster's C2 trio
     (116.4, 38.6),  # generic ratio, no clean interval
+    (10.0, 10.0), (-10.0, -10.0),  # equal couplings, either sign
+    (5.0, -5.0),  # opposite signs
+    (150.0, 1.5),  # a 100:1 ratio
 ])
 def test_batched_scan_matches_propagator(j1, j2):
     # a grid that ends in a partial chunk
     taus = np.linspace(1e-3, 4.0 * math.pi * HBAR / j2, 2 * _SCAN_CHUNK + 37)
-    scanned = _residual_scan(_trio_hamiltonian(j1, j2))(taus)
+    scanned = _residual_scan(j1, j2)(taus)
     direct = np.array([induced_qubit_operator(j1, j2, t)[1] for t in taus])
     assert scanned.shape == taus.shape
     assert np.max(np.abs(scanned - direct)) < 1e-12
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+@pytest.mark.parametrize("ratio", [1.0, 0.999, 0.5, -0.5, 1.0 / 3.0, 0.1, -1.0, 0.01])
+def test_trio_levels_are_the_closed_form_three(ratio, sign):
+    j1 = sign * 20.0
+    j2 = j1 * ratio
+    levels, projectors = _trio_levels(j1, j2)
+    root = 0.5 * math.sqrt(j1 * j1 + j2 * j2 - j1 * j2)
+    assert levels == pytest.approx([(j1 + j2) / 4.0, -(j1 + j2) / 4.0 + root,
+                                    -(j1 + j2) / 4.0 - root], abs=1e-12)
+    # orthogonal projectors of ranks 4, 2, 2 that resolve H and the identity
+    ranks = [np.trace(P) for P in projectors]
+    assert ranks == pytest.approx([4.0, 2.0, 2.0], abs=1e-12)
+    for k, P in enumerate(projectors):
+        for m, R in enumerate(projectors):
+            want = P if k == m else np.zeros_like(P)
+            assert np.max(np.abs(P @ R - want)) < 1e-12
+    assert np.max(np.abs(projectors.sum(axis=0) - np.eye(8))) < 1e-12
+    H = _kron_hamiltonian(3, {(0, 1): j1, (0, 2): j2})
+    resolved = np.einsum("k,kij->ij", levels, projectors)
+    assert np.max(np.abs(resolved - H)) < 1e-12
+    # and the levels are the spectrum, eigenvalue by eigenvalue
+    want = np.repeat(levels, [4, 2, 2])
+    assert np.sort(want) == pytest.approx(np.linalg.eigvalsh(H), abs=1e-12)
 
 
 def test_system_validation():

@@ -203,7 +203,7 @@ def infer_adjacency(scan: ScanMap,
     below the detection threshold are dropped. Resonances closer than delta_h
     to a neighbor are flagged ambiguous.
     """
-    if detection_threshold_mev <= 0:
+    if finite(detection_threshold_mev, "detection threshold", PreconditionError) <= 0:
         raise PreconditionError("detection threshold must be positive")
     optical = scan.optical_axis_mev
     epr = scan.epr_axis_mev

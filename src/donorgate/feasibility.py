@@ -380,6 +380,7 @@ class PatchStatistics:
         return rows
 
 
+@_stage("integrals")
 def _capable_controls(scenario, controls, qubits) -> int:
     """Controls with two or more qubit couplings at or above the gate floor.
 
@@ -419,10 +420,7 @@ def patch_statistics(scenario: Scenario, n_patches: int,
         patch = replace(scenario, random_placement=RandomPlacementSpec(
             rp.concentration, rp.mix, patch_seed))
         realized, controls, qubits = _placement_stage(patch)
-        try:
-            gates = _capable_controls(realized, controls, qubits)
-        except DonorgateError as err:
-            raise StageError("integrals", err) from err
+        gates = _capable_controls(realized, controls, qubits)
         qubit_counts[len(qubits)] = qubit_counts.get(len(qubits), 0) + 1
         control_counts[len(controls)] = control_counts.get(len(controls), 0) + 1
         gate_counts[gates] = gate_counts.get(gates, 0) + 1

@@ -39,6 +39,15 @@ def wavelength_width_to_mev(width_nm: float, wavelength_nm: float) -> float:
     return HC_MEV_NM * width_nm / wavelength_nm**2
 
 
+def _check_resolution(fwhm_mev: float, factor: float, error) -> None:
+    """Lines are resolved on a finite, positive homogeneous width, scaled by
+    a finite resolution factor of at least 1."""
+    if finite(fwhm_mev, "homogeneous width", error) <= 0:
+        raise error("homogeneous width must be positive")
+    if finite(factor, "resolution factor", error) < 1.0:
+        raise error("resolution factor below 1 merges adjacent lines")
+
+
 @dataclass(frozen=True)
 class SpectralModel:
     """Transition energy scale and linewidth budget for the control species.
@@ -64,10 +73,8 @@ class SpectralModel:
         object.__setattr__(self, "disorder_components", components)
         if self.base_transition_mev <= 0:
             raise InvalidSpecError("base_transition_mev must be positive")
-        if self.homogeneous_fwhm_mev <= 0:
-            raise InvalidSpecError("homogeneous width must be positive")
-        if self.resolution_factor < 1.0:
-            raise InvalidSpecError("resolution factor below 1 merges adjacent lines")
+        _check_resolution(self.homogeneous_fwhm_mev, self.resolution_factor,
+                          InvalidSpecError)
         names = [name for name, _ in components]
         if len(set(names)) != len(names):
             raise InvalidSpecError("disorder component names must be unique")
@@ -164,6 +171,7 @@ def resolvable_gate_count(lines, homogeneous_fwhm_mev: float,
     )
     if not energies:
         raise PreconditionError("need at least one line")
+    _check_resolution(homogeneous_fwhm_mev, resolution_factor, PreconditionError)
     gap = resolution_factor * homogeneous_fwhm_mev
     count = 1
     last = energies[0]

@@ -14,6 +14,10 @@ fixed by its two couplings alone. Leaving the control excited for the right
 interval returns it unentangled while the qubits pick up a joint unitary:
 `sfg_gate(j1, j2)` scans for such intervals and reports the gate.
 
+The trio is not diagonalized: its quartet projector P_Q = 1/2 + 2/3 (S0.S1
++ S0.S2 + S1.S2) and its two doublet projectors are closed forms, and every
+evolution of it is U(tau) = sum_k exp(-i E_k tau/hbar) P_k.
+
 Basis convention: spin k maps to bit (n-1-k) of the state index, bit value 0
 meaning m = +1/2. Equivalently the basis is the Kronecker product of the
 single-spin bases in spin order.
@@ -32,7 +36,6 @@ from .errors import (DimensionError, InvalidSpecError, NoCleanGateError,
                      PreconditionError, finite)
 
 MAX_SPINS = 14  # dense-matrix budget
-MAX_ENTANGLING_POWER = 2.0 / 9.0  # two-qubit ceiling (CNOT class)
 _EP_FLOOR = 1e-6  # below this a candidate interval is the identity, not a gate
 
 
@@ -126,7 +129,7 @@ def propagator(H: np.ndarray, t_ps: float) -> np.ndarray:
 def effective_coupling(j1_mev: float, j2_mev: float,
                        excitation_energy_mev: float) -> float:
     """Second-order qubit-qubit coupling J1*J2/dE mediated by the excitation."""
-    if excitation_energy_mev <= 0:
+    if finite(excitation_energy_mev, "excitation energy", PreconditionError) <= 0:
         raise PreconditionError("excitation energy must be positive")
     return j1_mev * j2_mev / excitation_energy_mev
 
@@ -216,62 +219,49 @@ _PROBES = _single_qubit_probes()
 _SCAN_CHUNK = 512
 
 
-# basis rows of the gate trio with the control (spin 0) up, and with it down
-_UP, _DOWN = np.arange(4), np.arange(4, 8)
+# the gate trio's spins, and its basis rows with the control (spin 0) up and down
+_TRIO = (("C", "control"), ("Q1", "qubit"), ("Q2", "qubit"))
+_UP, _DOWN = slice(0, 4), slice(4, 8)
+
+# its S0.S1, S0.S2 and S1.S2, and the projector onto its total spin 3/2
+_S01, _S02, _S12 = (build_hamiltonian(SpinSystem(_TRIO, {pair: 1.0}))
+                    for pair in ((0, 1), (0, 2), (1, 2)))
+_QUARTET = 0.5 * np.eye(8) + (2.0 / 3.0) * (_S01 + _S02 + _S12)
 
 
-def _trio_hamiltonian(j1_mev: float, j2_mev: float) -> np.ndarray:
-    """H of the gate trio: the control, spin 0, coupled to qubits 1 and 2."""
+def _trio_levels(j1_mev: float, j2_mev: float) -> tuple:
+    """The three levels (meV) of the gate trio, the control (spin 0) coupled
+    to qubits 1 and 2, and the projector onto each.
+
+    H = J1 S0.S1 + J2 S0.S2 has the quartet E_Q = (J1+J2)/4 and the two
+    doublets E_+- = -(J1+J2)/4 +- gap/2, gap = sqrt(J1^2+J2^2-J1 J2). The
+    quartet projector P_Q is fixed; H splits the doublet space 1 - P_Q as
+    P_+ = (1 - P_Q)(H - E_-)/gap and P_- = (1 - P_Q) - P_+. Only the gap,
+    at least max|J|/sqrt(2), is divided by, so the projectors hold to
+    rounding however close E_Q comes to a doublet.
+    """
     for name, j in (("j1", j1_mev), ("j2", j2_mev)):
         if finite(j, name, PreconditionError) == 0.0:
             raise PreconditionError(f"{name} must be nonzero: the control "
                                     "couples both qubits")
-    return build_hamiltonian(SpinSystem(
-        spins=(("C", "control"), ("Q1", "qubit"), ("Q2", "qubit")),
-        couplings={(0, 1): j1_mev, (0, 2): j2_mev},
-    ))
-
-
-def _trio_levels(j1_mev: float, j2_mev: float) -> tuple:
-    """The trio's three levels (meV) and the projector onto each.
-
-    H = J1 S0.S1 + J2 S0.S2 has the quartet E_Q = (J1+J2)/4 and the two
-    doublets E_+- = -(J1+J2)/4 +- sqrt(J1^2+J2^2-J1 J2)/2, so
-    U(tau) = sum_k exp(-i E_k tau/hbar) P_k. Each eigenvector of H goes to
-    the nearest closed-form level; the multiplicities must come out 4, 2, 2.
-    """
-    H = _trio_hamiltonian(j1_mev, j2_mev)
     j1, j2 = float(j1_mev), float(j2_mev)
-    root = 0.5 * math.sqrt(j1 * j1 + j2 * j2 - j1 * j2)
-    levels = np.array([0.25 * (j1 + j2), -0.25 * (j1 + j2) + root,
-                       -0.25 * (j1 + j2) - root])
-    w, V = np.linalg.eigh(H)
-    level_of = np.argmin(np.abs(w[:, None] - levels), axis=1)
-    counts = tuple(int(n) for n in np.bincount(level_of, minlength=3))
-    if counts != (4, 2, 2):
-        raise PreconditionError(
-            f"trio ({j1:g}, {j2:g}) meV: eigenvalues fall on its three levels "
-            f"{counts} times, not (4, 2, 2)")
-    projectors = np.array([V[:, level_of == k] @ V[:, level_of == k].T
-                           for k in range(3)])
-    return levels, projectors
+    H = j1 * _S01 + j2 * _S02
+    e_q, gap = 0.25 * (j1 + j2), math.sqrt(j1 * j1 + j2 * j2 - j1 * j2)
+    levels = np.array([e_q, 0.5 * gap - e_q, -0.5 * gap - e_q])
+    doublets = np.eye(8) - _QUARTET
+    upper = doublets @ (H - levels[2] * np.eye(8)) / gap
+    return levels, np.array([_QUARTET, upper, doublets - upper])
 
 
-def _control_blocks(U: np.ndarray):
-    return U[np.ix_(_UP, _UP)], U[np.ix_(_DOWN, _UP)]
+def _phases(levels: np.ndarray, taus) -> np.ndarray:
+    """exp(-i E_k tau/hbar) for each tau (leading axes) and level (last)."""
+    return np.exp(-1j * np.multiply.outer(taus, levels) / HBAR_MEV_PS)
 
 
-def _control_moments(A: np.ndarray, B: np.ndarray) -> tuple:
-    """The control's populations and squared coherence for every probe.
-
-    The control starts up; A and B (... x 4 x 36) hold the control-up and
-    control-down parts of every evolved probe psi, so the control's reduced
-    state has populations |A psi|^2, |B psi|^2 and coherence <B psi|A psi>.
-    """
-    p_up = np.sum(np.abs(A) ** 2, axis=-2)
-    p_down = np.sum(np.abs(B) ** 2, axis=-2)
-    coh = np.abs(np.sum(A * B.conj(), axis=-2)) ** 2
-    return p_up, p_down, coh
+def _trio_propagator(levels: np.ndarray, projectors: np.ndarray,
+                     tau_ps: float) -> np.ndarray:
+    """U(tau) = sum_k exp(-i E_k tau/hbar) P_k over the trio's three levels."""
+    return np.tensordot(_phases(levels, tau_ps), projectors, axes=1)
 
 
 def _residual_bits(p_up: np.ndarray, p_down: np.ndarray,
@@ -298,26 +288,27 @@ def induced_qubit_operator(j1_mev: float, j2_mev: float, tau_ps: float) -> tuple
     """Operator the qubits see when the control, starting up, is excited for
     tau: the control-up block of the propagator, plus the residual control
     entanglement in bits (zero exactly when the block is unitary)."""
-    M, N = _control_blocks(propagator(_trio_hamiltonian(j1_mev, j2_mev), tau_ps))
-    moments = _control_moments(M @ _PROBES, N @ _PROBES)
-    return M, float(_residual_bits(*moments))
+    levels, projectors = _trio_levels(j1_mev, j2_mev)
+    tau = finite(tau_ps, "tau_ps", PreconditionError)
+    M = _trio_propagator(levels, projectors, tau)[_UP, _UP]
+    return M, float(_residual_scan(levels, projectors)(np.array([tau]))[0])
 
 
-def _residual_scan(j1_mev: float, j2_mev: float):
-    """Residual control entropy of the trio as a function of an array of
-    intervals.
+def _residual_scan(levels: np.ndarray, projectors: np.ndarray):
+    """Residual control entropy of the trio, given its levels and
+    projectors, as a function of an array of intervals.
 
-    With U(tau) = sum_k phi_k P_k over the three levels, the evolved probe
-    parts are A = sum_k phi_k A_k and B = sum_k phi_k B_k, where
+    The control starts up, so with U(tau) = sum_k phi_k P_k its reduced
+    state for probe psi has populations |A psi|^2, |B psi|^2 and coherence
+    <B psi|A psi>, where A = sum_k phi_k A_k and B = sum_k phi_k B_k with
     A_k = P_k[up, up] probes and B_k = P_k[down, up] probes. Each moment is
     then a quadratic form in the three phases: p_up = sum_kl conj(phi_k)
     phi_l <A_k psi|A_l psi>, likewise p_down from B and the coherence from
     <B_k psi|A_l psi>. The three 9 x 36 Gram tables are built once; each
     chunk of intervals costs three (chunk x 9) @ (9 x 36) products.
     """
-    levels, projectors = _trio_levels(j1_mev, j2_mev)
-    A = projectors[:, _UP][:, :, _UP] @ _PROBES
-    B = projectors[:, _DOWN][:, :, _UP] @ _PROBES
+    A = projectors[:, _UP, _UP] @ _PROBES
+    B = projectors[:, _DOWN, _UP] @ _PROBES
 
     def gram(X, Y):
         return np.einsum("krp,lrp->klp", X.conj(), Y).reshape(9, -1)
@@ -328,7 +319,7 @@ def _residual_scan(j1_mev: float, j2_mev: float):
         out = np.empty(len(taus))
         for start in range(0, len(taus), _SCAN_CHUNK):
             chunk = taus[start:start + _SCAN_CHUNK]
-            phases = np.exp(-1j * levels * chunk[:, None] / HBAR_MEV_PS)
+            phases = _phases(levels, chunk)
             pairs = (phases.conj()[:, :, None] * phases[:, None, :]).reshape(-1, 9)
             out[start:start + _SCAN_CHUNK] = _residual_bits(
                 (pairs @ g_up).real, (pairs @ g_down).real,
@@ -351,13 +342,15 @@ def sfg_gate(j1_mev: float, j2_mev: float, tau_range: tuple = None, *,
     If none gets below `residual_threshold`, raises NoCleanGateError
     carrying the best candidate.
 
-    The coarse scan and the refine score tau through the trio's three
-    levels: the control's populations and coherence are quadratic forms in
-    the three level phases, tabulated once per search, so each tau point is
-    a 9-term phase product per moment. Points are scored in fixed-size
-    chunks, so memory stays bounded for any grid length.
+    The trio's levels and projectors are computed once per search. The
+    coarse scan and the refine score tau through them: the control's
+    populations and coherence are quadratic forms in the three level
+    phases, tabulated once, so each tau point is a 9-term phase product per
+    moment. Points are scored in fixed-size chunks, so memory stays bounded
+    for any grid length. The reported gate is the control-up block of the
+    same U(tau).
     """
-    H = _trio_hamiltonian(j1_mev, j2_mev)
+    levels, projectors = _trio_levels(j1_mev, j2_mev)
     j_min, j_max = sorted(abs(float(j)) for j in (j1_mev, j2_mev))
     if tau_range is None:
         tau_range = (0.0, 4.0 * math.pi * HBAR_MEV_PS / j_min)
@@ -371,7 +364,7 @@ def sfg_gate(j1_mev: float, j2_mev: float, tau_range: tuple = None, *,
     # narrow explicit ranges must still get a usable grid
     resolution_ps = min(1e-3 * math.pi * HBAR_MEV_PS / j_max, (hi - lo) / 200.0)
 
-    residuals = _residual_scan(j1_mev, j2_mev)
+    residuals = _residual_scan(levels, projectors)
 
     def residual_at(tau):
         return residuals(np.array([tau]))[0]
@@ -407,7 +400,7 @@ def sfg_gate(j1_mev: float, j2_mev: float, tau_range: tuple = None, *,
         candidates.append((float(taus[k]), float(coarse[k])))
 
     def report_at(tau, residual):
-        M, _ = _control_blocks(propagator(H, tau))
+        M = _trio_propagator(levels, projectors, tau)[_UP, _UP]
         # report the unitary part (polar projection); for a clean interval
         # this is M itself to machine precision, and the non-unitary part is
         # already accounted for by the residual entanglement field

@@ -2,8 +2,8 @@
 
 Each test prints a single pass/fail line with the measured values so the
 whole scorecard is readable from the test log. Known shortfalls are left
-failing on purpose; the analysis lives in the project notes, not in
-loosened tolerances.
+failing on purpose rather than hidden behind loosened tolerances; the
+analysis of criteria 01, 04 and 05 is open item 4 of ROADMAP.md.
 """
 
 import math

@@ -1,5 +1,7 @@
 """Scan rendering, adjacency inference, and gate calibration."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -284,6 +286,16 @@ def test_generic_ratio_clusters_are_tau_sensitive():
     assert all(0.0 < f_ <= 1.0 + 1e-12 for f_ in fids)
     assert max(fids) > 0.9  # some draws stay close
     assert min(fids) > 0.2  # none collapse to an unrelated gate
+
+
+def test_detection_threshold_validation():
+    # no coupling compares at or above NaN or inf, so these would drop every
+    # coupling of every resonance without a word
+    sc, lines, couplings = _one_control_case(j1=8.0, j2=11.0)
+    scan = simulate_scan(sc, lines, couplings)
+    for bad_threshold in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(PreconditionError):
+            infer_adjacency(scan, bad_threshold)
 
 
 def test_calibration_needs_two_inferred_qubits():

@@ -1,6 +1,7 @@
 """Optical transition bookkeeping: line placement, widths, resolvability."""
 
 import itertools
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 from donorgate import (
     DependencyError,
     EprModel,
+    InvalidSpecError,
     LatticeSpec,
     Placement,
     PreconditionError,
@@ -124,6 +126,18 @@ def test_resolvable_count_hand_cases():
     assert resolvable_gate_count([0.0, 1.5], 1.0, 1.5) == 2
     with pytest.raises(PreconditionError):
         resolvable_gate_count([], 1.0, 1.5)
+
+
+def test_resolvable_count_takes_the_spectral_model_rule():
+    # a width or factor that a SpectralModel rejects cannot be counted on
+    lines = [574.264, 625.736]
+    for width, factor in ((-1.1, 1.5), (0.0, 1.5), (math.nan, 1.5),
+                          (math.inf, 1.5), (1.1, 0.5), (1.1, math.nan),
+                          (1.1, math.inf)):
+        with pytest.raises(PreconditionError):
+            resolvable_gate_count(lines, width, factor)
+        with pytest.raises(InvalidSpecError):
+            SpectralModel(600.0, width, (), factor)
 
 
 def test_resolvable_count_matches_brute_force():

@@ -19,8 +19,7 @@ from donorgate import (
     propagator,
     sfg_gate,
 )
-from donorgate.spins import (_SCAN_CHUNK, _residual_scan, _trio_hamiltonian,
-                             _trio_levels)
+from donorgate.spins import _SCAN_CHUNK, _residual_scan, _trio_levels
 
 HBAR = 0.6582  # meV ps
 
@@ -107,8 +106,9 @@ def test_half_swap_interval_is_root_swap():
 def test_effective_coupling_formula():
     assert effective_coupling(32.3, 10.5, 600.0) == pytest.approx(0.56525, abs=1e-6)
     assert effective_coupling(41.2, 5.6, 600.0) == pytest.approx(0.384533, abs=1e-6)
-    with pytest.raises(PreconditionError):
-        effective_coupling(1.0, 1.0, 0.0)
+    for bad_energy in (0.0, -600.0, math.nan, math.inf):
+        with pytest.raises(PreconditionError):
+            effective_coupling(10.0, 5.0, bad_energy)
 
 
 def test_entangling_power_anchors():
@@ -187,6 +187,10 @@ def test_sfg_gate_coupling_validation():
             sfg_gate(j1, j2)
         with pytest.raises(PreconditionError):
             induced_qubit_operator(j1, j2, 1.0)
+    # and the interval must be finite, or the residual comes back NaN
+    for tau in (math.nan, math.inf, -math.inf):
+        with pytest.raises(PreconditionError):
+            induced_qubit_operator(10.0, 5.0, tau)
     # either sign of coupling is a gate trio
     assert sfg_gate(-10.0, -10.0).control_residual_entanglement < 1e-6
 
@@ -206,6 +210,24 @@ def test_sfg_gate_threshold_validation():
             sfg_gate(5.0, 5.0, residual_threshold=bad_threshold)
 
 
+def _reference_residuals(j1, j2, taus):
+    """Worst control entropy in bits over the 36 product probes at each tau,
+    from U = V exp(-i w tau/hbar) V^dag and an explicit partial trace."""
+    w, V = np.linalg.eigh(_kron_hamiltonian(3, {(0, 1): j1, (0, 2): j2}))
+    s = 1.0 / math.sqrt(2.0)
+    kets = np.array([[1, 0], [0, 1], [s, s], [s, -s], [s, 1j * s], [s, -1j * s]])
+    control_up = np.array([1.0, 0.0])
+    probes = np.array([np.kron(control_up, np.kron(a, b))
+                       for a in kets for b in kets]).T  # 8 x 36
+    U = np.einsum("ik,tk,jk->tij", V, np.exp(-1j * np.outer(taus, w) / HBAR),
+                  V.conj())
+    # control index first: psi[t, c, q, probe]; trace out the qubits q
+    psi = (U @ probes).reshape(len(taus), 2, 4, -1)
+    rho = np.einsum("tcqp,tdqp->tpcd", psi, psi.conj())
+    lam = np.clip(np.linalg.eigvalsh(rho), 1e-300, 1.0)
+    return np.max(-np.sum(lam * np.log2(lam), axis=-1), axis=-1)
+
+
 @pytest.mark.parametrize("j1, j2", [
     (32.3, 10.5), (41.2, 5.6),  # quoted table1 gate couplings
     (147.5, 20.9),  # the bundled cluster's C2 trio
@@ -217,14 +239,14 @@ def test_sfg_gate_threshold_validation():
 def test_batched_scan_matches_propagator(j1, j2):
     # a grid that ends in a partial chunk
     taus = np.linspace(1e-3, 4.0 * math.pi * HBAR / j2, 2 * _SCAN_CHUNK + 37)
-    scanned = _residual_scan(j1, j2)(taus)
-    direct = np.array([induced_qubit_operator(j1, j2, t)[1] for t in taus])
+    scanned = _residual_scan(*_trio_levels(j1, j2))(taus)
     assert scanned.shape == taus.shape
-    assert np.max(np.abs(scanned - direct)) < 1e-12
+    assert np.max(np.abs(scanned - _reference_residuals(j1, j2, taus))) < 1e-12
 
 
 @pytest.mark.parametrize("sign", [1.0, -1.0])
-@pytest.mark.parametrize("ratio", [1.0, 0.999, 0.5, -0.5, 1.0 / 3.0, 0.1, -1.0, 0.01])
+@pytest.mark.parametrize("ratio", [1.0, 0.999, 0.5, -0.5, 1.0 / 3.0, 0.1, -1.0, 0.01,
+                                   1e-3, -1e-3])
 def test_trio_levels_are_the_closed_form_three(ratio, sign):
     j1 = sign * 20.0
     j2 = j1 * ratio

@@ -216,10 +216,11 @@ def _cmd_configure_scan(args):
     realized, lines, couplings = resolve_cluster(scenario, args.seed)
     scan = simulate_scan(realized, lines, couplings)
     header, rows = scan.to_rows()
+    spectra = [[float(v) for v in spectrum] for spectrum in scan.spectra]
     payload = {
         "optical_axis_mev": [float(v) for v in scan.optical_axis_mev],
         "epr_axis_mev": [float(v) for v in scan.epr_axis_mev],
-        "response": [[float(v) for v in row] for row in scan.response],
+        "response": [spectra[k] for k in scan.row_spectrum],
     }
     _emit(args, payload, header, rows, default_format="csv")
 

@@ -63,11 +63,19 @@ class ScanMap:
     """EPR response versus optical excitation frequency, stamped with the
     instrument settings it was rendered with: `epr_lines_mev` is the
     ((qubit label, EPR line position), ...) table that names the lines, and
-    the EPR linewidth and homogeneous width are FWHM in meV."""
+    the EPR linewidth and homogeneous width are FWHM in meV.
+
+    A row depends only on which controls its frequency excites, so a scan
+    has few distinct rows: each is stored once in `spectra` (one row per
+    distinct spectrum, one column per EPR point) and `row_spectrum` gives the
+    spectrum of each optical row. `response` builds the dense (optical, epr)
+    map from them on demand.
+    """
 
     optical_axis_mev: np.ndarray
     epr_axis_mev: np.ndarray
-    response: np.ndarray
+    spectra: np.ndarray
+    row_spectrum: np.ndarray
     epr_lines_mev: tuple
     epr_linewidth_mev: float
     homogeneous_fwhm_mev: float
@@ -77,20 +85,38 @@ class ScanMap:
                            np.asarray(self.optical_axis_mev, dtype=float))
         object.__setattr__(self, "epr_axis_mev",
                            np.asarray(self.epr_axis_mev, dtype=float))
-        object.__setattr__(self, "response", np.asarray(self.response, dtype=float))
-        if self.response.shape != (len(self.optical_axis_mev), len(self.epr_axis_mev)):
-            raise InvalidSpecError("response shape must be (optical, epr)")
-        if np.any(self.response < 0):
+        object.__setattr__(self, "spectra", np.asarray(self.spectra, dtype=float))
+        index = np.asarray(self.row_spectrum)
+        if index.size and index.dtype.kind not in "iu":
+            raise InvalidSpecError("row_spectrum must hold integer indices")
+        object.__setattr__(self, "row_spectrum", index.astype(np.intp))
+        if (self.spectra.ndim != 2
+                or self.spectra.shape[1] != len(self.epr_axis_mev)):
+            raise InvalidSpecError("spectra shape must be (spectrum, epr)")
+        if self.row_spectrum.shape != self.optical_axis_mev.shape:
+            raise InvalidSpecError("row_spectrum needs one index per optical row")
+        if np.any((self.row_spectrum < 0)
+                  | (self.row_spectrum >= len(self.spectra))):
+            raise InvalidSpecError("row_spectrum indexes past the spectra")
+        if np.any(self.spectra < 0):
             raise InvalidSpecError("response must be non-negative")
         for axis in (self.optical_axis_mev, self.epr_axis_mev):
             if len(axis) > 1 and np.any(np.diff(axis) <= 0):
                 raise InvalidSpecError("axes must be strictly increasing")
 
+    @property
+    def response(self) -> np.ndarray:
+        """The dense (optical, epr) map, built on each call; read-only."""
+        dense = self.spectra[self.row_spectrum]
+        dense.flags.writeable = False
+        return dense
+
     def to_rows(self):
         """Header plus one row per optical frequency, for CSV export."""
         header = ["optical_mev"] + [f"epr_{v:.6g}" for v in self.epr_axis_mev]
-        rows = [[f"{f:.9g}"] + [f"{x:.9g}" for x in row]
-                for f, row in zip(self.optical_axis_mev, self.response)]
+        cells = [[f"{x:.9g}" for x in spectrum] for spectrum in self.spectra]
+        rows = [[f"{f:.9g}"] + cells[k]
+                for f, k in zip(self.optical_axis_mev, self.row_spectrum)]
         return header, rows
 
 
@@ -108,7 +134,10 @@ def simulate_scan(scenario, lines, couplings) -> ScanMap:
     omits are uncoupled. The spectral and EPR models and the qubits' EPR
     line positions come from the scenario. The optical axis covers every
     line within 4 homogeneous widths (step delta_h/4), the EPR axis every
-    component within 8 linewidths (step linewidth/5).
+    component within 8 linewidths (step linewidth/5). Each distinct set of
+    excited controls is rendered once into the map's `spectra`, and every
+    optical row gets the index of its set's spectrum; the dense map is
+    never allocated.
     """
     delta_h = scenario.spectral.homogeneous_fwhm_mev
     gamma = scenario.epr.linewidth_mev
@@ -148,14 +177,15 @@ def simulate_scan(scenario, lines, couplings) -> ScanMap:
 
     # a row depends only on which controls are excited, and most rows of a
     # scan share one of a few such sets: render each set once
-    rows = {}
-    response = np.zeros((len(optical_axis), len(epr_axis)))
+    spectrum_of = {}
+    row_spectrum = np.empty(len(optical_axis), dtype=np.intp)
     for i, freq in enumerate(optical_axis):
         excited = frozenset(c for c, e in line_of.items() if abs(e - freq) <= delta_h)
-        if excited not in rows:
-            rows[excited] = render(excited)
-        response[i] = rows[excited]
-    return ScanMap(optical_axis, epr_axis, response, epr_lines, gamma, delta_h)
+        row_spectrum[i] = spectrum_of.setdefault(excited, len(spectrum_of))
+    spectra = np.array([render(excited) for excited in spectrum_of]).reshape(
+        len(spectrum_of), len(epr_axis))
+    return ScanMap(optical_axis, epr_axis, spectra, row_spectrum, epr_lines,
+                   gamma, delta_h)
 
 
 @dataclass(frozen=True)
@@ -189,13 +219,43 @@ def _peak_positions(axis: np.ndarray, values: np.ndarray, floor: float) -> list:
     return out
 
 
+def _baseline(spectra: np.ndarray, row_spectrum: np.ndarray) -> tuple:
+    """The elementwise median row of the map and each row's deviation from it.
+
+    Equal to `np.median(response, axis=0)` and `np.sum(np.abs(response -
+    baseline), axis=1)` on the dense map, bit for bit, but taken over the
+    distinct spectra: the median is the element of rank N//2 (the mean of
+    ranks N//2-1 and N//2 for even N) of each column, with each spectrum
+    counted once per row that uses it, and each spectrum's deviation is
+    summed once.
+    """
+    n_rows = len(row_spectrum)
+    order = np.argsort(spectra, axis=0, kind="stable")
+    ranked = np.take_along_axis(spectra, order, axis=0)
+    # rows at or below each ranked value, column by column
+    seen = np.cumsum(np.bincount(row_spectrum, minlength=len(spectra))[order],
+                     axis=0)
+    columns = np.arange(spectra.shape[1])
+
+    def at_rank(r):
+        return ranked[np.sum(seen <= r, axis=0), columns]
+
+    if n_rows % 2:
+        baseline = at_rank(n_rows // 2)
+    else:
+        baseline = (at_rank(n_rows // 2 - 1) + at_rank(n_rows // 2)) / 2.0
+    deviation = np.sum(np.abs(spectra - baseline), axis=1)[row_spectrum]
+    return baseline, deviation
+
+
 def infer_adjacency(scan: ScanMap,
                     detection_threshold_mev: float) -> AdjacencyHypothesis:
     """Recover which optical resonances move which EPR lines, and by how much.
 
     Works purely from the map and the settings stamped on it: the baseline
     spectrum is the elementwise median row (most frequencies excite
-    nothing); each control occupies a window of full width 2*delta_h in
+    nothing), taken over the map's distinct spectra weighted by how many
+    rows use each; each control occupies a window of full width 2*delta_h in
     which rows deviate, so rising steps of the row deviation locate
     transitions at (step edge) + delta_h; the splitting of a vanished EPR
     line in the window's exclusive row is the coupling, labelled by the
@@ -212,10 +272,11 @@ def infer_adjacency(scan: ScanMap,
     delta_h = scan.homogeneous_fwhm_mev
     epr_lines = dict(scan.epr_lines_mev)
 
-    baseline = np.median(scan.response, axis=0)
-    deviation = np.sum(np.abs(scan.response - baseline), axis=1)
-    top = float(np.max(deviation)) if len(deviation) else 0.0
-    if top <= 0 or not len(epr):
+    if not len(optical) or not len(epr):
+        return AdjacencyHypothesis((), detection_threshold_mev)
+    baseline, deviation = _baseline(scan.spectra, scan.row_spectrum)
+    top = float(np.max(deviation))
+    if top <= 0:
         return AdjacencyHypothesis((), detection_threshold_mev)
 
     # rising steps of the (piecewise-constant) deviation profile
@@ -230,7 +291,7 @@ def infer_adjacency(scan: ScanMap,
 
     entries = []
     for k, energy in enumerate(energies):
-        row = scan.response[int(np.argmin(np.abs(optical - energy)))]
+        row = scan.spectra[scan.row_spectrum[np.argmin(np.abs(optical - energy))]]
         row_peaks = _peak_positions(epr, row, 0.12 * float(np.max(row)))
         vanished = [z for z in base_peaks
                     if not any(abs(p - z) <= keep_tol for p in row_peaks)]

@@ -10,6 +10,7 @@ plain float/int/str so the JSON dump is stable and diffable.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, replace
 
@@ -55,6 +56,7 @@ def realize_placements(scenario: Scenario) -> Scenario:
 
 def _stage(name):
     def wrap(fn):
+        @functools.wraps(fn)
         def run(*args, **kwargs):
             try:
                 return fn(*args, **kwargs)

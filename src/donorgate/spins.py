@@ -213,9 +213,14 @@ def _single_qubit_probes() -> np.ndarray:
 _PROBES = _single_qubit_probes()
 
 
-# tau points per batched residual evaluation; bounds the scan's temporaries
-# (about 3 kB per point: the 9 level-pair phases, the three 36-probe
-# moments and the real score arrays) whatever the length of the grid
+# tau points per batched residual evaluation, whatever the length of the
+# grid. A scan allocates its work arrays once, at up to this many rows
+# (about 2.6 kB per row: the three 36-probe moments, the squared coherence
+# and two score arrays), and reuses them for every chunk, the shorter last
+# one included. At 512 rows each of those arrays is 147-295 kB, above
+# glibc's 128 KiB mmap threshold, so arrays allocated afresh for each chunk
+# would be mapped and page-faulted again on every chunk. The 9 level-pair
+# phases (73 kB a chunk) stay under it and are allocated per chunk.
 _SCAN_CHUNK = 512
 
 
@@ -264,18 +269,24 @@ def _trio_propagator(levels: np.ndarray, projectors: np.ndarray,
     return np.tensordot(_phases(levels, tau_ps), projectors, axes=1)
 
 
-def _residual_bits(p_up: np.ndarray, p_down: np.ndarray,
-                   coh: np.ndarray) -> np.ndarray:
+def _residual_bits(p_up: np.ndarray, p_down: np.ndarray, coh: np.ndarray,
+                   work: np.ndarray) -> np.ndarray:
     """Worst control entropy, in bits, over the probes on the last axis.
 
     The reduced state of populations p_up, p_down and squared coherence coh
     has eigenvalues (total +- disc)/2 with disc^2 = (p_up-p_down)^2 + 4 coh;
     its entropy falls as (disc/total)^2 rises, so the worst probe is the one
     with the smallest ratio, and the binary entropy is taken for it alone.
+    `coh` and the two arrays of `work`, each shaped like p_up, are
+    overwritten, so a scan can reuse them from chunk to chunk.
     """
-    split = (p_up - p_down) ** 2 + 4.0 * coh
-    total = p_up + p_down
-    worst = np.argmin(split / total ** 2, axis=-1)[..., None]
+    split, total = work
+    np.subtract(p_up, p_down, out=split)
+    np.square(split, out=split)
+    np.add(split, np.multiply(4.0, coh, out=coh), out=split)
+    np.add(p_up, p_down, out=total)
+    ratio = np.divide(split, np.square(total, out=coh), out=coh)
+    worst = np.argmin(ratio, axis=-1)[..., None]
     split = np.take_along_axis(split, worst, axis=-1)[..., 0]
     total = np.take_along_axis(total, worst, axis=-1)[..., 0]
     disc = np.sqrt(split)
@@ -305,7 +316,8 @@ def _residual_scan(levels: np.ndarray, projectors: np.ndarray):
     then a quadratic form in the three phases: p_up = sum_kl conj(phi_k)
     phi_l <A_k psi|A_l psi>, likewise p_down from B and the coherence from
     <B_k psi|A_l psi>. The three 9 x 36 Gram tables are built once; each
-    chunk of intervals costs three (chunk x 9) @ (9 x 36) products.
+    chunk of intervals costs three (chunk x 9) @ (9 x 36) products, written
+    with everything after them into work arrays allocated once per call.
     """
     A = projectors[:, _UP, _UP] @ _PROBES
     B = projectors[:, _DOWN, _UP] @ _PROBES
@@ -317,13 +329,20 @@ def _residual_scan(levels: np.ndarray, projectors: np.ndarray):
 
     def residuals(taus: np.ndarray) -> np.ndarray:
         out = np.empty(len(taus))
+        rows = min(len(taus), _SCAN_CHUNK)
+        moments = np.empty((3, rows, _PROBES.shape[1]), dtype=complex)
+        coh = np.empty(moments.shape[1:])
+        work = np.empty((2,) + coh.shape)
         for start in range(0, len(taus), _SCAN_CHUNK):
             chunk = taus[start:start + _SCAN_CHUNK]
+            n = len(chunk)
             phases = _phases(levels, chunk)
             pairs = (phases.conj()[:, :, None] * phases[:, None, :]).reshape(-1, 9)
-            out[start:start + _SCAN_CHUNK] = _residual_bits(
-                (pairs @ g_up).real, (pairs @ g_down).real,
-                np.abs(pairs @ g_coh) ** 2)
+            up, down, cross = (np.matmul(pairs, g, out=m[:n])
+                               for g, m in zip((g_up, g_down, g_coh), moments))
+            np.square(np.abs(cross, out=coh[:n]), out=coh[:n])
+            out[start:start + n] = _residual_bits(up.real, down.real,
+                                                  coh[:n], work[:, :n])
         return out
 
     return residuals

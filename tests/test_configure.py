@@ -11,15 +11,18 @@ from donorgate import (
     LatticeSpec,
     Placement,
     PreconditionError,
+    ScanMap,
     Scenario,
     SpectralModel,
     TransitionLine,
     calibrate_gate_time,
+    get_preset,
     infer_adjacency,
     model_from_ionization,
     simulate_scan,
 )
-from donorgate.configure import ControlHypothesis
+from donorgate.configure import ControlHypothesis, _baseline
+from donorgate.feasibility import resolve_cluster
 
 CONTROL = model_from_ionization("P", 0.6, 5.7, role="control")
 QUBIT = model_from_ionization("N", 0.6, 5.7, role="qubit", radius_scale_factor=0.5)
@@ -239,6 +242,68 @@ def test_round_trip_recovers_random_scenarios():
             assert set(got) == set(want), f"seed {seed} {cid}"
             for q, j in want.items():
                 assert got[q] == pytest.approx(j, rel=0.05), f"seed {seed} {cid} {q}"
+
+
+def _assert_baseline_exact(scan):
+    baseline, deviation = _baseline(scan.spectra, scan.row_spectrum)
+    dense = scan.response
+    want = np.median(dense, axis=0)
+    assert np.array_equal(baseline, want)
+    assert np.array_equal(deviation, np.sum(np.abs(dense - want), axis=1))
+
+
+def test_table1_scan_stores_three_spectra_and_its_exact_baseline():
+    _, sc = get_preset("table1")
+    scan = simulate_scan(*resolve_cluster(sc))
+    assert len(scan.spectra) == 3
+    assert scan.response.shape == (220, 15294)
+    _assert_baseline_exact(scan)
+
+
+def test_random_scan_baselines_are_exact():
+    for seed in range(10):
+        _assert_baseline_exact(simulate_scan(*_random_case(seed)))
+
+
+def _synthetic_scan(spectra, row_spectrum):
+    return ScanMap(np.arange(float(len(row_spectrum))),
+                   np.arange(float(spectra.shape[1])), spectra, row_spectrum,
+                   (("Q1", 0.0),), GAMMA, DELTA_H)
+
+
+@pytest.mark.parametrize("row_spectrum", [
+    [0],  # a single row
+    [1, 0, 1],  # odd, spectrum 2 unused
+    [2, 0, 1, 0],  # even
+    [0, 0, 2, 2],  # even, the middle ranks in two spectra
+    [3, 3, 1, 0, 2, 3, 1],
+    [2] * 5 + [0] * 5,  # even, spectra 1 and 3 unused
+])
+def test_weighted_median_matches_dense_median(row_spectrum):
+    rng = np.random.default_rng(len(row_spectrum))
+    spectra = rng.uniform(0.0, 2.0, size=(4, 64))
+    # ties: a column equal across spectra, and columns drawn from few values
+    spectra[:, 5] = 0.7
+    spectra[:, 10:30] = rng.choice([0.0, 0.25, 1.0 / 3.0], size=(4, 20))
+    _assert_baseline_exact(_synthetic_scan(spectra, row_spectrum))
+
+
+def test_scan_map_checks_its_row_index():
+    spectra = np.ones((2, 4))
+    scan = _synthetic_scan(spectra, [1, 0, 1])
+    assert scan.response.shape == (3, 4)
+    assert not scan.response.flags.writeable
+    for bad in ([0, 2, 1], [0, -1, 1], [0.0, 1.0, 0.0]):
+        with pytest.raises(InvalidSpecError):
+            _synthetic_scan(spectra, bad)
+    settings = ((("Q1", 0.0),), GAMMA, DELTA_H)
+    with pytest.raises(InvalidSpecError):  # two rows on a three-row axis
+        ScanMap(np.arange(3.0), np.arange(4.0), spectra, [0, 1], *settings)
+    with pytest.raises(InvalidSpecError):  # three EPR points on a four-point axis
+        ScanMap(np.arange(3.0), np.arange(4.0), np.ones((2, 3)), [1, 0, 1],
+                *settings)
+    with pytest.raises(InvalidSpecError):
+        _synthetic_scan(-spectra, [1, 0, 1])
 
 
 # --- calibration ----------------------------------------------------------

@@ -169,6 +169,13 @@ def test_stage_failures_name_the_stage():
     assert "stage 'integrals' failed" in str(err.value)
 
 
+def test_stage_functions_keep_their_name_and_docstring():
+    assert _capable_controls.__name__ == "_capable_controls"
+    assert _capable_controls.__doc__.startswith("Controls with two or more")
+    assert feasibility._integrals_stage.__name__ == "_integrals_stage"
+    assert feasibility._integrals_stage.__doc__.startswith("Exchange for every")
+
+
 def test_qubit_on_a_control_site_is_rejected_on_both_paths():
     _, sc = get_preset("table1")
     on_c2 = dataclasses.replace(sc.placements[4], position_a=sc.placements[1].position_a)

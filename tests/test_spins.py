@@ -232,16 +232,26 @@ def _reference_residuals(j1, j2, taus):
     (32.3, 10.5), (41.2, 5.6),  # quoted table1 gate couplings
     (147.5, 20.9),  # the bundled cluster's C2 trio
     (116.4, 38.6),  # generic ratio, no clean interval
-    (10.0, 10.0), (-10.0, -10.0),  # equal couplings, either sign
+    (10.0, 10.0), (-10.0, -10.0), (20.0, 20.0),  # equal couplings, either sign
     (5.0, -5.0),  # opposite signs
     (150.0, 1.5),  # a 100:1 ratio
 ])
 def test_batched_scan_matches_propagator(j1, j2):
     # a grid that ends in a partial chunk
     taus = np.linspace(1e-3, 4.0 * math.pi * HBAR / j2, 2 * _SCAN_CHUNK + 37)
-    scanned = _residual_scan(*_trio_levels(j1, j2))(taus)
+    residuals = _residual_scan(*_trio_levels(j1, j2))
+    scanned = residuals(taus)
     assert scanned.shape == taus.shape
     assert np.max(np.abs(scanned - _reference_residuals(j1, j2, taus))) < 1e-12
+    # the last chunk reuses the front rows of the work arrays; a stale row
+    # would show against a fresh call on that chunk alone
+    for start in range(0, len(taus), _SCAN_CHUNK):
+        chunk = slice(start, start + _SCAN_CHUNK)
+        assert np.array_equal(scanned[chunk], residuals(taus[chunk]))
+    # a lone tau takes the matrix-vector product, which rounds differently
+    # from the matrix-matrix one by a few ulp
+    alone = np.array([residuals(taus[k:k + 1])[0] for k in range(len(taus))])
+    assert np.max(np.abs(scanned - alone)) < 1e-14
 
 
 @pytest.mark.parametrize("sign", [1.0, -1.0])

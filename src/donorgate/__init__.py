@@ -23,8 +23,8 @@ from .errors import (DependencyError, DimensionError, DonorgateError,
                      InvalidSpecError, NoCleanGateError, PreconditionError,
                      ScenarioValidationError, StageError)
 from .lattice import (DopedRegion, LatticeSpec, NeighborStatistics, ShellTable,
-                      Site, neighbor_statistics,
-                      place_dopants, shell_sizes, sphere_count_report)
+                      neighbor_statistics, place_dopants, shell_sizes,
+                      sphere_count_report)
 from .orbitals import GaussianExpansion, OrbitalSpec, fit_gaussian_expansion
 from .integrals import (PairIntegralResult, TransferSplitting, exchange_curve,
                         pair_integrals, transfer_splitting_curve)

@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass, replace
 
 from .constants import BOHR_ANGSTROM, K_B_MEV_PER_K, MU_B_MEV_PER_T, RYDBERG_EV
-from .errors import InvalidModelError, store_finite, text
+from .errors import InvalidModelError, finite, store_finite, text
 
 _ROLES = ("qubit", "control")
 
@@ -113,7 +113,9 @@ class ZeemanCheck:
 
 
 def zeeman_check(g_factor: float, field_t: float, temperature_k: float) -> ZeemanCheck:
-    """Equilibrium spin polarization tanh(g mu_B B / 2 k T)."""
+    """Equilibrium spin polarization tanh(g mu_B B / 2 k T); inputs finite."""
+    g_factor, field_t, temperature_k = (finite(v, name, InvalidModelError) for v, name in (
+        (g_factor, "g_factor"), (field_t, "field_t"), (temperature_k, "temperature_k")))
     if temperature_k <= 0:
         raise InvalidModelError("temperature must be positive")
     ratio = g_factor * MU_B_MEV_PER_T * field_t / (K_B_MEV_PER_K * temperature_k)

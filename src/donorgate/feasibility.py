@@ -43,14 +43,15 @@ def realize_placements(scenario: Scenario) -> Scenario:
     rp = scenario.random_placement
     region = place_dopants(scenario.lattice, rp.concentration, dict(rp.mix),
                            rp.seed)
+    positions = region.sites.astype(float) * (scenario.lattice.lattice_constant / 4.0)
     counters = {"control": 0, "qubit": 0}
     prefix = {"control": "C", "qubit": "Q"}
     placements = []
-    for site, species_name in region.placements:
+    for position, species_name in zip(positions, region.species):
         role = scenario.species_by_name(species_name).role
         counters[role] += 1
         placements.append(Placement(f"{prefix[role]}{counters[role]}",
-                                    species_name, tuple(site.position)))
+                                    species_name, tuple(position)))
     return scenario.with_placements(placements)
 
 

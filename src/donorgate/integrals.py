@@ -58,7 +58,7 @@ from scipy.special import erf, gammainc
 
 from .constants import medium_hartree_mev
 from .donor import DonorModel
-from .errors import IllConditionedGeometryError, InvalidModelError, PreconditionError
+from .errors import IllConditionedGeometryError, InvalidModelError, PreconditionError, finite
 from .orbitals import OrbitalSpec, check_n_terms, fit_gaussian_expansion
 
 _OVERLAP_LIMIT = 0.999
@@ -247,14 +247,14 @@ class _PairCache:
     """Pair blocks per reduced point, at most `maxsize` points, least
     recently used out first.
 
-    A point is a pair configuration (kind_a, kind_b, radius_b, n_terms,
-    two_electron) and a reduced separation; its row is one dict of plain
-    floats. `fill` prices every separation of a configuration it does not
-    hold through `_pair_blocks`, `_R_CHUNK` at a time in the order given, so
-    a curve's misses are one batch; calling the cache reads one point,
-    pricing it alone if it is not held (as a point that a fill into a full
-    cache pushed out is). `cache_info()` is (hits, misses): reads served
-    from the cache and points priced.
+    A point's key, from `_pair_key`, is its pair configuration (kind_a,
+    kind_b, radius_b, n_terms, two_electron) and its reduced separation; its
+    row is one dict of plain floats. `fill` prices every key it does not
+    hold, all of one configuration, through `_pair_blocks`, `_R_CHUNK` at a
+    time in the order given, so a curve's misses are one batch; calling the
+    cache reads one point, pricing it alone if it is not held (as a point
+    that a fill into a full cache pushed out is). `cache_info()` is (hits,
+    misses): reads served from the cache and points priced.
     """
 
     def __init__(self, maxsize: int):
@@ -262,24 +262,25 @@ class _PairCache:
         self._rows = OrderedDict()
         self._hits = self._misses = 0
 
-    def fill(self, config, separations) -> None:
-        missing = [r for r in dict.fromkeys(separations) if (config, r) not in self._rows]
+    def fill(self, keys) -> None:
+        missing = [key for key in dict.fromkeys(keys) if key not in self._rows]
         self._misses += len(missing)
         for i in range(0, len(missing), _R_CHUNK):
             chunk = missing[i:i + _R_CHUNK]
-            blocks = _pair_blocks(*config[:3], np.array(chunk), *config[3:])
-            for j, r in enumerate(chunk):
-                self._rows[(config, r)] = {name: float(v[j]) for name, v in blocks.items()}
+            config = chunk[0][0]
+            blocks = _pair_blocks(*config[:3], np.array([r for _, r in chunk]), *config[3:])
+            for j, key in enumerate(chunk):
+                self._rows[key] = {name: float(v[j]) for name, v in blocks.items()}
                 if len(self._rows) > self.maxsize:
                     self._rows.popitem(last=False)
 
-    def __call__(self, config, r) -> dict:
-        row = self._rows.get((config, r))
+    def __call__(self, key) -> dict:
+        row = self._rows.get(key)
         if row is None:
-            self.fill(config, [r])
-            return self._rows[(config, r)]
+            self.fill([key])
+            return self._rows[key]
         self._hits += 1
-        self._rows.move_to_end((config, r))
+        self._rows.move_to_end(key)
         return row
 
     def cache_info(self) -> tuple:
@@ -289,9 +290,20 @@ class _PairCache:
 _reduced_pair = _PairCache(_CACHE_POINTS)
 
 
-def _key(x: float) -> float:
-    """Reduced lengths are cached at 12 decimals."""
-    return round(x, 12)
+def _pair_key(a: OrbitalSpec, b: OrbitalSpec, separation_a: float, n_terms: int,
+              two_electron: bool = True) -> tuple:
+    """Pair-cache key of `a` and `b` at `separation_a` angstrom: the pair
+    configuration and the reduced separation, every reduced length (in
+    units of a's radius) rounded to 12 decimals."""
+    scale = a.bohr_radius_a
+    return ((a.kind, b.kind, round(b.bohr_radius_a / scale, 12), n_terms, two_electron),
+            round(separation_a / scale, 12))
+
+
+def _hopping(blocks: dict) -> float:
+    """Orthogonalized hopping (hAB - S (hAA + hBB) / 2) / (1 - S^2)."""
+    s = blocks["S"]
+    return (blocks["hAB"] - s * (blocks["hAA"] + blocks["hBB"]) / 2.0) / (1.0 - s * s)
 
 
 def _check_overlap(s: float, separation_a: float) -> None:
@@ -325,7 +337,6 @@ class PairIntegralResult:
     singlet_mev: float
     triplet_mev: float
     exchange_splitting_mev: float
-    configuration: tuple
 
     @property
     def two_electron_splitting_mev(self) -> float:
@@ -340,53 +351,52 @@ class PairIntegralResult:
 
 
 def pair_integrals(
-    A: OrbitalSpec,
-    B: OrbitalSpec,
+    a: OrbitalSpec,
+    b: OrbitalSpec,
+    separation_a: float,
     epsilon: float,
     n_terms: int = 6,
 ) -> PairIntegralResult:
-    """Heitler-London integrals for two centers in a screened medium.
+    """Heitler-London integrals for envelopes `a` and `b` on centers
+    `separation_a` angstrom apart (finite, positive) in a medium of
+    dielectric constant `epsilon` (finite, above 1).
 
-    A p2 orbital on either center is the 2p-sigma envelope pointing along
+    A p2 envelope on either center is the 2p-sigma envelope pointing along
     the line between the two centers, so only their separation enters. In
     the length unit l = a_A the nuclear charges are (l/a_A, l/a_B): each
     isolated center then binds its own 1s envelope with its Coulombic
     binding energy in the medium. The blocks are read from the pair cache.
     """
     check_n_terms(n_terms)  # before the cache, where 6.0 would hit a 6 entry
-    r_ang = math.dist(A.center, B.center)
-    if not math.isfinite(r_ang):
-        raise PreconditionError("centers must be finite")
-    if r_ang <= 0.0:
-        raise PreconditionError("centers must be distinct")
+    r_ang = float(separation_a)
+    if not (math.isfinite(r_ang) and r_ang > 0.0):
+        raise PreconditionError(f"separation_a must be finite and positive, got {r_ang!r}")
+    if not (math.isfinite(epsilon) and epsilon > 1.0):
+        raise PreconditionError(f"epsilon must be finite and exceed 1, got {epsilon!r}")
 
-    scale = A.bohr_radius_a  # length unit l
+    scale = a.bohr_radius_a  # length unit l
     hartree = medium_hartree_mev(epsilon, scale)
-    zb = scale / B.bohr_radius_a
-    config = (A.kind, B.kind, _key(B.bohr_radius_a / scale), n_terms, True)
-    blocks = _reduced_pair(config, _key(r_ang / scale))
+    zb = scale / b.bohr_radius_a
+    blocks = _reduced_pair(_pair_key(a, b, r_ang, n_terms))
 
     s = blocks["S"]
     _check_overlap(s, r_ang)
-    h_aa, h_bb, h_ab = blocks["hAA"], blocks["hBB"], blocks["hAB"]
     jc, kx = blocks["Jc"], blocks["Kx"]
     vnn = zb / (r_ang / scale)
-    h11 = h_aa + h_bb + jc + vnn
-    h12 = 2.0 * s * h_ab + kx + s * s * vnn
+    h11 = blocks["hAA"] + blocks["hBB"] + jc + vnn
+    h12 = 2.0 * s * blocks["hAB"] + kx + s * s * vnn
     e_singlet = (h11 + h12) / (1.0 + s * s)
     e_triplet = (h11 - h12) / (1.0 - s * s)
-    t_hop = (h_ab - s * (h_aa + h_bb) / 2.0) / (1.0 - s * s)
 
     return PairIntegralResult(
         separation_a=r_ang,
         overlap=s,
-        transfer_mev=t_hop * hartree,
+        transfer_mev=_hopping(blocks) * hartree,
         coulomb_mev=jc * hartree,
         exchange_integral_mev=kx * hartree,
         singlet_mev=e_singlet * hartree,
         triplet_mev=e_triplet * hartree,
         exchange_splitting_mev=(e_triplet - e_singlet) * hartree,
-        configuration=((A.kind, A.bohr_radius_a), (B.kind, B.bohr_radius_a)),
     )
 
 
@@ -413,23 +423,18 @@ def exchange_curve(
     points, least recently used out first) are priced first, as one batch
     through the integral kernel along a separation axis, eight separations
     per call, with the Boys function evaluated at its top order and recurred
-    downward. Each point is then a `pair_integrals` call that reads the
-    cache.
+    downward. Each point is then a `pair_integrals` call on the same two
+    envelopes at that separation, which reads the cache.
     """
     grid = _check_grid(r_grid)
     check_n_terms(n_terms)
     if abs(control.dielectric_constant - qubit.dielectric_constant) > 1e-9:
         raise InvalidModelError("pair models must share the medium dielectric")
-    kind = "p2" if excited else "s1"
-    radius = (control.excited_orbital_radius_a() if excited
-              else control.ground_orbital_radius_a())
-    qubit_radius = qubit.ground_orbital_radius_a()
-    _reduced_pair.fill((kind, "s1", _key(qubit_radius / radius), n_terms, True),
-                       [_key(r / radius) for r in grid])
-    a = OrbitalSpec(kind, radius)
-    return [pair_integrals(a, OrbitalSpec("s1", qubit_radius, (0.0, 0.0, r)),
-                           control.dielectric_constant, n_terms)
-            for r in grid]
+    a = (OrbitalSpec("p2", control.excited_orbital_radius_a()) if excited
+         else OrbitalSpec("s1", control.ground_orbital_radius_a()))
+    b = OrbitalSpec("s1", qubit.ground_orbital_radius_a())
+    _reduced_pair.fill([_pair_key(a, b, r, n_terms) for r in grid])
+    return [pair_integrals(a, b, r, control.dielectric_constant, n_terms) for r in grid]
 
 
 @dataclass(frozen=True)
@@ -462,18 +467,16 @@ def transfer_splitting_curve(
     """
     grid = _check_grid(r_grid)
     check_n_terms(n_terms)
-    scale = control.excited_orbital_radius_a()
-    hartree = medium_hartree_mev(control.dielectric_constant, scale)
-    config = ("p2", "p2", 1.0, n_terms, False)
-    keys = [_key(r / scale) for r in grid]
-    _reduced_pair.fill(config, keys)
+    finite(base_transition_mev, "base_transition_mev", PreconditionError)
+    p2 = OrbitalSpec("p2", control.excited_orbital_radius_a())
+    hartree = medium_hartree_mev(control.dielectric_constant, p2.bohr_radius_a)
+    keys = [_pair_key(p2, p2, r, n_terms, two_electron=False) for r in grid]
+    _reduced_pair.fill(keys)
     out = []
     for r, key in zip(grid, keys):
-        blocks = _reduced_pair(config, key)
-        s, h_aa, h_bb, h_ab = blocks["S"], blocks["hAA"], blocks["hBB"], blocks["hAB"]
-        _check_overlap(s, r)
-        t_hop = (h_ab - s * (h_aa + h_bb) / 2.0) / (1.0 - s * s)
-        t_mev = t_hop * hartree
+        blocks = _reduced_pair(key)
+        _check_overlap(blocks["S"], r)
+        t_mev = _hopping(blocks) * hartree
         out.append(TransferSplitting(
             separation_a=r,
             transfer_mev=t_mev,

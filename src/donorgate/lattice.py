@@ -45,14 +45,6 @@ class LatticeSpec:
 
 
 @dataclass(frozen=True)
-class Site:
-    """One lattice site: position in angstrom plus a stable integer id."""
-
-    position: np.ndarray
-    index: int
-
-
-@dataclass(frozen=True)
 class ShellTable:
     """Ordered neighbor shells of the origin site."""
 
@@ -61,10 +53,12 @@ class ShellTable:
 
 @dataclass(frozen=True)
 class DopedRegion:
-    """A random doping realization over one enumerated region."""
+    """A random doping realization over one enumerated region: the occupied
+    sites in enumeration order and the species on each."""
 
     spec: LatticeSpec
-    placements: tuple  # of (Site, species_id)
+    sites: np.ndarray  # (N, 3) int, units of a0/4
+    species: tuple  # one species name per row of sites
     concentration: float
     seed: int
     n_sites: int = 0  # enumerated sites in the region
@@ -129,11 +123,17 @@ def sphere_count_report(spec: LatticeSpec) -> dict:
     }
 
 
-def _shell_offsets(n_shells: int) -> tuple[list[int], list[np.ndarray]]:
-    """Offsets (integer units, from a sublattice-A site) for the first shells.
+def _check_shell_count(n_shells: int) -> None:
+    if n_shells < 1:
+        raise InvalidSpecError("n_shells must be >= 1")
 
-    Returns (squared distances, offset arrays), one entry per shell. Offsets
-    from a sublattice-B site are the negatives of these; even shells are
+
+def _shell_offsets(n_shells: int) -> tuple[int, np.ndarray]:
+    """The first n_shells neighbor shells of a sublattice-A site.
+
+    Returns the squared radius of shell n_shells and the offsets (integer
+    units) of every site out to it, as one (M, 3) array. Offsets from a
+    sublattice-B site are the negatives of these; even shells are
     inversion-symmetric so the sign only matters for the odd ones.
     """
     # 3 cells in every direction is plenty for the shells this library uses
@@ -142,23 +142,16 @@ def _shell_offsets(n_shells: int) -> tuple[list[int], list[np.ndarray]]:
         raise InsufficientRegionError("shell offsets tabulated up to 12 shells")
     probe = _integer_sites(1.0, 3.0)
     d2 = (probe.astype(np.int64) ** 2).sum(axis=1)
-    keep = d2 > 0
-    probe, d2 = probe[keep], d2[keep]
-    levels = np.unique(d2)
+    levels = np.unique(d2[d2 > 0])
     if len(levels) < n_shells:
         raise InsufficientRegionError("probe region too small for shell table")
-    dists = []
-    offsets = []
-    for lv in levels[:n_shells]:
-        dists.append(int(lv))
-        offsets.append(probe[d2 == lv])
-    return dists, offsets
+    r2 = int(levels[n_shells - 1])
+    return r2, probe[(d2 > 0) & (d2 <= r2)]
 
 
 def shell_sizes(spec: LatticeSpec, n_shells: int) -> ShellTable:
     """Distances and exact counts of the first n_shells neighbor shells."""
-    if n_shells < 1:
-        raise InvalidSpecError("n_shells must be >= 1")
+    _check_shell_count(n_shells)
     coords = _integer_sites(spec.lattice_constant, spec.bounding_radius)
     d2 = (coords.astype(np.int64) ** 2).sum(axis=1)
     d2 = d2[d2 > 0]
@@ -203,22 +196,12 @@ def place_dopants(
 
     coords = _integer_sites(spec.lattice_constant, spec.bounding_radius)
     rng = np.random.default_rng(seed)
-    occupied = rng.random(coords.shape[0]) < concentration
-    site_ids = np.flatnonzero(occupied)
-    picked = coords[occupied]
+    picked = coords[rng.random(coords.shape[0]) < concentration]
     species = rng.choice(len(names), size=picked.shape[0], p=fractions)
-
-    scale = spec.lattice_constant / 4.0
-    placements = tuple(
-        (
-            Site(position=picked[i].astype(float) * scale, index=int(site_ids[i])),
-            names[species[i]],
-        )
-        for i in range(picked.shape[0])
-    )
     return DopedRegion(
         spec=spec,
-        placements=placements,
+        sites=picked,
+        species=tuple(names[k] for k in species),
         concentration=concentration,
         seed=seed,
         n_sites=int(coords.shape[0]),
@@ -250,25 +233,20 @@ def neighbor_statistics(region: DopedRegion, n_shells: int = 5) -> NeighborStati
     bias the distribution. The analytic reference is the binomial over the
     enumerated shell-site count at the region's concentration.
     """
-    if not region.placements:
+    _check_shell_count(n_shells)
+    if not region.species:
         raise InvalidSpecError("region holds no dopants")
-    dists, offsets_by_shell = _shell_offsets(n_shells)
-    offsets = np.vstack(offsets_by_shell)
+    r2_shell, offsets = _shell_offsets(n_shells)
     m_sites = offsets.shape[0]
 
-    scale = region.spec.lattice_constant / 4.0
-    coords = np.array(
-        [np.rint(site.position / scale).astype(np.int64) for site, _ in region.placements],
-        dtype=np.int64,
-    ).reshape(-1, 3)
-
-    keys = np.sort(_pack(coords))
+    keys = np.sort(_pack(region.sites))
 
     # interior = full neighborhood inside the sphere
-    r_shell = math.sqrt(float(dists[-1])) * scale
-    radii = np.sqrt((coords.astype(float) ** 2).sum(axis=1)) * scale
+    scale = region.spec.lattice_constant / 4.0
+    r_shell = math.sqrt(float(r2_shell)) * scale
+    radii = np.sqrt((region.sites.astype(float) ** 2).sum(axis=1)) * scale
     interior = radii <= region.spec.bounding_radius - r_shell
-    inner = coords[interior]
+    inner = region.sites[interior]
     if inner.shape[0] == 0:
         raise InvalidSpecError(
             "no dopant has a complete neighborhood inside the region; "

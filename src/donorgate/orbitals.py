@@ -34,17 +34,18 @@ _TABLE_FILE = "gaussian_fits.json"
 
 @dataclass(frozen=True)
 class OrbitalSpec:
-    """A hydrogenic envelope: kind, radius parameter, placement.
+    """A hydrogenic envelope: kind and radius parameter.
 
     kind "s1" decays as exp(-r/a); kind "p2" is the 2p-sigma envelope
     r cos(theta) exp(-r/2a), whose axis is the line to the other center of
     the pair it enters. `bohr_radius_a` is the 1s Bohr-radius parameter a in
     angstrom for both kinds (the 2p of the same center shares the center's a).
+    An envelope has no position: a pair is two envelopes and their
+    separation (`pair_integrals`).
     """
 
     kind: str
     bohr_radius_a: float
-    center: tuple = (0.0, 0.0, 0.0)
 
     def __post_init__(self):
         if self.kind not in ORBITAL_KINDS:
@@ -58,9 +59,6 @@ class OrbitalSpec:
         if self.kind == "s1":
             return 1.0 / self.bohr_radius_a
         return 0.5 / self.bohr_radius_a
-
-    def at(self, center) -> "OrbitalSpec":
-        return OrbitalSpec(self.kind, self.bohr_radius_a, tuple(center))
 
 
 @dataclass(frozen=True)

@@ -13,8 +13,9 @@ package, not any integral code.
 returns at one separation, for the same dimensionless geometry: center A at
 the origin, center B at (0, 0, r), a p2 orbital pointing along z. It takes
 both radii and both charges explicitly; the package fixes radius_a = 1 and
-derives each charge as 1/radius. It stays general in x and y, where the
-package keeps only the pair axis.
+derives each charge as 1/radius. Each contracted orbital takes its center
+as a 3-vector argument, so the primitives stay general in x and y, where
+the package keeps only the pair axis.
 """
 
 from __future__ import annotations
@@ -164,12 +165,12 @@ def _prim_eri(la, a, A, lb, b, B, lc, c, C, ld, d, D):
 
 
 class _Contracted:
-    """Primitive list (coeff, exponent, angular triple) at a common center."""
+    """Primitive list (coeff, exponent, angular triple) of `spec`, all at `center`."""
 
-    def __init__(self, spec: OrbitalSpec, n_terms: int):
+    def __init__(self, spec: OrbitalSpec, center, n_terms: int):
         ang = (0, 0, 0) if spec.kind == "s1" else (0, 0, 1)
         self.prims = [(c, a, ang) for a, c in fit_gaussian_expansion(spec, n_terms).terms]
-        self.center = np.asarray(spec.center, dtype=float)
+        self.center = np.asarray(center, dtype=float)
 
 
 def _pairwise(f, oa: _Contracted, ob: _Contracted, *args) -> float:
@@ -195,8 +196,8 @@ def _eri_scalar(oa, ob, oc, od) -> float:
 
 def reduced_pair(kind_a, kind_b, radius_a, radius_b, r, za, zb, n_terms):
     """S, hAA, hBB, hAB, Jc and Kx for the reduced geometry, scalar path."""
-    A = _Contracted(OrbitalSpec(kind_a, radius_a, (0.0, 0.0, 0.0)), n_terms)
-    B = _Contracted(OrbitalSpec(kind_b, radius_b, (0.0, 0.0, r)), n_terms)
+    A = _Contracted(OrbitalSpec(kind_a, radius_a), (0.0, 0.0, 0.0), n_terms)
+    B = _Contracted(OrbitalSpec(kind_b, radius_b), (0.0, 0.0, r), n_terms)
     ca, cb = A.center, B.center
     out = {"S": _pairwise(_prim_overlap, A, B)}
     for name, (x, y) in (("hAA", (A, A)), ("hBB", (B, B)), ("hAB", (A, B))):

@@ -78,6 +78,21 @@ def test_emt_json(capsys):
     assert model["species"] == "P"
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("dope", "stats", "--concentration", "0.01", "--radius", "20", "--seed", "1",
+      "--shells", "0"), "n_shells must be >= 1"),
+    (("lattice", "shells", "--shells", "0"), "n_shells must be >= 1"),
+    (("emt", "--binding-ev", "0.6", "--field-t", "nan"), "field_t must be a finite number"),
+    (("splitting", "curve", "--base-mev", "nan", "--r-min", "10", "--r-max", "11"),
+     "base_transition_mev must be a finite number"),
+])
+def test_bad_values_exit_2_naming_them(capsys, argv, message):
+    code, out, err = _run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"donorgate: error: {message}")
+
+
 def test_dope_stats_seed_override(capsys):
     args = ("dope", "stats", "--radius", "20", "--concentration", "0.02",
             "--format", "json")

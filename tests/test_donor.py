@@ -80,3 +80,10 @@ def test_zeeman_check_matches_hand_formula():
     assert zeeman_check(2.0, 12.0, 0.1).polarization > 0.999
     with pytest.raises(InvalidModelError):
         zeeman_check(2.0, 5.0, 0.0)
+
+
+@pytest.mark.parametrize("g_factor, field_t, temperature_k", [
+    (math.nan, 5.0, 1.0), (2.0, math.nan, 1.0), (2.0, math.inf, 1.0), (2.0, 5.0, math.inf)])
+def test_zeeman_check_rejects_non_finite_inputs(g_factor, field_t, temperature_k):
+    with pytest.raises(InvalidModelError, match="must be a finite number"):
+        zeeman_check(g_factor, field_t, temperature_k)

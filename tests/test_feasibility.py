@@ -15,6 +15,7 @@ from donorgate import (
     get_preset,
     model_from_ionization,
     patch_statistics,
+    place_dopants,
     realize_placements,
     run_feasibility,
 )
@@ -236,6 +237,27 @@ def test_realized_placements_are_labelled_by_role():
     assert {p.label for p in controls} == {f"C{i+1}" for i in range(len(controls))}
     assert {p.label for p in qubits} == {f"Q{i+1}" for i in range(len(qubits))}
     assert realize_placements(_random_scenario()) == real
+
+
+def test_realized_positions_are_the_region_sites():
+    # the realized patch is the doped region's integer sites times a0/4,
+    # in site order, and every site is a diamond site
+    sc = dataclasses.replace(_random_scenario(), lattice=LatticeSpec(30.0),
+                             random_placement=RandomPlacementSpec(
+                                 0.01, {"P": 0.4, "N": 0.6}, seed=3))
+    rp = sc.random_placement
+    region = place_dopants(sc.lattice, rp.concentration, dict(rp.mix), rp.seed)
+    sites = region.sites
+    assert len(sites) == len(region.species) > 10
+    realized = realize_placements(sc).placements
+    positions = np.array([p.position_a for p in realized])
+    assert np.array_equal(positions, sites * (sc.lattice.lattice_constant / 4))
+    assert tuple(p.species for p in realized) == region.species
+    odd = sites % 2 == 1
+    total = sites.sum(axis=1) % 4
+    even_site = ~odd.any(axis=1) & (total == 0)
+    odd_site = odd.all(axis=1) & (total == 3)
+    assert (even_site | odd_site).all()
 
 
 def test_random_patch_beyond_the_offset_table_skips_configure():

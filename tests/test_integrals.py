@@ -55,9 +55,8 @@ HARTREE_MEV = 1000.0 * 2.0 * 13.6 * 0.529 / (EPS * RADIUS_A)
 
 
 def _frozen_pair(n_terms=6):
-    a = OrbitalSpec("s1", RADIUS_A, (0.0, 0.0, 0.0))
-    b = OrbitalSpec("s1", RADIUS_A, (0.0, 0.0, SEP_A))
-    return pair_integrals(a, b, EPS, n_terms=n_terms)
+    a = OrbitalSpec("s1", RADIUS_A)
+    return pair_integrals(a, a, SEP_A, EPS, n_terms=n_terms)
 
 
 def test_oracle_still_matches_its_frozen_values():
@@ -102,19 +101,18 @@ def test_splitting_stable_against_expansion_size():
 
 
 def test_singlet_below_triplet_for_ground_pairs():
+    a = OrbitalSpec("s1", RADIUS_A)
     for r in (6.0, 10.0, 14.0, 20.0):
-        a = OrbitalSpec("s1", RADIUS_A, (0.0, 0.0, 0.0))
-        b = OrbitalSpec("s1", RADIUS_A, (0.0, 0.0, r))
-        res = pair_integrals(a, b, EPS)
+        res = pair_integrals(a, a, r, EPS)
         assert res.singlet_mev < res.triplet_mev
         assert res.exchange_splitting_mev > 0
 
 
 def test_swap_is_exact_for_equal_radii():
-    a = OrbitalSpec("s1", RADIUS_A, (0.0, 0.0, 0.0))
-    b = OrbitalSpec("s1", RADIUS_A, (0.0, 0.0, 8.0))
-    fwd = pair_integrals(a, b, EPS)
-    rev = pair_integrals(b.at((0.0, 0.0, 0.0)), a.at((0.0, 0.0, 8.0)), EPS)
+    a = OrbitalSpec("s1", RADIUS_A)
+    b = OrbitalSpec("s1", RADIUS_A)
+    fwd = pair_integrals(a, b, 8.0, EPS)
+    rev = pair_integrals(b, a, 8.0, EPS)
     assert fwd.overlap == pytest.approx(rev.overlap, rel=1e-12)
     assert fwd.singlet_mev == pytest.approx(rev.singlet_mev, rel=1e-12)
     assert fwd.exchange_splitting_mev == pytest.approx(rev.exchange_splitting_mev, rel=1e-12)
@@ -123,10 +121,10 @@ def test_swap_is_exact_for_equal_radii():
 def test_swap_preserves_dimensionless_and_eri_blocks():
     # with unequal radii the length unit follows center A (control-first
     # convention), so only mass-independent quantities survive the swap
-    a = OrbitalSpec("s1", 2.1, (0.0, 0.0, 0.0))
-    b = OrbitalSpec("s1", 3.15, (0.0, 0.0, 12.0))
-    fwd = pair_integrals(a, b, EPS)
-    rev = pair_integrals(b.at((0.0, 0.0, 0.0)), a.at((0.0, 0.0, 12.0)), EPS)
+    a = OrbitalSpec("s1", 2.1)
+    b = OrbitalSpec("s1", 3.15)
+    fwd = pair_integrals(a, b, 12.0, EPS)
+    rev = pair_integrals(b, a, 12.0, EPS)
     assert fwd.overlap == pytest.approx(rev.overlap, rel=1e-10)
     assert fwd.coulomb_mev == pytest.approx(rev.coulomb_mev, rel=1e-10)
     assert fwd.exchange_integral_mev == pytest.approx(rev.exchange_integral_mev, rel=1e-10)
@@ -135,10 +133,8 @@ def test_swap_preserves_dimensionless_and_eri_blocks():
 def test_dilation_scaling_is_exact():
     # same reduced geometry, radii and separation scaled by 1.5: every energy
     # must scale by exactly 1/1.5 (shared cache key makes this machine exact)
-    small = pair_integrals(
-        OrbitalSpec("s1", 2.1, (0, 0, 0)), OrbitalSpec("s1", 2.1, (0, 0, 9.0)), EPS)
-    big = pair_integrals(
-        OrbitalSpec("s1", 3.15, (0, 0, 0)), OrbitalSpec("s1", 3.15, (0, 0, 13.5)), EPS)
+    small = pair_integrals(OrbitalSpec("s1", 2.1), OrbitalSpec("s1", 2.1), 9.0, EPS)
+    big = pair_integrals(OrbitalSpec("s1", 3.15), OrbitalSpec("s1", 3.15), 13.5, EPS)
     assert big.exchange_splitting_mev * 1.5 == pytest.approx(
         small.exchange_splitting_mev, rel=1e-12)
     assert big.transfer_mev * 1.5 == pytest.approx(small.transfer_mev, rel=1e-12)
@@ -173,24 +169,23 @@ def test_blocks_match_scalar_reference():
 
 
 def test_far_separation_splitting_underflows_cleanly():
-    a = OrbitalSpec("s1", RADIUS_A, (0.0, 0.0, 0.0))
-    b = OrbitalSpec("s1", RADIUS_A, (0.0, 0.0, 200.0))
-    res = pair_integrals(a, b, EPS)
+    a = OrbitalSpec("s1", RADIUS_A)
+    res = pair_integrals(a, a, 200.0, EPS)
     assert abs(res.exchange_splitting_mev) < 1e-9
     assert abs(res.overlap) < 1e-30
 
 
 def test_coincident_centers_rejected():
-    a = OrbitalSpec("s1", RADIUS_A, (0.0, 0.0, 0.0))
+    a = OrbitalSpec("s1", RADIUS_A)
     with pytest.raises(PreconditionError):
-        pair_integrals(a, a.at((0.0, 0.0, 0.0)), EPS)
+        pair_integrals(a, a, 0.0, EPS)
 
 
 def test_non_finite_geometry_rejected():
-    a = OrbitalSpec("s1", RADIUS_A, (0.0, 0.0, 0.0))
-    for far in ((0.0, 0.0, math.nan), (math.inf, 0.0, 0.0)):
+    a = OrbitalSpec("s1", RADIUS_A)
+    for far in (math.nan, math.inf):
         with pytest.raises(PreconditionError):
-            pair_integrals(a, a.at(far), EPS)
+            pair_integrals(a, a, far, EPS)
     control = model_from_ionization("P", 0.6, 5.7)
     qubit = model_from_ionization("N", 0.6, 5.7, role="qubit")
     with pytest.raises(PreconditionError):
@@ -201,11 +196,25 @@ def test_non_finite_geometry_rejected():
         transfer_splitting_curve(control, [math.inf])
 
 
+@pytest.mark.parametrize("epsilon", [0.0, -5.7, 1.0, math.nan, math.inf])
+def test_medium_outside_the_dielectric_rule_rejected(epsilon):
+    # the rule of DonorModel.dielectric_constant: finite and above 1
+    a = OrbitalSpec("s1", RADIUS_A)
+    with pytest.raises(PreconditionError, match="epsilon"):
+        pair_integrals(a, a, SEP_A, epsilon)
+
+
+@pytest.mark.parametrize("base", [math.nan, math.inf, -math.inf])
+def test_transfer_curve_rejects_non_finite_base(base):
+    control = model_from_ionization("P", 0.6, 5.7)
+    with pytest.raises(PreconditionError, match="base_transition_mev"):
+        transfer_splitting_curve(control, [10.0, 11.0], base_transition_mev=base)
+
+
 def test_near_coincident_centers_flagged_ill_conditioned():
-    a = OrbitalSpec("s1", RADIUS_A, (0.0, 0.0, 0.0))
-    b = OrbitalSpec("s1", RADIUS_A, (0.0, 0.0, 0.02))
+    a = OrbitalSpec("s1", RADIUS_A)
     with pytest.raises(IllConditionedGeometryError):
-        pair_integrals(a, b, EPS)
+        pair_integrals(a, a, 0.02, EPS)
 
 
 def test_exchange_curve_validates_grid_and_medium():
@@ -352,7 +361,7 @@ def test_ill_conditioned_error_names_the_first_close_separation(cold_cache):
     a = OrbitalSpec("p2", scale)
     with pytest.raises(IllConditionedGeometryError,
                        match=r"at separation 0\.03 A;"):
-        pair_integrals(a, OrbitalSpec("p2", scale, (0.0, 0.0, 0.03)), EPS)
+        pair_integrals(a, a, 0.03, EPS)
 
 
 def test_boys_downward_recursion_matches_reference():
@@ -397,7 +406,8 @@ def test_second_pricing_of_a_curve_calls_no_kernel(cold_cache, kernel_calls):
     assert kernel_calls == []
     assert _rows(second) == _rows(first)
     # a one-point call reads the same cache
-    a = OrbitalSpec("p2", fig2a.control.excited_orbital_radius_a(), (0.0, 0.0, 0.0))
-    b = OrbitalSpec("s1", fig2a.qubit.ground_orbital_radius_a(), (0.0, 0.0, fig2a.r_grid[4]))
-    assert _rows([pair_integrals(a, b, fig2a.control.dielectric_constant)]) == [_rows(first)[4]]
+    a = OrbitalSpec("p2", fig2a.control.excited_orbital_radius_a())
+    b = OrbitalSpec("s1", fig2a.qubit.ground_orbital_radius_a())
+    assert _rows([pair_integrals(a, b, fig2a.r_grid[4], fig2a.control.dielectric_constant)]) \
+        == [_rows(first)[4]]
     assert kernel_calls == []

@@ -110,22 +110,21 @@ def test_placement_reproducible_and_complete():
     spec = LatticeSpec(14.0)
     r1 = place_dopants(spec, 0.02, {"P": 0.75, "N": 0.25}, seed=7)
     r2 = place_dopants(spec, 0.02, {"P": 0.75, "N": 0.25}, seed=7)
-    key = lambda region: [(site.index, name) for site, name in region.placements]
-    assert key(r1) == key(r2)
+    np.testing.assert_array_equal(r1.sites, r2.sites)
+    assert r1.species == r2.species
     assert r1.n_sites == sphere_count_report(spec)["enumerated_count"]
-    names = {name for _, name in r1.placements}
-    assert names <= {"P", "N"}
+    assert set(r1.species) <= {"P", "N"}
 
 
 def test_placement_respects_concentration_and_mix():
     spec = LatticeSpec(22.0)
     region = place_dopants(spec, 0.05, {"P": 0.8, "N": 0.2}, seed=3)
-    n = len(region.placements)
+    n = len(region.species)
     # ~4400 draws at p = 0.05: allow 4 sigma
     mean = region.n_sites * 0.05
     sigma = np.sqrt(region.n_sites * 0.05 * 0.95)
     assert abs(n - mean) < 4 * sigma
-    n_p = sum(1 for _, name in region.placements if name == "P")
+    n_p = region.species.count("P")
     assert abs(n_p / n - 0.8) < 4 * np.sqrt(0.8 * 0.2 / n)
 
 
@@ -161,6 +160,14 @@ def test_neighbor_statistics_against_binomial():
 def test_neighbor_statistics_needs_dopants():
     # fixed seed, ~1300 sites at 1e-9: no site is occupied
     region = place_dopants(LatticeSpec(10.0), 1e-9, {"P": 1.0}, seed=2)
-    assert not region.placements
+    assert not region.species
     with pytest.raises(InvalidSpecError):
         neighbor_statistics(region)
+
+
+@pytest.mark.parametrize("n_shells", [0, -1])
+def test_neighbor_statistics_needs_a_shell(n_shells):
+    region = place_dopants(LatticeSpec(20.0), 0.01, {"P": 1.0}, seed=1)
+    assert region.species
+    with pytest.raises(InvalidSpecError, match="n_shells"):
+        neighbor_statistics(region, n_shells=n_shells)

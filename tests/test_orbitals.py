@@ -123,13 +123,13 @@ def test_n_terms_outside_table_rejected(bad):
     control = model_from_ionization("P", 0.6, 5.7, role="control")
     qubit = model_from_ionization("P", 0.6, 5.7, role="qubit")
     a = OrbitalSpec("p2", 2.0)
-    b = OrbitalSpec("s1", 1.0, (0.0, 0.0, 6.0))
+    b = OrbitalSpec("s1", 1.0)
     # fill the pair cache at n_terms = 6 first: 6.0 == 6 must not hit it
-    pair_integrals(a, b, 5.7, n_terms=6)
+    pair_integrals(a, b, 6.0, 5.7, n_terms=6)
     transfer_splitting_curve(control, [12.0], n_terms=6)
     calls = [
         lambda: fit_gaussian_expansion(OrbitalSpec("s1", 1.0), n_terms=bad),
-        lambda: pair_integrals(a, b, 5.7, n_terms=bad),
+        lambda: pair_integrals(a, b, 6.0, 5.7, n_terms=bad),
         lambda: exchange_curve(control, qubit, True, [6.0], n_terms=bad),
         lambda: exchange_curve(control, qubit, True, [], n_terms=bad),
         lambda: transfer_splitting_curve(control, [12.0], n_terms=bad),
@@ -149,7 +149,7 @@ def refuse(*args, **kwargs):
 
 scipy.optimize.minimize = refuse
 import donorgate as d
-d.pair_integrals(d.OrbitalSpec("p2", 2.0), d.OrbitalSpec("s1", 1.0, (0.0, 0.0, 6.0)), 5.7)
+d.pair_integrals(d.OrbitalSpec("p2", 2.0), d.OrbitalSpec("s1", 1.0), 6.0, 5.7)
 assert "scipy.signal" not in sys.modules, "scipy.signal imported"
 """
     src = str(Path(donorgate.__file__).resolve().parents[1])
@@ -195,9 +195,3 @@ def test_unreachable_tolerance_raises():
     with pytest.raises(InvalidModelError):
         fit_gaussian_expansion(OrbitalSpec("s1", 1.0), n_terms=2)
 
-
-def test_at_moves_center_only():
-    spec = OrbitalSpec("s1", 2.1)
-    moved = spec.at((1.0, 2.0, 3.0))
-    assert moved.center == (1.0, 2.0, 3.0)
-    assert moved.kind == spec.kind and moved.bohr_radius_a == spec.bohr_radius_a

@@ -51,10 +51,14 @@ class ShellTable:
     shells: tuple  # of (shell_radius_angstrom, site_count)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DopedRegion:
     """A random doping realization over one enumerated region: the occupied
-    sites in enumeration order and the species on each."""
+    sites in enumeration order and the species on each.
+
+    Equality and hashing are by identity, since `sites` is an array; compare
+    two regions through their `sites` and `species`.
+    """
 
     spec: LatticeSpec
     sites: np.ndarray  # (N, 3) int, units of a0/4

@@ -18,6 +18,13 @@ The trio is not diagonalized: its quartet projector P_Q = 1/2 + 2/3 (S0.S1
 + S0.S2 + S1.S2) and its two doublet projectors are closed forms, and every
 evolution of it is U(tau) = sum_k exp(-i E_k tau/hbar) P_k.
 
+The search scores the control's worst case over 36 product probes only where
+a dip can be. The probe |down down> stays in the S_z = -1/2 sector, so the
+control's state for it has no coherence and its entropy is H2(p), with
+p(tau) = |U[3, 3]|^2 a sum of three real cosines: a closed-form lower bound
+on the worst case. The probes are scored only where that bound lies below a
+level.
+
 Basis convention: spin k maps to bit (n-1-k) of the state index, bit value 0
 meaning m = +1/2. Equivalently the basis is the Kronecker product of the
 single-spin bases in spin order.
@@ -214,14 +221,22 @@ _PROBES = _single_qubit_probes()
 
 
 # tau points per batched residual evaluation, whatever the length of the
-# grid. A scan allocates its work arrays once, at up to this many rows
-# (about 2.6 kB per row: the three 36-probe moments, the squared coherence
-# and two score arrays), and reuses them for every chunk, the shorter last
-# one included. At 512 rows each of those arrays is 147-295 kB, above
-# glibc's 128 KiB mmap threshold, so arrays allocated afresh for each chunk
-# would be mapped and page-faulted again on every chunk. The 9 level-pair
-# phases (73 kB a chunk) stay under it and are allocated per chunk.
+# grid or of its screened subset. A scan allocates its work arrays once, at
+# up to this many rows (about 2.6 kB per row: the three 36-probe moments,
+# the squared coherence and two score arrays), and reuses them for every
+# chunk, the shorter last one included. At 512 rows each of those arrays is
+# 147-295 kB, above glibc's 128 KiB mmap threshold, so arrays allocated
+# afresh for each chunk would be mapped and page-faulted again on every
+# chunk. The 9 level-pair phases (73 kB a chunk) stay under it and are
+# allocated per chunk. The |down down> bound screens the whole grid in
+# chunks of the same length, through 3 real cosines a point (12 kB a chunk),
+# so no full-grid phase array is ever built.
 _SCAN_CHUNK = 512
+
+# the gate search's refine threshold and first screen level, in bits, and
+# the margin for rounding between the |down down> bound and a scored residual
+_SCREEN_LEVEL = 1e-2
+_SCREEN_MARGIN = 1e-9
 
 
 # the gate trio's spins, and its basis rows with the control (spin 0) up and down
@@ -305,6 +320,31 @@ def induced_qubit_operator(j1_mev: float, j2_mev: float, tau_ps: float) -> tuple
     return M, float(_residual_scan(levels, projectors)(np.array([tau]))[0])
 
 
+def _down_down_bound(levels: np.ndarray, projectors: np.ndarray,
+                     taus: np.ndarray) -> np.ndarray:
+    """A lower bound, in bits, on the trio's worst-probe residual at each tau.
+
+    Probe |down down> (basis row 3 with the control up) stays in the S_z =
+    -1/2 sector, so its control state has populations p and 1 - p and no
+    coherence, with p = |U(tau)[3, 3]|^2 = |sum_k w_k exp(-i E_k tau/hbar)|^2
+    and w_k = P_k[3, 3] real: p = sum_k w_k^2 + 2 sum_{k<l} w_k w_l
+    cos((E_k - E_l) tau/hbar). Its entropy H2(p) is one probe's residual, so
+    the worst over the probes is never below it. Real cosines, `_SCAN_CHUNK`
+    points at a time.
+    """
+    w = projectors[:, 3, 3]
+    k, l = np.triu_indices(len(levels), 1)
+    rates = (levels[k] - levels[l]) / HBAR_MEV_PS
+    weights = 2.0 * w[k] * w[l]
+    out = np.empty(len(taus))
+    for start in range(0, len(taus), _SCAN_CHUNK):
+        chunk = taus[start:start + _SCAN_CHUNK]
+        p = np.cos(np.multiply.outer(chunk, rates)) @ weights + w @ w
+        lam = np.clip(np.stack([p, 1.0 - p]), 1e-300, 1.0)
+        out[start:start + len(chunk)] = -np.sum(lam * np.log2(lam), axis=0)
+    return out
+
+
 def _residual_scan(levels: np.ndarray, projectors: np.ndarray):
     """Residual control entropy of the trio, given its levels and
     projectors, as a function of an array of intervals.
@@ -368,6 +408,21 @@ def sfg_gate(j1_mev: float, j2_mev: float, tau_range: tuple = None, *,
     moment. Points are scored in fixed-size chunks, so memory stays bounded
     for any grid length. The reported gate is the control-up block of the
     same U(tau).
+
+    Only screened points are scored. The |down down> probe's entropy bounds
+    the worst-probe residual from below at every grid point, in closed form,
+    and the 36 probes are scored only where that bound is below a level
+    (plus 1e-9 for rounding); the other points stand as +inf. The level
+    starts at 1e-2, the refine threshold: any point whose true residual is
+    below it is scored, and an unscored neighbour's true residual is above
+    it, so every dip below 1e-2 and every comparison with its neighbours
+    comes out as on the fully scored grid. While no dip lies below the
+    level, it rises eightfold and the newly admitted points are scored;
+    once one does, the deepest such dip is the grid's deepest, and with
+    every point scored the rule is the full grid's. The selection is
+    therefore that of the full grid; the scored values can differ from the
+    full grid's in the last place only, since a lone point goes to a
+    matrix-vector product and a chunk to a matrix-matrix one.
     """
     levels, projectors = _trio_levels(j1_mev, j2_mev)
     j_min, j_max = sorted(abs(float(j)) for j in (j1_mev, j2_mev))
@@ -391,17 +446,31 @@ def sfg_gate(j1_mev: float, j2_mev: float, tau_range: tuple = None, *,
     taus = np.arange(max(lo, resolution_ps), hi, resolution_ps)
     if len(taus) == 0:
         taus = np.array([0.5 * (lo + hi)])
-    coarse = residuals(taus)
 
-    left = np.concatenate(([np.inf], coarse[:-1]))
-    right = np.concatenate((coarse[1:], [np.inf]))
-    dips = np.flatnonzero((coarse <= left) & (coarse <= right))
-    if lo <= 0.0 and len(dips) and dips[0] == 0:
-        dips = dips[1:]  # the ramp out of the identity at tau -> 0, not a dip
+    # score only the points whose |down down> bound admits them below the
+    # level; the rest stand as +inf. A dip below the level is then a dip of
+    # the full grid, so the level rises only until the deepest dip lies below it
+    bound = _down_down_bound(levels, projectors, taus)
+    coarse = np.full(len(taus), np.inf)
+    level = _SCREEN_LEVEL
+    while True:
+        admit = np.flatnonzero(np.isinf(coarse) & (bound < level + _SCREEN_MARGIN))
+        coarse[admit] = residuals(taus[admit])
+        left = np.concatenate(([np.inf], coarse[:-1]))
+        right = np.concatenate((coarse[1:], [np.inf]))
+        dips = np.flatnonzero((coarse <= left) & (coarse <= right))
+        if lo <= 0.0 and len(dips) and dips[0] == 0:
+            dips = dips[1:]  # the ramp out of the identity at tau -> 0, not a dip
+        if not np.isinf(coarse).any():
+            break
+        dips = dips[coarse[dips] < level]
+        if len(dips):
+            break
+        level *= 8.0
 
     # refine every dip that could plausibly reach the threshold; failing
     # that, at least the deepest one, so the best-candidate report is real
-    refine = [int(k) for k in dips if coarse[k] < 1e-2]
+    refine = [int(k) for k in dips if coarse[k] < _SCREEN_LEVEL]
     if not refine and len(dips):
         refine = [int(dips[np.argmin(coarse[dips])])]
 

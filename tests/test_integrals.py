@@ -108,11 +108,16 @@ def test_singlet_below_triplet_for_ground_pairs():
         assert res.exchange_splitting_mev > 0
 
 
-def test_swap_is_exact_for_equal_radii():
+def test_swap_is_exact_for_equal_radii(monkeypatch):
+    # both orders share one cache key, so each is priced in a fresh cache;
+    # otherwise the reversed call would read back the forward blocks
     a = OrbitalSpec("s1", RADIUS_A)
     b = OrbitalSpec("s1", RADIUS_A)
+    _fresh_cache(monkeypatch)
     fwd = pair_integrals(a, b, 8.0, EPS)
+    cache = _fresh_cache(monkeypatch)
     rev = pair_integrals(b, a, 8.0, EPS)
+    assert cache.cache_info()[1] == 1  # the reversed call reached the kernel
     assert fwd.overlap == pytest.approx(rev.overlap, rel=1e-12)
     assert fwd.singlet_mev == pytest.approx(rev.singlet_mev, rel=1e-12)
     assert fwd.exchange_splitting_mev == pytest.approx(rev.exchange_splitting_mev, rel=1e-12)

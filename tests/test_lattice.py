@@ -116,6 +116,15 @@ def test_placement_reproducible_and_complete():
     assert set(r1.species) <= {"P", "N"}
 
 
+def test_region_equality_is_identity():
+    # the sites are an array, so a field-wise == would raise on its truth value
+    spec = LatticeSpec(10.0)
+    a = place_dopants(spec, 0.05, {"P": 1.0}, 1)
+    b = place_dopants(spec, 0.05, {"P": 1.0}, 1)
+    assert a == a and a != b
+    assert len({a, b, a}) == 2
+
+
 def test_placement_respects_concentration_and_mix():
     spec = LatticeSpec(22.0)
     region = place_dopants(spec, 0.05, {"P": 0.8, "N": 0.2}, seed=3)

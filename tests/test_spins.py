@@ -19,7 +19,10 @@ from donorgate import (
     propagator,
     sfg_gate,
 )
-from donorgate.spins import _SCAN_CHUNK, _residual_scan, _trio_levels
+from donorgate.constants import HBAR_MEV_PS
+from donorgate import spins
+from donorgate.spins import (_SCAN_CHUNK, _down_down_bound, _residual_scan,
+                             _trio_levels)
 
 HBAR = 0.6582  # meV ps
 
@@ -252,6 +255,123 @@ def test_batched_scan_matches_propagator(j1, j2):
     # from the matrix-matrix one by a few ulp
     alone = np.array([residuals(taus[k:k + 1])[0] for k in range(len(taus))])
     assert np.max(np.abs(scanned - alone)) < 1e-14
+
+
+def test_down_down_bound_lies_below_the_residual():
+    # one probe's entropy never exceeds the worst probe's, over random trios
+    # that include equal and opposite couplings and intervals near zero
+    rng = np.random.default_rng(16)
+    for case in range(1000):
+        j1 = float(rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 200.0))
+        j2 = (j1, -j1, float(rng.uniform(-2.0, 2.0)) * j1)[case % 3]
+        period = 2.0 * math.pi * HBAR / abs(j1)
+        tau = float(rng.uniform(0.0, 1e-6 if case % 4 == 0 else 4.0) * period)
+        levels, projectors = _trio_levels(j1, j2)
+        taus = np.array([tau])
+        bound = _down_down_bound(levels, projectors, taus)[0]
+        assert bound <= _residual_scan(levels, projectors)(taus)[0] + 1e-12, (j1, j2, tau)
+
+
+def _full_grid_refines(coarse, lo):
+    """The gate search's dip rule on a fully scored grid: the indices it
+    refines (every dip below 1e-2, else the deepest), and its dips."""
+    left = np.concatenate(([np.inf], coarse[:-1]))
+    right = np.concatenate((coarse[1:], [np.inf]))
+    dips = np.flatnonzero((coarse <= left) & (coarse <= right))
+    if lo <= 0.0 and len(dips) and dips[0] == 0:
+        dips = dips[1:]
+    refine = [int(k) for k in dips if coarse[k] < 1e-2]
+    if not refine and len(dips):
+        refine = [int(dips[np.argmin(coarse[dips])])]
+    return refine, dips
+
+
+def _traced_search(monkeypatch, j1, j2, tau_range):
+    """sfg_gate's report, its grid, the brackets it refined and the number of
+    points it scored."""
+    grids, brackets, scored = [], [], [0]
+    bound, scan, minimize = (spins._down_down_bound, spins._residual_scan,
+                             spins.minimize_scalar)
+
+    def traced_bound(levels, projectors, taus):
+        grids.append(taus)
+        return bound(levels, projectors, taus)
+
+    def traced_scan(levels, projectors):
+        residuals = scan(levels, projectors)
+
+        def counted(taus):
+            scored[0] += len(taus)
+            return residuals(taus)
+        return counted
+
+    def traced_minimize(fun, **kwargs):
+        brackets.append(kwargs["bounds"])
+        return minimize(fun, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(spins, "_down_down_bound", traced_bound)
+        patch.setattr(spins, "_residual_scan", traced_scan)
+        patch.setattr(spins, "minimize_scalar", traced_minimize)
+        try:
+            report = sfg_gate(j1, j2, tau_range)
+        except NoCleanGateError as err:
+            report = err.best_candidate
+    return report, grids[0], brackets, scored[0]
+
+
+# 147.5/20.9 and 30/10 have no dip below 1e-2; 25/24 has three, two of them
+# at 7.5e-3 where the bound is the residual
+_rng = np.random.default_rng(7)
+_SELECTION_TRIOS = [(20.0, 10.0), (20.0, 20.0), (10.0, 10.0), (-10.0, -10.0),
+                    (5.0, -5.0), (10.0, 5.0), (116.4, 38.6), (147.5, 20.9),
+                    (41.2, 5.6), (30.0, 10.0), (25.0, 24.0)] + [
+    (j1, j1 * ratio) for j1, ratio in zip(
+        _rng.choice([-1.0, 1.0], 10) * _rng.uniform(5.0, 150.0, 10),
+        [1.0, -1.0, 1.0 + 1e-3, 0.999, *_rng.uniform(-1.2, 1.2, 6)])]
+
+
+def test_screened_search_selects_as_the_full_grid(monkeypatch):
+    # the screen scores only points whose bound lies below the level; it must
+    # refine the grid indices the fully scored grid would, and report the
+    # same gate to the bit. Lone points (gemv) and chunks (gemm) round apart
+    # in the last place, so this also guards the rounding of screened subsets
+    paths = set()
+    for j1, j2 in _SELECTION_TRIOS:
+        tau = _traced_search(monkeypatch, j1, j2, None)[0].duration_ps
+        # the default range, and the narrow one calibrate_gate_time searches
+        for tau_range in (None, (0.7 * tau, 1.3 * tau)):
+            case = (j1, j2, tau_range)
+            report, taus, brackets, scored = _traced_search(monkeypatch, j1, j2,
+                                                            tau_range)
+            lo, hi = tau_range or (0.0, 4.0 * math.pi * HBAR_MEV_PS / min(abs(j1), abs(j2)))
+            resolution = min(1e-3 * math.pi * HBAR_MEV_PS / max(abs(j1), abs(j2)),
+                             (hi - lo) / 200.0)
+            assert np.array_equal(taus, np.arange(max(lo, resolution), hi, resolution))
+            coarse = _residual_scan(*_trio_levels(j1, j2))(taus)
+            refine, dips = _full_grid_refines(coarse, lo)
+            assert brackets == [(max(lo, taus[k] - resolution),
+                                 min(hi, taus[k] + resolution)) for k in refine], case
+            assert scored < len(taus), case
+            # the same search with every point admitted is the full-grid search
+            with monkeypatch.context() as patch:
+                patch.setattr(spins, "_down_down_bound",
+                              lambda levels, projectors, taus: np.zeros(len(taus)))
+                full, _, full_brackets, _ = _traced_search(monkeypatch, j1, j2,
+                                                           tau_range)
+            assert full_brackets == brackets, case
+            assert full.duration_ps == report.duration_ps, case
+            assert np.array_equal(full.qubit_unitary, report.qubit_unitary), case
+            assert (full.control_residual_entanglement
+                    == report.control_residual_entanglement), case
+            assert full.entangling_power == report.entangling_power, case
+            if not any(coarse[k] < 1e-2 for k in dips):
+                paths.add("escalation")
+            if lo <= 0.0 and coarse[0] <= coarse[1]:
+                paths.add("ramp")
+            if j1 == j2:
+                paths.add("equal")
+    assert paths == {"escalation", "ramp", "equal"}
 
 
 @pytest.mark.parametrize("sign", [1.0, -1.0])

@@ -201,12 +201,44 @@ class AdjacencyHypothesis:
     detection_threshold_mev: float
 
 
+def _find_peaks(values: np.ndarray, height: float, prominence: float) -> np.ndarray:
+    """Indices of the peaks of `values` at least `height` high and at least
+    `prominence` prominent, in increasing order.
+
+    The definitions are those of `scipy.signal.find_peaks(values,
+    height=height, prominence=prominence)`, which returns the same indices.
+    A peak is a run of equal samples higher than the samples on both sides
+    of it, so a run at either end is not one; it is placed at the middle
+    of the run, rounding down. Its prominence is its height above the
+    higher of its two bases, each base the lowest sample between the peak
+    and the nearest strictly higher sample on that side (or the end of
+    the array). A peak's run and every sample higher than it are at least
+    `height`, so only those samples are searched.
+    """
+    x = np.asarray(values, dtype=float)
+    n = len(x)
+    idx = np.flatnonzero(x >= height)
+    v = x[idx]
+    before = x[np.maximum(idx - 1, 0)]
+    after = x[np.minimum(idx + 1, n - 1)]
+    # the first and last sample of each run of equal samples, pairwise
+    first = np.flatnonzero((idx == 0) | (before != v))
+    last = np.flatnonzero((idx == n - 1) | (after != v))
+    top = (before[first] < v[first]) & (after[last] < v[last])
+    keep = []
+    for k in (idx[first] + idx[last])[top] // 2:
+        higher = idx[v > x[k]]
+        j = np.searchsorted(higher, k)
+        lo = higher[j - 1] + 1 if j else 0
+        hi = higher[j] if j < len(higher) else n
+        if x[k] - max(x[lo:k + 1].min(), x[k:hi].min()) >= prominence:
+            keep.append(k)
+    return np.array(keep, dtype=np.intp)
+
+
 def _peak_positions(axis: np.ndarray, values: np.ndarray, floor: float) -> list:
     """Sub-sample peak centers by parabolic refinement of local maxima."""
-    # scipy.signal loads scipy.stats (~0.7 s); only scan inference needs it
-    from scipy.signal import find_peaks
-
-    idx, _ = find_peaks(values, height=floor, prominence=floor / 2.0)
+    idx = _find_peaks(values, floor, floor / 2.0)
     out = []
     step = axis[1] - axis[0]
     for k in idx:

@@ -36,7 +36,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .constants import HBAR_MEV_PS
 from .errors import (DimensionError, InvalidSpecError, NoCleanGateError,
@@ -388,6 +387,89 @@ def _residual_scan(levels: np.ndarray, projectors: np.ndarray):
     return residuals
 
 
+def _minimize_bounded(func, bounds: tuple, xatol: float) -> tuple:
+    """(x, func(x)) at a local minimum of `func` on the closed `bounds`.
+
+    Brent's bounded minimizer: golden-section steps, with a parabolic step
+    whenever the last three points fit an acceptable parabola, until the
+    bracket is within about `xatol` plus a relative term of the best point.
+    A port of `_minimize_scalar_bounded` from SciPy's
+    `scipy/optimize/_optimize.py` (BSD 3-clause license, Copyright (c)
+    2001-2002 Enthought, Inc., 2003 SciPy Developers), which follows Forsythe,
+    Malcolm & Moler, Computer Methods for Mathematical Computations (1977),
+    `fmin`. It does the same float operations in the same order, so it
+    returns the same x and value as `minimize_scalar(func, bounds=bounds,
+    method="bounded", options={"xatol": xatol})`, bit for bit, within the
+    same 500 evaluations.
+    """
+    sqrt_eps = math.sqrt(2.2e-16)
+    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
+    a, b = bounds
+    fulc = a + golden_mean * (b - a)
+    nfc, xf = fulc, fulc
+    rat = e = 0.0
+    fx = func(xf)
+    num = 1
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+
+    while abs(xf - xm) > (tol2 - 0.5 * (b - a)):
+        golden = True
+        # try a parabola through the last three points
+        if abs(e) > tol1:
+            golden = False
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r = e
+            e = rat
+            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
+                rat = (p + 0.0) / q
+                x = xf + rat
+                if (x - a) < tol2 or (b - x) < tol2:
+                    rat = -tol1 if xm - xf < 0 else tol1
+            else:
+                golden = True
+        if golden:
+            e = (a - xf) if xf >= xm else (b - xf)
+            rat = golden_mean * e
+
+        # a step of at least tol1, in the direction of rat (+ for rat = 0)
+        x = xf - max(abs(rat), tol1) if rat < 0 else xf + max(abs(rat), tol1)
+        fu = func(x)
+        num += 1
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+        xm = 0.5 * (a + b)
+        tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if num >= 500:
+            break
+    return xf, fx
+
+
 def sfg_gate(j1_mev: float, j2_mev: float, tau_range: tuple = None, *,
              residual_threshold: float = 1e-6) -> GateReport:
     """Find an interval that disentangles the control and entangles the qubits.
@@ -397,7 +479,9 @@ def sfg_gate(j1_mev: float, j2_mev: float, tau_range: tuple = None, *,
     no Zeeman term. Scans tau over `tau_range` (default up to two of the
     slowest exchange periods) in steps of 1e-3 * pi*hbar/max|J|, or finer,
     so that even a narrow range gets 200 steps; refines every near-clean
-    interval, and returns the clean one with the largest entangling power.
+    interval within one step either side with `_minimize_bounded`, a port
+    of SciPy's bounded Brent minimizer, and returns the clean one with the
+    largest entangling power.
     If none gets below `residual_threshold`, raises NoCleanGateError
     carrying the best candidate.
 
@@ -476,13 +560,12 @@ def sfg_gate(j1_mev: float, j2_mev: float, tau_range: tuple = None, *,
 
     candidates = []
     for k in refine:
-        res = minimize_scalar(
+        x, fx = _minimize_bounded(
             residual_at,
-            bounds=(max(lo, taus[k] - resolution_ps), min(hi, taus[k] + resolution_ps)),
-            method="bounded",
-            options={"xatol": resolution_ps * 1e-9},
+            (max(lo, taus[k] - resolution_ps), min(hi, taus[k] + resolution_ps)),
+            xatol=resolution_ps * 1e-9,
         )
-        candidates.append((float(res.x), float(res.fun)))
+        candidates.append((float(x), float(fx)))
     if not candidates:
         k = int(np.argmin(coarse))
         candidates.append((float(taus[k]), float(coarse[k])))

@@ -3,11 +3,15 @@
 import csv
 import io
 import json
+import os
 import shutil
 import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import donorgate
 from donorgate.cli import main
 
 
@@ -267,6 +271,57 @@ def test_stage_failures_surface_the_stage(capsys, tmp_path):
     code, _, err = _run(capsys, "feasibility", "run", "--scenario", str(path))
     assert code == 2
     assert "stage 'integrals' failed" in err
+
+
+# the README quick start, the README exchange curve, scan inference and a gate
+_RUN_TIME_COMMANDS = [
+    ["feasibility", "run", "--preset", "table1"],
+    ["exchange", "curve", "--binding-ev", "0.6", "--epsilon", "5.7",
+     "--qubit-scale", "1.0", "--r-min", "4", "--r-max", "16", "--r-step", "0.5"],
+    ["configure", "infer", "--preset", "table1"],
+    ["gate", "run", "--j1", "20", "--j2", "20", "--format", "json"],
+]
+
+# a fresh interpreter in which scipy.optimize and scipy.signal cannot be
+# imported, as if they were not installed; it runs the commands and prints
+# their exit codes and outputs
+_WITHOUT_OPTIMIZE_AND_SIGNAL = """
+import contextlib, io, json, sys
+
+BLOCKED = ("scipy.optimize", "scipy.signal")
+
+
+class Refuse:
+    def find_spec(self, name, path=None, target=None):
+        if any(name == b or name.startswith(b + ".") for b in BLOCKED):
+            raise ModuleNotFoundError(f"No module named {name!r}", name=name)
+        return None
+
+
+sys.meta_path.insert(0, Refuse())
+from donorgate.cli import main
+
+outputs = []
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    outputs.append([code, out.getvalue()])
+print(json.dumps(outputs))
+"""
+
+
+def test_commands_need_neither_scipy_optimize_nor_scipy_signal(capsys):
+    src = str(Path(donorgate.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", _WITHOUT_OPTIMIZE_AND_SIGNAL,
+         json.dumps(_RUN_TIME_COMMANDS)],
+        capture_output=True, text=True, timeout=300,
+        env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    for argv, (code, out) in zip(_RUN_TIME_COMMANDS, json.loads(proc.stdout)):
+        assert code == 0 and out, argv
+        assert [code, out] == list(_run(capsys, *argv)[:2]), argv
 
 
 def test_console_script_runs():

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.signal import find_peaks
 
 from donorgate import (
     EprModel,
@@ -21,7 +22,8 @@ from donorgate import (
     model_from_ionization,
     simulate_scan,
 )
-from donorgate.configure import ControlHypothesis, _baseline
+from donorgate import configure
+from donorgate.configure import ControlHypothesis, _baseline, _find_peaks
 from donorgate.feasibility import resolve_cluster
 
 CONTROL = model_from_ionization("P", 0.6, 5.7, role="control")
@@ -286,6 +288,41 @@ def test_weighted_median_matches_dense_median(row_spectrum):
     spectra[:, 5] = 0.7
     spectra[:, 10:30] = rng.choice([0.0, 0.25, 1.0 / 3.0], size=(4, 20))
     _assert_baseline_exact(_synthetic_scan(spectra, row_spectrum))
+
+
+def _peak_cases():
+    rng = np.random.default_rng(11)
+    x = np.linspace(0.0, 20.0, 400)
+    smooth = sum(_lorentzian(x, c, 0.4) for c in (3.0, 7.5, 7.9, 15.0))
+    cases = [rng.uniform(0.0, 1.0, 200), smooth, smooth + rng.normal(0.0, 0.05, 400),
+             rng.choice([0.0, 0.5, 1.0], 300)]  # random, smooth, noisy, many ties
+    plateau = np.zeros(40)
+    plateau[5:9] = 1.0  # even width
+    plateau[15:18] = 0.8  # odd width
+    plateau[22:24] = [0.5, 0.5]
+    plateau[30:32] = 0.9  # a two-sample top next to a lower shoulder
+    plateau[32:35] = 0.4
+    edges = np.array([1.0, 1.0, 0.2, 0.7, 0.2, 0.3, 0.3, 0.3])  # plateaus at both ends
+    cases += [plateau, edges, edges[::-1].copy(), np.full(50, 0.3), np.zeros(2),
+              np.array([0.0, 1.0, 0.0]), np.zeros(0)]
+    # short arrays of three values: every arrangement of ties and edges
+    return cases + [rng.choice([0.0, 0.5, 1.0], rng.integers(1, 10)) for _ in range(300)]
+
+
+def test_peak_finder_is_scipys_find_peaks(monkeypatch):
+    cases = [(v, h) for v in _peak_cases()
+             for h in (0.0, 0.12 * float(np.max(v, initial=0.0)), 0.5)]
+    # and every row table1's inference looks at, with its own floor
+    seen, find = [], configure._find_peaks
+    monkeypatch.setattr(configure, "_find_peaks",
+                        lambda v, h, p: seen.append((v, h)) or find(v, h, p))
+    _, sc = get_preset("table1")
+    assert infer_adjacency(simulate_scan(*resolve_cluster(sc)),
+                           sc.detection_threshold_mev).entries
+    assert len(seen) > 1
+    for values, height in cases + seen:
+        want, _ = find_peaks(values, height=height, prominence=height / 2.0)
+        assert np.array_equal(_find_peaks(values, height, height / 2.0), want), values
 
 
 def test_scan_map_checks_its_row_index():

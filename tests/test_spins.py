@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize_scalar
 
 from donorgate import (
     DimensionError,
@@ -291,7 +292,7 @@ def _traced_search(monkeypatch, j1, j2, tau_range):
     points it scored."""
     grids, brackets, scored = [], [], [0]
     bound, scan, minimize = (spins._down_down_bound, spins._residual_scan,
-                             spins.minimize_scalar)
+                             spins._minimize_bounded)
 
     def traced_bound(levels, projectors, taus):
         grids.append(taus)
@@ -305,14 +306,14 @@ def _traced_search(monkeypatch, j1, j2, tau_range):
             return residuals(taus)
         return counted
 
-    def traced_minimize(fun, **kwargs):
-        brackets.append(kwargs["bounds"])
-        return minimize(fun, **kwargs)
+    def traced_minimize(fun, bounds, **kwargs):
+        brackets.append(bounds)
+        return minimize(fun, bounds, **kwargs)
 
     with monkeypatch.context() as patch:
         patch.setattr(spins, "_down_down_bound", traced_bound)
         patch.setattr(spins, "_residual_scan", traced_scan)
-        patch.setattr(spins, "minimize_scalar", traced_minimize)
+        patch.setattr(spins, "_minimize_bounded", traced_minimize)
         try:
             report = sfg_gate(j1, j2, tau_range)
         except NoCleanGateError as err:
@@ -372,6 +373,30 @@ def test_screened_search_selects_as_the_full_grid(monkeypatch):
             if j1 == j2:
                 paths.add("equal")
     assert paths == {"escalation", "ramp", "equal"}
+
+
+def test_bounded_refine_is_scipys_bounded_brent(monkeypatch):
+    # the refine is a port of minimize_scalar(method="bounded"); it must give
+    # the same x and value to the bit on every bracket the gate search refines
+    calls, minimize = [], spins._minimize_bounded
+
+    def recorded(fun, bounds, xatol):
+        calls.append((fun, bounds, xatol))
+        return minimize(fun, bounds, xatol)
+
+    monkeypatch.setattr(spins, "_minimize_bounded", recorded)
+    for j1, j2 in _SELECTION_TRIOS:
+        tau = _traced_search(monkeypatch, j1, j2, None)[0].duration_ps
+        _traced_search(monkeypatch, j1, j2, (0.7 * tau, 1.3 * tau))
+    assert len(calls) > 2 * len(_SELECTION_TRIOS)
+    calls += [(lambda x: (x - 2.0) * x * (x + 2.0) ** 2, (-3.0, -1.0), 1e-5),
+              (lambda x: math.cos(x) + 0.1 * x, (1.0, 5.0), 1e-12),
+              (lambda x: abs(x - 0.3), (0.0, 1.0), 1e-9)]
+    for fun, bounds, xatol in calls:
+        x, fx = minimize(fun, bounds, xatol)
+        want = minimize_scalar(fun, bounds=bounds, method="bounded",
+                               options={"xatol": xatol})
+        assert x == want.x and fx == want.fun, bounds
 
 
 @pytest.mark.parametrize("sign", [1.0, -1.0])

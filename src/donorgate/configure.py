@@ -240,12 +240,11 @@ def _peak_positions(axis: np.ndarray, values: np.ndarray, floor: float) -> list:
     """Sub-sample peak centers by parabolic refinement of local maxima."""
     idx = _find_peaks(values, floor, floor / 2.0)
     out = []
-    step = axis[1] - axis[0]
     for k in idx:
         if 0 < k < len(values) - 1:
             denom = values[k - 1] - 2.0 * values[k] + values[k + 1]
             frac = 0.5 * (values[k - 1] - values[k + 1]) / denom if denom != 0 else 0.0
-            out.append(float(axis[k] + np.clip(frac, -1, 1) * step))
+            out.append(float(axis[k] + np.clip(frac, -1, 1) * (axis[1] - axis[0])))
         else:
             out.append(float(axis[k]))
     return out

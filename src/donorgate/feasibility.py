@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import functools
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,8 +21,8 @@ from .constants import HBAR_MEV_PS
 from .errors import (DonorgateError, InvalidSpecError, NoCleanGateError,
                      PreconditionError, StageError)
 from .integrals import exchange_curve, transfer_splitting_curve
-from .lattice import place_dopants
-from .scenario import Placement, RandomPlacementSpec, Scenario
+from .lattice import DopedRegion, place_dopants
+from .scenario import Placement, Scenario
 from .spectra import gate_transitions, resolvable_gate_count
 from .spins import effective_coupling, sfg_gate
 
@@ -383,26 +383,56 @@ class PatchStatistics:
         return rows
 
 
-@_stage("integrals")
-def _capable_controls(scenario, controls, qubits) -> int:
-    """Controls with two or more qubit couplings at or above the gate floor.
+@_stage("placement")
+def _dope_patch(scenario, seed) -> DopedRegion:
+    """The doped region of a random-placement scenario at one placement seed."""
+    rp = scenario.random_placement
+    return place_dopants(scenario.lattice, rp.concentration, dict(rp.mix), seed)
 
-    Counts from excited-state exchange only; no spectra, spins or scan work,
-    so patch sweeps stay cheap.
+
+@_stage("integrals")
+def _patch_tally(scenario, region) -> tuple:
+    """Counts of qubits, controls and gate-capable controls in one doped region.
+
+    A control is gate-capable with two or more excited-state qubit couplings
+    at or above the gate floor, as the spins stage needs for a gate record;
+    no spectra, spins or scan work, so patch sweeps stay cheap. Separations
+    come from the integer sites, so each (control species, qubit species)
+    group prices its distinct separations in one `exchange_curve` call.
     """
-    n = 0
-    for c_label, c_pos in controls:
-        c_model = scenario.model_for(c_label)
-        strong = 0
-        for q_label, sep in _qubits_in_reach(scenario, c_label, c_pos, qubits):
-            j = exchange_curve(c_model, scenario.model_for(q_label),
-                               True, (sep,))[0].exchange_splitting_mev
-            if abs(j) >= scenario.min_gate_coupling_mev:
-                strong += 1
-                if strong >= 2:
-                    n += 1
-                    break
-    return n
+    role = {s.species_name: s.role for s in scenario.species}
+    is_control = np.array([role[k] == "control" for k in region.species], dtype=bool)
+    kind = np.array(region.species, dtype=str)
+    c_kind, q_kind = kind[is_control], kind[~is_control]
+    controls = region.sites[is_control].astype(np.int64)
+    qubits = region.sites[~is_control].astype(np.int64)
+
+    n2 = np.zeros((len(controls), len(qubits)), dtype=np.int64)
+    for axis in range(3):
+        d = controls[:, axis, None] - qubits[None, :, axis]
+        n2 += d * d
+    if not n2.all():
+        # the labels realize_placements gives: per role, in site order
+        i, j = np.argwhere(n2 == 0)[0]
+        raise InvalidSpecError(f"C{i + 1} and Q{j + 1} share a site")
+    separation = np.sqrt(n2) * (scenario.lattice.lattice_constant / 4.0)
+    ci, qi = np.nonzero(separation <= scenario.pair_cutoff_a)
+    separation = separation[ci, qi]
+
+    c_of, q_of = c_kind[ci], q_kind[qi]
+    strong = np.zeros(len(ci), dtype=bool)
+    for c_name in np.unique(c_of):
+        for q_name in np.unique(q_of):
+            group = (c_of == c_name) & (q_of == q_name)
+            if not group.any():
+                continue
+            grid, where = np.unique(separation[group], return_inverse=True)
+            rows = exchange_curve(scenario.species_by_name(c_name),
+                                  scenario.species_by_name(q_name), True, grid)
+            j = np.array([abs(r.exchange_splitting_mev) for r in rows])
+            strong[group] = j[where] >= scenario.min_gate_coupling_mev
+    gates = np.count_nonzero(np.bincount(ci[strong], minlength=len(controls)) >= 2)
+    return len(qubits), len(controls), int(gates)
 
 
 def patch_statistics(scenario: Scenario, n_patches: int,
@@ -417,15 +447,11 @@ def patch_statistics(scenario: Scenario, n_patches: int,
     children = np.random.SeedSequence(seed).spawn(n_patches)
     qubit_counts, control_counts, gate_counts = {}, {}, {}
     met = 0
-    rp = scenario.random_placement
     for child in children:
-        patch_seed = int(child.generate_state(1)[0])
-        patch = replace(scenario, random_placement=RandomPlacementSpec(
-            rp.concentration, rp.mix, patch_seed))
-        realized, controls, qubits = _placement_stage(patch)
-        gates = _capable_controls(realized, controls, qubits)
-        qubit_counts[len(qubits)] = qubit_counts.get(len(qubits), 0) + 1
-        control_counts[len(controls)] = control_counts.get(len(controls), 0) + 1
+        region = _dope_patch(scenario, int(child.generate_state(1)[0]))
+        n_qubits, n_controls, gates = _patch_tally(scenario, region)
+        qubit_counts[n_qubits] = qubit_counts.get(n_qubits, 0) + 1
+        control_counts[n_controls] = control_counts.get(n_controls, 0) + 1
         gate_counts[gates] = gate_counts.get(gates, 0) + 1
         if gates >= scenario.n_gate_target:
             met += 1

@@ -9,6 +9,7 @@ so shells can never merge through floating-point rounding.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -68,21 +69,22 @@ class DopedRegion:
     n_sites: int = 0  # enumerated sites in the region
 
 
+@functools.lru_cache(maxsize=8)
 def _integer_sites(lattice_constant: float, radius: float) -> np.ndarray:
     """All diamond sites with |r| <= radius, as an (N, 3) int array in a0/4.
 
     Generated slab by slab in z to bound memory; order is deterministic
-    (increasing z, then the generation order of the masked grid).
+    (increasing z, then the generation order of the masked grid). Each
+    sphere is enumerated once per process and shared, so the array is
+    read-only; callers index or copy it.
     """
     # r2max in integer units; the +1e-9 guards against radius values that are
     # meant to be exactly on a shell.
     q = 4.0 * radius / lattice_constant
     r2max = int(math.floor(q * q + 1e-9))
     n = int(math.floor(q + 1e-9))
-    if r2max < 0:
-        return np.zeros((0, 3), dtype=np.int32)
 
-    chunks = []
+    chunks = [np.zeros((0, 3), dtype=np.int32)]
     axis = np.arange(-n, n + 1, dtype=np.int32)
     xx, yy = np.meshgrid(axis, axis, indexing="ij")
     xx = xx.ravel()
@@ -104,9 +106,9 @@ def _integer_sites(lattice_constant: float, radius: float) -> np.ndarray:
         m[:, 1] = yy[ok]
         m[:, 2] = z
         chunks.append(m)
-    if not chunks:
-        return np.zeros((0, 3), dtype=np.int32)
-    return np.vstack(chunks)
+    sites = np.vstack(chunks)
+    sites.flags.writeable = False
+    return sites
 
 
 def sphere_count_report(spec: LatticeSpec) -> dict:

@@ -174,6 +174,22 @@ def test_saved_preset_reproduces_the_preset_report(capsys, tmp_path):
     assert from_file == from_preset
 
 
+def test_feasibility_patches_from_a_saved_random_scenario(capsys, tmp_path):
+    import dataclasses
+    from donorgate import (LatticeSpec, RandomPlacementSpec, get_preset,
+                           patch_statistics, save_scenario)
+    _, sc = get_preset("table1")
+    sc = dataclasses.replace(
+        sc, placements=None, lattice=LatticeSpec(15.0),
+        random_placement=RandomPlacementSpec(2e-3, {"P": 0.4, "N": 0.6}, seed=0))
+    path = tmp_path / "random.json"
+    save_scenario(sc, path)
+    code, out, _ = _run(capsys, "feasibility", "patches", "--scenario", str(path),
+                        "--patches", "3", "--seed", "1", "--format", "json")
+    assert code == 0
+    assert json.loads(out) == patch_statistics(sc, 3, seed=1).to_dict()
+
+
 # one edit each to a saved table1: (key path, new value, the JSON path the
 # error names after the file name, a word the message must contain)
 @pytest.mark.parametrize("keys, value, where, said", [

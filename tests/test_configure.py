@@ -343,6 +343,16 @@ def test_scan_map_checks_its_row_index():
         _synthetic_scan(-spectra, [1, 0, 1])
 
 
+def test_one_point_epr_axis_is_read_without_a_step():
+    # a peak at either end of the EPR axis is taken as is, so a one-point
+    # axis needs no sample step
+    scan = ScanMap(np.arange(3.0), np.array([0.5]), np.array([[0.0], [1.0]]),
+                   [0, 0, 1], (("Q1", 0.5),), 0.05, 1.1)
+    (entry,) = infer_adjacency(scan, 0.05).entries
+    assert entry.optical_energy_mev == pytest.approx(0.5 * (1.0 + 2.0) + 1.1)
+    assert entry.couplings == ()
+
+
 # --- calibration ----------------------------------------------------------
 
 def test_exact_inference_calibrates_to_unit_fidelity():

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from donorgate import (
+    DopedRegion,
     EprModel,
     InvalidSpecError,
     LatticeSpec,
@@ -20,7 +21,7 @@ from donorgate import (
     run_feasibility,
 )
 from donorgate import feasibility
-from donorgate.feasibility import _capable_controls
+from donorgate.feasibility import _patch_tally
 
 # excited-state couplings of the bundled cluster, frozen from a direct run
 EXCITED_J = {
@@ -171,23 +172,33 @@ def test_stage_failures_name_the_stage():
 
 
 def test_stage_functions_keep_their_name_and_docstring():
-    assert _capable_controls.__name__ == "_capable_controls"
-    assert _capable_controls.__doc__.startswith("Controls with two or more")
+    assert _patch_tally.__name__ == "_patch_tally"
+    assert _patch_tally.__doc__.startswith("Counts of qubits, controls and")
     assert feasibility._integrals_stage.__name__ == "_integrals_stage"
     assert feasibility._integrals_stage.__doc__.startswith("Exchange for every")
 
 
-def test_qubit_on_a_control_site_is_rejected_on_both_paths():
+def test_qubit_on_a_control_site_is_rejected_on_both_paths(monkeypatch):
     _, sc = get_preset("table1")
     on_c2 = dataclasses.replace(sc.placements[4], position_a=sc.placements[1].position_a)
     bad = dataclasses.replace(sc, placements=sc.placements[:4] + (on_c2,))
     with pytest.raises(StageError, match="C2 and Q3 share a site"):
         run_feasibility(bad)
-    # the patch tally fails in the same stage as the full pipeline
-    with pytest.raises(StageError, match="C2 and Q3 share a site") as err:
-        _capable_controls(bad, bad.controls(), bad.qubits())
-    assert err.value.stage == "integrals"
-    assert isinstance(err.value.cause, InvalidSpecError)
+    # the patch tally fails in the same stage as the full pipeline, naming
+    # the labels that realize_placements gives the same region
+    random_sc = _random_scenario()
+    region = DopedRegion(random_sc.lattice, np.array(
+        [[0, 0, 0], [1, 1, 1], [4, 4, 0], [8, 0, 0], [0, 4, 4], [1, 1, 1]]),
+        ("N", "P", "N", "P", "N", "N"), 0.5, 0, 100)
+    monkeypatch.setattr(feasibility, "place_dopants", lambda *args: region)
+    placed = {p.label: p.position_a for p in realize_placements(random_sc).placements}
+    assert placed["C1"] == placed["Q4"]
+    for run in (lambda: _patch_tally(random_sc, region), lambda: run_feasibility(random_sc),
+                lambda: patch_statistics(random_sc, n_patches=1, seed=0)):
+        with pytest.raises(StageError, match="C1 and Q4 share a site") as err:
+            run()
+        assert err.value.stage == "integrals"
+        assert isinstance(err.value.cause, InvalidSpecError)
 
 
 def test_line_energies_use_each_pairs_own_transfer():
@@ -296,6 +307,16 @@ def test_patch_statistics_require_random_spec():
         patch_statistics(_random_scenario(), n_patches=0, seed=1)
 
 
+def _tally_and_report(sc, seed):
+    """patch_statistics' gate tally of one patch, and the full report of
+    the same patch."""
+    (tallied,) = patch_statistics(sc, n_patches=1, seed=seed).gate_counts
+    child = np.random.SeedSequence(seed).spawn(1)[0]
+    patch = dataclasses.replace(sc, random_placement=dataclasses.replace(
+        sc.random_placement, seed=int(child.generate_state(1)[0])))
+    return tallied, run_feasibility(patch)
+
+
 def test_patch_tally_matches_the_full_pipeline():
     # patch_statistics counts gate-capable controls without running the
     # spins stage; on the same patch that count must equal the number of
@@ -307,13 +328,37 @@ def test_patch_tally_matches_the_full_pipeline():
         random_placement=RandomPlacementSpec(1e-3, {"P": 0.4, "N": 0.6}, seed=0))
     counts = []
     for seed in range(6):
-        (tallied,) = patch_statistics(sc, n_patches=1, seed=seed).gate_counts
-        child = np.random.SeedSequence(seed).spawn(1)[0]
-        patch = dataclasses.replace(sc, random_placement=dataclasses.replace(
-            sc.random_placement, seed=int(child.generate_state(1)[0])))
-        assert tallied == len(run_feasibility(patch).gates), seed
+        tallied, report = _tally_and_report(sc, seed)
+        assert tallied == len(report.gates), seed
         counts.append(tallied)
     assert min(counts) == 0 and max(counts) >= 2
+
+
+def test_patch_tally_groups_pairs_by_species():
+    # two control species price their pairs in separate exchange curves;
+    # the tally must still equal the full pipeline's gate records. At this
+    # concentration nearly every control has two couplings above 1 meV, so
+    # the floor is raised to where the species' couplings differ in outcome:
+    # both species hold gates, and some controls of each miss the floor
+    _, sc = get_preset("table1")
+    soft = model_from_ionization("Ps", 0.6, 5.7, central_cell_split_ev=0.2,
+                                 role="control")
+    sc = dataclasses.replace(
+        sc, placements=None, species=sc.species + (soft,),
+        lattice=LatticeSpec(25.0), epr=EprModel(0.05, zeeman_spread_fwhm_mev=4.0),
+        min_gate_coupling_mev=100.0,
+        random_placement=RandomPlacementSpec(
+            3e-3, {"P": 0.2, "Ps": 0.2, "N": 0.6}, seed=0))
+    with_gate, without_gate = set(), set()
+    for seed in range(6):
+        tallied, report = _tally_and_report(sc, seed)
+        assert tallied == len(report.gates), seed
+        species = {label: s for label, s, _ in report.placements
+                   if label.startswith("C")}
+        gated = {g["control"] for g in report.gates}
+        with_gate.update(species[c] for c in gated)
+        without_gate.update(s for c, s in species.items() if c not in gated)
+    assert with_gate == without_gate == {"P", "Ps"}
 
 
 def test_empty_region_reports_zero_everything():

@@ -20,6 +20,7 @@ from donorgate import (
     shell_sizes,
     sphere_count_report,
 )
+from donorgate import lattice
 from donorgate.lattice import _integer_sites
 
 A0 = 3.567
@@ -123,6 +124,20 @@ def test_region_equality_is_identity():
     b = place_dopants(spec, 0.05, {"P": 1.0}, 1)
     assert a == a and a != b
     assert len({a, b, a}) == 2
+
+
+def test_each_sphere_is_enumerated_once_and_read_only(monkeypatch):
+    sites = _integer_sites(A0, 12.0)
+    assert _integer_sites(A0, 12.0) is sites
+    with pytest.raises(ValueError):
+        sites[0, 0] = 1
+    spec = LatticeSpec(12.0, A0)
+    cached = place_dopants(spec, 0.05, {"P": 0.4, "N": 0.6}, seed=4)
+    monkeypatch.setattr(lattice, "_integer_sites", _integer_sites.__wrapped__)
+    fresh = place_dopants(spec, 0.05, {"P": 0.4, "N": 0.6}, seed=4)
+    assert np.array_equal(cached.sites, fresh.sites)
+    assert cached.species == fresh.species and len(cached.species) > 5
+    assert cached.n_sites == fresh.n_sites
 
 
 def test_placement_respects_concentration_and_mix():

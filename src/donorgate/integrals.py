@@ -11,20 +11,26 @@ length.
 The grids also carry a leading separation axis: center A sits at the origin
 and center B at (0, 0, r) with r an array of reduced separations, so one
 kernel call, `_pair_blocks`, prices every block at every separation it is
-given and returns one value per separation. The electron-repulsion grids
-hold n_terms^4 primitives per separation, so the kernel takes at most
-`_R_CHUNK` separations at a time, which bounds its temporaries. The Boys
-function is evaluated at its top order only (erf for F_0) and recurred
-downward, F_n = (2x F_{n+1} + e^-x) / (2n + 1), which is stable in that
-direction (Helgaker, Jorgensen & Olsen, Molecular Electronic-Structure
-Theory, section 9.8).
+given and returns one value per separation. Inside the call the grids are
+cut along that axis to bound their temporaries: the electron-repulsion
+grids `_R_CHUNK` separations at a time, the one-electron grids, n_terms^2
+primitives per separation against up to n_terms^4, `_R_CHUNK * n_terms^2`
+at a time. An electron-repulsion integral runs over the distinct primitive
+pairs only: the product of an orbital with itself keeps each pair i <= j
+once, and (AB|AB), whose bra and ket are one product, keeps each pair of
+pairs u <= v once, an off-diagonal entry weighted twice. The Boys function
+is evaluated at its top order only (erf for F_0) and recurred downward,
+F_n = (2x F_{n+1} + e^-x) / (2n + 1), which is stable in that direction
+(Helgaker, Jorgensen & Olsen, Molecular Electronic-Structure Theory,
+section 9.8).
 
 `exchange_curve`, `transfer_splitting_curve` and `pair_integrals` read each
 reduced point from one cache, `_reduced_pair`, which keeps at most
-`_CACHE_POINTS` (4096) points, least recently used out first. A curve first
-prices all of its grid's misses through the one kernel, then reads its
-points; `exchange_curve` reads each through `pair_integrals`, and a lone
-`pair_integrals` call prices its miss as a batch of one.
+`_CACHE_POINTS` (4096) points, least recently used out first. A curve builds
+its grid's keys once, prices all of their misses in one kernel call, then
+reads its points with the same keys; a lone `pair_integrals` call prices
+its miss as a batch of one. `exchange_curve` and `pair_integrals` assemble
+the Heitler-London result in one helper, `_heitler_london`.
 
 Every center and every orbital axis lies on the pair axis z. A contracted
 orbital is its coefficients and exponents, its angular momentum along z and
@@ -62,8 +68,10 @@ from .errors import IllConditionedGeometryError, InvalidModelError, Precondition
 from .orbitals import OrbitalSpec, check_n_terms, fit_gaussian_expansion
 
 _OVERLAP_LIMIT = 0.999
-# separations per kernel call; the electron-repulsion grids hold
-# n_terms^4 primitives per separation, so this bounds their temporaries
+# separations per electron-repulsion chunk inside a kernel call; those grids
+# hold up to n_terms^4 primitives per separation, so this bounds the
+# temporaries of every grid (the one-electron chunks take n_terms^2 times as
+# many separations)
 _R_CHUNK = 8
 # reduced pair points the cache keeps
 _CACHE_POINTS = 4096
@@ -144,8 +152,9 @@ def _r_table(vmax: int, p, PC):
 class _Orbital(NamedTuple):
     """A contracted orbital on the pair axis: primitive coefficients and
     exponents, the angular momentum `l` along z (0 for s1, 1 for p2) and the
-    position `z`, a float or an (m, 1, 1) array with one entry per
-    separation."""
+    position `z`, a float or an array with one entry per separation: (m, 1, 1)
+    for the one-electron grids, (m, 1) for the electron-repulsion pair
+    lists."""
 
     coef: np.ndarray
     exp: np.ndarray
@@ -196,25 +205,62 @@ def _attraction(x: _Orbital, y: _Orbital, nuclei):
     return x.coef @ (2.0 * math.pi / p * total) @ y.coef
 
 
-def _eri(oa: _Orbital, ob: _Orbital, oc: _Orbital, od: _Orbital):
-    """Contracted (ab|cd) over the four primitive grids at once."""
-    p, P, e_bra = _charge_grid(oa, ob)
-    q, Q, e_ket = _charge_grid(oc, od)
-    p4 = p[:, :, None, None]
-    q4 = q[None, None, :, :]
-    PQ = P[..., :, :, None, None] - Q[..., None, None, :, :]
-    R = _r_table(len(e_bra) + len(e_ket) - 2, p4 * q4 / (p4 + q4), PQ)
+class _Density(NamedTuple):
+    """The product x*y as a flat list of primitive pairs along the last
+    axis: contraction weights, exponent sums p, product centers Pz and the
+    Hermite coefficients E_t."""
 
+    weight: np.ndarray
+    p: np.ndarray
+    Pz: np.ndarray
+    E: list
+
+
+def _index_pairs(n: int, m: int, same: bool):
+    """Index pairs (i, j) of an n x m product and the weight of each: every
+    pair, or, when both factors are one object (so n == m and the product is
+    symmetric), each pair i <= j once, an off-diagonal pair weighted twice."""
+    if same:
+        i, j = np.triu_indices(n)
+        return i, j, np.where(i == j, 1.0, 2.0)
+    i, j = np.indices((n, m))
+    return i.ravel(), j.ravel(), 1.0
+
+
+def _density(x: _Orbital, y: _Orbital) -> _Density:
+    """x*y over its distinct primitive pairs: the product of an orbital with
+    itself (`x is y`, both factors one coefficient and exponent array) keeps
+    each pair i <= j once."""
+    i, j, fold = _index_pairs(len(x.exp), len(y.exp), x is y)
+    a, b = x.exp[i], y.exp[j]
+    p = a + b
+    return _Density(fold * x.coef[i] * y.coef[j], p, (a * x.z + b * y.z) / p,
+                    _e_table(x.l, y.l, a, b, x.z, y.z))
+
+
+def _eri(bra: _Density, ket: _Density):
+    """Contracted (bra|ket) over every pair of their primitive pairs at
+    once; when bra is ket, as in (AB|AB), each pair of pairs u <= v once."""
+    u, v, fold = _index_pairs(len(bra.weight), len(ket.weight), bra is ket)
+    p, q = bra.p[u], ket.p[v]
+    R = _r_table(len(bra.E) + len(ket.E) - 2, p * q / (p + q), bra.Pz[..., u] - ket.Pz[..., v])
+
+    e_ket = [e[..., v] for e in ket.E]
     total = 0.0
-    for v, eab in enumerate(e_bra):
-        for w, ecd in enumerate(e_ket):
-            total = total + (-1.0) ** w * (
-                eab[..., :, :, None, None] * ecd[..., None, None, :, :] * R[v + w])
+    for s, e in enumerate(bra.E):
+        eb = e[..., u]
+        for t, ek in enumerate(e_ket):
+            total = total + (-1.0) ** t * (eb * ek * R[s + t])
 
-    weights = (oa.coef[:, None, None, None] * ob.coef[None, :, None, None]
-               * oc.coef[None, None, :, None] * od.coef[None, None, None, :]
-               * (2.0 * math.pi**2.5 / (p4 * q4 * np.sqrt(p4 + q4))))
-    return total.reshape(total.shape[:-4] + (-1,)) @ weights.ravel()
+    weights = fold * bra.weight[u] * ket.weight[v] * (2.0 * math.pi**2.5 / (p * q * np.sqrt(p + q)))
+    return total @ weights
+
+
+def _by_chunks(price, size: int, B: _Orbital, z):
+    """`price(B at z[i:i+size])` for each run of `size` separations, joined
+    into one array per block."""
+    parts = [price(B._replace(z=z[i:i + size])) for i in range(0, len(z), size)]
+    return {name: np.concatenate([part[name] for part in parts]) for name in parts[0]}
 
 
 def _pair_blocks(kind_a, kind_b, radius_b, r, n_terms, two_electron):
@@ -225,17 +271,31 @@ def _pair_blocks(kind_a, kind_b, radius_b, r, n_terms, two_electron):
     inverse of its center's radius. Returns one array per block, in medium
     hartrees, with one value per separation. Near-coincident orbitals are
     priced too; the readers of the blocks reject them (`_check_overlap`).
+
+    The one-electron grids hold n_terms^2 primitives per separation and the
+    electron-repulsion grids up to n_terms^4, so the first are priced
+    `_R_CHUNK * n_terms^2` separations at a time and the second `_R_CHUNK`
+    at a time: no grid holds more than `_R_CHUNK * n_terms^4` entries.
     """
     A = _orbital(kind_a, 1.0, 0.0, n_terms)
-    B = _orbital(kind_b, radius_b, r[:, None, None], n_terms)
+    B = _orbital(kind_b, radius_b, 0.0, n_terms)
 
-    nuclei = ((1.0, A.z), (1.0 / radius_b, B.z))
-    out = {"S": _overlap(A, B)}
-    for name, (x, y) in (("hAA", (A, A)), ("hBB", (B, B)), ("hAB", (A, B))):
-        out[name] = _kinetic(x, y) + _attraction(x, y, nuclei)
+    def one_electron(b):
+        nuclei = ((1.0, A.z), (1.0 / radius_b, b.z))
+        out = {"S": _overlap(A, b)}
+        for name, (x, y) in (("hAA", (A, A)), ("hBB", (b, b)), ("hAB", (A, b))):
+            out[name] = _kinetic(x, y) + _attraction(x, y, nuclei)
+        return out
+
+    out = _by_chunks(one_electron, _R_CHUNK * n_terms**2, B, r[:, None, None])
     if two_electron:
-        out["Jc"] = _eri(A, A, B, B)
-        out["Kx"] = _eri(A, B, A, B)
+        aa = _density(A, A)
+
+        def repulsion(b):
+            ab = _density(A, b)
+            return {"Jc": _eri(aa, _density(b, b)), "Kx": _eri(ab, ab)}
+
+        out.update(_by_chunks(repulsion, _R_CHUNK, B, r[:, None]))
     return out
 
 
@@ -250,11 +310,11 @@ class _PairCache:
     A point's key, from `_pair_key`, is its pair configuration (kind_a,
     kind_b, radius_b, n_terms, two_electron) and its reduced separation; its
     row is one dict of plain floats. `fill` prices every key it does not
-    hold, all of one configuration, through `_pair_blocks`, `_R_CHUNK` at a
-    time in the order given, so a curve's misses are one batch; calling the
-    cache reads one point, pricing it alone if it is not held (as a point
-    that a fill into a full cache pushed out is). `cache_info()` is (hits,
-    misses): reads served from the cache and points priced.
+    hold, all of one configuration, in one `_pair_blocks` call with the
+    separations in the order given, so a curve's misses are one batch;
+    calling the cache reads one point, pricing it alone if it is not held
+    (as a point that a fill into a full cache pushed out is). `cache_info()`
+    is (hits, misses): reads served from the cache and points priced.
     """
 
     def __init__(self, maxsize: int):
@@ -264,15 +324,16 @@ class _PairCache:
 
     def fill(self, keys) -> None:
         missing = [key for key in dict.fromkeys(keys) if key not in self._rows]
+        if not missing:
+            return
         self._misses += len(missing)
-        for i in range(0, len(missing), _R_CHUNK):
-            chunk = missing[i:i + _R_CHUNK]
-            config = chunk[0][0]
-            blocks = _pair_blocks(*config[:3], np.array([r for _, r in chunk]), *config[3:])
-            for j, key in enumerate(chunk):
-                self._rows[key] = {name: float(v[j]) for name, v in blocks.items()}
-                if len(self._rows) > self.maxsize:
-                    self._rows.popitem(last=False)
+        config = missing[0][0]
+        blocks = _pair_blocks(*config[:3], np.array([r for _, r in missing]), *config[3:])
+        columns = [v.tolist() for v in blocks.values()]
+        for key, values in zip(missing, zip(*columns)):
+            self._rows[key] = dict(zip(blocks, values))
+            if len(self._rows) > self.maxsize:
+                self._rows.popitem(last=False)
 
     def __call__(self, key) -> dict:
         row = self._rows.get(key)
@@ -374,22 +435,28 @@ def pair_integrals(
     if not (math.isfinite(epsilon) and epsilon > 1.0):
         raise PreconditionError(f"epsilon must be finite and exceed 1, got {epsilon!r}")
 
+    return _heitler_london(a, b, r_ang, epsilon, _reduced_pair(_pair_key(a, b, r_ang, n_terms)))
+
+
+def _heitler_london(a: OrbitalSpec, b: OrbitalSpec, separation_a: float, epsilon: float,
+                    blocks: dict) -> PairIntegralResult:
+    """The pair result of `a` and `b` at `separation_a` angstrom from their
+    reduced `blocks`, after rejecting near-coincident orbitals."""
     scale = a.bohr_radius_a  # length unit l
     hartree = medium_hartree_mev(epsilon, scale)
     zb = scale / b.bohr_radius_a
-    blocks = _reduced_pair(_pair_key(a, b, r_ang, n_terms))
 
     s = blocks["S"]
-    _check_overlap(s, r_ang)
+    _check_overlap(s, separation_a)
     jc, kx = blocks["Jc"], blocks["Kx"]
-    vnn = zb / (r_ang / scale)
+    vnn = zb / (separation_a / scale)
     h11 = blocks["hAA"] + blocks["hBB"] + jc + vnn
     h12 = 2.0 * s * blocks["hAB"] + kx + s * s * vnn
     e_singlet = (h11 + h12) / (1.0 + s * s)
     e_triplet = (h11 - h12) / (1.0 - s * s)
 
     return PairIntegralResult(
-        separation_a=r_ang,
+        separation_a=separation_a,
         overlap=s,
         transfer_mev=_hopping(blocks) * hartree,
         coulomb_mev=jc * hartree,
@@ -419,12 +486,12 @@ def exchange_curve(
 
     The excited control is the 2p-sigma envelope pointing at the qubit.
 
-    The grid's points missing from the pair cache (at most 4096 reduced
-    points, least recently used out first) are priced first, as one batch
-    through the integral kernel along a separation axis, eight separations
-    per call, with the Boys function evaluated at its top order and recurred
-    downward. Each point is then a `pair_integrals` call on the same two
-    envelopes at that separation, which reads the cache.
+    Each grid point's pair-cache key is built once. The points missing from
+    the cache (at most 4096 reduced points, least recently used out first)
+    are priced first, in one call of the integral kernel along a separation
+    axis. Each point is then read from the cache with its key and assembled
+    as `pair_integrals` assembles it, so a point equals a `pair_integrals`
+    call on the same two envelopes at that separation.
     """
     grid = _check_grid(r_grid)
     check_n_terms(n_terms)
@@ -433,8 +500,10 @@ def exchange_curve(
     a = (OrbitalSpec("p2", control.excited_orbital_radius_a()) if excited
          else OrbitalSpec("s1", control.ground_orbital_radius_a()))
     b = OrbitalSpec("s1", qubit.ground_orbital_radius_a())
-    _reduced_pair.fill([_pair_key(a, b, r, n_terms) for r in grid])
-    return [pair_integrals(a, b, r, control.dielectric_constant, n_terms) for r in grid]
+    keys = [_pair_key(a, b, r, n_terms) for r in grid]
+    _reduced_pair.fill(keys)
+    return [_heitler_london(a, b, r, control.dielectric_constant, _reduced_pair(key))
+            for r, key in zip(grid, keys)]
 
 
 @dataclass(frozen=True)
@@ -461,9 +530,10 @@ def transfer_splitting_curve(
     2|t|. Monopole shifts are excluded: both donors are neutral, so the
     ion-ion and electron-ion monopole tails compensate.
 
-    As in `exchange_curve`, the grid's cache misses are priced first as one
-    batch through the kernel along a separation axis, one-electron blocks
-    only, and each point is then read from the pair cache.
+    As in `exchange_curve`, each point's key is built once, the grid's cache
+    misses are priced first in one kernel call along a separation axis,
+    one-electron blocks only, and each point is then read from the pair
+    cache with its key.
     """
     grid = _check_grid(r_grid)
     check_n_terms(n_terms)

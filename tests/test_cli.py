@@ -46,6 +46,22 @@ def test_splitting_curve_from_preset(capsys):
         == pytest.approx(2 * first["t_meV"], rel=1e-9)
 
 
+DATA = Path(__file__).resolve().parent / "data"
+
+
+@pytest.mark.parametrize("argv, pinned", [
+    (("exchange", "curve", "--preset", "fig2a"), "exchange_curve_fig2a.csv"),
+    (("exchange", "curve", "--preset", "fig2b"), "exchange_curve_fig2b.csv"),
+    (("splitting", "curve", "--preset", "fig3"), "splitting_curve_fig3.csv"),
+])
+def test_figure_curves_equal_their_pinned_csv(capsys, argv, pinned):
+    # a change to the integral kernel or the Boys function that moves a
+    # printed digit of these curves must regenerate the file and state why
+    code, out, _ = _run(capsys, *argv)
+    assert code == 0
+    assert out.encode() == (DATA / pinned).read_bytes()
+
+
 def test_lattice_count_json(capsys):
     code, out, _ = _run(capsys, "lattice", "count", "--radius", "7.5",
                         "--format", "json")

@@ -156,11 +156,18 @@ def test_blocks_match_scalar_reference():
     # the grid recursions against the primitive-by-primitive loops: the
     # excited control with a compact qubit (radii 1 and 0.5, charges l/a),
     # and the p2-p2 transfer geometry, one-electron blocks only; the kernel
-    # derives each charge from its radius and prices both separations of a
-    # case in one call
+    # derives each charge from its radius and prices all separations of a
+    # case in one call. The ten-separation cases cross an electron-repulsion
+    # chunk boundary, and their folded sums (pairs i <= j of an orbital with
+    # itself, pairs of pairs u <= v of (AB|AB)) weight each off-diagonal
+    # entry twice, where the reference sums every primitive quadruple
+    ten = tuple(np.linspace(1.5, 9.6, 10))
+    assert len(ten) > integrals._R_CHUNK
     cases = (
         (("p2", "s1", 0.5, (3.0, 4.5), 4), True),
         (("p2", "p2", 1.0, (6.0, 7.5), 4), False),
+        (("s1", "s1", 1.5, ten, 4), True),
+        (("p2", "s1", 0.5, ten, 4), True),
     )
     for (kind_a, kind_b, radius_b, seps, n_terms), two_electron in cases:
         engine = integrals._pair_blocks(kind_a, kind_b, radius_b, np.array(seps),
@@ -314,19 +321,22 @@ def _one_at_a_time(monkeypatch, curve, grid):
 def test_curves_match_points_priced_one_at_a_time(monkeypatch, kernel_calls):
     _, fig2a = get_preset("fig2a")
     _, fig3 = get_preset("fig3")
+    control = fig2a.control
     curves = [
-        (lambda g, ex=ex: exchange_curve(fig2a.control, fig2a.qubit, ex, g), fig2a.r_grid)
-        for ex in (True, False)
-    ] + [(lambda g: transfer_splitting_curve(fig3.control, g), fig3.r_grid)]
-    for curve, grid in curves:
+        (lambda g: exchange_curve(control, fig2a.qubit, True, g), fig2a.r_grid,
+         control.excited_orbital_radius_a()),
+        (lambda g: exchange_curve(control, fig2a.qubit, False, g), fig2a.r_grid,
+         control.ground_orbital_radius_a()),
+        (lambda g: transfer_splitting_curve(fig3.control, g), fig3.r_grid,
+         fig3.control.excited_orbital_radius_a()),
+    ]
+    for curve, grid, scale in curves:
         _fresh_cache(monkeypatch)
         kernel_calls.clear()
         batched = curve(grid)
-        # the misses go through the kernel in grid order, a chunk at a time
-        assert [r for call in kernel_calls for r in call] == sorted(
-            r for call in kernel_calls for r in call)
-        assert len(kernel_calls) == math.ceil(len(grid) / integrals._R_CHUNK)
-        assert max(len(call) for call in kernel_calls) == integrals._R_CHUNK
+        # the misses go through the kernel in one call, in grid order
+        assert len(kernel_calls) == 1
+        assert kernel_calls[0] == pytest.approx([r / scale for r in grid], rel=1e-12)
         single = _one_at_a_time(monkeypatch, curve, grid)
         assert [res.separation_a for res in batched] == list(grid)
         _assert_rows_close(_rows(batched), _rows(single))
@@ -350,9 +360,9 @@ def test_partly_warm_grid_gives_the_cold_rows(monkeypatch, kernel_calls):
 
 
 def test_ill_conditioned_error_names_the_first_close_separation(cold_cache):
-    # twelve near-coincident p2-p2 pairs span two kernel chunks; the error
-    # must name the first of them, not the last or the first of a later
-    # chunk, as the separation in angstrom the caller passed
+    # twelve near-coincident p2-p2 pairs are priced in one kernel call; the
+    # error must name the first of them, not the last or a later one, as the
+    # separation in angstrom the caller passed
     control = model_from_ionization("P", 0.6, 5.7)
     scale = control.excited_orbital_radius_a()
     close = [0.01 * k for k in range(1, 13)]
@@ -416,3 +426,21 @@ def test_second_pricing_of_a_curve_calls_no_kernel(cold_cache, kernel_calls):
     assert _rows([pair_integrals(a, b, fig2a.r_grid[4], fig2a.control.dielectric_constant)]) \
         == [_rows(first)[4]]
     assert kernel_calls == []
+
+
+def test_a_curve_builds_each_point_key_once(cold_cache, monkeypatch):
+    _, fig2a = get_preset("fig2a")
+    calls = []
+    key = integrals._pair_key
+
+    def counted(*args, **kwargs):
+        calls.append(args[2])
+        return key(*args, **kwargs)
+
+    monkeypatch.setattr(integrals, "_pair_key", counted)
+    grid = list(fig2a.r_grid)
+    for temperature in ("cold", "warm"):
+        calls.clear()
+        exchange_curve(fig2a.control, fig2a.qubit, True, grid)
+        assert calls == grid, temperature
+    assert cold_cache.cache_info() == (2 * len(grid), len(grid))

@@ -122,6 +122,8 @@ def test_region_equality_is_identity():
     spec = LatticeSpec(10.0)
     a = place_dopants(spec, 0.05, {"P": 1.0}, 1)
     b = place_dopants(spec, 0.05, {"P": 1.0}, 1)
+    np.testing.assert_array_equal(a.sites, b.sites)  # a copy with equal sites
+    assert a.species == b.species
     assert a == a and a != b
     assert len({a, b, a}) == 2
 

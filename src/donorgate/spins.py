@@ -22,8 +22,8 @@ The search scores the control's worst case over 36 product probes only where
 a dip can be. The probe |down down> stays in the S_z = -1/2 sector, so the
 control's state for it has no coherence and its entropy is H2(p), with
 p(tau) = |U[3, 3]|^2 a sum of three real cosines: a closed-form lower bound
-on the worst case. The probes are scored only where that bound lies below a
-level.
+on the worst case. H2 rises with q = min(p, 1 - p), so the probes are scored
+only where q lies below the cut that a level sets.
 
 Basis convention: spin k maps to bit (n-1-k) of the state index, bit value 0
 meaning m = +1/2. Equivalently the basis is the Kronecker product of the
@@ -32,6 +32,7 @@ single-spin bases in spin order.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -227,15 +228,24 @@ _PROBES = _single_qubit_probes()
 # 147-295 kB, above glibc's 128 KiB mmap threshold, so arrays allocated
 # afresh for each chunk would be mapped and page-faulted again on every
 # chunk. The 9 level-pair phases (73 kB a chunk) stay under it and are
-# allocated per chunk. The |down down> bound screens the whole grid in
-# chunks of the same length, through 3 real cosines a point (12 kB a chunk),
-# so no full-grid phase array is ever built.
+# allocated per chunk. The |down down> screen splits the grid into blocks of
+# the same length and takes cosines only of the block starts and of the
+# offsets within a block; it keeps two full-grid arrays (16 bytes a point).
 _SCAN_CHUNK = 512
 
 # the gate search's refine threshold and first screen level, in bits, and
 # the margin for rounding between the |down down> bound and a scored residual
 _SCREEN_LEVEL = 1e-2
 _SCREEN_MARGIN = 1e-9
+
+# relative outward padding of a screen's q cut, against the screen's own
+# rounding (see `_down_down_q`)
+_CUT_PAD = 1e-6
+
+# the most tau points one search may scan. A search holds about 28 bytes a
+# point at its peak, 65 where the screen admits every point: at most 270 MB.
+# A default range has about 4000 * max|J| / min|J| points
+_MAX_GRID_POINTS = 1 << 22
 
 
 # the gate trio's spins, and its basis rows with the control (spin 0) up and down
@@ -319,29 +329,70 @@ def induced_qubit_operator(j1_mev: float, j2_mev: float, tau_ps: float) -> tuple
     return M, float(_residual_scan(levels, projectors)(np.array([tau]))[0])
 
 
-def _down_down_bound(levels: np.ndarray, projectors: np.ndarray,
-                     taus: np.ndarray) -> np.ndarray:
-    """A lower bound, in bits, on the trio's worst-probe residual at each tau.
+def _down_down_q(levels: np.ndarray, projectors: np.ndarray,
+                 taus: np.ndarray) -> np.ndarray:
+    """q = min(p, 1 - p) for the trio's |down down> probe at each tau of a
+    uniform grid, tau_j = tau_0 + j * (tau_1 - tau_0).
 
     Probe |down down> (basis row 3 with the control up) stays in the S_z =
     -1/2 sector, so its control state has populations p and 1 - p and no
     coherence, with p = |U(tau)[3, 3]|^2 = |sum_k w_k exp(-i E_k tau/hbar)|^2
     and w_k = P_k[3, 3] real: p = sum_k w_k^2 + 2 sum_{k<l} w_k w_l
-    cos((E_k - E_l) tau/hbar). Its entropy H2(p) is one probe's residual, so
-    the worst over the probes is never below it. Real cosines, `_SCAN_CHUNK`
-    points at a time.
+    cos((E_k - E_l) tau/hbar). Its entropy H2(q) is one probe's residual, so
+    the worst over the probes is never below it.
+
+    The grid is cut into blocks of `_SCAN_CHUNK` points, and each cosine is
+    taken by angle addition, cos(a + b) = cos a cos b - sin a sin b, from the
+    cosine and sine of its block's start a and of its offset b within the
+    block: 2 * (blocks + `_SCAN_CHUNK`) transcendental calls a rate, and
+    two products and two sums a rate per point. Against the cosine of each
+    point's own angle, q moved by at most 2.0e-13 over 200 random trios with
+    default grids of up to 580 k points. Near the first level's cut (H2 = 1e-2, q = 8e-4) dH2/dq =
+    log2((1 - q)/q) is below 11 and falls as the level rises, so the entropy
+    this admits against moves by at most 2.2e-12 bits, far inside
+    `_SCREEN_MARGIN`; `_entropy_cut` pads each cut by a further 8e-10 or
+    more in q.
     """
     w = projectors[:, 3, 3]
     k, l = np.triu_indices(len(levels), 1)
     rates = (levels[k] - levels[l]) / HBAR_MEV_PS
     weights = 2.0 * w[k] * w[l]
-    out = np.empty(len(taus))
-    for start in range(0, len(taus), _SCAN_CHUNK):
-        chunk = taus[start:start + _SCAN_CHUNK]
-        p = np.cos(np.multiply.outer(chunk, rates)) @ weights + w @ w
-        lam = np.clip(np.stack([p, 1.0 - p]), 1e-300, 1.0)
-        out[start:start + len(chunk)] = -np.sum(lam * np.log2(lam), axis=0)
-    return out
+    n = len(taus)
+    offsets = (taus[1] - taus[0] if n > 1 else 0.0) * np.arange(min(n, _SCAN_CHUNK))
+    starts = taus[::_SCAN_CHUNK]
+    p = np.zeros((len(starts), len(offsets)))
+    term = np.empty_like(p)
+    for rate, weight in zip(rates, weights):
+        a, b = rate * starts, rate * offsets
+        p += np.multiply.outer(np.cos(a), weight * np.cos(b), out=term)
+        p -= np.multiply.outer(np.sin(a), weight * np.sin(b), out=term)
+    p, term = p.reshape(-1)[:n], term.reshape(-1)[:n]
+    constant = float(np.sum(w * w))
+    np.subtract(1.0 - constant, p, out=term)
+    return np.minimum(np.add(p, constant, out=p), term, out=p)
+
+
+def _binary_entropy(q: float) -> float:
+    return -q * math.log2(q) - (1.0 - q) * math.log2(1.0 - q) if q > 0.0 else 0.0
+
+
+@functools.lru_cache(maxsize=8)  # a search asks for at most three finite cuts
+def _entropy_cut(bits: float) -> float:
+    """A q such that every q' in [0, 1/2] with H2(q') < `bits` lies below it.
+
+    H2 rises on [0, 1/2], so the cut is the root of H2(q) = bits, found by
+    bisection to adjacent doubles, its upper end taken and padded outward by
+    `_CUT_PAD` relative; +inf once `bits` exceeds H2's maximum, 1.
+    """
+    if bits > 1.0:
+        return math.inf
+    lo, hi = 0.0, 0.5
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        if _binary_entropy(mid) < bits:
+            lo = mid
+        else:
+            hi = mid
+    return hi * (1.0 + _CUT_PAD)
 
 
 def _residual_scan(levels: np.ndarray, projectors: np.ndarray):
@@ -493,20 +544,31 @@ def sfg_gate(j1_mev: float, j2_mev: float, tau_range: tuple = None, *,
     for any grid length. The reported gate is the control-up block of the
     same U(tau).
 
-    Only screened points are scored. The |down down> probe's entropy bounds
-    the worst-probe residual from below at every grid point, in closed form,
-    and the 36 probes are scored only where that bound is below a level
-    (plus 1e-9 for rounding); the other points stand as +inf. The level
-    starts at 1e-2, the refine threshold: any point whose true residual is
-    below it is scored, and an unscored neighbour's true residual is above
-    it, so every dip below 1e-2 and every comparison with its neighbours
-    comes out as on the fully scored grid. While no dip lies below the
-    level, it rises eightfold and the newly admitted points are scored;
-    once one does, the deepest such dip is the grid's deepest, and with
-    every point scored the rule is the full grid's. The selection is
-    therefore that of the full grid; the scored values can differ from the
-    full grid's in the last place only, since a lone point goes to a
+    Only screened points are scored. The |down down> probe's entropy H2(q),
+    q = min(p, 1 - p), bounds the worst-probe residual from below at every
+    grid point, in closed form. H2 rises with q, so "H2(q) below a level
+    (plus 1e-9 for rounding)" is "q below a cut", found once per level by
+    bisection; q comes by angle addition from the cosines of the grid's
+    block starts and in-block offsets (`_down_down_q`). No cosine, log or
+    matrix product is taken per point. The angle addition moves the entropy
+    by at most 2.2e-12 bits, far inside the 1e-9 margin, and the cut is
+    padded outward besides, so the screen admits every point the exact
+    bound admits, and rarely a few more. The 36 probes are scored only at
+    admitted points; the others stand as +inf. The level starts at 1e-2,
+    the refine threshold: any point whose true residual is below it is
+    scored, and an unscored neighbour's true residual is above it, so every
+    dip below 1e-2 and every comparison with its neighbours comes out as on
+    the fully scored grid. While no dip lies below the level, it rises
+    eightfold and the newly admitted points are scored; once one does, the
+    deepest such dip is the grid's deepest, and with every point scored the
+    rule is the full grid's. Dips are looked for among the admitted points
+    only, since an unscored point is no dip below the level. The selection
+    is therefore that of the full grid; the scored values can differ from
+    the full grid's in the last place only, since a lone point goes to a
     matrix-vector product and a chunk to a matrix-matrix one.
+
+    A grid of more than `_MAX_GRID_POINTS` points raises PreconditionError
+    before anything is allocated.
     """
     levels, projectors = _trio_levels(j1_mev, j2_mev)
     j_min, j_max = sorted(abs(float(j)) for j in (j1_mev, j2_mev))
@@ -522,30 +584,39 @@ def sfg_gate(j1_mev: float, j2_mev: float, tau_range: tuple = None, *,
     # narrow explicit ranges must still get a usable grid
     resolution_ps = min(1e-3 * math.pi * HBAR_MEV_PS / j_max, (hi - lo) / 200.0)
 
+    start = max(lo, resolution_ps)
+    points = math.ceil((hi - start) / resolution_ps)
+    if points > _MAX_GRID_POINTS:
+        raise PreconditionError(
+            f"tau range ({lo:.4g}, {hi:.4g}) ps needs {points} grid points, "
+            f"more than the limit of {_MAX_GRID_POINTS}")
+
     residuals = _residual_scan(levels, projectors)
 
     def residual_at(tau):
         return residuals(np.array([tau]))[0]
 
-    taus = np.arange(max(lo, resolution_ps), hi, resolution_ps)
+    taus = np.arange(start, hi, resolution_ps)
     if len(taus) == 0:
         taus = np.array([0.5 * (lo + hi)])
 
-    # score only the points whose |down down> bound admits them below the
-    # level; the rest stand as +inf. A dip below the level is then a dip of
-    # the full grid, so the level rises only until the deepest dip lies below it
-    bound = _down_down_bound(levels, projectors, taus)
-    coarse = np.full(len(taus), np.inf)
+    # score only the points whose |down down> q admits them below the level;
+    # the rest stand as +inf, between the two +inf pads of `padded`. A dip
+    # below the level is then a dip of the full grid, so the level rises
+    # only until the deepest dip lies below it
+    q = _down_down_q(levels, projectors, taus)
+    padded = np.full(len(taus) + 2, np.inf)
+    coarse = padded[1:-1]
     level = _SCREEN_LEVEL
     while True:
-        admit = np.flatnonzero(np.isinf(coarse) & (bound < level + _SCREEN_MARGIN))
+        at = np.flatnonzero(q < _entropy_cut(level + _SCREEN_MARGIN))
+        admit = at[np.isinf(coarse[at])]
         coarse[admit] = residuals(taus[admit])
-        left = np.concatenate(([np.inf], coarse[:-1]))
-        right = np.concatenate((coarse[1:], [np.inf]))
-        dips = np.flatnonzero((coarse <= left) & (coarse <= right))
+        values = coarse[at]
+        dips = at[(values <= padded[at]) & (values <= padded[at + 2])]
         if lo <= 0.0 and len(dips) and dips[0] == 0:
             dips = dips[1:]  # the ramp out of the identity at tau -> 0, not a dip
-        if not np.isinf(coarse).any():
+        if len(at) == len(taus):
             break
         dips = dips[coarse[dips] < level]
         if len(dips):

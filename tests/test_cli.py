@@ -62,6 +62,19 @@ def test_figure_curves_equal_their_pinned_csv(capsys, argv, pinned):
     assert out.encode() == (DATA / pinned).read_bytes()
 
 
+def test_table1_report_equals_its_pinned_json():
+    # a fresh interpreter, so the report cannot depend on what this process
+    # priced before it; a change that moves a byte of it must regenerate the
+    # file and state why
+    src = str(Path(donorgate.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "donorgate.cli", "feasibility", "run", "--preset",
+         "table1"],
+        capture_output=True, timeout=300, env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (DATA / "table1_report.json").read_bytes()
+
+
 def test_lattice_count_json(capsys):
     code, out, _ = _run(capsys, "lattice", "count", "--radius", "7.5",
                         "--format", "json")
@@ -251,7 +264,7 @@ def test_presets_list(capsys):
                                         "shen-nv"}
 
 
-@pytest.mark.parametrize("tau_max", ["0", "nan"])
+@pytest.mark.parametrize("tau_max", ["0", "nan", "1e12"])
 def test_gate_run_rejects_bad_tau_max(capsys, tau_max):
     code, out, err = _run(capsys, "gate", "run", "--j1", "20", "--j2", "20",
                           "--tau-max", tau_max)

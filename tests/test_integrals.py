@@ -359,6 +359,28 @@ def test_partly_warm_grid_gives_the_cold_rows(monkeypatch, kernel_calls):
     _assert_rows_close(_rows(warm), _rows(cold))
 
 
+@pytest.mark.xfail(strict=True, reason=(
+    "CHANGES.md FOUND: a pair point's blocks depend on the batch that first "
+    "priced it; BLAS contracts the batch's rows, and another row count can "
+    "round the last bit apart"))
+def test_a_pair_point_does_not_depend_on_the_batch_that_priced_it(monkeypatch):
+    # table1 prices its C1-C2 transfer alone, at 24 A, a point of fig3's
+    # grid; priced in fig3's batch, it is 25.735634444596457 meV where alone
+    # it is 25.735634444596446
+    _, table1 = get_preset("table1")
+    _, fig3 = get_preset("fig3")
+    control = table1.model_for("C1")
+    assert 24.0 in fig3.r_grid
+    _fresh_cache(monkeypatch)
+    alone = transfer_splitting_curve(control, (24.0,))[0].transfer_mev
+    cache = _fresh_cache(monkeypatch)
+    transfer_splitting_curve(fig3.control, fig3.r_grid)
+    misses = cache.cache_info()[1]
+    after_fig3 = transfer_splitting_curve(control, (24.0,))[0].transfer_mev
+    assert cache.cache_info()[1] == misses  # read from fig3's batch
+    assert after_fig3 == alone
+
+
 def test_ill_conditioned_error_names_the_first_close_separation(cold_cache):
     # twelve near-coincident p2-p2 pairs are priced in one kernel call; the
     # error must name the first of them, not the last or a later one, as the

@@ -1,6 +1,8 @@
 """Spin-cluster dynamics against an independently built Kronecker oracle."""
 
 import math
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,7 +24,8 @@ from donorgate import (
 )
 from donorgate.constants import HBAR_MEV_PS
 from donorgate import spins
-from donorgate.spins import (_SCAN_CHUNK, _down_down_bound, _residual_scan,
+from donorgate.spins import (_MAX_GRID_POINTS, _SCAN_CHUNK, _SCREEN_MARGIN,
+                             _down_down_q, _entropy_cut, _residual_scan,
                              _trio_levels)
 
 HBAR = 0.6582  # meV ps
@@ -258,19 +261,80 @@ def test_batched_scan_matches_propagator(j1, j2):
     assert np.max(np.abs(scanned - alone)) < 1e-14
 
 
-def test_down_down_bound_lies_below_the_residual():
-    # one probe's entropy never exceeds the worst probe's, over random trios
-    # that include equal and opposite couplings and intervals near zero
+def _entropy_bits(q):
+    lam = np.clip(np.stack([q, 1.0 - q]), 1e-300, 1.0)
+    return -np.sum(lam * np.log2(lam), axis=0)
+
+
+def _sfg_grid(j1, j2, lo, hi):
+    """The tau grid sfg_gate scans over (lo, hi)."""
+    resolution = min(1e-3 * math.pi * HBAR_MEV_PS / max(abs(j1), abs(j2)),
+                     (hi - lo) / 200.0)
+    return np.arange(max(lo, resolution), hi, resolution)
+
+
+def test_down_down_screen_admits_every_point_below_the_level():
+    # one probe's entropy never exceeds the worst probe's, so the screen must
+    # admit every point whose scored residual lies below the level, over
+    # random trios that include equal and opposite couplings and grids that
+    # start near zero: on a multi-block grid with a partial last block, on
+    # the narrow range calibrate_gate_time searches, and on the one-point
+    # grid sfg_gate falls back to
     rng = np.random.default_rng(16)
+    levels_bits = [1e-2 * 8.0 ** m for m in range(4)]
+    assert levels_bits[-1] >= 1.0
+    cuts = [_entropy_cut(level + _SCREEN_MARGIN) for level in levels_bits]
+    below_each_level = np.zeros(len(levels_bits), dtype=int)
     for case in range(1000):
         j1 = float(rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 200.0))
         j2 = (j1, -j1, float(rng.uniform(-2.0, 2.0)) * j1)[case % 3]
         period = 2.0 * math.pi * HBAR / abs(j1)
-        tau = float(rng.uniform(0.0, 1e-6 if case % 4 == 0 else 4.0) * period)
-        levels, projectors = _trio_levels(j1, j2)
-        taus = np.array([tau])
-        bound = _down_down_bound(levels, projectors, taus)[0]
-        assert bound <= _residual_scan(levels, projectors)(taus)[0] + 1e-12, (j1, j2, tau)
+        step = period * 10.0 ** rng.uniform(-4.0, -2.0)
+        start = float(rng.uniform(0.0, 1e-6 if case % 4 == 0 else 4.0) * period)
+        blocks = np.arange(start, start + (_SCAN_CHUNK + 37.5) * step, step)
+        assert len(blocks) > _SCAN_CHUNK and len(blocks) % _SCAN_CHUNK, case
+        tau = float(rng.uniform(0.05, 1.0) * period)
+        narrow = _sfg_grid(j1, j2, 0.7 * tau, 1.3 * tau)
+        one_point = np.array([tau])
+        trio = _trio_levels(j1, j2)
+        residuals = _residual_scan(*trio)
+        for taus in (blocks, narrow, one_point):
+            q = _down_down_q(*trio, taus)
+            scored = residuals(taus)
+            assert np.all(_entropy_bits(q) <= scored + 1e-12), (j1, j2, case)
+            for m, (level, cut) in enumerate(zip(levels_bits, cuts)):
+                below = scored < level
+                assert np.all(q[below] < cut), (j1, j2, case, level)
+                below_each_level[m] += np.count_nonzero(below)
+    assert np.all(below_each_level > 0), below_each_level
+
+
+def test_entropy_cut_brackets_the_level():
+    # H2 rises on [0, 1/2]: at the cut it is above the level, and twice the
+    # padding inside the cut below it; past H2's maximum every q is admitted
+    for bits in (1e-2 + 1e-9, 8e-2 + 1e-9, 0.64 + 1e-9, 0.3):
+        cut = _entropy_cut(bits)
+        assert spins._binary_entropy(cut) > bits
+        assert spins._binary_entropy(cut * (1.0 - 2.0 * spins._CUT_PAD)) < bits
+    assert _entropy_cut(1.0) > 0.5
+    assert _entropy_cut(5.12 + 1e-9) == math.inf
+
+
+def test_oversized_tau_grid_is_refused_before_it_is_allocated():
+    tracemalloc.start()
+    try:
+        with pytest.raises(PreconditionError) as err:
+            sfg_gate(20.0, 10.0, (0.0, 1e12))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    # the message names the grid's point count and the limit
+    points, limit = map(int, re.search(r"needs (\d+) grid points, more than "
+                                       r"the limit of (\d+)", str(err.value)).groups())
+    assert limit == _MAX_GRID_POINTS
+    assert points == pytest.approx(1e12 / (1e-3 * math.pi * HBAR_MEV_PS / 20.0),
+                                   rel=1e-9)
 
 
 def _full_grid_refines(coarse, lo):
@@ -291,12 +355,12 @@ def _traced_search(monkeypatch, j1, j2, tau_range):
     """sfg_gate's report, its grid, the brackets it refined and the number of
     points it scored."""
     grids, brackets, scored = [], [], [0]
-    bound, scan, minimize = (spins._down_down_bound, spins._residual_scan,
-                             spins._minimize_bounded)
+    screen, scan, minimize = (spins._down_down_q, spins._residual_scan,
+                              spins._minimize_bounded)
 
-    def traced_bound(levels, projectors, taus):
+    def traced_screen(levels, projectors, taus):
         grids.append(taus)
-        return bound(levels, projectors, taus)
+        return screen(levels, projectors, taus)
 
     def traced_scan(levels, projectors):
         residuals = scan(levels, projectors)
@@ -311,7 +375,7 @@ def _traced_search(monkeypatch, j1, j2, tau_range):
         return minimize(fun, bounds, **kwargs)
 
     with monkeypatch.context() as patch:
-        patch.setattr(spins, "_down_down_bound", traced_bound)
+        patch.setattr(spins, "_down_down_q", traced_screen)
         patch.setattr(spins, "_residual_scan", traced_scan)
         patch.setattr(spins, "_minimize_bounded", traced_minimize)
         try:
@@ -333,7 +397,7 @@ _SELECTION_TRIOS = [(20.0, 10.0), (20.0, 20.0), (10.0, 10.0), (-10.0, -10.0),
 
 
 def test_screened_search_selects_as_the_full_grid(monkeypatch):
-    # the screen scores only points whose bound lies below the level; it must
+    # the screen scores only points whose q lies below the level's cut; it must
     # refine the grid indices the fully scored grid would, and report the
     # same gate to the bit. Lone points (gemv) and chunks (gemm) round apart
     # in the last place, so this also guards the rounding of screened subsets
@@ -356,7 +420,7 @@ def test_screened_search_selects_as_the_full_grid(monkeypatch):
             assert scored < len(taus), case
             # the same search with every point admitted is the full-grid search
             with monkeypatch.context() as patch:
-                patch.setattr(spins, "_down_down_bound",
+                patch.setattr(spins, "_down_down_q",
                               lambda levels, projectors, taus: np.zeros(len(taus)))
                 full, _, full_brackets, _ = _traced_search(monkeypatch, j1, j2,
                                                            tau_range)

@@ -18,11 +18,18 @@ primitives per separation against up to n_terms^4, `_R_CHUNK * n_terms^2`
 at a time. An electron-repulsion integral runs over the distinct primitive
 pairs only: the product of an orbital with itself keeps each pair i <= j
 once, and (AB|AB), whose bra and ket are one product, keeps each pair of
-pairs u <= v once, an off-diagonal entry weighted twice. The Boys function
-is evaluated at its top order only (erf for F_0) and recurred downward,
-F_n = (2x F_{n+1} + e^-x) / (2n + 1), which is stable in that direction
-(Helgaker, Jorgensen & Olsen, Molecular Electronic-Structure Theory,
-section 9.8).
+pairs u <= v once, an off-diagonal entry weighted twice; those index pairs
+are built once per shape. Each block is reduced to its value per separation
+by a fixed-order sum along contiguous rows, never by a BLAS product, so a
+separation's blocks are the same bits whatever batch prices it.
+
+The Boys function is evaluated at its top order only and recurred downward,
+F_n = (2x F_{n+1} + e^-x) / (2n + 1), which is stable in that direction.
+F_0 alone comes from erf. A higher top order is read from a table of F_m,
+m <= 10, at the nodes x = i/100 below x = 50, filled on first use: five
+Taylor terms about the nearest node, and the asymptote
+Gamma(n+1/2) / (2 x^(n+1/2)) from x = 50 on (Helgaker, Jorgensen & Olsen,
+Molecular Electronic-Structure Theory, section 9.8).
 
 `exchange_curve`, `transfer_splitting_curve` and `pair_integrals` read each
 reduced point from one cache, `_reduced_pair`, which keeps at most
@@ -54,6 +61,7 @@ enters both energies identically and cancels in J.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -75,30 +83,82 @@ _OVERLAP_LIMIT = 0.999
 _R_CHUNK = 8
 # reduced pair points the cache keeps
 _CACHE_POINTS = 4096
+# the Boys table: node spacing, the x from which the asymptote takes over,
+# the highest order held and the Taylor terms taken per point; top orders up
+# to _BOYS_MAX_ORDER - _BOYS_TERMS + 1 = 6 are served, and the kernels ask
+# for at most 4 (a repulsion between two p2-p2 products)
+_BOYS_STEP = 0.01
+_BOYS_X_MAX = 50.0
+_BOYS_MAX_ORDER = 10
+_BOYS_TERMS = 5
 
 
 # ---------------------------------------------------------------------------
 # Hermite recursions over exponent grids (McMurchie-Davidson)
 # ---------------------------------------------------------------------------
 
-def _boys_array(nmax: int, x):
-    """[F_0(x), ..., F_nmax(x)]: the top order from the incomplete gamma
-    function (erf for nmax = 0), the lower ones by downward recursion."""
-    x = np.asarray(x, dtype=float)
-    small = x < 1e-10
-    safe = np.where(small, 1.0, x)
-    if nmax == 0:
-        root = np.sqrt(safe)
-        top = math.sqrt(math.pi) * erf(root) / (2.0 * root)
-    else:
-        a = nmax + 0.5
-        top = math.gamma(a) * gammainc(a, safe) / (2.0 * safe**a)
-    out = [np.where(small, 1.0 / (2 * nmax + 1) - x / (2 * nmax + 3), top)]
+def _boys_down(nmax: int, x, top):
+    """[F_0(x), ..., F_nmax(x)] from the top order `top` = F_nmax(x) by
+    downward recursion."""
+    out = [top]
     if nmax:
         decay = np.exp(-x)
         for n in range(nmax - 1, -1, -1):
             out.append((2.0 * x * out[-1] + decay) / (2 * n + 1))
     return out[::-1]
+
+
+@functools.cache
+def _boys_nodes() -> np.ndarray:
+    """The Boys table: F_m at the nodes x_i = i * `_BOYS_STEP` from 0 to
+    `_BOYS_X_MAX`, one row per order m = 0..`_BOYS_MAX_ORDER`. The top order
+    comes from the incomplete gamma function (1/(2m+1) at x = 0), the lower
+    ones by downward recursion. Read-only, as every call shares it."""
+    x = np.arange(round(_BOYS_X_MAX / _BOYS_STEP) + 1) * _BOYS_STEP
+    a = _BOYS_MAX_ORDER + 0.5
+    safe = np.where(x > 0.0, x, 1.0)
+    top = np.where(x > 0.0, math.gamma(a) * gammainc(a, safe) / (2.0 * safe**a),
+                   1.0 / (2 * _BOYS_MAX_ORDER + 1))
+    table = np.stack(_boys_down(_BOYS_MAX_ORDER, x, top))
+    table.flags.writeable = False
+    return table
+
+
+def _boys_array(nmax: int, x):
+    """[F_0(x), ..., F_nmax(x)]: the top order from the Boys table (erf for
+    nmax = 0), the lower ones by downward recursion.
+
+    Below `_BOYS_X_MAX` the top order is the Taylor series about the nearest
+    node, F_n(x) = sum_k F_{n+k}(x_i) (x_i - x)^k / k!, k < `_BOYS_TERMS`,
+    from x_i's row of the table; with |x - x_i| <= `_BOYS_STEP` / 2 the
+    first term left out is below 3e-14 relative. From `_BOYS_X_MAX` on it is
+    the asymptote Gamma(n+1/2) / (2 x^(n+1/2)), whose relative error, about
+    x^(n-1/2) e^-x / Gamma(n+1/2), is below 2e-15 there.
+
+    F_0 alone keeps erf: the table replaces the incomplete gamma function,
+    not `scipy.special`, so that import, and with it the benchmark's set-up
+    time, stays as it is until that timer can measure a shorter set-up
+    (ROADMAP item 7).
+    """
+    x = np.asarray(x, dtype=float)
+    if nmax == 0:
+        small = x < 1e-10
+        root = np.sqrt(np.where(small, 1.0, x))
+        return [np.where(small, 1.0 - x / 3.0, math.sqrt(math.pi) * erf(root) / (2.0 * root))]
+    if nmax + _BOYS_TERMS - 1 > _BOYS_MAX_ORDER:
+        raise PreconditionError(f"the Boys table serves nmax <= "
+                                f"{_BOYS_MAX_ORDER - _BOYS_TERMS + 1}, got {nmax}")
+    node = np.rint(np.minimum(x, _BOYS_X_MAX) / _BOYS_STEP).astype(np.intp)
+    dx = x - node * _BOYS_STEP
+    rows = _boys_nodes()[nmax:nmax + _BOYS_TERMS]
+    top = rows[-1].take(node)
+    for k in range(_BOYS_TERMS - 2, -1, -1):
+        top = rows[k].take(node) - dx * top / (k + 1)
+    far = x >= _BOYS_X_MAX
+    if far.any():
+        a = nmax + 0.5
+        top[far] = math.gamma(a) / (2.0 * x[far] ** a)
+    return _boys_down(nmax, x, top)
 
 
 def _e_table(la: int, lb: int, a, b, Az, Bz):
@@ -177,9 +237,22 @@ def _charge_grid(x: _Orbital, y: _Orbital):
     return p, (a * x.z + b * y.z) / p, _e_table(x.l, y.l, a, b, x.z, y.z)
 
 
+def _contract(grid, weights):
+    """sum_k grid[..., k] * weights[k] for each leading index, summed in one
+    fixed order along a C-contiguous row, so that a separation's value does
+    not depend on how many separations share the call (a BLAS product blocks
+    the rows and can round one apart with another row count)."""
+    return np.add.reduce(np.ascontiguousarray(grid) * weights, axis=-1)
+
+
+def _one_electron(x: _Orbital, y: _Orbital, grid):
+    """x.coef^T grid y.coef over the last two axes of the primitive grid."""
+    return _contract(grid.reshape(grid.shape[:-2] + (-1,)), np.outer(x.coef, y.coef).ravel())
+
+
 def _overlap(x: _Orbital, y: _Orbital):
     p, _, E = _charge_grid(x, y)
-    return x.coef @ ((np.pi / p) ** 1.5 * E[0]) @ y.coef
+    return _one_electron(x, y, (np.pi / p) ** 1.5 * E[0])
 
 
 def _kinetic(x: _Orbital, y: _Orbital):
@@ -191,8 +264,7 @@ def _kinetic(x: _Orbital, y: _Orbital):
     j = y.l
     s = _e_table(x.l, j, a, b, x.z, y.z)[0]
     t = b * (2 * j + 1) * s - 2.0 * b * b * _e_table(x.l, j + 2, a, b, x.z, y.z)[0]
-    grid = (np.pi / p) ** 1.5 * (t + 2.0 * a * b / p * s)
-    return x.coef @ grid @ y.coef
+    return _one_electron(x, y, (np.pi / p) ** 1.5 * (t + 2.0 * a * b / p * s))
 
 
 def _attraction(x: _Orbital, y: _Orbital, nuclei):
@@ -202,7 +274,7 @@ def _attraction(x: _Orbital, y: _Orbital, nuclei):
     for charge, zc in nuclei:
         R = _r_table(len(E) - 1, p, Pz - zc)
         total = total - charge * sum(e * r for e, r in zip(E, R))
-    return x.coef @ (2.0 * math.pi / p * total) @ y.coef
+    return _one_electron(x, y, 2.0 * math.pi / p * total)
 
 
 class _Density(NamedTuple):
@@ -216,15 +288,22 @@ class _Density(NamedTuple):
     E: list
 
 
+@functools.cache
 def _index_pairs(n: int, m: int, same: bool):
     """Index pairs (i, j) of an n x m product and the weight of each: every
     pair, or, when both factors are one object (so n == m and the product is
-    symmetric), each pair i <= j once, an off-diagonal pair weighted twice."""
+    symmetric), each pair i <= j once, an off-diagonal pair weighted twice.
+    Built once per shape; the arrays are read-only, as every call shares
+    them."""
     if same:
         i, j = np.triu_indices(n)
-        return i, j, np.where(i == j, 1.0, 2.0)
-    i, j = np.indices((n, m))
-    return i.ravel(), j.ravel(), 1.0
+        fold = np.where(i == j, 1.0, 2.0)
+        fold.flags.writeable = False
+    else:
+        i, j = (k.ravel() for k in np.indices((n, m)))
+        fold = 1.0
+    i.flags.writeable = j.flags.writeable = False
+    return i, j, fold
 
 
 def _density(x: _Orbital, y: _Orbital) -> _Density:
@@ -243,17 +322,18 @@ def _eri(bra: _Density, ket: _Density):
     once; when bra is ket, as in (AB|AB), each pair of pairs u <= v once."""
     u, v, fold = _index_pairs(len(bra.weight), len(ket.weight), bra is ket)
     p, q = bra.p[u], ket.p[v]
-    R = _r_table(len(bra.E) + len(ket.E) - 2, p * q / (p + q), bra.Pz[..., u] - ket.Pz[..., v])
+    R = _r_table(len(bra.E) + len(ket.E) - 2, p * q / (p + q),
+                 np.take(bra.Pz, u, axis=-1) - np.take(ket.Pz, v, axis=-1))
 
-    e_ket = [e[..., v] for e in ket.E]
+    e_ket = [np.take(e, v, axis=-1) for e in ket.E]
     total = 0.0
     for s, e in enumerate(bra.E):
-        eb = e[..., u]
+        eb = np.take(e, u, axis=-1)
         for t, ek in enumerate(e_ket):
             total = total + (-1.0) ** t * (eb * ek * R[s + t])
 
     weights = fold * bra.weight[u] * ket.weight[v] * (2.0 * math.pi**2.5 / (p * q * np.sqrt(p + q)))
-    return total @ weights
+    return _contract(total, weights)
 
 
 def _by_chunks(price, size: int, B: _Orbital, z):

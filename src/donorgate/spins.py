@@ -157,6 +157,14 @@ def _qubit_swap(n_qubits: int, a: int, b: int) -> np.ndarray:
     return P
 
 
+# entangling_power's doubled space, copies ordered A, B, A', B': the swaps
+# of the two copies of qubit A and of qubit B, and the average over uniform
+# product inputs
+_SWAP_A = _qubit_swap(4, 0, 2)
+_SWAP_B = _qubit_swap(4, 1, 3)
+_AVG_IN = (np.eye(16) + _SWAP_A) @ (np.eye(16) + _SWAP_B) / 36.0
+
+
 def entangling_power(unitary: np.ndarray) -> float:
     """Mean linear entropy generated from uniform product inputs, in [0, 2/9].
 
@@ -169,11 +177,8 @@ def entangling_power(unitary: np.ndarray) -> float:
         raise DimensionError("entangling power is defined for two-qubit unitaries")
     if np.max(np.abs(U.conj().T @ U - np.eye(4))) > 1e-8:
         raise PreconditionError("input must be unitary")
-    W = np.kron(U, U)  # copies ordered A, B, A', B'
-    s_a = _qubit_swap(4, 0, 2)
-    s_b = _qubit_swap(4, 1, 3)
-    avg_in = (np.eye(16) + s_a) @ (np.eye(16) + s_b) / 36.0
-    purity = np.trace(W @ avg_in @ W.conj().T @ s_a).real
+    W = np.kron(U, U)
+    purity = np.trace(W @ _AVG_IN @ W.conj().T @ _SWAP_A).real
     return float(1.0 - purity)
 
 
@@ -319,14 +324,20 @@ def _residual_bits(p_up: np.ndarray, p_down: np.ndarray, coh: np.ndarray,
     return -np.sum(lam * np.log2(lam), axis=0)
 
 
-def induced_qubit_operator(j1_mev: float, j2_mev: float, tau_ps: float) -> tuple:
+def induced_qubit_block(j1_mev: float, j2_mev: float, tau_ps: float) -> np.ndarray:
     """Operator the qubits see when the control, starting up, is excited for
-    tau: the control-up block of the propagator, plus the residual control
-    entanglement in bits (zero exactly when the block is unitary)."""
+    tau: the control-up block of the propagator."""
     levels, projectors = _trio_levels(j1_mev, j2_mev)
     tau = finite(tau_ps, "tau_ps", PreconditionError)
-    M = _trio_propagator(levels, projectors, tau)[_UP, _UP]
-    return M, float(_residual_scan(levels, projectors)(np.array([tau]))[0])
+    return _trio_propagator(levels, projectors, tau)[_UP, _UP]
+
+
+def induced_qubit_operator(j1_mev: float, j2_mev: float, tau_ps: float) -> tuple:
+    """`induced_qubit_block`, plus the residual control entanglement in bits
+    (zero exactly when the block is unitary)."""
+    M = induced_qubit_block(j1_mev, j2_mev, tau_ps)
+    levels, projectors = _trio_levels(j1_mev, j2_mev)
+    return M, float(_residual_scan(levels, projectors)(np.array([float(tau_ps)]))[0])
 
 
 def _down_down_q(levels: np.ndarray, projectors: np.ndarray,

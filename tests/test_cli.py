@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import donorgate
+from donorgate import integrals
 from donorgate.cli import main
 
 
@@ -73,6 +74,23 @@ def test_table1_report_equals_its_pinned_json():
         capture_output=True, timeout=300, env={**os.environ, "PYTHONPATH": src})
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == (DATA / "table1_report.json").read_bytes()
+
+
+def test_table1_report_does_not_depend_on_what_the_process_priced_before(
+        capsys, monkeypatch):
+    # the figure commands price their grids first, from an empty pair cache,
+    # and table1 then reads some of its points from their batches; the
+    # report must still equal the pinned file, which a fresh interpreter
+    # gives (the test above)
+    monkeypatch.setattr(integrals, "_reduced_pair",
+                        integrals._PairCache(integrals._CACHE_POINTS))
+    for argv in (("splitting", "curve", "--preset", "fig3"),
+                 ("exchange", "curve", "--preset", "fig2a"),
+                 ("exchange", "curve", "--preset", "fig2b")):
+        assert _run(capsys, *argv)[0] == 0
+    code, out, _ = _run(capsys, "feasibility", "run", "--preset", "table1")
+    assert code == 0
+    assert out.encode() == (DATA / "table1_report.json").read_bytes()
 
 
 def test_lattice_count_json(capsys):

@@ -359,14 +359,10 @@ def test_partly_warm_grid_gives_the_cold_rows(monkeypatch, kernel_calls):
     _assert_rows_close(_rows(warm), _rows(cold))
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "CHANGES.md FOUND: a pair point's blocks depend on the batch that first "
-    "priced it; BLAS contracts the batch's rows, and another row count can "
-    "round the last bit apart"))
 def test_a_pair_point_does_not_depend_on_the_batch_that_priced_it(monkeypatch):
     # table1 prices its C1-C2 transfer alone, at 24 A, a point of fig3's
-    # grid; priced in fig3's batch, it is 25.735634444596457 meV where alone
-    # it is 25.735634444596446
+    # grid; with BLAS contracting the batch's rows it read 25.735634444596457
+    # meV priced in fig3's batch where alone it read 25.735634444596446
     _, table1 = get_preset("table1")
     _, fig3 = get_preset("fig3")
     control = table1.model_for("C1")
@@ -379,6 +375,25 @@ def test_a_pair_point_does_not_depend_on_the_batch_that_priced_it(monkeypatch):
     after_fig3 = transfer_splitting_curve(control, (24.0,))[0].transfer_mev
     assert cache.cache_info()[1] == misses  # read from fig3's batch
     assert after_fig3 == alone
+
+
+@pytest.mark.parametrize("kind_a, kind_b", [("s1", "s1"), ("p2", "s1"), ("p2", "p2")])
+def test_every_block_of_a_point_is_bitwise_the_same_in_any_batch(kind_a, kind_b):
+    # a separation priced alone and inside batches of 2 to 1000 others, at a
+    # random position, must give the same bits in all six blocks
+    rng = np.random.default_rng(["s1", "p2"].index(kind_a) * 2 + ["s1", "p2"].index(kind_b))
+    for _ in range(10):
+        radius_b = rng.uniform(0.4, 1.6)
+        r = rng.uniform(0.5, 12.0)
+        alone = integrals._pair_blocks(kind_a, kind_b, radius_b, np.array([r]), 6, True)
+        size = int(rng.integers(2, 1001))
+        batch = rng.uniform(0.5, 12.0, size)
+        at = int(rng.integers(size))
+        batch[at] = r
+        priced = integrals._pair_blocks(kind_a, kind_b, radius_b, batch, 6, True)
+        assert sorted(priced) == ["Jc", "Kx", "S", "hAA", "hAB", "hBB"]
+        for name, values in priced.items():
+            assert values[at] == alone[name][0], (name, size, at)
 
 
 def test_ill_conditioned_error_names_the_first_close_separation(cold_cache):
@@ -404,8 +419,15 @@ def test_ill_conditioned_error_names_the_first_close_separation(cold_cache):
 def test_boys_downward_recursion_matches_reference():
     # below x = 1e-12 the reference drops the linear term of the series,
     # which moves it by less than x relative
+    # the Boys table's nodes are 0.01 apart up to x = 50, so their midpoints
+    # are the farthest a point takes its Taylor series; from 50 on the
+    # asymptote takes over
+    edge = integrals._BOYS_X_MAX
     x = np.concatenate([[0.0], np.logspace(-14, 3, 171),
-                        [np.nextafter(1e-10, 0.0), 1e-10, np.nextafter(1e-10, 1.0)]])
+                        [np.nextafter(1e-10, 0.0), 1e-10, np.nextafter(1e-10, 1.0)],
+                        (np.arange(0, 5000, 7) + 0.5) / 100.0,
+                        [edge - 0.005, np.nextafter(edge, 0.0), edge,
+                         np.nextafter(edge, np.inf), edge + 0.005]])
     for nmax in range(7):
         boys = integrals._boys_array(nmax, x)
         assert len(boys) == nmax + 1
@@ -413,6 +435,8 @@ def test_boys_downward_recursion_matches_reference():
             want = np.array([md_reference._boys(n, xi) for xi in x])
             np.testing.assert_allclose(fn, want, rtol=1e-12, atol=0.0,
                                        err_msg=f"nmax={nmax}, n={n}")
+    with pytest.raises(PreconditionError, match="nmax <= 6"):
+        integrals._boys_array(7, x)
 
 
 def test_cache_keeps_at_most_its_bound_least_recently_used_out(cold_cache, kernel_calls):

@@ -75,55 +75,73 @@ def _placement_stage(scenario):
     return realized, realized.controls(), realized.qubits()
 
 
-def _qubits_in_reach(scenario, c_label, c_pos, qubits):
-    """(qubit label, separation) for each qubit within the pair cutoff of
-    one control, in qubit order; a qubit on the control's site raises."""
-    for q_label, q_pos in qubits:
-        sep = float(np.linalg.norm(q_pos - c_pos))
-        if sep <= 0.0:
-            raise InvalidSpecError(f"{c_label} and {q_label} share a site")
-        if sep <= scenario.pair_cutoff_a:
-            yield q_label, sep
+def _separation(la, pa, lb, pb) -> float:
+    """Distance between two placed dopants; a shared site raises."""
+    sep = float(np.linalg.norm(pb - pa))
+    if sep <= 0.0:
+        raise InvalidSpecError(f"{la} and {lb} share a site")
+    return sep
+
+
+def _price_pairs(scenario, curve, separation, *kinds):
+    """(rows, at): the priced rows, and each pair's row index in them.
+
+    `kinds` give each pair's species, one array per pair member, as indices
+    into `scenario.species`. The pairs of one species group share one
+    `curve(*models, r_grid=grid)` call over the group's distinct
+    separations, in increasing order, which returns one row per grid point;
+    groups go in order of their species indices.
+    """
+    code = np.zeros(len(separation), dtype=np.int64)
+    for kind in kinds:
+        code = code * len(scenario.species) + kind
+    rows = []
+    at = np.empty(len(separation), dtype=np.int64)
+    for group in np.unique(code):
+        member = code == group
+        grid, where = np.unique(separation[member], return_inverse=True)
+        first = np.argmax(member)
+        at[member] = len(rows) + where
+        rows += curve(*(scenario.species[kind[first]] for kind in kinds), r_grid=grid)
+    return rows, at
 
 
 @_stage("integrals")
 def _integrals_stage(scenario, controls, qubits):
     """Exchange for every control-qubit pair inside the cutoff, transfer for
     every control-control pair (the spectra stage needs all of them, keyed
-    by the unordered label pair)."""
-    exchange_rows = []
-    couplings = {}
-    for c_label, c_pos in controls:
-        c_model = scenario.model_for(c_label)
-        for q_label, sep in _qubits_in_reach(scenario, c_label, c_pos, qubits):
-            q_model = scenario.model_for(q_label)
-            excited = exchange_curve(c_model, q_model, True, (sep,))[0]
-            ground = exchange_curve(c_model, q_model, False, (sep,))[0]
-            exchange_rows.append({
-                "control": c_label, "qubit": q_label,
-                "separation_a": sep,
-                "j_excited_mev": float(excited.exchange_splitting_mev),
-                "j_ground_mev": float(ground.exchange_splitting_mev),
-            })
-            couplings[(c_label, q_label)] = float(excited.exchange_splitting_mev)
+    by the unordered label pair), priced by species group as the patch
+    tally prices them; a transfer takes the species of the smaller label."""
+    near = [(c, q, sep) for c, c_pos in controls for q, q_pos in qubits
+            if (sep := _separation(c, c_pos, q, q_pos)) <= scenario.pair_cutoff_a]
+    mutual = [(la, lb, _separation(la, pa, lb, pb))
+              for i, (la, pa) in enumerate(controls) for lb, pb in controls[i + 1:]]
+    index = {s.species_name: i for i, s in enumerate(scenario.species)}
+    kind = {p.label: index[p.species] for p in scenario.placements}
 
-    transfer_rows = []
-    hopping = {}
-    for i in range(len(controls)):
-        for j in range(i + 1, len(controls)):
-            (la, pa), (lb, pb) = controls[i], controls[j]
-            sep = float(np.linalg.norm(pb - pa))
-            if sep <= 0.0:
-                raise InvalidSpecError(f"{la} and {lb} share a site")
-            model = scenario.model_for(min(la, lb))
-            row = transfer_splitting_curve(
-                model, (sep,), scenario.spectral.base_transition_mev)[0]
-            hopping[frozenset((la, lb))] = float(row.transfer_mev)
-            transfer_rows.append({
-                "pair": (la, lb), "separation_a": sep,
-                "transfer_mev": float(row.transfer_mev),
-                "splitting_mev": float(row.splitting_mev),
-            })
+    sep = np.array([s for _, _, s in near])
+    c_kind = np.array([kind[c] for c, _, _ in near], dtype=np.int64)
+    q_kind = np.array([kind[q] for _, q, _ in near], dtype=np.int64)
+    excited, at_excited = _price_pairs(
+        scenario, functools.partial(exchange_curve, excited=True), sep, c_kind, q_kind)
+    ground, at_ground = _price_pairs(
+        scenario, functools.partial(exchange_curve, excited=False), sep, c_kind, q_kind)
+    exchange_rows = [{"control": c, "qubit": q, "separation_a": s,
+                      "j_excited_mev": float(excited[i].exchange_splitting_mev),
+                      "j_ground_mev": float(ground[k].exchange_splitting_mev)}
+                     for (c, q, s), i, k in zip(near, at_excited, at_ground)]
+    couplings = {(r["control"], r["qubit"]): r["j_excited_mev"] for r in exchange_rows}
+
+    transfer, at = _price_pairs(
+        scenario, functools.partial(transfer_splitting_curve,
+                                    base_transition_mev=scenario.spectral.base_transition_mev),
+        np.array([s for _, _, s in mutual]),
+        np.array([kind[min(la, lb)] for la, lb, _ in mutual], dtype=np.int64))
+    transfer_rows = [{"pair": (la, lb), "separation_a": s,
+                      "transfer_mev": float(transfer[i].transfer_mev),
+                      "splitting_mev": float(transfer[i].splitting_mev)}
+                     for (la, lb, s), i in zip(mutual, at)]
+    hopping = {frozenset(r["pair"]): r["transfer_mev"] for r in transfer_rows}
     return exchange_rows, couplings, transfer_rows, hopping
 
 
@@ -397,12 +415,13 @@ def _patch_tally(scenario, region) -> tuple:
     A control is gate-capable with two or more excited-state qubit couplings
     at or above the gate floor, as the spins stage needs for a gate record;
     no spectra, spins or scan work, so patch sweeps stay cheap. Separations
-    come from the integer sites, so each (control species, qubit species)
-    group prices its distinct separations in one `exchange_curve` call.
+    come from the integer sites, and each (control species, qubit species)
+    group prices its distinct separations in one `exchange_curve` call
+    (`_price_pairs`, as the integrals stage).
     """
-    role = {s.species_name: s.role for s in scenario.species}
-    is_control = np.array([role[k] == "control" for k in region.species], dtype=bool)
-    kind = np.array(region.species, dtype=str)
+    index = {s.species_name: i for i, s in enumerate(scenario.species)}
+    kind = np.array([index[name] for name in region.species], dtype=np.int64)
+    is_control = np.array([s.role == "control" for s in scenario.species])[kind]
     c_kind, q_kind = kind[is_control], kind[~is_control]
     controls = region.sites[is_control].astype(np.int64)
     qubits = region.sites[~is_control].astype(np.int64)
@@ -417,20 +436,11 @@ def _patch_tally(scenario, region) -> tuple:
         raise InvalidSpecError(f"C{i + 1} and Q{j + 1} share a site")
     separation = np.sqrt(n2) * (scenario.lattice.lattice_constant / 4.0)
     ci, qi = np.nonzero(separation <= scenario.pair_cutoff_a)
-    separation = separation[ci, qi]
 
-    c_of, q_of = c_kind[ci], q_kind[qi]
-    strong = np.zeros(len(ci), dtype=bool)
-    for c_name in np.unique(c_of):
-        for q_name in np.unique(q_of):
-            group = (c_of == c_name) & (q_of == q_name)
-            if not group.any():
-                continue
-            grid, where = np.unique(separation[group], return_inverse=True)
-            rows = exchange_curve(scenario.species_by_name(c_name),
-                                  scenario.species_by_name(q_name), True, grid)
-            j = np.array([abs(r.exchange_splitting_mev) for r in rows])
-            strong[group] = j[where] >= scenario.min_gate_coupling_mev
+    rows, at = _price_pairs(scenario, functools.partial(exchange_curve, excited=True),
+                            separation[ci, qi], c_kind[ci], q_kind[qi])
+    j = np.array([abs(r.exchange_splitting_mev) for r in rows])
+    strong = j[at] >= scenario.min_gate_coupling_mev
     gates = np.count_nonzero(np.bincount(ci[strong], minlength=len(controls)) >= 2)
     return len(qubits), len(controls), int(gates)
 

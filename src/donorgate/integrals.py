@@ -227,16 +227,6 @@ def _orbital(kind: str, radius: float, z, n_terms: int) -> _Orbital:
     return _Orbital(coefs, exponents, 0 if kind == "s1" else 1, z)
 
 
-def _charge_grid(x: _Orbital, y: _Orbital):
-    """Exponent sum p, product center Pz and Hermite coefficients of x*y,
-    over the ([m,] len x, len y) primitive grid. Across the pair axis the
-    product is that of two s primitives on a common center."""
-    a = x.exp[:, None]
-    b = y.exp[None, :]
-    p = a + b
-    return p, (a * x.z + b * y.z) / p, _e_table(x.l, y.l, a, b, x.z, y.z)
-
-
 def _contract(grid, weights):
     """sum_k grid[..., k] * weights[k] for each leading index, summed in one
     fixed order along a C-contiguous row, so that a separation's value does
@@ -245,36 +235,33 @@ def _contract(grid, weights):
     return np.add.reduce(np.ascontiguousarray(grid) * weights, axis=-1)
 
 
-def _one_electron(x: _Orbital, y: _Orbital, grid):
+def _contract_grid(x: _Orbital, y: _Orbital, grid):
     """x.coef^T grid y.coef over the last two axes of the primitive grid."""
     return _contract(grid.reshape(grid.shape[:-2] + (-1,)), np.outer(x.coef, y.coef).ravel())
 
 
-def _overlap(x: _Orbital, y: _Orbital):
-    p, _, E = _charge_grid(x, y)
-    return _one_electron(x, y, (np.pi / p) ** 1.5 * E[0])
-
-
-def _kinetic(x: _Orbital, y: _Orbital):
-    """<x| -laplacian/2 |y>, differentiating y's Gaussian along z (l <= 1);
-    each transverse direction adds the s-s term (ab/p) times the overlap."""
+def _one_electron(x: _Orbital, y: _Orbital, nuclei):
+    """(S, T + V) of x*y: <x|y>, and <x| -laplacian/2 - sum_C Z_C / r_C |y>
+    over `nuclei`, a sequence of (Z_C, z_C), from one Hermite table over the
+    ([m,] len x, len y) primitive grid (across the pair axis, two s
+    primitives on a common center). T differentiates y's Gaussian along z
+    (l <= 1), one more table; each transverse direction adds (ab/p) S."""
     a = x.exp[:, None]
     b = y.exp[None, :]
     p = a + b
+    Pz = (a * x.z + b * y.z) / p
+    E = _e_table(x.l, y.l, a, b, x.z, y.z)
+    s = E[0]
     j = y.l
-    s = _e_table(x.l, j, a, b, x.z, y.z)[0]
     t = b * (2 * j + 1) * s - 2.0 * b * b * _e_table(x.l, j + 2, a, b, x.z, y.z)[0]
-    return _one_electron(x, y, (np.pi / p) ** 1.5 * (t + 2.0 * a * b / p * s))
-
-
-def _attraction(x: _Orbital, y: _Orbital, nuclei):
-    """<x| -sum_C Z_C / r_C |y> over `nuclei`, a sequence of (Z_C, z_C)."""
-    p, Pz, E = _charge_grid(x, y)
-    total = 0.0
+    v = 0.0
     for charge, zc in nuclei:
         R = _r_table(len(E) - 1, p, Pz - zc)
-        total = total - charge * sum(e * r for e, r in zip(E, R))
-    return _one_electron(x, y, 2.0 * math.pi / p * total)
+        v = v - charge * sum(e * r for e, r in zip(E, R))
+    g = (np.pi / p) ** 1.5
+    return (_contract_grid(x, y, g * s),
+            _contract_grid(x, y, g * (t + 2.0 * a * b / p * s))
+            + _contract_grid(x, y, 2.0 * math.pi / p * v))
 
 
 class _Density(NamedTuple):
@@ -362,10 +349,10 @@ def _pair_blocks(kind_a, kind_b, radius_b, r, n_terms, two_electron):
 
     def one_electron(b):
         nuclei = ((1.0, A.z), (1.0 / radius_b, b.z))
-        out = {"S": _overlap(A, b)}
-        for name, (x, y) in (("hAA", (A, A)), ("hBB", (b, b)), ("hAB", (A, b))):
-            out[name] = _kinetic(x, y) + _attraction(x, y, nuclei)
-        return out
+        _, h_aa = _one_electron(A, A, nuclei)
+        _, h_bb = _one_electron(b, b, nuclei)
+        s, h_ab = _one_electron(A, b, nuclei)
+        return {"S": s, "hAA": h_aa, "hBB": h_bb, "hAB": h_ab}
 
     out = _by_chunks(one_electron, _R_CHUNK * n_terms**2, B, r[:, None, None])
     if two_electron:

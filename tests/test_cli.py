@@ -1,6 +1,7 @@
 """Command line surface: artifacts, formats, exit codes."""
 
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -91,6 +92,21 @@ def test_table1_report_does_not_depend_on_what_the_process_priced_before(
     code, out, _ = _run(capsys, "feasibility", "run", "--preset", "table1")
     assert code == 0
     assert out.encode() == (DATA / "table1_report.json").read_bytes()
+
+
+def test_random_patch_report_equals_its_pinned_json(capsys, tmp_path):
+    # table1's species on a realized R = 15 A, c = 0.2 % patch, saved and
+    # run from the file; a change that moves a byte of the report must
+    # regenerate the pinned file and state why
+    _, sc = donorgate.get_preset("table1")
+    path = tmp_path / "random.json"
+    donorgate.save_scenario(dataclasses.replace(
+        sc, placements=None, lattice=donorgate.LatticeSpec(15.0),
+        random_placement=donorgate.RandomPlacementSpec(2e-3, {"P": 0.4, "N": 0.6},
+                                                       seed=0)), path)
+    code, out, _ = _run(capsys, "feasibility", "run", "--scenario", str(path))
+    assert code == 0
+    assert out.encode() == (DATA / "random_patch_report.json").read_bytes()
 
 
 def test_lattice_count_json(capsys):

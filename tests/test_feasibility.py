@@ -1,6 +1,9 @@
 """End-to-end pipeline: the five-dopant cluster and random patches."""
 
 import dataclasses
+import hashlib
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,14 +16,16 @@ from donorgate import (
     Placement,
     RandomPlacementSpec,
     StageError,
+    exchange_curve,
     get_preset,
     model_from_ionization,
     patch_statistics,
     place_dopants,
     realize_placements,
     run_feasibility,
+    transfer_splitting_curve,
 )
-from donorgate import feasibility
+from donorgate import feasibility, integrals
 from donorgate.feasibility import _patch_tally
 
 # excited-state couplings of the bundled cluster, frozen from a direct run
@@ -334,21 +339,25 @@ def test_patch_tally_matches_the_full_pipeline():
     assert min(counts) == 0 and max(counts) >= 2
 
 
+def _two_control_species_scenario():
+    _, sc = get_preset("table1")
+    soft = model_from_ionization("Ps", 0.6, 5.7, central_cell_split_ev=0.2,
+                                 role="control")
+    return dataclasses.replace(
+        sc, placements=None, species=sc.species + (soft,),
+        lattice=LatticeSpec(25.0), epr=EprModel(0.05, zeeman_spread_fwhm_mev=4.0),
+        min_gate_coupling_mev=100.0,
+        random_placement=RandomPlacementSpec(
+            3e-3, {"P": 0.2, "Ps": 0.2, "N": 0.6}, seed=0))
+
+
 def test_patch_tally_groups_pairs_by_species():
     # two control species price their pairs in separate exchange curves;
     # the tally must still equal the full pipeline's gate records. At this
     # concentration nearly every control has two couplings above 1 meV, so
     # the floor is raised to where the species' couplings differ in outcome:
     # both species hold gates, and some controls of each miss the floor
-    _, sc = get_preset("table1")
-    soft = model_from_ionization("Ps", 0.6, 5.7, central_cell_split_ev=0.2,
-                                 role="control")
-    sc = dataclasses.replace(
-        sc, placements=None, species=sc.species + (soft,),
-        lattice=LatticeSpec(25.0), epr=EprModel(0.05, zeeman_spread_fwhm_mev=4.0),
-        min_gate_coupling_mev=100.0,
-        random_placement=RandomPlacementSpec(
-            3e-3, {"P": 0.2, "Ps": 0.2, "N": 0.6}, seed=0))
+    sc = _two_control_species_scenario()
     with_gate, without_gate = set(), set()
     for seed in range(6):
         tallied, report = _tally_and_report(sc, seed)
@@ -359,6 +368,78 @@ def test_patch_tally_groups_pairs_by_species():
         with_gate.update(species[c] for c in gated)
         without_gate.update(s for c, s in species.items() if c not in gated)
     assert with_gate == without_gate == {"P", "Ps"}
+
+
+def test_integrals_stage_prices_each_species_group_once(monkeypatch):
+    # the stage prices its pairs by species group: one exchange curve per
+    # (control species, qubit species, branch) and one transfer curve per
+    # species, and every row equals that pair priced alone, bit for bit
+    sc = _two_control_species_scenario()
+    realized, controls, qubits = feasibility._placement_stage(sc)
+    species = {p.label: p.species for p in realized.placements}
+    calls = []
+
+    def counted(curve, key):
+        def run(*args, **kwargs):
+            calls.append(key(*args, **kwargs))
+            return curve(*args, **kwargs)
+        return run
+
+    monkeypatch.setattr(feasibility, "exchange_curve", counted(
+        exchange_curve, lambda control, qubit, excited, r_grid:
+        (control.species_name, qubit.species_name, excited)))
+    monkeypatch.setattr(feasibility, "transfer_splitting_curve", counted(
+        transfer_splitting_curve,
+        lambda control, r_grid, base_transition_mev: control.species_name))
+    # an empty pair cache, so that no row is read from another test's batch
+    monkeypatch.setattr(integrals, "_reduced_pair",
+                        integrals._PairCache(integrals._CACHE_POINTS))
+    exchange, _, transfer, _ = feasibility._integrals_stage(realized, controls, qubits)
+
+    groups = {(species[r["control"]], species[r["qubit"]]) for r in exchange}
+    transfer_species = {species[min(r["pair"])] for r in transfer}
+    assert groups == {("P", "N"), ("Ps", "N")}
+    assert transfer_species == {"P", "Ps"}
+    assert sorted(calls, key=str) == sorted(
+        [g + (excited,) for g in groups for excited in (True, False)]
+        + list(transfer_species), key=str)
+
+    # each pair alone, from another empty cache: a batch of one per point
+    monkeypatch.setattr(integrals, "_reduced_pair",
+                        integrals._PairCache(integrals._CACHE_POINTS))
+    model = realized.model_for
+    for row in exchange:
+        c, q, r = row["control"], row["qubit"], row["separation_a"]
+        (excited,) = exchange_curve(model(c), model(q), True, (r,))
+        (ground,) = exchange_curve(model(c), model(q), False, (r,))
+        assert (row["j_excited_mev"], row["j_ground_mev"]) == (
+            excited.exchange_splitting_mev, ground.exchange_splitting_mev)
+    for row in transfer:
+        (alone,) = transfer_splitting_curve(
+            model(min(row["pair"])), (row["separation_a"],),
+            realized.spectral.base_transition_mev)
+        assert (row["transfer_mev"], row["splitting_mev"]) == (
+            alone.transfer_mev, alone.splitting_mev)
+
+
+DATA = Path(__file__).resolve().parent / "data"
+
+
+def test_random_patch_corpus_equals_its_pinned_digests():
+    # the full reports of 40 realized patches, pinned as sha256 digests;
+    # a change that moves a byte of one must regenerate the file and state why
+    _, sc = get_preset("table1")
+    sc = dataclasses.replace(
+        sc, placements=None, lattice=LatticeSpec(15.0),
+        epr=EprModel(0.05, zeeman_spread_fwhm_mev=40.0),
+        random_placement=RandomPlacementSpec(2.5e-3, {"P": 0.4, "N": 0.6}, seed=0))
+    pinned = json.loads((DATA / "random_corpus_sha256.json").read_text())
+    assert sorted(pinned, key=int) == [str(seed) for seed in range(40)]
+    for seed, digest in pinned.items():
+        patch = dataclasses.replace(sc, random_placement=dataclasses.replace(
+            sc.random_placement, seed=int(seed)))
+        report = run_feasibility(patch).to_json()
+        assert hashlib.sha256(report.encode()).hexdigest() == digest, seed
 
 
 def test_empty_region_reports_zero_everything():

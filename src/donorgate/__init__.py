@@ -26,8 +26,8 @@ from .lattice import (DopedRegion, LatticeSpec, NeighborStatistics, ShellTable,
                       neighbor_statistics, place_dopants, shell_sizes,
                       sphere_count_report)
 from .orbitals import GaussianExpansion, OrbitalSpec, fit_gaussian_expansion
-from .integrals import (PairIntegralResult, TransferSplitting, exchange_curve,
-                        pair_integrals, transfer_splitting_curve)
+from .integrals import (Curve, PairIntegralResult, TransferSplitting,
+                        exchange_curve, pair_integrals, transfer_splitting_curve)
 from .spectra import (SpectralModel, TransitionLine, gate_transitions,
                       resolvable_gate_count, wavelength_to_mev,
                       wavelength_width_to_mev)

@@ -83,27 +83,32 @@ def _separation(la, pa, lb, pb) -> float:
     return sep
 
 
-def _price_pairs(scenario, curve, separation, *kinds):
-    """(rows, at): the priced rows, and each pair's row index in them.
+def _price_pairs(scenario, curve, names, separation, *kinds):
+    """One array per column name in `names`: that column of the priced
+    curves, one entry per pair.
 
     `kinds` give each pair's species, one array per pair member, as indices
     into `scenario.species`. The pairs of one species group share one
     `curve(*models, r_grid=grid)` call over the group's distinct
     separations, in increasing order, which returns one row per grid point;
-    groups go in order of their species indices.
+    the groups' columns are joined in order of their species indices and
+    each pair reads its row's entry.
     """
     code = np.zeros(len(separation), dtype=np.int64)
     for kind in kinds:
         code = code * len(scenario.species) + kind
-    rows = []
+    parts = [[np.empty(0)] * len(names)]
     at = np.empty(len(separation), dtype=np.int64)
+    priced = 0
     for group in np.unique(code):
         member = code == group
         grid, where = np.unique(separation[member], return_inverse=True)
         first = np.argmax(member)
-        at[member] = len(rows) + where
-        rows += curve(*(scenario.species[kind[first]] for kind in kinds), r_grid=grid)
-    return rows, at
+        at[member] = priced + where
+        rows = curve(*(scenario.species[kind[first]] for kind in kinds), r_grid=grid)
+        parts.append([getattr(rows, name) for name in names])
+        priced += len(grid)
+    return [np.concatenate(column)[at] for column in zip(*parts)]
 
 
 @_stage("integrals")
@@ -122,25 +127,25 @@ def _integrals_stage(scenario, controls, qubits):
     sep = np.array([s for _, _, s in near])
     c_kind = np.array([kind[c] for c, _, _ in near], dtype=np.int64)
     q_kind = np.array([kind[q] for _, q, _ in near], dtype=np.int64)
-    excited, at_excited = _price_pairs(
-        scenario, functools.partial(exchange_curve, excited=True), sep, c_kind, q_kind)
-    ground, at_ground = _price_pairs(
-        scenario, functools.partial(exchange_curve, excited=False), sep, c_kind, q_kind)
+    (j_excited,) = _price_pairs(scenario, functools.partial(exchange_curve, excited=True),
+                                ("exchange_splitting_mev",), sep, c_kind, q_kind)
+    (j_ground,) = _price_pairs(scenario, functools.partial(exchange_curve, excited=False),
+                               ("exchange_splitting_mev",), sep, c_kind, q_kind)
     exchange_rows = [{"control": c, "qubit": q, "separation_a": s,
-                      "j_excited_mev": float(excited[i].exchange_splitting_mev),
-                      "j_ground_mev": float(ground[k].exchange_splitting_mev)}
-                     for (c, q, s), i, k in zip(near, at_excited, at_ground)]
+                      "j_excited_mev": je, "j_ground_mev": jg}
+                     for (c, q, s), je, jg in zip(near, j_excited.tolist(), j_ground.tolist())]
     couplings = {(r["control"], r["qubit"]): r["j_excited_mev"] for r in exchange_rows}
 
-    transfer, at = _price_pairs(
+    transfer, splitting = _price_pairs(
         scenario, functools.partial(transfer_splitting_curve,
                                     base_transition_mev=scenario.spectral.base_transition_mev),
+        ("transfer_mev", "splitting_mev"),
         np.array([s for _, _, s in mutual]),
         np.array([kind[min(la, lb)] for la, lb, _ in mutual], dtype=np.int64))
     transfer_rows = [{"pair": (la, lb), "separation_a": s,
-                      "transfer_mev": float(transfer[i].transfer_mev),
-                      "splitting_mev": float(transfer[i].splitting_mev)}
-                     for (la, lb, s), i in zip(mutual, at)]
+                      "transfer_mev": t, "splitting_mev": split}
+                     for (la, lb, s), t, split in zip(mutual, transfer.tolist(),
+                                                      splitting.tolist())]
     hopping = {frozenset(r["pair"]): r["transfer_mev"] for r in transfer_rows}
     return exchange_rows, couplings, transfer_rows, hopping
 
@@ -437,10 +442,9 @@ def _patch_tally(scenario, region) -> tuple:
     separation = np.sqrt(n2) * (scenario.lattice.lattice_constant / 4.0)
     ci, qi = np.nonzero(separation <= scenario.pair_cutoff_a)
 
-    rows, at = _price_pairs(scenario, functools.partial(exchange_curve, excited=True),
-                            separation[ci, qi], c_kind[ci], q_kind[qi])
-    j = np.array([abs(r.exchange_splitting_mev) for r in rows])
-    strong = j[at] >= scenario.min_gate_coupling_mev
+    (j,) = _price_pairs(scenario, functools.partial(exchange_curve, excited=True),
+                        ("exchange_splitting_mev",), separation[ci, qi], c_kind[ci], q_kind[qi])
+    strong = np.abs(j) >= scenario.min_gate_coupling_mev
     gates = np.count_nonzero(np.bincount(ci[strong], minlength=len(controls)) >= 2)
     return len(qubits), len(controls), int(gates)
 

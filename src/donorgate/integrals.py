@@ -31,13 +31,15 @@ Taylor terms about the nearest node, and the asymptote
 Gamma(n+1/2) / (2 x^(n+1/2)) from x = 50 on (Helgaker, Jorgensen & Olsen,
 Molecular Electronic-Structure Theory, section 9.8).
 
-`exchange_curve`, `transfer_splitting_curve` and `pair_integrals` read each
-reduced point from one cache, `_reduced_pair`, which keeps at most
-`_CACHE_POINTS` (4096) points, least recently used out first. A curve builds
-its grid's keys once, prices all of their misses in one kernel call, then
-reads its points with the same keys; a lone `pair_integrals` call prices
-its miss as a batch of one. `exchange_curve` and `pair_integrals` assemble
-the Heitler-London result in one helper, `_heitler_london`.
+`exchange_curve`, `transfer_splitting_curve` and `pair_integrals` read
+their reduced points from one cache, `_reduced_pair`, which keeps at most
+`_CACHE_POINTS` (4096) points, least recently used out first. A call builds
+its pair configuration once and rounds each point's reduced separation once
+into its key, prices all of its misses in one kernel call, then reads every
+point's blocks as one array. The Heitler-London assembly, `_pair_curve`,
+works on those columns, and `pair_integrals` is that assembly at one point.
+A curve comes back as a `Curve`: one read-only array per field, whose rows
+are built only when read.
 
 Every center and every orbital axis lies on the pair axis z. A contracted
 orbital is its coefficients and exponents, its angular momentum along z and
@@ -63,8 +65,9 @@ from __future__ import annotations
 
 import functools
 import math
-from collections import OrderedDict
-from dataclasses import dataclass
+from collections import OrderedDict, deque
+from collections.abc import Sequence
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -81,8 +84,11 @@ _OVERLAP_LIMIT = 0.999
 # temporaries of every grid (the one-electron chunks take n_terms^2 times as
 # many separations)
 _R_CHUNK = 8
-# reduced pair points the cache keeps
+# reduced pair points the cache keeps, and the blocks it keeps per point in
+# the order `_pair_blocks` returns them (a one-electron point has the first
+# four)
 _CACHE_POINTS = 4096
+_BLOCKS = ("S", "hAA", "hBB", "hAB", "Jc", "Kx")
 # the Boys table: node spacing, the x from which the asymptote takes over,
 # the highest order held and the Taylor terms taken per point; top orders up
 # to _BOYS_MAX_ORDER - _BOYS_TERMS + 1 = 6 are served, and the kernels ask
@@ -374,42 +380,60 @@ class _PairCache:
     """Pair blocks per reduced point, at most `maxsize` points, least
     recently used out first.
 
-    A point's key, from `_pair_key`, is its pair configuration (kind_a,
+    A point's key, from `_pair_keys`, is its pair configuration (kind_a,
     kind_b, radius_b, n_terms, two_electron) and its reduced separation; its
-    row is one dict of plain floats. `fill` prices every key it does not
-    hold, all of one configuration, in one `_pair_blocks` call with the
-    separations in the order given, so a curve's misses are one batch;
-    calling the cache reads one point, pricing it alone if it is not held
-    (as a point that a fill into a full cache pushed out is). `cache_info()`
-    is (hits, misses): reads served from the cache and points priced.
+    blocks are one row of a (maxsize, 6) table, in `_BLOCKS` order (NaN for
+    Jc and Kx where only one-electron blocks are priced), and the key maps
+    to that row. `fill` prices every key it does not hold, all of one
+    configuration, in one `_pair_blocks` call with the separations in the
+    order given, so a curve's misses are one batch. `read` fills, then
+    returns the rows of its keys as one (points, 6) array, each key made the
+    most recently used in key order; a key that the fill itself pushed out
+    (the grid holds more points than the cache, or the key was among the
+    oldest held) is priced again alone. `cache_info()` is (hits, misses):
+    rows read from the cache and points priced.
     """
 
     def __init__(self, maxsize: int):
         self.maxsize = maxsize
         self._rows = OrderedDict()
+        self._table = np.empty((maxsize, len(_BLOCKS)))
         self._hits = self._misses = 0
 
     def fill(self, keys) -> None:
-        missing = [key for key in dict.fromkeys(keys) if key not in self._rows]
+        rows = self._rows
+        missing = list(dict.fromkeys(key for key in keys if key not in rows))
         if not missing:
             return
         self._misses += len(missing)
         config = missing[0][0]
         blocks = _pair_blocks(*config[:3], np.array([r for _, r in missing]), *config[3:])
-        columns = [v.tolist() for v in blocks.values()]
-        for key, values in zip(missing, zip(*columns)):
-            self._rows[key] = dict(zip(blocks, values))
-            if len(self._rows) > self.maxsize:
-                self._rows.popitem(last=False)
+        priced = np.full((len(missing), len(_BLOCKS)), np.nan)
+        priced[:, :len(blocks)] = np.column_stack(list(blocks.values()))
+        written = {}  # table row -> priced row; a row reused within this fill keeps its last
+        for i, key in enumerate(missing):
+            row = len(rows) if len(rows) < self.maxsize else rows.popitem(last=False)[1]
+            rows[key] = row
+            written[row] = i
+        self._table[list(written)] = priced[list(written.values())]
 
-    def __call__(self, key) -> dict:
-        row = self._rows.get(key)
-        if row is None:
+    def read(self, keys: list) -> np.ndarray:
+        self.fill(keys)
+        rows = self._rows
+        try:
+            deque(map(rows.move_to_end, keys), maxlen=0)
+        except KeyError:  # the fill pushed out some of these keys
+            return np.array([self._read_one(key) for key in keys])
+        self._hits += len(keys)
+        return self._table[[rows[key] for key in keys]]
+
+    def _read_one(self, key) -> list:
+        if key in self._rows:
+            self._hits += 1
+            self._rows.move_to_end(key)
+        else:
             self.fill([key])
-            return self._rows[key]
-        self._hits += 1
-        self._rows.move_to_end(key)
-        return row
+        return self._table[self._rows[key]].tolist()
 
     def cache_info(self) -> tuple:
         return self._hits, self._misses
@@ -418,29 +442,42 @@ class _PairCache:
 _reduced_pair = _PairCache(_CACHE_POINTS)
 
 
-def _pair_key(a: OrbitalSpec, b: OrbitalSpec, separation_a: float, n_terms: int,
-              two_electron: bool = True) -> tuple:
-    """Pair-cache key of `a` and `b` at `separation_a` angstrom: the pair
-    configuration and the reduced separation, every reduced length (in
-    units of a's radius) rounded to 12 decimals."""
+def _pair_keys(a: OrbitalSpec, b: OrbitalSpec, separation_a: np.ndarray, n_terms: int,
+               two_electron: bool = True) -> list:
+    """Pair-cache keys of `a` and `b` at the separations `separation_a`
+    (angstrom, a 1-D array): the pair configuration, built once, and each
+    reduced separation, every reduced length (in units of a's radius)
+    rounded to 12 decimals by Python's `round` (numpy's rounds some values
+    one bit apart)."""
     scale = a.bohr_radius_a
-    return ((a.kind, b.kind, round(b.bohr_radius_a / scale, 12), n_terms, two_electron),
-            round(separation_a / scale, 12))
+    config = (a.kind, b.kind, round(b.bohr_radius_a / scale, 12), n_terms, two_electron)
+    return [(config, round(r, 12)) for r in (separation_a / scale).tolist()]
 
 
-def _hopping(blocks: dict) -> float:
+def _hopping(s, h_aa, h_bb, h_ab):
     """Orthogonalized hopping (hAB - S (hAA + hBB) / 2) / (1 - S^2)."""
-    s = blocks["S"]
-    return (blocks["hAB"] - s * (blocks["hAA"] + blocks["hBB"]) / 2.0) / (1.0 - s * s)
+    return (h_ab - s * (h_aa + h_bb) / 2.0) / (1.0 - s * s)
 
 
-def _check_overlap(s: float, separation_a: float) -> None:
-    """Reject a pair whose orbitals nearly coincide, naming the separation
-    in angstrom the caller passed."""
-    if abs(s) > _OVERLAP_LIMIT:
+def _check_overlap(s: np.ndarray, separation_a: np.ndarray) -> None:
+    """Reject pairs whose orbitals nearly coincide, naming the first such
+    separation in grid order, in angstrom as the caller passed it."""
+    close = np.abs(s) > _OVERLAP_LIMIT
+    if close.any():
+        i = int(np.argmax(close))
         raise IllConditionedGeometryError(
-            f"|S| = {abs(s):.4f} at separation {separation_a:g} A; "
+            f"|S| = {abs(float(s[i])):.4f} at separation {float(separation_a[i]):g} A; "
             "orbitals nearly coincide")
+
+
+def _check_grid(r_grid) -> np.ndarray:
+    """`r_grid`, any iterable of numbers, as a new 1-D float array; it must
+    be finite, positive and strictly increasing."""
+    grid = np.array(r_grid if isinstance(r_grid, np.ndarray) else list(r_grid), dtype=float)
+    if grid.ndim != 1 or not (np.isfinite(grid).all() and (grid > 0.0).all()
+                              and (grid[1:] > grid[:-1]).all()):
+        raise PreconditionError("R grid must be finite, positive and strictly increasing")
+    return grid
 
 
 # ---------------------------------------------------------------------------
@@ -478,6 +515,80 @@ class PairIntegralResult:
         return 2.0 * (s2 * self.coulomb_mev - self.exchange_integral_mev) / (1.0 - s2 * s2)
 
 
+class Curve(Sequence):
+    """A curve's rows as columns: one read-only float array per field of
+    `row_type` (`PairIntegralResult` or `TransferSplitting`), as the
+    attribute of that name, one entry per grid point.
+
+    `len()` is the number of grid points. Indexing and iteration give
+    `row_type` rows of plain floats, built only when read, and a slice gives
+    a `Curve`; two curves are equal when their rows are.
+    """
+
+    def __init__(self, row_type, **columns):
+        for column in columns.values():
+            column.flags.writeable = False
+        vars(self).update(columns, row_type=row_type, _columns=tuple(columns.values()))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"a {type(self).__name__} is read-only")
+
+    def __len__(self) -> int:
+        return len(self.separation_a)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return Curve(self.row_type, **{f.name: getattr(self, f.name)[i]
+                                           for f in fields(self.row_type)})
+        return self.row_type(*(column[i].item() for column in self._columns))
+
+    def __iter__(self):
+        return map(self.row_type, *(column.tolist() for column in self._columns))
+
+    def __eq__(self, other):
+        if not isinstance(other, Curve):
+            return NotImplemented
+        return self.row_type is other.row_type and list(self) == list(other)
+
+    __hash__ = None
+
+
+def _pair_curve(a: OrbitalSpec, b: OrbitalSpec, grid: np.ndarray, epsilon: float,
+                n_terms: int) -> Curve:
+    """The Heitler-London rows of `a` and `b` at the separations `grid`
+    (angstrom, a checked 1-D array), from the pair cache.
+
+    The one assembly of `exchange_curve` and `pair_integrals`: every step
+    is a numpy operation over all points at once, in the order and with the
+    operands a point's scalar formula takes, so a point's row does not
+    depend on the grid around it. Near-coincident orbitals are rejected
+    first, naming the first such separation.
+    """
+    scale = a.bohr_radius_a  # length unit l
+    hartree = medium_hartree_mev(epsilon, scale)
+    zb = scale / b.bohr_radius_a
+
+    s, h_aa, h_bb, h_ab, jc, kx = _reduced_pair.read(_pair_keys(a, b, grid, n_terms)).T
+    _check_overlap(s, grid)
+    vnn = zb / (grid / scale)
+    h11 = h_aa + h_bb + jc + vnn
+    h12 = 2.0 * s * h_ab + kx + s * s * vnn
+    e_singlet = (h11 + h12) / (1.0 + s * s)
+    e_triplet = (h11 - h12) / (1.0 - s * s)
+
+    return Curve(
+        PairIntegralResult,
+        separation_a=grid,
+        overlap=s,
+        transfer_mev=_hopping(s, h_aa, h_bb, h_ab) * hartree,
+        coulomb_mev=jc * hartree,
+        exchange_integral_mev=kx * hartree,
+        singlet_mev=e_singlet * hartree,
+        triplet_mev=e_triplet * hartree,
+        exchange_splitting_mev=(e_triplet - e_singlet) * hartree,
+    )
+
+
 def pair_integrals(
     a: OrbitalSpec,
     b: OrbitalSpec,
@@ -493,7 +604,9 @@ def pair_integrals(
     the line between the two centers, so only their separation enters. In
     the length unit l = a_A the nuclear charges are (l/a_A, l/a_B): each
     isolated center then binds its own 1s envelope with its Coulombic
-    binding energy in the medium. The blocks are read from the pair cache.
+    binding energy in the medium. The blocks are read from the pair cache,
+    and the result is `exchange_curve`'s assembly at one point, so it
+    equals a curve's row at that separation bit for bit.
     """
     check_n_terms(n_terms)  # before the cache, where 6.0 would hit a 6 entry
     r_ang = float(separation_a)
@@ -501,45 +614,7 @@ def pair_integrals(
         raise PreconditionError(f"separation_a must be finite and positive, got {r_ang!r}")
     if not (math.isfinite(epsilon) and epsilon > 1.0):
         raise PreconditionError(f"epsilon must be finite and exceed 1, got {epsilon!r}")
-
-    return _heitler_london(a, b, r_ang, epsilon, _reduced_pair(_pair_key(a, b, r_ang, n_terms)))
-
-
-def _heitler_london(a: OrbitalSpec, b: OrbitalSpec, separation_a: float, epsilon: float,
-                    blocks: dict) -> PairIntegralResult:
-    """The pair result of `a` and `b` at `separation_a` angstrom from their
-    reduced `blocks`, after rejecting near-coincident orbitals."""
-    scale = a.bohr_radius_a  # length unit l
-    hartree = medium_hartree_mev(epsilon, scale)
-    zb = scale / b.bohr_radius_a
-
-    s = blocks["S"]
-    _check_overlap(s, separation_a)
-    jc, kx = blocks["Jc"], blocks["Kx"]
-    vnn = zb / (separation_a / scale)
-    h11 = blocks["hAA"] + blocks["hBB"] + jc + vnn
-    h12 = 2.0 * s * blocks["hAB"] + kx + s * s * vnn
-    e_singlet = (h11 + h12) / (1.0 + s * s)
-    e_triplet = (h11 - h12) / (1.0 - s * s)
-
-    return PairIntegralResult(
-        separation_a=separation_a,
-        overlap=s,
-        transfer_mev=_hopping(blocks) * hartree,
-        coulomb_mev=jc * hartree,
-        exchange_integral_mev=kx * hartree,
-        singlet_mev=e_singlet * hartree,
-        triplet_mev=e_triplet * hartree,
-        exchange_splitting_mev=(e_triplet - e_singlet) * hartree,
-    )
-
-
-def _check_grid(r_grid) -> list[float]:
-    grid = [float(r) for r in r_grid]
-    if (not all(math.isfinite(r) and r > 0 for r in grid)
-            or any(b <= a for a, b in zip(grid, grid[1:]))):
-        raise PreconditionError("R grid must be finite, positive and strictly increasing")
-    return grid
+    return _pair_curve(a, b, np.array([r_ang]), epsilon, n_terms)[0]
 
 
 def exchange_curve(
@@ -548,17 +623,20 @@ def exchange_curve(
     excited: bool,
     r_grid,
     n_terms: int = 6,
-) -> list[PairIntegralResult]:
-    """J(R) for the control-qubit pair, control ground (1s) or excited (2p).
+) -> Curve:
+    """J(R) for the control-qubit pair, control ground (1s) or excited (2p),
+    as a `Curve` of `PairIntegralResult` rows, one per point of `r_grid`
+    (finite, positive, strictly increasing, in angstrom).
 
     The excited control is the 2p-sigma envelope pointing at the qubit.
 
-    Each grid point's pair-cache key is built once. The points missing from
-    the cache (at most 4096 reduced points, least recently used out first)
-    are priced first, in one call of the integral kernel along a separation
-    axis. Each point is then read from the cache with its key and assembled
-    as `pair_integrals` assembles it, so a point equals a `pair_integrals`
-    call on the same two envelopes at that separation.
+    The pair configuration is built once per call, and each point's reduced
+    separation is rounded once into its pair-cache key. The points missing
+    from the cache (at most 4096 reduced points, least recently used out
+    first) are priced in one call of the integral kernel along a separation
+    axis; then every point's blocks are read in one array and assembled as
+    columns, as `pair_integrals` assembles one point, so a row equals a
+    `pair_integrals` call on the same two envelopes at that separation.
     """
     grid = _check_grid(r_grid)
     check_n_terms(n_terms)
@@ -567,10 +645,7 @@ def exchange_curve(
     a = (OrbitalSpec("p2", control.excited_orbital_radius_a()) if excited
          else OrbitalSpec("s1", control.ground_orbital_radius_a()))
     b = OrbitalSpec("s1", qubit.ground_orbital_radius_a())
-    keys = [_pair_key(a, b, r, n_terms) for r in grid]
-    _reduced_pair.fill(keys)
-    return [_heitler_london(a, b, r, control.dielectric_constant, _reduced_pair(key))
-            for r, key in zip(grid, keys)]
+    return _pair_curve(a, b, grid, control.dielectric_constant, n_terms)
 
 
 @dataclass(frozen=True)
@@ -589,36 +664,34 @@ def transfer_splitting_curve(
     r_grid,
     base_transition_mev: float = 600.0,
     n_terms: int = 6,
-) -> list[TransferSplitting]:
-    """Excitation-sharing splitting of two identical controls versus R.
+) -> Curve:
+    """Excitation-sharing splitting of two identical controls versus R, as a
+    `Curve` of `TransferSplitting` rows, one per point of `r_grid`.
 
     One shared excitation hopping between two sigma-aligned 2p envelopes
     splits the transition into branches at base +/- |t|; the splitting is
     2|t|. Monopole shifts are excluded: both donors are neutral, so the
     ion-ion and electron-ion monopole tails compensate.
 
-    As in `exchange_curve`, each point's key is built once, the grid's cache
-    misses are priced first in one kernel call along a separation axis,
-    one-electron blocks only, and each point is then read from the pair
-    cache with its key.
+    As in `exchange_curve`, the grid's cache misses are priced in one kernel
+    call along a separation axis, one-electron blocks only, and every point
+    is then read from the pair cache in one array and assembled as columns,
+    so a row equals a one-point curve at that separation.
     """
     grid = _check_grid(r_grid)
     check_n_terms(n_terms)
-    finite(base_transition_mev, "base_transition_mev", PreconditionError)
+    base = finite(base_transition_mev, "base_transition_mev", PreconditionError)
     p2 = OrbitalSpec("p2", control.excited_orbital_radius_a())
     hartree = medium_hartree_mev(control.dielectric_constant, p2.bohr_radius_a)
-    keys = [_pair_key(p2, p2, r, n_terms, two_electron=False) for r in grid]
-    _reduced_pair.fill(keys)
-    out = []
-    for r, key in zip(grid, keys):
-        blocks = _reduced_pair(key)
-        _check_overlap(blocks["S"], r)
-        t_mev = _hopping(blocks) * hartree
-        out.append(TransferSplitting(
-            separation_a=r,
-            transfer_mev=t_mev,
-            splitting_mev=2.0 * abs(t_mev),
-            branch_lower_mev=base_transition_mev - abs(t_mev),
-            branch_upper_mev=base_transition_mev + abs(t_mev),
-        ))
-    return out
+    blocks = _reduced_pair.read(_pair_keys(p2, p2, grid, n_terms, two_electron=False))
+    s, h_aa, h_bb, h_ab = blocks.T[:4]
+    _check_overlap(s, grid)
+    t_mev = _hopping(s, h_aa, h_bb, h_ab) * hartree
+    return Curve(
+        TransferSplitting,
+        separation_a=grid,
+        transfer_mev=t_mev,
+        splitting_mev=2.0 * np.abs(t_mev),
+        branch_lower_mev=base - np.abs(t_mev),
+        branch_upper_mev=base + np.abs(t_mev),
+    )

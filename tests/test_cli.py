@@ -94,19 +94,45 @@ def test_table1_report_does_not_depend_on_what_the_process_priced_before(
     assert out.encode() == (DATA / "table1_report.json").read_bytes()
 
 
+def _random_scenario(radius_a, concentration):
+    """table1's species placed at random: P:N 0.4:0.6, placement seed 0."""
+    _, sc = donorgate.get_preset("table1")
+    return dataclasses.replace(
+        sc, placements=None, lattice=donorgate.LatticeSpec(radius_a),
+        random_placement=donorgate.RandomPlacementSpec(concentration, {"P": 0.4, "N": 0.6},
+                                                       seed=0))
+
+
 def test_random_patch_report_equals_its_pinned_json(capsys, tmp_path):
     # table1's species on a realized R = 15 A, c = 0.2 % patch, saved and
     # run from the file; a change that moves a byte of the report must
     # regenerate the pinned file and state why
-    _, sc = donorgate.get_preset("table1")
     path = tmp_path / "random.json"
-    donorgate.save_scenario(dataclasses.replace(
-        sc, placements=None, lattice=donorgate.LatticeSpec(15.0),
-        random_placement=donorgate.RandomPlacementSpec(2e-3, {"P": 0.4, "N": 0.6},
-                                                       seed=0)), path)
+    donorgate.save_scenario(_random_scenario(15.0, 2e-3), path)
     code, out, _ = _run(capsys, "feasibility", "run", "--scenario", str(path))
     assert code == 0
     assert out.encode() == (DATA / "random_patch_report.json").read_bytes()
+
+
+@pytest.mark.parametrize("radius_a, concentration, patches, seed, pinned", [
+    (15.0, 2e-3, "40", "1", "patch_statistics_random.json"),
+    (40.0, 3e-3, "8", "7", "patch_statistics_r40.json"),
+])
+def test_patch_statistics_equal_their_pinned_json(tmp_path, radius_a, concentration,
+                                                  patches, seed, pinned):
+    # the gate tally of CI's random.json scenario (R = 15 A, c = 0.2 %) and
+    # of a patch_sweep-like one (R = 40 A, c = 0.3 %), from a fresh
+    # interpreter; a change that moves a byte of either must regenerate the
+    # pinned file and state why
+    path = tmp_path / "random.json"
+    donorgate.save_scenario(_random_scenario(radius_a, concentration), path)
+    src = str(Path(donorgate.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "donorgate.cli", "feasibility", "patches", "--scenario",
+         str(path), "--patches", patches, "--seed", seed, "--format", "json"],
+        capture_output=True, timeout=300, env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (DATA / pinned).read_bytes()
 
 
 def test_lattice_count_json(capsys):

@@ -370,6 +370,28 @@ def test_patch_tally_groups_pairs_by_species():
     assert with_gate == without_gate == {"P", "Ps"}
 
 
+def test_patch_tally_without_a_qubit_in_reach_counts_no_gate(monkeypatch):
+    # controls with every qubit beyond pair_cutoff_a, or with no qubit at
+    # all, price an empty pair list and tally 0 gates
+    _, sc = get_preset("table1")
+    controls = [(0, 0, 0), (4, 4, 0)]  # sites in units of a0/4
+    far = [(64, 64, 0), (64, 68, 4)]
+    gap = np.linalg.norm(np.array(far)[:, None] - np.array(controls)[None], axis=-1)
+    assert gap.min() * sc.lattice.lattice_constant / 4 > sc.pair_cutoff_a
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(len(kwargs["r_grid"]))
+        return exchange_curve(*args, **kwargs)
+
+    monkeypatch.setattr(feasibility, "exchange_curve", counted)
+    for sites, species, qubits in ((controls + far, ("P", "P", "N", "N"), 2),
+                                   (controls, ("P", "P"), 0)):
+        region = DopedRegion(sc.lattice, np.array(sites), species, 1e-3, 0)
+        assert _patch_tally(sc, region) == (qubits, 2, 0)
+    assert calls == []
+
+
 def test_integrals_stage_prices_each_species_group_once(monkeypatch):
     # the stage prices its pairs by species group: one exchange curve per
     # (control species, qubit species, branch) and one transfer curve per

@@ -16,9 +16,11 @@ from donorgate import (
     IllConditionedGeometryError,
     InvalidModelError,
     OrbitalSpec,
+    PairIntegralResult,
     PreconditionError,
     exchange_curve,
     get_preset,
+    medium_hartree_mev,
     model_from_ionization,
     pair_integrals,
     transfer_splitting_curve,
@@ -475,18 +477,143 @@ def test_second_pricing_of_a_curve_calls_no_kernel(cold_cache, kernel_calls):
 
 
 def test_a_curve_builds_each_point_key_once(cold_cache, monkeypatch):
+    # a call builds its pair configuration once, rounding the radius ratio,
+    # and rounds each point's reduced separation once, cold and warm; the
+    # Boys table is filled first, so that no other rounding is counted
     _, fig2a = get_preset("fig2a")
+    integrals._boys_nodes()
     calls = []
-    key = integrals._pair_key
 
-    def counted(*args, **kwargs):
-        calls.append(args[2])
-        return key(*args, **kwargs)
+    def counted(x, ndigits=None):
+        calls.append(x)
+        return round(x, ndigits)
 
-    monkeypatch.setattr(integrals, "_pair_key", counted)
+    monkeypatch.setattr(integrals, "round", counted, raising=False)
     grid = list(fig2a.r_grid)
+    scale = fig2a.control.excited_orbital_radius_a()
+    ratio = fig2a.qubit.ground_orbital_radius_a() / scale
     for temperature in ("cold", "warm"):
         calls.clear()
         exchange_curve(fig2a.control, fig2a.qubit, True, grid)
-        assert calls == grid, temperature
+        assert calls == [ratio] + [r / scale for r in grid], temperature
     assert cold_cache.cache_info() == (2 * len(grid), len(grid))
+
+
+# ---------------------------------------------------------------------------
+# curves as columns
+# ---------------------------------------------------------------------------
+
+def test_curve_rows_equal_points_assembled_alone_exactly(monkeypatch):
+    # one assembly: every row of both fig2a branches is, bit for bit, the
+    # pair_integrals result at its separation, and every fig3 row is a
+    # one-point curve's row; each side is priced from an empty cache
+    _, fig2a = get_preset("fig2a")
+    _, fig3 = get_preset("fig3")
+    control, qubit = fig2a.control, fig2a.qubit
+    b = OrbitalSpec("s1", qubit.ground_orbital_radius_a())
+    for excited, a in ((True, OrbitalSpec("p2", control.excited_orbital_radius_a())),
+                       (False, OrbitalSpec("s1", control.ground_orbital_radius_a()))):
+        _fresh_cache(monkeypatch)
+        curve = exchange_curve(control, qubit, excited, fig2a.r_grid)
+        _fresh_cache(monkeypatch)
+        alone = [pair_integrals(a, b, r, control.dielectric_constant) for r in fig2a.r_grid]
+        assert len(curve) == len(alone) == len(fig2a.r_grid)
+        for row, point in zip(curve, alone):
+            assert row == point, (excited, row.separation_a)
+    _fresh_cache(monkeypatch)
+    curve = transfer_splitting_curve(fig3.control, fig3.r_grid)
+    _fresh_cache(monkeypatch)
+    alone = [transfer_splitting_curve(fig3.control, [r])[0] for r in fig3.r_grid]
+    assert len(curve) == len(alone) == len(fig3.r_grid)
+    for row, point in zip(curve, alone):
+        assert row == point, row.separation_a
+
+
+def test_an_empty_grid_gives_an_empty_curve(cold_cache, kernel_calls):
+    control = model_from_ionization("P", 0.6, 5.7)
+    qubit = model_from_ionization("N", 0.6, 5.7, role="qubit")
+    for curve in (exchange_curve(control, qubit, True, []),
+                  exchange_curve(control, qubit, False, ()),
+                  transfer_splitting_curve(control, np.array([]))):
+        assert len(curve) == 0
+        assert list(curve) == []
+        assert curve.separation_a.shape == curve.transfer_mev.shape == (0,)
+    assert kernel_calls == []
+    assert cold_cache.cache_info() == (0, 0)
+
+
+def test_near_coincident_exchange_pair_names_the_first_close_separation(cold_cache):
+    # equal 1s radii nearly coincide below about 0.15 A; the error names the
+    # first such separation in grid order, whatever the cache held
+    control = model_from_ionization("P", 0.6, 5.7)
+    qubit = model_from_ionization("N", 0.6, 5.7, role="qubit")
+    close = [0.01 * k for k in range(1, 13)]
+    exchange_curve(control, qubit, False, [40.0])
+    with pytest.raises(IllConditionedGeometryError, match=r"at separation 0\.01 A;"):
+        exchange_curve(control, qubit, False, close + [40.0])
+    with pytest.raises(IllConditionedGeometryError, match=r"at separation 0\.06 A;"):
+        exchange_curve(control, qubit, False, close[5:] + [40.0])
+
+
+def test_a_list_a_tuple_and_an_array_grid_give_the_same_rows(monkeypatch):
+    _, fig2a = get_preset("fig2a")
+    control, qubit = fig2a.control, fig2a.qubit
+    for curve in (lambda g: exchange_curve(control, qubit, True, g),
+                  lambda g: exchange_curve(control, qubit, False, g),
+                  lambda g: transfer_splitting_curve(control, g)):
+        priced = []
+        for grid in (list(fig2a.r_grid), tuple(fig2a.r_grid), np.array(fig2a.r_grid)):
+            _fresh_cache(monkeypatch)
+            priced.append(curve(grid))
+        assert list(priced[0]) == list(priced[1]) == list(priced[2])
+        assert priced[0] == priced[1] == priced[2]
+
+
+def test_a_curve_is_read_only_columns_whose_rows_are_built_when_read():
+    _, fig3 = get_preset("fig3")
+    grid = np.array(fig3.r_grid)
+    curve = transfer_splitting_curve(fig3.control, grid)
+    assert len(curve) == len(grid)
+    assert curve.separation_a.tolist() == grid.tolist()
+    assert curve[-1] == list(curve)[-1]
+    assert isinstance(curve[0].transfer_mev, float)
+    assert list(curve[2:5]) == list(curve)[2:5]
+    with pytest.raises(ValueError):
+        curve.transfer_mev[0] = 0.0
+    with pytest.raises(AttributeError):
+        curve.transfer_mev = curve.splitting_mev
+    grid[0] = 1.0  # the caller's grid is copied
+    assert curve.separation_a[0] == fig3.r_grid[0]
+
+
+def _scalar_heitler_london(a, b, r, epsilon, n_terms=6):
+    """The pair row at `r` angstrom by Python float arithmetic, one point
+    at a time, from that point's blocks priced alone: the reference for the
+    column assembly."""
+    scale = a.bohr_radius_a
+    hartree = medium_hartree_mev(epsilon, scale)
+    zb = scale / b.bohr_radius_a
+    blocks = integrals._pair_blocks(a.kind, b.kind, round(b.bohr_radius_a / scale, 12),
+                                    np.array([round(r / scale, 12)]), n_terms, True)
+    s, h_aa, h_bb, h_ab, jc, kx = (float(blocks[k][0]) for k in integrals._BLOCKS)
+    vnn = zb / (r / scale)
+    h11 = h_aa + h_bb + jc + vnn
+    h12 = 2.0 * s * h_ab + kx + s * s * vnn
+    e_singlet = (h11 + h12) / (1.0 + s * s)
+    e_triplet = (h11 - h12) / (1.0 - s * s)
+    hopping = (h_ab - s * (h_aa + h_bb) / 2.0) / (1.0 - s * s)
+    return PairIntegralResult(
+        r, s, hopping * hartree, jc * hartree, kx * hartree, e_singlet * hartree,
+        e_triplet * hartree, (e_triplet - e_singlet) * hartree)
+
+
+def test_curve_columns_equal_the_scalar_formula_bit_for_bit(cold_cache):
+    _, fig2a = get_preset("fig2a")
+    control, qubit = fig2a.control, fig2a.qubit
+    b = OrbitalSpec("s1", qubit.ground_orbital_radius_a())
+    for excited, a in ((True, OrbitalSpec("p2", control.excited_orbital_radius_a())),
+                       (False, OrbitalSpec("s1", control.ground_orbital_radius_a()))):
+        curve = exchange_curve(control, qubit, excited, fig2a.r_grid)
+        for row, r in zip(curve, fig2a.r_grid):
+            assert row == _scalar_heitler_london(a, b, r, control.dielectric_constant), \
+                (excited, r)

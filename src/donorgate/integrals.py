@@ -32,14 +32,14 @@ Gamma(n+1/2) / (2 x^(n+1/2)) from x = 50 on (Helgaker, Jorgensen & Olsen,
 Molecular Electronic-Structure Theory, section 9.8).
 
 `exchange_curve`, `transfer_splitting_curve` and `pair_integrals` read
-their reduced points from one cache, `_reduced_pair`, which keeps at most
-`_CACHE_POINTS` (4096) points, least recently used out first. A call builds
-its pair configuration once and rounds each point's reduced separation once
-into its key, prices all of its misses in one kernel call, then reads every
-point's blocks as one array. The Heitler-London assembly, `_pair_curve`,
-works on those columns, and `pair_integrals` is that assembly at one point.
-A curve comes back as a `Curve`: one read-only array per field, whose rows
-are built only when read.
+their reduced points from one store, `_reduced_pair`, which holds at most
+`_CACHE_POINTS` (4096) points and is emptied when a call's misses would
+pass that bound. A call builds its pair configuration once and rounds each
+point's reduced separation once, prices all of its misses in one kernel
+call, then reads every point's blocks as one array. The Heitler-London
+assembly, `_pair_curve`, works on those columns, and `pair_integrals` is
+that assembly at one point. A curve comes back as a `Curve`: one read-only
+array per field, whose rows are built only when read.
 
 Every center and every orbital axis lies on the pair axis z. A contracted
 orbital is its coefficients and exponents, its angular momentum along z and
@@ -65,7 +65,6 @@ from __future__ import annotations
 
 import functools
 import math
-from collections import OrderedDict, deque
 from collections.abc import Sequence
 from dataclasses import dataclass, fields
 from typing import NamedTuple
@@ -84,9 +83,9 @@ _OVERLAP_LIMIT = 0.999
 # temporaries of every grid (the one-electron chunks take n_terms^2 times as
 # many separations)
 _R_CHUNK = 8
-# reduced pair points the cache keeps, and the blocks it keeps per point in
-# the order `_pair_blocks` returns them (a one-electron point has the first
-# four)
+# reduced pair points the cache holds at most, and the blocks it holds per
+# point in the order `_pair_blocks` returns them (a one-electron point has
+# the first four)
 _CACHE_POINTS = 4096
 _BLOCKS = ("S", "hAA", "hBB", "hAB", "Jc", "Kx")
 # the Boys table: node spacing, the x from which the asymptote takes over,
@@ -377,63 +376,47 @@ def _pair_blocks(kind_a, kind_b, radius_b, r, n_terms, two_electron):
 # ---------------------------------------------------------------------------
 
 class _PairCache:
-    """Pair blocks per reduced point, at most `maxsize` points, least
-    recently used out first.
+    """Pair blocks per reduced point, at most `maxsize` points.
 
-    A point's key, from `_pair_keys`, is its pair configuration (kind_a,
-    kind_b, radius_b, n_terms, two_electron) and its reduced separation; its
-    blocks are one row of a (maxsize, 6) table, in `_BLOCKS` order (NaN for
-    Jc and Kx where only one-electron blocks are priced), and the key maps
-    to that row. `fill` prices every key it does not hold, all of one
-    configuration, in one `_pair_blocks` call with the separations in the
-    order given, so a curve's misses are one batch. `read` fills, then
-    returns the rows of its keys as one (points, 6) array, each key made the
-    most recently used in key order; a key that the fill itself pushed out
-    (the grid holds more points than the cache, or the key was among the
-    oldest held) is priced again alone. `cache_info()` is (hits, misses):
-    rows read from the cache and points priced.
+    Each pair configuration (kind_a, kind_b, radius_b, n_terms,
+    two_electron) maps its reduced separations, both from `_pair_keys`, to
+    rows of a (maxsize, 6) table, in `_BLOCKS` order (NaN for Jc and Kx
+    where only one-electron blocks are priced), filled in order. `read`
+    prices the points of a call it does not hold, all of one configuration,
+    in one `_pair_blocks` call in grid order, and returns all of the call's
+    rows as one (points, 6) array. If storing those points would take the
+    store past `maxsize`, it is emptied first and the call prices all of its
+    points; a call with more distinct points than `maxsize` stores none.
+    `cache_info()` is (hits, misses): rows read and points priced.
     """
 
     def __init__(self, maxsize: int):
         self.maxsize = maxsize
-        self._rows = OrderedDict()
+        self._rows = {}  # configuration -> {reduced separation: table row}
+        self._held = 0
         self._table = np.empty((maxsize, len(_BLOCKS)))
         self._hits = self._misses = 0
 
-    def fill(self, keys) -> None:
-        rows = self._rows
-        missing = list(dict.fromkeys(key for key in keys if key not in rows))
-        if not missing:
-            return
-        self._misses += len(missing)
-        config = missing[0][0]
-        blocks = _pair_blocks(*config[:3], np.array([r for _, r in missing]), *config[3:])
-        priced = np.full((len(missing), len(_BLOCKS)), np.nan)
-        priced[:, :len(blocks)] = np.column_stack(list(blocks.values()))
-        written = {}  # table row -> priced row; a row reused within this fill keeps its last
-        for i, key in enumerate(missing):
-            row = len(rows) if len(rows) < self.maxsize else rows.popitem(last=False)[1]
-            rows[key] = row
-            written[row] = i
-        self._table[list(written)] = priced[list(written.values())]
-
-    def read(self, keys: list) -> np.ndarray:
-        self.fill(keys)
-        rows = self._rows
-        try:
-            deque(map(rows.move_to_end, keys), maxlen=0)
-        except KeyError:  # the fill pushed out some of these keys
-            return np.array([self._read_one(key) for key in keys])
-        self._hits += len(keys)
-        return self._table[[rows[key] for key in keys]]
-
-    def _read_one(self, key) -> list:
-        if key in self._rows:
-            self._hits += 1
-            self._rows.move_to_end(key)
-        else:
-            self.fill([key])
-        return self._table[self._rows[key]].tolist()
+    def read(self, config: tuple, separations: list) -> np.ndarray:
+        rows = self._rows.get(config, {})
+        missing = list(dict.fromkeys(r for r in separations if r not in rows))
+        if self._held + len(missing) > self.maxsize:
+            self._rows, self._held, rows = {}, 0, {}
+            missing = list(dict.fromkeys(separations))
+        self._hits += len(separations)
+        if missing:
+            self._misses += len(missing)
+            blocks = _pair_blocks(*config[:3], np.array(missing), *config[3:])
+            priced = np.full((len(missing), len(_BLOCKS)), np.nan)
+            priced[:, :len(blocks)] = np.column_stack(list(blocks.values()))
+            if len(missing) > self.maxsize:
+                at = dict(zip(missing, range(len(missing))))
+                return priced[[at[r] for r in separations]]
+            start, self._held = self._held, self._held + len(missing)
+            self._table[start:self._held] = priced
+            rows.update(zip(missing, range(start, self._held)))
+            self._rows[config] = rows
+        return self._table[[rows[r] for r in separations]]
 
     def cache_info(self) -> tuple:
         return self._hits, self._misses
@@ -443,15 +426,15 @@ _reduced_pair = _PairCache(_CACHE_POINTS)
 
 
 def _pair_keys(a: OrbitalSpec, b: OrbitalSpec, separation_a: np.ndarray, n_terms: int,
-               two_electron: bool = True) -> list:
+               two_electron: bool = True) -> tuple:
     """Pair-cache keys of `a` and `b` at the separations `separation_a`
-    (angstrom, a 1-D array): the pair configuration, built once, and each
-    reduced separation, every reduced length (in units of a's radius)
-    rounded to 12 decimals by Python's `round` (numpy's rounds some values
-    one bit apart)."""
+    (angstrom, a 1-D array): the pair configuration, built once, and the
+    list of reduced separations, every reduced length (in units of a's
+    radius) rounded to 12 decimals by Python's `round` (numpy's rounds some
+    values one bit apart)."""
     scale = a.bohr_radius_a
     config = (a.kind, b.kind, round(b.bohr_radius_a / scale, 12), n_terms, two_electron)
-    return [(config, round(r, 12)) for r in (separation_a / scale).tolist()]
+    return config, [round(r, 12) for r in (separation_a / scale).tolist()]
 
 
 def _hopping(s, h_aa, h_bb, h_ab):
@@ -568,7 +551,7 @@ def _pair_curve(a: OrbitalSpec, b: OrbitalSpec, grid: np.ndarray, epsilon: float
     hartree = medium_hartree_mev(epsilon, scale)
     zb = scale / b.bohr_radius_a
 
-    s, h_aa, h_bb, h_ab, jc, kx = _reduced_pair.read(_pair_keys(a, b, grid, n_terms)).T
+    s, h_aa, h_bb, h_ab, jc, kx = _reduced_pair.read(*_pair_keys(a, b, grid, n_terms)).T
     _check_overlap(s, grid)
     vnn = zb / (grid / scale)
     h11 = h_aa + h_bb + jc + vnn
@@ -631,12 +614,13 @@ def exchange_curve(
     The excited control is the 2p-sigma envelope pointing at the qubit.
 
     The pair configuration is built once per call, and each point's reduced
-    separation is rounded once into its pair-cache key. The points missing
-    from the cache (at most 4096 reduced points, least recently used out
-    first) are priced in one call of the integral kernel along a separation
-    axis; then every point's blocks are read in one array and assembled as
-    columns, as `pair_integrals` assembles one point, so a row equals a
-    `pair_integrals` call on the same two envelopes at that separation.
+    separation is rounded once. The points missing from the pair cache (at
+    most 4096 reduced points, emptied when a call's misses would pass that)
+    are priced in one call of the integral kernel along a separation axis,
+    each point once however long the grid; then every point's blocks are
+    read in one array and assembled as columns, as `pair_integrals`
+    assembles one point, so a row equals a `pair_integrals` call on the
+    same two envelopes at that separation.
     """
     grid = _check_grid(r_grid)
     check_n_terms(n_terms)
@@ -683,7 +667,7 @@ def transfer_splitting_curve(
     base = finite(base_transition_mev, "base_transition_mev", PreconditionError)
     p2 = OrbitalSpec("p2", control.excited_orbital_radius_a())
     hartree = medium_hartree_mev(control.dielectric_constant, p2.bohr_radius_a)
-    blocks = _reduced_pair.read(_pair_keys(p2, p2, grid, n_terms, two_electron=False))
+    blocks = _reduced_pair.read(*_pair_keys(p2, p2, grid, n_terms, two_electron=False))
     s, h_aa, h_bb, h_ab = blocks.T[:4]
     _check_overlap(s, grid)
     t_mev = _hopping(s, h_aa, h_bb, h_ab) * hartree

@@ -13,7 +13,6 @@ from pathlib import Path
 import pytest
 
 import donorgate
-from donorgate import integrals
 from donorgate.cli import main
 
 
@@ -78,17 +77,25 @@ def test_table1_report_equals_its_pinned_json():
 
 
 def test_table1_report_does_not_depend_on_what_the_process_priced_before(
-        capsys, monkeypatch):
+        capsys, fresh_cache):
     # the figure commands price their grids first, from an empty pair cache,
-    # and table1 then reads some of its points from their batches; the
+    # and table1 then reads some of its points from their batches; then a
+    # 4201-point curve, longer than the cache holds, empties it, and its
+    # rows at fig2a's separations must equal the pinned fig2a rows; the
     # report must still equal the pinned file, which a fresh interpreter
     # gives (the test above)
-    monkeypatch.setattr(integrals, "_reduced_pair",
-                        integrals._PairCache(integrals._CACHE_POINTS))
+    fresh_cache()
     for argv in (("splitting", "curve", "--preset", "fig3"),
                  ("exchange", "curve", "--preset", "fig2a"),
                  ("exchange", "curve", "--preset", "fig2b")):
         assert _run(capsys, *argv)[0] == 0
+    code, out, _ = _run(capsys, "exchange", "curve", "--r-min", "4", "--r-max", "46",
+                        "--r-step", "0.01")
+    assert code == 0
+    rows = {row[0]: row for row in csv.reader(io.StringIO(out))}
+    assert len(rows) == 1 + 4201
+    pinned = list(csv.reader(io.StringIO((DATA / "exchange_curve_fig2a.csv").read_text())))
+    assert [rows[row[0]] for row in pinned] == pinned
     code, out, _ = _run(capsys, "feasibility", "run", "--preset", "table1")
     assert code == 0
     assert out.encode() == (DATA / "table1_report.json").read_bytes()

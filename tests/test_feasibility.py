@@ -25,7 +25,7 @@ from donorgate import (
     run_feasibility,
     transfer_splitting_curve,
 )
-from donorgate import feasibility, integrals
+from donorgate import feasibility
 from donorgate.feasibility import _patch_tally
 
 # excited-state couplings of the bundled cluster, frozen from a direct run
@@ -392,7 +392,7 @@ def test_patch_tally_without_a_qubit_in_reach_counts_no_gate(monkeypatch):
     assert calls == []
 
 
-def test_integrals_stage_prices_each_species_group_once(monkeypatch):
+def test_integrals_stage_prices_each_species_group_once(monkeypatch, fresh_cache):
     # the stage prices its pairs by species group: one exchange curve per
     # (control species, qubit species, branch) and one transfer curve per
     # species, and every row equals that pair priced alone, bit for bit
@@ -414,8 +414,7 @@ def test_integrals_stage_prices_each_species_group_once(monkeypatch):
         transfer_splitting_curve,
         lambda control, r_grid, base_transition_mev: control.species_name))
     # an empty pair cache, so that no row is read from another test's batch
-    monkeypatch.setattr(integrals, "_reduced_pair",
-                        integrals._PairCache(integrals._CACHE_POINTS))
+    fresh_cache()
     exchange, _, transfer, _ = feasibility._integrals_stage(realized, controls, qubits)
 
     groups = {(species[r["control"]], species[r["qubit"]]) for r in exchange}
@@ -427,8 +426,7 @@ def test_integrals_stage_prices_each_species_group_once(monkeypatch):
         + list(transfer_species), key=str)
 
     # each pair alone, from another empty cache: a batch of one per point
-    monkeypatch.setattr(integrals, "_reduced_pair",
-                        integrals._PairCache(integrals._CACHE_POINTS))
+    fresh_cache()
     model = realized.model_for
     for row in exchange:
         c, q, r = row["control"], row["qubit"], row["separation_a"]

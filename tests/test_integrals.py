@@ -110,14 +110,14 @@ def test_singlet_below_triplet_for_ground_pairs():
         assert res.exchange_splitting_mev > 0
 
 
-def test_swap_is_exact_for_equal_radii(monkeypatch):
+def test_swap_is_exact_for_equal_radii(fresh_cache):
     # both orders share one cache key, so each is priced in a fresh cache;
     # otherwise the reversed call would read back the forward blocks
     a = OrbitalSpec("s1", RADIUS_A)
     b = OrbitalSpec("s1", RADIUS_A)
-    _fresh_cache(monkeypatch)
+    fresh_cache()
     fwd = pair_integrals(a, b, 8.0, EPS)
-    cache = _fresh_cache(monkeypatch)
+    cache = fresh_cache()
     rev = pair_integrals(b, a, 8.0, EPS)
     assert cache.cache_info()[1] == 1  # the reversed call reached the kernel
     assert fwd.overlap == pytest.approx(rev.overlap, rel=1e-12)
@@ -274,14 +274,6 @@ def test_transfer_curve_branches_and_decay():
 # ---------------------------------------------------------------------------
 
 @pytest.fixture
-def cold_cache(monkeypatch):
-    """An empty pair cache of the package's size, for this test only."""
-    cache = integrals._PairCache(integrals._CACHE_POINTS)
-    monkeypatch.setattr(integrals, "_reduced_pair", cache)
-    return cache
-
-
-@pytest.fixture
 def kernel_calls(monkeypatch):
     """Separations passed to each `_pair_blocks` call, in call order."""
     calls = []
@@ -306,21 +298,15 @@ def _assert_rows_close(got, want):
         assert g == pytest.approx(w, rel=1e-12, abs=1e-300)
 
 
-def _fresh_cache(monkeypatch):
-    cache = integrals._PairCache(integrals._CACHE_POINTS)
-    monkeypatch.setattr(integrals, "_reduced_pair", cache)
-    return cache
-
-
-def _one_at_a_time(monkeypatch, curve, grid):
+def _one_at_a_time(fresh_cache, curve, grid):
     out = []
     for r in grid:
-        _fresh_cache(monkeypatch)
+        fresh_cache()
         out.extend(curve([r]))
     return out
 
 
-def test_curves_match_points_priced_one_at_a_time(monkeypatch, kernel_calls):
+def test_curves_match_points_priced_one_at_a_time(fresh_cache, kernel_calls):
     _, fig2a = get_preset("fig2a")
     _, fig3 = get_preset("fig3")
     control = fig2a.control
@@ -333,23 +319,23 @@ def test_curves_match_points_priced_one_at_a_time(monkeypatch, kernel_calls):
          fig3.control.excited_orbital_radius_a()),
     ]
     for curve, grid, scale in curves:
-        _fresh_cache(monkeypatch)
+        fresh_cache()
         kernel_calls.clear()
         batched = curve(grid)
         # the misses go through the kernel in one call, in grid order
         assert len(kernel_calls) == 1
         assert kernel_calls[0] == pytest.approx([r / scale for r in grid], rel=1e-12)
-        single = _one_at_a_time(monkeypatch, curve, grid)
+        single = _one_at_a_time(fresh_cache, curve, grid)
         assert [res.separation_a for res in batched] == list(grid)
         _assert_rows_close(_rows(batched), _rows(single))
 
 
-def test_partly_warm_grid_gives_the_cold_rows(monkeypatch, kernel_calls):
+def test_partly_warm_grid_gives_the_cold_rows(fresh_cache, kernel_calls):
     _, fig2a = get_preset("fig2a")
     grid = fig2a.r_grid
-    _fresh_cache(monkeypatch)
+    fresh_cache()
     cold = exchange_curve(fig2a.control, fig2a.qubit, True, grid)
-    cache = _fresh_cache(monkeypatch)
+    cache = fresh_cache()
     exchange_curve(fig2a.control, fig2a.qubit, True, grid[::3])
     assert cache.cache_info() == (len(grid[::3]), len(grid[::3]))
     kernel_calls.clear()
@@ -361,7 +347,7 @@ def test_partly_warm_grid_gives_the_cold_rows(monkeypatch, kernel_calls):
     _assert_rows_close(_rows(warm), _rows(cold))
 
 
-def test_a_pair_point_does_not_depend_on_the_batch_that_priced_it(monkeypatch):
+def test_a_pair_point_does_not_depend_on_the_batch_that_priced_it(fresh_cache):
     # table1 prices its C1-C2 transfer alone, at 24 A, a point of fig3's
     # grid; with BLAS contracting the batch's rows it read 25.735634444596457
     # meV priced in fig3's batch where alone it read 25.735634444596446
@@ -369,9 +355,9 @@ def test_a_pair_point_does_not_depend_on_the_batch_that_priced_it(monkeypatch):
     _, fig3 = get_preset("fig3")
     control = table1.model_for("C1")
     assert 24.0 in fig3.r_grid
-    _fresh_cache(monkeypatch)
+    fresh_cache()
     alone = transfer_splitting_curve(control, (24.0,))[0].transfer_mev
-    cache = _fresh_cache(monkeypatch)
+    cache = fresh_cache()
     transfer_splitting_curve(fig3.control, fig3.r_grid)
     misses = cache.cache_info()[1]
     after_fig3 = transfer_splitting_curve(control, (24.0,))[0].transfer_mev
@@ -398,10 +384,11 @@ def test_every_block_of_a_point_is_bitwise_the_same_in_any_batch(kind_a, kind_b)
             assert values[at] == alone[name][0], (name, size, at)
 
 
-def test_ill_conditioned_error_names_the_first_close_separation(cold_cache):
+def test_ill_conditioned_error_names_the_first_close_separation(fresh_cache):
     # twelve near-coincident p2-p2 pairs are priced in one kernel call; the
     # error must name the first of them, not the last or a later one, as the
     # separation in angstrom the caller passed
+    fresh_cache()
     control = model_from_ionization("P", 0.6, 5.7)
     scale = control.excited_orbital_radius_a()
     close = [0.01 * k for k in range(1, 13)]
@@ -441,26 +428,75 @@ def test_boys_downward_recursion_matches_reference():
         integrals._boys_array(7, x)
 
 
-def test_cache_keeps_at_most_its_bound_least_recently_used_out(cold_cache, kernel_calls):
+def _held(cache):
+    """The points `cache` holds, checked against its own count."""
+    held = sum(map(len, cache._rows.values()))
+    assert held == cache._held
+    return held
+
+
+def test_cache_holds_at_most_its_bound_and_empties_before_passing_it(
+        fresh_cache, kernel_calls):
+    # a store of 8 points: a call whose misses would take it past 8 empties
+    # it first, every configuration included, and prices all of its own
+    # points, hits too, in one kernel call; a call of more than 8 distinct
+    # points stores none; every row equals the cold one bit for bit
     control = model_from_ionization("P", 0.6, 5.7)
-    size = integrals._CACHE_POINTS
-    assert cold_cache.maxsize == size
-    grid = list(np.linspace(20.0, 60.0, size + 100))
-    transfer_splitting_curve(control, grid[:size])
-    transfer_splitting_curve(control, grid[:1])  # a hit refreshes the oldest
-    transfer_splitting_curve(control, grid[size:])
-    assert len(cold_cache._rows) == size
-    assert cold_cache.cache_info()[1] == len(grid)
-    kernel_calls.clear()
-    transfer_splitting_curve(control, grid[:1])   # kept: used recently
-    assert kernel_calls == []
-    transfer_splitting_curve(control, grid[1:2])  # dropped: least recently used
-    assert [len(call) for call in kernel_calls] == [1]
-    assert cold_cache.cache_info()[1] == len(grid) + 1
-    assert len(cold_cache._rows) == size
+    qubit = model_from_ionization("N", 0.6, 5.7, role="qubit")
+    grid = list(np.linspace(20.0, 40.0, 12))
+    fresh_cache()
+    cold = list(transfer_splitting_curve(control, grid))
+    cold_exchange = list(exchange_curve(control, qubit, False, grid[:3]))
+    cache = fresh_cache(maxsize=8)
+
+    def priced(curve, points, want, sizes, held):
+        kernel_calls.clear()
+        assert list(curve(control, points)) == want
+        assert [len(call) for call in kernel_calls] == sizes
+        assert _held(cache) == held <= cache.maxsize
+
+    def ground(model, points):
+        return exchange_curve(model, qubit, False, points)
+
+    transfer = transfer_splitting_curve
+    priced(transfer, grid[:6], cold[:6], [6], 6)
+    (transfer_config,) = cache._rows
+    # 3 warm and 3 cold points: 6 + 3 > 8, so all 6 are priced again
+    priced(transfer, grid[3:9], cold[3:9], [6], 6)
+    assert sorted(cache._rows[transfer_config].values()) == list(range(6))
+    # another configuration's 3 points: 6 + 3 > 8, the transfer rows go
+    priced(ground, grid[:3], cold_exchange, [3], 3)
+    assert transfer_config not in cache._rows and len(cache._rows) == 1
+    # 3 + 5 = 8 fits, and both configurations are held
+    priced(transfer, grid[:5], cold[:5], [5], 8)
+    assert len(cache._rows) == 2
+    priced(transfer, grid[3:5], cold[3:5], [], 8)
+    # 12 points > 8: priced once, returned and not stored
+    priced(transfer, grid, cold, [12], 0)
+    assert cache._rows == {}
+    assert cache.cache_info() == (6 + 6 + 3 + 5 + 2 + 12, 6 + 6 + 3 + 5 + 12)
 
 
-def test_second_pricing_of_a_curve_calls_no_kernel(cold_cache, kernel_calls):
+def test_a_grid_longer_than_the_cache_prices_each_point_once(fresh_cache, kernel_calls):
+    # a grid with more points than the cache holds is priced in one kernel
+    # call and read back from that call, not priced a second time alone;
+    # its rows equal the same points priced in two shorter calls
+    control = model_from_ionization("P", 0.6, 5.7)
+    grid = np.linspace(20.0, 60.0, integrals._CACHE_POINTS + 104)
+    cache = fresh_cache()
+    assert cache.maxsize == integrals._CACHE_POINTS
+    curve = transfer_splitting_curve(control, grid)
+    assert len(kernel_calls) == 1
+    assert cache.cache_info()[1] == len(grid)
+    halves = []
+    for part in np.array_split(grid, 2):
+        fresh_cache()
+        halves.extend(transfer_splitting_curve(control, part))
+    assert list(curve) == halves
+
+
+def test_second_pricing_of_a_curve_calls_no_kernel(fresh_cache, kernel_calls):
+    fresh_cache()
     _, fig2a = get_preset("fig2a")
     first = exchange_curve(fig2a.control, fig2a.qubit, True, fig2a.r_grid)
     assert kernel_calls
@@ -476,10 +512,11 @@ def test_second_pricing_of_a_curve_calls_no_kernel(cold_cache, kernel_calls):
     assert kernel_calls == []
 
 
-def test_a_curve_builds_each_point_key_once(cold_cache, monkeypatch):
+def test_a_curve_builds_each_point_key_once(fresh_cache, monkeypatch):
     # a call builds its pair configuration once, rounding the radius ratio,
     # and rounds each point's reduced separation once, cold and warm; the
     # Boys table is filled first, so that no other rounding is counted
+    cache = fresh_cache()
     _, fig2a = get_preset("fig2a")
     integrals._boys_nodes()
     calls = []
@@ -496,14 +533,14 @@ def test_a_curve_builds_each_point_key_once(cold_cache, monkeypatch):
         calls.clear()
         exchange_curve(fig2a.control, fig2a.qubit, True, grid)
         assert calls == [ratio] + [r / scale for r in grid], temperature
-    assert cold_cache.cache_info() == (2 * len(grid), len(grid))
+    assert cache.cache_info() == (2 * len(grid), len(grid))
 
 
 # ---------------------------------------------------------------------------
 # curves as columns
 # ---------------------------------------------------------------------------
 
-def test_curve_rows_equal_points_assembled_alone_exactly(monkeypatch):
+def test_curve_rows_equal_points_assembled_alone_exactly(fresh_cache):
     # one assembly: every row of both fig2a branches is, bit for bit, the
     # pair_integrals result at its separation, and every fig3 row is a
     # one-point curve's row; each side is priced from an empty cache
@@ -513,23 +550,24 @@ def test_curve_rows_equal_points_assembled_alone_exactly(monkeypatch):
     b = OrbitalSpec("s1", qubit.ground_orbital_radius_a())
     for excited, a in ((True, OrbitalSpec("p2", control.excited_orbital_radius_a())),
                        (False, OrbitalSpec("s1", control.ground_orbital_radius_a()))):
-        _fresh_cache(monkeypatch)
+        fresh_cache()
         curve = exchange_curve(control, qubit, excited, fig2a.r_grid)
-        _fresh_cache(monkeypatch)
+        fresh_cache()
         alone = [pair_integrals(a, b, r, control.dielectric_constant) for r in fig2a.r_grid]
         assert len(curve) == len(alone) == len(fig2a.r_grid)
         for row, point in zip(curve, alone):
             assert row == point, (excited, row.separation_a)
-    _fresh_cache(monkeypatch)
+    fresh_cache()
     curve = transfer_splitting_curve(fig3.control, fig3.r_grid)
-    _fresh_cache(monkeypatch)
+    fresh_cache()
     alone = [transfer_splitting_curve(fig3.control, [r])[0] for r in fig3.r_grid]
     assert len(curve) == len(alone) == len(fig3.r_grid)
     for row, point in zip(curve, alone):
         assert row == point, row.separation_a
 
 
-def test_an_empty_grid_gives_an_empty_curve(cold_cache, kernel_calls):
+def test_an_empty_grid_gives_an_empty_curve(fresh_cache, kernel_calls):
+    cache = fresh_cache()
     control = model_from_ionization("P", 0.6, 5.7)
     qubit = model_from_ionization("N", 0.6, 5.7, role="qubit")
     for curve in (exchange_curve(control, qubit, True, []),
@@ -539,12 +577,13 @@ def test_an_empty_grid_gives_an_empty_curve(cold_cache, kernel_calls):
         assert list(curve) == []
         assert curve.separation_a.shape == curve.transfer_mev.shape == (0,)
     assert kernel_calls == []
-    assert cold_cache.cache_info() == (0, 0)
+    assert cache.cache_info() == (0, 0)
 
 
-def test_near_coincident_exchange_pair_names_the_first_close_separation(cold_cache):
+def test_near_coincident_exchange_pair_names_the_first_close_separation(fresh_cache):
     # equal 1s radii nearly coincide below about 0.15 A; the error names the
     # first such separation in grid order, whatever the cache held
+    fresh_cache()
     control = model_from_ionization("P", 0.6, 5.7)
     qubit = model_from_ionization("N", 0.6, 5.7, role="qubit")
     close = [0.01 * k for k in range(1, 13)]
@@ -555,7 +594,7 @@ def test_near_coincident_exchange_pair_names_the_first_close_separation(cold_cac
         exchange_curve(control, qubit, False, close[5:] + [40.0])
 
 
-def test_a_list_a_tuple_and_an_array_grid_give_the_same_rows(monkeypatch):
+def test_a_list_a_tuple_and_an_array_grid_give_the_same_rows(fresh_cache):
     _, fig2a = get_preset("fig2a")
     control, qubit = fig2a.control, fig2a.qubit
     for curve in (lambda g: exchange_curve(control, qubit, True, g),
@@ -563,7 +602,7 @@ def test_a_list_a_tuple_and_an_array_grid_give_the_same_rows(monkeypatch):
                   lambda g: transfer_splitting_curve(control, g)):
         priced = []
         for grid in (list(fig2a.r_grid), tuple(fig2a.r_grid), np.array(fig2a.r_grid)):
-            _fresh_cache(monkeypatch)
+            fresh_cache()
             priced.append(curve(grid))
         assert list(priced[0]) == list(priced[1]) == list(priced[2])
         assert priced[0] == priced[1] == priced[2]
@@ -607,7 +646,8 @@ def _scalar_heitler_london(a, b, r, epsilon, n_terms=6):
         e_triplet * hartree, (e_triplet - e_singlet) * hartree)
 
 
-def test_curve_columns_equal_the_scalar_formula_bit_for_bit(cold_cache):
+def test_curve_columns_equal_the_scalar_formula_bit_for_bit(fresh_cache):
+    fresh_cache()
     _, fig2a = get_preset("fig2a")
     control, qubit = fig2a.control, fig2a.qubit
     b = OrbitalSpec("s1", qubit.ground_orbital_radius_a())

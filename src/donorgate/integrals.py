@@ -34,12 +34,16 @@ Molecular Electronic-Structure Theory, section 9.8).
 `exchange_curve`, `transfer_splitting_curve` and `pair_integrals` read
 their reduced points from one store, `_reduced_pair`, which holds at most
 `_CACHE_POINTS` (4096) points and is emptied when a call's misses would
-pass that bound. A call builds its pair configuration once and rounds each
-point's reduced separation once, prices all of its misses in one kernel
-call, then reads every point's blocks as one array. The Heitler-London
-assembly, `_pair_curve`, works on those columns, and `pair_integrals` is
-that assembly at one point. A curve comes back as a `Curve`: one read-only
-array per field, whose rows are built only when read.
+pass that bound. A call builds its pair configuration once and rounds its
+reduced separations to 12 decimals in one numpy pass, `_round12`: rint of
+each separation times 1e12, divided back by 1e12, which equals Python's
+`round(x, 12)` bit for bit; the few points whose scaled value lies within
+an ulp of a half-integer, or past 2^52, fall back to `round`. It then
+prices all of its misses in one kernel call and reads every point's blocks
+as one array. The Heitler-London assembly, `_pair_curve`, works on those
+columns, and `pair_integrals` is that assembly at one point. A curve
+comes back as a `Curve`: one read-only array per field, whose rows are
+built only when read.
 
 Every center and every orbital axis lies on the pair axis z. A contracted
 orbital is its coefficients and exponents, its angular momentum along z and
@@ -425,16 +429,39 @@ class _PairCache:
 _reduced_pair = _PairCache(_CACHE_POINTS)
 
 
+def _round12(x: np.ndarray) -> list:
+    """`[round(v, 12) for v in x.tolist()]`, bit for bit, from numpy.
+
+    With y = x * 1e12 and n = rint(y), the key is n / 1e12. Python's `round`
+    is the double nearest the exact x * 10^12 rounded half-even to an
+    integer, over 10^12; the product, `rint` and the division are each
+    correctly rounded, so the two agree wherever y and the exact product
+    round to the same integer. That holds unless y lies within one ulp of a
+    half-integer, |(|y - n|) - 1/2| <= spacing(|y|); those points, and those
+    with |y| >= 2^52 or not finite (an overflowed product), fall back to
+    `round`. (`np.round` is this without the fallback, so it rounds some
+    values one bit apart.)"""
+    with np.errstate(over="ignore", invalid="ignore"):
+        y = x * 1e12
+        n = np.rint(y)
+        near_half = np.abs(np.abs(y - n) - 0.5) <= np.spacing(np.abs(y))
+        unsure = np.flatnonzero(near_half | ~(np.abs(y) < 2.0**52))
+    keys = (n / 1e12).tolist()
+    for i in unsure.tolist():
+        keys[i] = round(float(x[i]), 12)
+    return keys
+
+
 def _pair_keys(a: OrbitalSpec, b: OrbitalSpec, separation_a: np.ndarray, n_terms: int,
                two_electron: bool = True) -> tuple:
     """Pair-cache keys of `a` and `b` at the separations `separation_a`
-    (angstrom, a 1-D array): the pair configuration, built once, and the
-    list of reduced separations, every reduced length (in units of a's
-    radius) rounded to 12 decimals by Python's `round` (numpy's rounds some
-    values one bit apart)."""
+    (angstrom, a 1-D array): the pair configuration, built once with the
+    radius ratio rounded to 12 decimals by Python's `round`, and the list of
+    reduced separations (in units of a's radius) rounded to 12 decimals by
+    one `_round12` call, the same bits as `round` gives."""
     scale = a.bohr_radius_a
     config = (a.kind, b.kind, round(b.bohr_radius_a / scale, 12), n_terms, two_electron)
-    return config, [round(r, 12) for r in (separation_a / scale).tolist()]
+    return config, _round12(separation_a / scale)
 
 
 def _hopping(s, h_aa, h_bb, h_ab):

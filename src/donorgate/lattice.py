@@ -188,21 +188,26 @@ def place_dopants(
 ) -> DopedRegion:
     """Independent Bernoulli occupation of every site at the given fraction.
 
-    species_mix maps species id -> fraction (fractions sum to 1). Placement
-    is reproducible: a fixed enumeration order and a single rng stream mean
-    identical (spec, concentration, seed) give identical regions.
+    species_mix maps species id -> fraction (a non-empty mix of finite
+    fractions that sum to 1). Placement is reproducible: a fixed enumeration
+    order and a single rng stream mean identical (spec, concentration, seed)
+    give identical regions. The occupied sites are gathered by index from
+    the enumerated (n, 3) int32 array, so `sites` is a new C-contiguous
+    int32 array in enumeration order.
     """
     if not (0.0 < concentration < 1.0):
         raise InvalidSpecError("concentration must lie strictly between 0 and 1")
     mix = dict(species_mix)
     fractions = np.array(list(mix.values()), dtype=float)
-    if fractions.min() < 0 or abs(fractions.sum() - 1.0) > 1e-9:
-        raise InvalidSpecError("species fractions must be non-negative and sum to 1")
+    if (not mix or not np.isfinite(fractions).all() or fractions.min() < 0
+            or abs(fractions.sum() - 1.0) > 1e-9):
+        raise InvalidSpecError(
+            "species mix must be non-empty, its fractions finite, non-negative and summing to 1")
     names = list(mix.keys())
 
     coords = _integer_sites(spec.lattice_constant, spec.bounding_radius)
     rng = np.random.default_rng(seed)
-    picked = coords[rng.random(coords.shape[0]) < concentration]
+    picked = coords[np.flatnonzero(rng.random(coords.shape[0]) < concentration)]
     species = rng.choice(len(names), size=picked.shape[0], p=fractions)
     return DopedRegion(
         spec=spec,

@@ -166,11 +166,15 @@ def _spectra_stage(scenario, hopping, seed):
 
 @_stage("spins")
 def _spins_stage(scenario, couplings):
+    # each control's couplings at or above the floor, in dict order, so the
+    # stable sort below keeps the first of equal |J|
+    strong = {}
+    for (c, q), j in couplings.items():
+        if abs(j) >= scenario.min_gate_coupling_mev:
+            strong.setdefault(c, []).append((q, j))
     records = []
-    for c_label in sorted({c for c, _ in couplings}):
-        ranked = sorted(((q, j) for (c, q), j in couplings.items()
-                         if c == c_label and abs(j) >= scenario.min_gate_coupling_mev),
-                        key=lambda item: abs(item[1]), reverse=True)
+    for c_label in sorted(strong):
+        ranked = sorted(strong[c_label], key=lambda item: abs(item[1]), reverse=True)
         if len(ranked) < 2:
             continue
         (qa, ja), (qb, jb) = ranked[:2]
@@ -413,16 +417,59 @@ def _dope_patch(scenario, seed) -> DopedRegion:
     return place_dopants(scenario.lattice, rp.concentration, dict(rp.mix), seed)
 
 
+class _CouplingTable:
+    """Excited-state J of one (control model, qubit model) pair on a lattice
+    of site spacing unit `quarter` (a/4), indexed by the integer squared
+    separation n, so a pair n apart is sqrt(n) * quarter angstrom apart.
+
+    Filled lazily: `read` prices the n it has not priced yet in one
+    `exchange_curve` call over sqrt(n) * quarter, the same floats the pairs'
+    separations are, and every pair then reads its J with one gather. A
+    curve row does not depend on the grid around it, so an entry equals the
+    curve at that separation bit for bit. The table is as long as the
+    largest n it has read plus one, at most floor((cutoff / quarter)^2) + 1
+    for pairs within `cutoff`; a fill that raises stores nothing.
+    """
+
+    def __init__(self, control, qubit, quarter: float):
+        self._models = control, qubit
+        self.quarter = quarter
+        self.j = np.empty(0)
+        self.priced = np.zeros(0, dtype=bool)
+
+    def read(self, n: np.ndarray) -> np.ndarray:
+        """J at each integer squared separation of `n` (a 1-D int array)."""
+        known = n < len(self.priced)
+        known[known] = self.priced[n[known]]
+        if not known.all():
+            miss = np.unique(n[~known])
+            rows = exchange_curve(*self._models, True, np.sqrt(miss) * self.quarter)
+            if miss[-1] >= len(self.j):
+                grow = miss[-1] + 1 - len(self.j)
+                self.j = np.concatenate([self.j, np.zeros(grow)])
+                self.priced = np.concatenate([self.priced, np.zeros(grow, dtype=bool)])
+            self.j[miss] = rows.exchange_splitting_mev
+            self.priced[miss] = True
+        return self.j[n]
+
+
+@functools.lru_cache(maxsize=8)
+def _coupling_table(control, qubit, quarter: float) -> _CouplingTable:
+    """The lattice coupling table of one model pair and a/4, kept for the
+    most recently used 8 of them."""
+    return _CouplingTable(control, qubit, quarter)
+
+
 @_stage("integrals")
 def _patch_tally(scenario, region) -> tuple:
     """Counts of qubits, controls and gate-capable controls in one doped region.
 
     A control is gate-capable with two or more excited-state qubit couplings
     at or above the gate floor, as the spins stage needs for a gate record;
-    no spectra, spins or scan work, so patch sweeps stay cheap. Separations
-    come from the integer sites, and each (control species, qubit species)
-    group prices its distinct separations in one `exchange_curve` call
-    (`_price_pairs`, as the integrals stage).
+    no spectra, spins or scan work, so patch sweeps stay cheap. Each pair's
+    integer squared separation n comes from the integer sites, and its J is
+    read from the `_CouplingTable` of its (control species, qubit species)
+    group by n; a warm table prices nothing and calls no curve.
     """
     index = {s.species_name: i for i, s in enumerate(scenario.species)}
     kind = np.array([index[name] for name in region.species], dtype=np.int64)
@@ -439,11 +486,17 @@ def _patch_tally(scenario, region) -> tuple:
         # the labels realize_placements gives: per role, in site order
         i, j = np.argwhere(n2 == 0)[0]
         raise InvalidSpecError(f"C{i + 1} and Q{j + 1} share a site")
-    separation = np.sqrt(n2) * (scenario.lattice.lattice_constant / 4.0)
-    ci, qi = np.nonzero(separation <= scenario.pair_cutoff_a)
+    quarter = scenario.lattice.lattice_constant / 4.0
+    ci, qi = np.nonzero(np.sqrt(n2) * quarter <= scenario.pair_cutoff_a)
+    n = n2[ci, qi]
 
-    (j,) = _price_pairs(scenario, functools.partial(exchange_curve, excited=True),
-                        ("exchange_splitting_mev",), separation[ci, qi], c_kind[ci], q_kind[qi])
+    n_species = len(scenario.species)
+    group = c_kind[ci] * n_species + q_kind[qi]
+    j = np.empty(len(n))
+    for code in np.flatnonzero(np.bincount(group, minlength=n_species * n_species)).tolist():
+        member = group == code
+        c_model, q_model = (scenario.species[k] for k in divmod(code, n_species))
+        j[member] = _coupling_table(c_model, q_model, quarter).read(n[member])
     strong = np.abs(j) >= scenario.min_gate_coupling_mev
     gates = np.count_nonzero(np.bincount(ci[strong], minlength=len(controls)) >= 2)
     return len(qubits), len(controls), int(gates)

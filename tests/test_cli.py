@@ -124,13 +124,14 @@ def test_random_patch_report_equals_its_pinned_json(capsys, tmp_path):
 @pytest.mark.parametrize("radius_a, concentration, patches, seed, pinned", [
     (15.0, 2e-3, "40", "1", "patch_statistics_random.json"),
     (40.0, 3e-3, "8", "7", "patch_statistics_r40.json"),
+    (60.0, 3e-3, "10", "3", "patch_statistics_r60.json"),
 ])
 def test_patch_statistics_equal_their_pinned_json(tmp_path, radius_a, concentration,
                                                   patches, seed, pinned):
-    # the gate tally of CI's random.json scenario (R = 15 A, c = 0.2 %) and
-    # of a patch_sweep-like one (R = 40 A, c = 0.3 %), from a fresh
-    # interpreter; a change that moves a byte of either must regenerate the
-    # pinned file and state why
+    # the gate tally of CI's random.json scenario (R = 15 A, c = 0.2 %), of
+    # a patch_sweep-like one (R = 40 A, c = 0.3 %) and of the same at
+    # R = 60 A, from a fresh interpreter; a change that moves a byte of one
+    # must regenerate the pinned file and state why
     path = tmp_path / "random.json"
     donorgate.save_scenario(_random_scenario(radius_a, concentration), path)
     src = str(Path(donorgate.__file__).resolve().parents[1])

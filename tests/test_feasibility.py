@@ -11,6 +11,7 @@ import pytest
 from donorgate import (
     DopedRegion,
     EprModel,
+    IllConditionedGeometryError,
     InvalidSpecError,
     LatticeSpec,
     Placement,
@@ -25,7 +26,7 @@ from donorgate import (
     run_feasibility,
     transfer_splitting_curve,
 )
-from donorgate import feasibility
+from donorgate import feasibility, integrals
 from donorgate.feasibility import _patch_tally
 
 # excited-state couplings of the bundled cluster, frozen from a direct run
@@ -440,6 +441,166 @@ def test_integrals_stage_prices_each_species_group_once(monkeypatch, fresh_cache
             realized.spectral.base_transition_mev)
         assert (row["transfer_mev"], row["splitting_mev"]) == (
             alone.transfer_mev, alone.splitting_mev)
+
+
+def _bench_patch_scenario():
+    """The benchmark's patch: table1's species, R = 40 A, c = 0.3 %,
+    P:N 0.4:0.6."""
+    _, sc = get_preset("table1")
+    return dataclasses.replace(
+        sc, placements=None, lattice=LatticeSpec(40.0),
+        random_placement=RandomPlacementSpec(3e-3, {"P": 0.4, "N": 0.6}, seed=0))
+
+
+def _tallied_pairs(sc, region):
+    """Each control-qubit pair within the cutoff, one pair at a time:
+    (control, qubit, control model, qubit model, n, separation), with the
+    separation sqrt(n) * (a/4) as the patch tally has always computed it."""
+    quarter = sc.lattice.lattice_constant / 4.0
+    placed = [(tuple(int(x) for x in site), sc.species_by_name(name))
+              for site, name in zip(region.sites, region.species)]
+    controls = [p for p in placed if p[1].role == "control"]
+    qubits = [p for p in placed if p[1].role == "qubit"]
+    pairs = []
+    for c, (c_site, c_model) in enumerate(controls):
+        for q, (q_site, q_model) in enumerate(qubits):
+            n = sum((u - v) ** 2 for u, v in zip(c_site, q_site))
+            sep = float(np.sqrt(np.int64(n)) * quarter)
+            if sep <= sc.pair_cutoff_a:
+                pairs.append((c, q, c_model, q_model, n, sep))
+    return pairs, len(controls), len(qubits)
+
+
+@pytest.mark.parametrize("scenario, seeds", [
+    (_bench_patch_scenario, range(20)), (_two_control_species_scenario, range(6)),
+])
+def test_lattice_table_equals_the_curve_at_each_pairs_separation(fresh_cache, scenario,
+                                                                 seeds):
+    # each tallied pair's J in its model pair's table equals exchange_curve
+    # at the pair's float separation bit for bit (one curve per model pair
+    # over its distinct separations, as the tally priced before the table),
+    # and the gate count follows from those J
+    sc = scenario()
+    fresh_cache()
+    quarter = sc.lattice.lattice_constant / 4.0
+    for seed in seeds:
+        region = feasibility._dope_patch(sc, seed)
+        n_qubits, n_controls, gates = _patch_tally(sc, region)
+        pairs, want_controls, want_qubits = _tallied_pairs(sc, region)
+        assert (n_qubits, n_controls) == (want_qubits, want_controls)
+        curve_j = {}
+        for models in {(c_model, q_model) for _, _, c_model, q_model, _, _ in pairs}:
+            grid = sorted({sep for *_, c_model, q_model, _, sep in pairs
+                           if (c_model, q_model) == models})
+            curve = exchange_curve(*models, True, grid)
+            curve_j.update({models + (r,): j for r, j in
+                            zip(grid, curve.exchange_splitting_mev.tolist())})
+        strong = {}
+        for c, q, c_model, q_model, n, sep in pairs:
+            table = feasibility._coupling_table(c_model, q_model, quarter)
+            assert table.priced[n]
+            assert table.j[n] == curve_j[(c_model, q_model, sep)], (seed, c, q)
+            if abs(curve_j[(c_model, q_model, sep)]) >= sc.min_gate_coupling_mev:
+                strong[c] = strong.get(c, 0) + 1
+        assert gates == sum(k >= 2 for k in strong.values()), seed
+        for c_model, q_model in {p[2:4] for p in pairs}:
+            table = feasibility._coupling_table(c_model, q_model, quarter)
+            assert len(table.j) <= int((sc.pair_cutoff_a / quarter) ** 2) + 1
+
+
+def test_a_repeat_tally_prices_nothing(monkeypatch, fresh_cache):
+    # a warm patch reads every J from its table: no curve call, no point
+    # read from or priced into the pair store
+    sc = _bench_patch_scenario()
+    fresh_cache()
+    region = feasibility._dope_patch(sc, 0)
+    first = _patch_tally(sc, region)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return exchange_curve(*args, **kwargs)
+
+    monkeypatch.setattr(feasibility, "exchange_curve", counted)
+    info = integrals._reduced_pair.cache_info()
+    assert _patch_tally(sc, region) == first
+    assert calls == []
+    assert integrals._reduced_pair.cache_info() == info
+
+
+def test_a_fill_that_raises_stores_nothing(monkeypatch, fresh_cache):
+    # no lattice pair of these models nearly coincides, so the overlap
+    # limit is lowered until the nearest ones do: the tally's error names
+    # the first close separation, as one curve over the pairs' separations
+    # does, and the table keeps only what it held before the failed fill
+    _, sc = get_preset("table1")
+    control, qubit = sc.species
+    quarter = sc.lattice.lattice_constant / 4.0
+    fresh_cache()
+    far = DopedRegion(sc.lattice, np.array([[0, 0, 0], [8, 8, 0], [12, 0, 4]]),
+                      ("P", "N", "N"), 1e-3, 0)
+    _patch_tally(sc, far)
+    table = feasibility._coupling_table(control, qubit, quarter)
+    held = table.j.copy(), table.priced.copy()
+    assert held[1].sum() == 2
+
+    # a 2p-1s overlap grows with separation here: n = 3 stays below the
+    # limit, and n = 11, 16 and 32 pass it
+    monkeypatch.setattr(integrals, "_OVERLAP_LIMIT", 0.22)
+    near = DopedRegion(sc.lattice, np.array(
+        [[0, 0, 0], [8, 8, 0], [4, 4, 0], [1, 1, 1], [4, 0, 0], [-3, 1, 1]]),
+        ("P", "N", "N", "N", "N", "N"), 1e-3, 0)
+    with pytest.raises(IllConditionedGeometryError) as direct:
+        exchange_curve(control, qubit, True, np.sqrt([3, 11, 16, 32, 128]) * quarter)
+    assert f"at separation {np.sqrt(11) * quarter:g} A" in str(direct.value)
+    with pytest.raises(StageError) as err:
+        _patch_tally(sc, near)
+    assert isinstance(err.value.cause, IllConditionedGeometryError)
+    assert str(err.value.cause) == str(direct.value)
+    assert np.array_equal(table.j, held[0]) and np.array_equal(table.priced, held[1])
+
+
+def test_lattice_tables_keep_at_most_their_bound(fresh_cache):
+    # a sweep over more qubit models than the bound keeps no more tables
+    # than the bound, the most recent ones
+    _, sc = get_preset("table1")
+    fresh_cache()
+    bound = feasibility._coupling_table.cache_parameters()["maxsize"]
+    region = DopedRegion(sc.lattice, np.array([[0, 0, 0], [8, 8, 0], [12, 0, 4]]),
+                         ("P", "N", "N"), 1e-3, 0)
+    models = [model_from_ionization("N", 0.6, 5.7, role="qubit",
+                                    radius_scale_factor=1.0 - 0.05 * k)
+              for k in range(bound + 3)]
+    for model in models:
+        swept = dataclasses.replace(sc, species=(sc.species[0], model))
+        assert _patch_tally(swept, region)[:2] == (2, 1)
+        assert feasibility._coupling_table.cache_info().currsize <= bound
+    info = feasibility._coupling_table.cache_info()
+    assert info.currsize == bound and info.misses == len(models)
+
+
+def test_spins_stage_ranks_equal_couplings_as_before():
+    # grouping the couplings by control in one pass keeps each control's
+    # dict order, so a tie in |J| picks the pair today's rule, a scan of the
+    # whole dict per control and a stable sort by |J|, picks
+    _, sc = get_preset("table1")
+    couplings = {("C2", "Q3"): 20.0, ("C1", "Q2"): -20.0, ("C2", "Q1"): 0.5,
+                 ("C1", "Q3"): 20.0, ("C2", "Q2"): -20.0, ("C1", "Q1"): 20.0,
+                 ("C2", "Q4"): 20.0}
+    sc = dataclasses.replace(sc, placements=sc.placements + (
+        Placement("Q4", "N", (30.0, 30.0)),))
+
+    def todays_rule(c_label):
+        ranked = sorted(((q, j) for (c, q), j in couplings.items()
+                         if c == c_label and abs(j) >= sc.min_gate_coupling_mev),
+                        key=lambda item: abs(item[1]), reverse=True)
+        return tuple(q for q, _ in ranked[:2]), tuple(j for _, j in ranked[:2])
+
+    records = feasibility._spins_stage(sc, couplings)
+    assert [r["control"] for r in records] == ["C1", "C2"]
+    for r in records:
+        assert (r["qubits"], (r["j1_mev"], r["j2_mev"])) == todays_rule(r["control"])
+    assert [r["qubits"] for r in records] == [("Q2", "Q3"), ("Q3", "Q2")]
 
 
 DATA = Path(__file__).resolve().parent / "data"

@@ -137,10 +137,14 @@ def simulate_scan(scenario, lines, couplings) -> ScanMap:
     omits are uncoupled. The spectral and EPR models and the qubits' EPR
     line positions come from the scenario. The optical axis covers every
     line within 4 homogeneous widths (step delta_h/4), the EPR axis every
-    component within 8 linewidths (step linewidth/5). Each distinct set of
-    excited controls is rendered once into the map's `spectra`, and every
-    optical row gets the index of its set's spectrum; the dense map is
-    never allocated.
+    component within 8 linewidths (step linewidth/5).
+
+    A row excites the controls whose line lies within delta_h of its
+    frequency, |E - f| <= delta_h, taken for every row and line in one
+    boolean (row, line) table. Each distinct row of that table, a set of
+    excited controls, is rendered once into the map's `spectra`, numbered
+    in the order the optical rows first reach it, and every optical row
+    gets the index of its set's spectrum; the dense map is never allocated.
     """
     delta_h = scenario.spectral.homogeneous_fwhm_mev
     gamma = scenario.epr.linewidth_mev
@@ -180,13 +184,18 @@ def simulate_scan(scenario, lines, couplings) -> ScanMap:
 
     # a row depends only on which controls are excited, and most rows of a
     # scan share one of a few such sets: render each set once
-    spectrum_of = {}
-    row_spectrum = np.empty(len(optical_axis), dtype=np.intp)
-    for i, freq in enumerate(optical_axis):
-        excited = frozenset(c for c, e in line_of.items() if abs(e - freq) <= delta_h)
-        row_spectrum[i] = spectrum_of.setdefault(excited, len(spectrum_of))
-    spectra = np.array([render(excited) for excited in spectrum_of]).reshape(
-        len(spectrum_of), len(epr_axis))
+    labels = list(line_of)
+    excited = np.abs(np.array(list(line_of.values()), dtype=float)
+                     - optical_axis[:, None]) <= delta_h
+    sets, first, row_set = np.unique(excited, axis=0, return_index=True,
+                                     return_inverse=True)
+    # number the sets in the order the rows first reach them
+    order = np.argsort(first)
+    number = np.empty_like(order)
+    number[order] = np.arange(len(order))
+    row_spectrum = number[row_set.reshape(-1)]
+    spectra = np.array([render({labels[c] for c in np.flatnonzero(s)})
+                        for s in sets[order]]).reshape(len(sets), len(epr_axis))
     return ScanMap(optical_axis, epr_axis, spectra, row_spectrum, epr_lines,
                    gamma, delta_h)
 
@@ -258,26 +267,33 @@ def _baseline(spectra: np.ndarray, row_spectrum: np.ndarray) -> tuple:
 
     Equal to `np.median(response, axis=0)` and `np.sum(np.abs(response -
     baseline), axis=1)` on the dense map, bit for bit, but taken over the
-    distinct spectra: the median is the element of rank N//2 (the mean of
-    ranks N//2-1 and N//2 for even N) of each column, with each spectrum
-    counted once per row that uses it, and each spectrum's deviation is
-    summed once.
+    distinct spectra by rank counting. Spectrum k, used by c_k rows, holds
+    the ranks below_k to below_k + c_k - 1 of each column, where below_k
+    counts the rows of the spectra j < k with s_j <= s_k and of the spectra
+    j > k with s_j < s_k: the tie order a stable sort of the dense column
+    gives. The median is the element of rank N//2 (the mean of ranks N//2-1
+    and N//2 for even N), so it is only selected, and each spectrum's
+    deviation is summed once.
+
+    Each used spectrum is compared with each other one, so the cost grows
+    as K^2 * M for K spectra of M points. A frequency sweep crosses two
+    window edges per line, so a scan of L lines has at most 2L + 1 spectra:
+    K <= 9 for the 4 controls the feasibility pipeline configures at most
+    (`feasibility._CONFIGURE_MAX_CONTROLS`).
     """
+    counts = np.bincount(row_spectrum, minlength=len(spectra))
+    used = np.flatnonzero(counts)
     n_rows = len(row_spectrum)
-    order = np.argsort(spectra, axis=0, kind="stable")
-    ranked = np.take_along_axis(spectra, order, axis=0)
-    # rows at or below each ranked value, column by column
-    seen = np.cumsum(np.bincount(row_spectrum, minlength=len(spectra))[order],
-                     axis=0)
-    columns = np.arange(spectra.shape[1])
-
-    def at_rank(r):
-        return ranked[np.sum(seen <= r, axis=0), columns]
-
-    if n_rows % 2:
-        baseline = at_rank(n_rows // 2)
-    else:
-        baseline = (at_rank(n_rows // 2 - 1) + at_rank(n_rows // 2)) / 2.0
+    ranks = (n_rows // 2,) if n_rows % 2 else (n_rows // 2 - 1, n_rows // 2)
+    picked = np.empty((len(ranks), spectra.shape[1]))
+    for k in used:
+        below = np.zeros(spectra.shape[1], dtype=np.intp)
+        for j in used[used != k]:
+            ahead = spectra[j] <= spectra[k] if j < k else spectra[j] < spectra[k]
+            np.add(below, counts[j], out=below, where=ahead)
+        for value, r in zip(picked, ranks):
+            np.copyto(value, spectra[k], where=(below <= r) & (r < below + counts[k]))
+    baseline = picked[0] if n_rows % 2 else (picked[0] + picked[1]) / 2.0
     deviation = np.sum(np.abs(spectra - baseline), axis=1)[row_spectrum]
     return baseline, deviation
 

@@ -300,14 +300,15 @@ def _trio_propagator(levels: np.ndarray, projectors: np.ndarray,
 
 def _residual_bits(p_up: np.ndarray, p_down: np.ndarray, coh: np.ndarray,
                    work: np.ndarray) -> np.ndarray:
-    """Worst control entropy, in bits, over the probes on the last axis.
+    """Worst control entropy, in bits, of each row over its probes (columns).
 
     The reduced state of populations p_up, p_down and squared coherence coh
     has eigenvalues (total +- disc)/2 with disc^2 = (p_up-p_down)^2 + 4 coh;
     its entropy falls as (disc/total)^2 rises, so the worst probe is the one
-    with the smallest ratio, and the binary entropy is taken for it alone.
-    `coh` and the two arrays of `work`, each shaped like p_up, are
-    overwritten, so a scan can reuse them from chunk to chunk.
+    with the smallest ratio, and the binary entropy is taken for it alone,
+    from its two eigenvalue fractions. `coh` and the two arrays of `work`,
+    each shaped (rows, probes) like p_up, are overwritten, so a scan can
+    reuse them from chunk to chunk.
     """
     split, total = work
     np.subtract(p_up, p_down, out=split)
@@ -315,13 +316,13 @@ def _residual_bits(p_up: np.ndarray, p_down: np.ndarray, coh: np.ndarray,
     np.add(split, np.multiply(4.0, coh, out=coh), out=split)
     np.add(p_up, p_down, out=total)
     ratio = np.divide(split, np.square(total, out=coh), out=coh)
-    worst = np.argmin(ratio, axis=-1)[..., None]
-    split = np.take_along_axis(split, worst, axis=-1)[..., 0]
-    total = np.take_along_axis(total, worst, axis=-1)[..., 0]
+    rows = np.arange(len(ratio))
+    worst = np.argmin(ratio, axis=1)
+    split, total = split[rows, worst], total[rows, worst]
     disc = np.sqrt(split)
-    lam = np.stack([(total + disc) / 2.0, (total - disc) / 2.0]) / total
-    lam = np.clip(lam, 1e-300, 1.0)
-    return -np.sum(lam * np.log2(lam), axis=0)
+    plus = np.clip((total + disc) / 2.0 / total, 1e-300, 1.0)
+    minus = np.clip((total - disc) / 2.0 / total, 1e-300, 1.0)
+    return -(plus * np.log2(plus) + minus * np.log2(minus))
 
 
 def induced_qubit_block(j1_mev: float, j2_mev: float, tau_ps: float) -> np.ndarray:

@@ -1,6 +1,10 @@
 """Scan rendering, adjacency inference, and gate calibration."""
 
+import dataclasses
+import hashlib
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -144,6 +148,39 @@ def test_scan_invariants_and_csv_shape():
     assert len(rows) == len(scan.optical_axis_mev)
 
 
+def test_scan_row_sets_are_numbered_as_the_rows_first_reach_them():
+    # delta_h = 1 and lines on the quarter grid, so that rows at exactly
+    # delta_h from a line exist; overlapping windows give the sets {},
+    # {C1}, {C1, C2}, {C2} and {} again, in that order along the axis
+    placements = [Placement("C1", "P", (0.0, 0.0, 0.0)),
+                  Placement("C2", "P", (24.0, 0.0, 0.0)),
+                  Placement("Q1", "N", (0.0, 8.0, 0.0)),
+                  Placement("Q2", "N", (24.0, 8.0, 0.0))]
+    sc = dataclasses.replace(_scenario(placements, (("Q1", -8.0), ("Q2", 8.0))),
+                             spectral=SpectralModel(600.0, 1.0, (), 1.5))
+    lines = (TransitionLine("C1", 600.0, 1.0, ()),
+             TransitionLine("C2", 601.5, 1.0, ()))
+    scan = simulate_scan(sc, lines, {("C1", "Q1"): 6.0, ("C2", "Q2"): 9.0})
+    optical = scan.optical_axis_mev
+    for edge in (599.0, 601.0, 600.5, 602.5):
+        assert edge in optical
+    # the sets each row excites, one row at a time
+    sets = [frozenset(line.gate_id for line in lines
+                      if abs(line.energy_mev - f) <= 1.0) for f in optical]
+    assert sets[list(optical).index(599.0)] == {"C1"}
+    assert sets[list(optical).index(602.5)] == {"C2"}
+    order = list(dict.fromkeys(sets))
+    assert order == [frozenset(), {"C1"}, {"C1", "C2"}, {"C2"}]
+    assert scan.row_spectrum.tolist() == [order.index(s) for s in sets]
+    assert len(scan.spectra) == 4
+    assert np.array_equal(scan.spectra[3],
+                          simulate_scan(sc, lines[1:], {("C2", "Q2"): 9.0}).spectra[1])
+    # no lines: every row excites nothing and shares one spectrum
+    empty = simulate_scan(sc, (), {})
+    assert len(empty.spectra) == 1
+    assert not empty.row_spectrum.any()
+
+
 def _infer(sc, scan):
     return infer_adjacency(scan, sc.detection_threshold_mev)
 
@@ -246,6 +283,44 @@ def test_round_trip_recovers_random_scenarios():
                 assert got[q] == pytest.approx(j, rel=0.05), f"seed {seed} {cid} {q}"
 
 
+DATA = Path(__file__).resolve().parent / "data"
+
+
+def _scan_cases():
+    """table1's resolved cluster, then the random cases of seeds 0-9, each
+    as (name, scenario, lines, couplings)."""
+    _, sc = get_preset("table1")
+    yield ("table1",) + tuple(resolve_cluster(sc))
+    for seed in range(10):
+        yield (f"random_{seed}",) + _random_case(seed)
+
+
+def _scan_digests(scan, hyp):
+    def digest(data):
+        return hashlib.sha256(data).hexdigest()
+
+    return {
+        "optical_axis": digest(scan.optical_axis_mev.tobytes()),
+        "epr_axis": digest(scan.epr_axis_mev.tobytes()),
+        "spectra": digest(scan.spectra.tobytes()),
+        "row_spectrum": digest(scan.row_spectrum.astype(np.int64).tobytes()),
+        "entries": digest(json.dumps(
+            [dataclasses.asdict(e) for e in hyp.entries]).encode()),
+    }
+
+
+def test_scan_and_inference_equal_their_pinned_digests():
+    # sha256 of each scan's axes, spectra and row index (as int64) and of
+    # its inferred entries as JSON; a change that moves one byte of them
+    # must regenerate the file and state why
+    pinned = json.loads((DATA / "configure_scan_sha256.json").read_text())
+    cases = list(_scan_cases())
+    assert sorted(pinned) == sorted(name for name, *_ in cases)
+    for name, sc, lines, couplings in cases:
+        scan = simulate_scan(sc, lines, couplings)
+        assert _scan_digests(scan, _infer(sc, scan)) == pinned[name], name
+
+
 def _assert_baseline_exact(scan):
     baseline, deviation = _baseline(scan.spectra, scan.row_spectrum)
     dense = scan.response
@@ -280,14 +355,25 @@ def _synthetic_scan(spectra, row_spectrum):
     [0, 0, 2, 2],  # even, the middle ranks in two spectra
     [3, 3, 1, 0, 2, 3, 1],
     [2] * 5 + [0] * 5,  # even, spectra 1 and 3 unused
+    [8] * 4 + [0] * 4,  # even, the middle ranks in the first and last spectra
+    [4, 8, 0, 4, 8, 0, 4, 8],  # even, three spectra used
+    list(range(9)),  # each spectrum once
+    [8] * 7,  # odd, only the last spectrum used
 ])
 def test_weighted_median_matches_dense_median(row_spectrum):
-    rng = np.random.default_rng(len(row_spectrum))
-    spectra = rng.uniform(0.0, 2.0, size=(4, 64))
-    # ties: a column equal across spectra, and columns drawn from few values
-    spectra[:, 5] = 0.7
-    spectra[:, 10:30] = rng.choice([0.0, 0.25, 1.0 / 3.0], size=(4, 20))
-    _assert_baseline_exact(_synthetic_scan(spectra, row_spectrum))
+    # every table of 1 to 9 spectra the row index fits
+    for n_spectra in range(max(row_spectrum) + 1, 10):
+        rng = np.random.default_rng(n_spectra)
+        spectra = rng.uniform(0.0, 2.0, size=(n_spectra, 64))
+        # ties: a column equal across spectra, a column of zeros, columns
+        # drawn from few values, and a spectrum of zeros
+        spectra[:, 5] = 0.7
+        spectra[:, 6] = 0.0
+        spectra[:, 10:30] = rng.choice([0.0, 0.25, 1.0 / 3.0], size=(n_spectra, 20))
+        spectra[n_spectra // 2] = 0.0
+        # and a table whose columns are each equal across the spectra
+        for table in (spectra, np.repeat(spectra[-1:], n_spectra, axis=0)):
+            _assert_baseline_exact(_synthetic_scan(table, row_spectrum))
 
 
 def _peak_cases():

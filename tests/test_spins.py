@@ -261,6 +261,50 @@ def test_batched_scan_matches_propagator(j1, j2):
     assert np.max(np.abs(scanned - alone)) < 1e-14
 
 
+def _stacked_residual_bits(p_up, p_down, coh, work):
+    """`spins._residual_bits` as it took the worst probe with
+    `take_along_axis` and both eigenvalue fractions with `np.stack`: the
+    reference its row gather must equal bit for bit."""
+    split, total = work
+    np.subtract(p_up, p_down, out=split)
+    np.square(split, out=split)
+    np.add(split, np.multiply(4.0, coh, out=coh), out=split)
+    np.add(p_up, p_down, out=total)
+    ratio = np.divide(split, np.square(total, out=coh), out=coh)
+    worst = np.argmin(ratio, axis=-1)[..., None]
+    split = np.take_along_axis(split, worst, axis=-1)[..., 0]
+    total = np.take_along_axis(total, worst, axis=-1)[..., 0]
+    disc = np.sqrt(split)
+    lam = np.stack([(total + disc) / 2.0, (total - disc) / 2.0]) / total
+    lam = np.clip(lam, 1e-300, 1.0)
+    return -np.sum(lam * np.log2(lam), axis=0)
+
+
+@pytest.mark.parametrize("rows", [_SCAN_CHUNK, 1])
+def test_residual_bits_equal_the_stacked_formula(rows):
+    # a full chunk and a lone tau, on random moments (|coherence|^2 <=
+    # p_up p_down), with zero coherence, with p_up = p_down (every ratio
+    # zero, so the worst probe is a tie), with totals near 1e-300 (ratios
+    # 0/0) and with totals near 1e-150 (squares near 1e-300)
+    rng = np.random.default_rng(rows)
+    shape = (rows, 36)
+    p_up = rng.uniform(0.0, 1.0, shape)
+    p_down = rng.uniform(0.0, 1.0, shape) * (1.0 - p_up)
+    coh = rng.uniform(0.0, 1.0, shape) * p_up * p_down
+    tiny = rng.uniform(0.5, 2.0, shape) * 1e-300
+    small = p_up * 1e-150
+    cases = [(p_up, p_down, coh), (p_up, p_down, np.zeros(shape)),
+             (p_up, p_up, coh), (p_up, p_up, np.zeros(shape)),
+             (tiny, tiny[:, ::-1], np.zeros(shape)), (tiny, 3.0 * tiny, tiny),
+             (small, p_down * 1e-150, coh * 1e-300)]
+    for case, (up, down, c) in enumerate(cases):
+        with np.errstate(invalid="ignore", divide="ignore"):
+            got = spins._residual_bits(up, down, c.copy(), np.empty((2,) + shape))
+            want = _stacked_residual_bits(up, down, c.copy(), np.empty((2,) + shape))
+        assert got.shape == (rows,), case
+        assert got.tobytes() == want.tobytes(), case
+
+
 def _entropy_bits(q):
     lam = np.clip(np.stack([q, 1.0 - q]), 1e-300, 1.0)
     return -np.sum(lam * np.log2(lam), axis=0)

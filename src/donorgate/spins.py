@@ -243,6 +243,9 @@ _SCAN_CHUNK = 512
 _SCREEN_LEVEL = 1e-2
 _SCREEN_MARGIN = 1e-9
 
+# points an escalated screen level scores before it first looks for a dip
+_FIRST_BATCH = 32
+
 # relative outward padding of a screen's q cut, against the screen's own
 # rounding (see `_down_down_q`)
 _CUT_PAD = 1e-6
@@ -388,7 +391,8 @@ def _binary_entropy(q: float) -> float:
     return -q * math.log2(q) - (1.0 - q) * math.log2(1.0 - q) if q > 0.0 else 0.0
 
 
-@functools.lru_cache(maxsize=8)  # a search asks for at most three finite cuts
+# the levels' cuts recur in every search; a raised level's dip cuts do not
+@functools.lru_cache(maxsize=8)
 def _entropy_cut(bits: float) -> float:
     """A q such that every q' in [0, 1/2] with H2(q') < `bits` lies below it.
 
@@ -570,14 +574,22 @@ def sfg_gate(j1_mev: float, j2_mev: float, tau_range: tuple = None, *,
     the refine threshold: any point whose true residual is below it is
     scored, and an unscored neighbour's true residual is above it, so every
     dip below 1e-2 and every comparison with its neighbours comes out as on
-    the fully scored grid. While no dip lies below the level, it rises
-    eightfold and the newly admitted points are scored; once one does, the
-    deepest such dip is the grid's deepest, and with every point scored the
-    rule is the full grid's. Dips are looked for among the admitted points
-    only, since an unscored point is no dip below the level. The selection
-    is therefore that of the full grid; the scored values can differ from
-    the full grid's in the last place only, since a lone point goes to a
-    matrix-vector product and a chunk to a matrix-matrix one.
+    the fully scored grid. Dips are looked for among the admitted points
+    only, since an unscored point is no dip below the level.
+
+    While no dip lies below the level, it rises eightfold, and only the
+    deepest dip will be refined. A raised level scores its newly admitted
+    points best first: in increasing q, the order of their bound, 32 first
+    and then every one whose q lies below the cut of the deepest dip below
+    the level found so far, until none is left. A point left unscored then
+    has a bound above that dip, so it is neither a deeper dip nor a lower
+    neighbour of one, and the dip found is the fully scored grid's deepest,
+    the first of equal ones included. With no dip below the level once every
+    admitted point is scored, the level rises again. The selection is
+    therefore that of the full grid, and so are the scored values: a lone
+    point would take a matrix-vector product, which rounds apart from the
+    matrix-matrix one of a chunk of the full grid, so it is scored as a
+    doubled row.
 
     A grid of more than `_MAX_GRID_POINTS` points raises PreconditionError
     before anything is allocated.
@@ -619,15 +631,43 @@ def sfg_gate(j1_mev: float, j2_mev: float, tau_range: tuple = None, *,
     q = _down_down_q(levels, projectors, taus)
     padded = np.full(len(taus) + 2, np.inf)
     coarse = padded[1:-1]
-    level = _SCREEN_LEVEL
-    while True:
-        at = np.flatnonzero(q < _entropy_cut(level + _SCREEN_MARGIN))
-        admit = at[np.isinf(coarse[at])]
-        coarse[admit] = residuals(taus[admit])
+
+    def score(points):
+        # a lone row would take the matrix-vector product, which rounds
+        # apart from the matrix-matrix one of every other point: double it
+        rows = np.repeat(points, 2) if len(points) == 1 else points
+        coarse[points] = residuals(taus[rows])[:len(points)]
+
+    def dips_among(at):
         values = coarse[at]
         dips = at[(values <= padded[at]) & (values <= padded[at + 2])]
         if lo <= 0.0 and len(dips) and dips[0] == 0:
             dips = dips[1:]  # the ramp out of the identity at tau -> 0, not a dip
+        return dips
+
+    level = _SCREEN_LEVEL
+    while True:
+        cut = _entropy_cut(level + _SCREEN_MARGIN)
+        at = np.flatnonzero(q < cut)
+        admit = at[np.isinf(coarse[at])]
+        if level == _SCREEN_LEVEL:
+            score(admit)
+        else:
+            # best first: in increasing q, the order of the points' bounds,
+            # until no unscored point can lie below the deepest dip found
+            order = admit[np.argsort(q[admit], kind="stable")]
+            ranked = q[order]
+            done, end = 0, min(_FIRST_BATCH, len(order))
+            while end > done:
+                score(order[done:end])
+                done = end
+                dips = dips_among(at)
+                depths = coarse[dips]
+                depths = depths[depths < level]
+                bound = (_entropy_cut(float(np.min(depths)) + _SCREEN_MARGIN)
+                         if len(depths) else math.inf)
+                end = int(np.searchsorted(ranked, bound))
+        dips = dips_among(at)
         if len(at) == len(taus):
             break
         dips = dips[coarse[dips] < level]

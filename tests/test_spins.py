@@ -1,8 +1,11 @@
 """Spin-cluster dynamics against an independently built Kronecker oracle."""
 
+import hashlib
+import json
 import math
 import re
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,6 +32,7 @@ from donorgate.spins import (_MAX_GRID_POINTS, _SCAN_CHUNK, _SCREEN_MARGIN,
                              _trio_levels)
 
 HBAR = 0.6582  # meV ps
+DATA = Path(__file__).resolve().parent / "data"
 
 SX = np.array([[0, 1], [1, 0]]) / 2.0
 SY = np.array([[0, -1j], [1j, 0]]) / 2.0
@@ -310,6 +314,34 @@ def _entropy_bits(q):
     return -np.sum(lam * np.log2(lam), axis=0)
 
 
+def _search_outcome(j1, j2, tau_range):
+    try:
+        return True, sfg_gate(j1, j2, tau_range)
+    except NoCleanGateError as err:
+        return False, err.best_candidate
+
+
+def test_r60_patch_searches_keep_their_pinned_outcomes():
+    # the 189 (j1, j2) searches run_feasibility makes on table1's species at
+    # R = 60 A, c = 0.3 %, P:N 0.4:0.6, placement seed 0. Each pair's sha256
+    # covers the search over the default range and over calibrate_gate_time's
+    # (0.7 tau, 1.3 tau) window: the clean flag, duration, residual and
+    # entangling power as JSON, then the unitary's bytes
+    pinned = json.loads((DATA / "gate_search_r60_sha256.json").read_text())
+    assert len(pinned) == 189
+    for j1, j2, digest in pinned:
+        h = hashlib.sha256()
+        clean, report = _search_outcome(j1, j2, None)
+        tau = report.duration_ps
+        for clean, report in ((clean, report),
+                              _search_outcome(j1, j2, (0.7 * tau, 1.3 * tau))):
+            h.update(json.dumps([clean, report.duration_ps,
+                                 report.control_residual_entanglement,
+                                 report.entangling_power]).encode())
+            h.update(report.qubit_unitary.tobytes())
+        assert h.hexdigest() == digest, (j1, j2)
+
+
 def _sfg_grid(j1, j2, lo, hi):
     """The tau grid sfg_gate scans over (lo, hi)."""
     resolution = min(1e-3 * math.pi * HBAR_MEV_PS / max(abs(j1), abs(j2)),
@@ -396,9 +428,10 @@ def _full_grid_refines(coarse, lo):
 
 
 def _traced_search(monkeypatch, j1, j2, tau_range):
-    """sfg_gate's report, its grid, the brackets it refined and the number of
-    points it scored."""
-    grids, brackets, scored = [], [], [0]
+    """sfg_gate's report, its grid, the brackets it refined, the number of
+    points it scored and the row count of each batch it scored outside the
+    refine."""
+    grids, brackets, batches, scored, refining = [], [], [], [0], [False]
     screen, scan, minimize = (spins._down_down_q, spins._residual_scan,
                               spins._minimize_bounded)
 
@@ -411,12 +444,18 @@ def _traced_search(monkeypatch, j1, j2, tau_range):
 
         def counted(taus):
             scored[0] += len(taus)
+            if not refining[0]:
+                batches.append(len(taus))
             return residuals(taus)
         return counted
 
     def traced_minimize(fun, bounds, **kwargs):
         brackets.append(bounds)
-        return minimize(fun, bounds, **kwargs)
+        refining[0] = True
+        try:
+            return minimize(fun, bounds, **kwargs)
+        finally:
+            refining[0] = False
 
     with monkeypatch.context() as patch:
         patch.setattr(spins, "_down_down_q", traced_screen)
@@ -426,61 +465,99 @@ def _traced_search(monkeypatch, j1, j2, tau_range):
             report = sfg_gate(j1, j2, tau_range)
         except NoCleanGateError as err:
             report = err.best_candidate
-    return report, grids[0], brackets, scored[0]
+    return report, grids[0], brackets, scored[0], batches
 
 
 # 147.5/20.9 and 30/10 have no dip below 1e-2; 25/24 has three, two of them
-# at 7.5e-3 where the bound is the residual
+# at 7.5e-3 where the bound is the residual. 30/7 and the exact pairs after
+# it, among the slowest searches of a random R = 60 A patch, have a coupling
+# ratio of 3 to 5 and no dip below 8e-2, as have two of the random trios
 _rng = np.random.default_rng(7)
 _SELECTION_TRIOS = [(20.0, 10.0), (20.0, 20.0), (10.0, 10.0), (-10.0, -10.0),
                     (5.0, -5.0), (10.0, 5.0), (116.4, 38.6), (147.5, 20.9),
-                    (41.2, 5.6), (30.0, 10.0), (25.0, 24.0)] + [
+                    (41.2, 5.6), (30.0, 10.0), (25.0, 24.0), (30.0, 7.0),
+                    (37.79330824348506, 7.562170555572578),
+                    (186.90420424958134, 43.47361143851192),
+                    (232.2112280084883, 66.88793344284835)] + [
     (j1, j1 * ratio) for j1, ratio in zip(
         _rng.choice([-1.0, 1.0], 10) * _rng.uniform(5.0, 150.0, 10),
         [1.0, -1.0, 1.0 + 1e-3, 0.999, *_rng.uniform(-1.2, 1.2, 6)])]
+
+# ranges (0, share * default end) over which the rise out of the identity at
+# tau -> 0 is the lowest stretch, so the search escalates past the ramp: to
+# 0.64 for 147.5/20.9, and to admitting every point for 20/10, with a dip at
+# 0.81 over a tenth of the range and none over a fiftieth
+_RAMP_RANGES = [(147.5, 20.9, 0.05), (20.0, 10.0, 0.1), (20.0, 10.0, 0.02)]
 
 
 def test_screened_search_selects_as_the_full_grid(monkeypatch):
     # the screen scores only points whose q lies below the level's cut; it must
     # refine the grid indices the fully scored grid would, and report the
     # same gate to the bit. Lone points (gemv) and chunks (gemm) round apart
-    # in the last place, so this also guards the rounding of screened subsets
-    paths = set()
+    # in the last place, so this also guards the rounding of screened subsets,
+    # and outside the refine no batch may be a lone point
+    cases = []
     for j1, j2 in _SELECTION_TRIOS:
         tau = _traced_search(monkeypatch, j1, j2, None)[0].duration_ps
         # the default range, and the narrow one calibrate_gate_time searches
-        for tau_range in (None, (0.7 * tau, 1.3 * tau)):
-            case = (j1, j2, tau_range)
-            report, taus, brackets, scored = _traced_search(monkeypatch, j1, j2,
-                                                            tau_range)
-            lo, hi = tau_range or (0.0, 4.0 * math.pi * HBAR_MEV_PS / min(abs(j1), abs(j2)))
-            resolution = min(1e-3 * math.pi * HBAR_MEV_PS / max(abs(j1), abs(j2)),
-                             (hi - lo) / 200.0)
-            assert np.array_equal(taus, np.arange(max(lo, resolution), hi, resolution))
-            coarse = _residual_scan(*_trio_levels(j1, j2))(taus)
-            refine, dips = _full_grid_refines(coarse, lo)
-            assert brackets == [(max(lo, taus[k] - resolution),
-                                 min(hi, taus[k] + resolution)) for k in refine], case
+        cases += [(j1, j2, None), (j1, j2, (0.7 * tau, 1.3 * tau))]
+    cases += [(j1, j2, (0.0, share * 4.0 * math.pi * HBAR_MEV_PS
+                        / min(abs(j1), abs(j2))))
+              for j1, j2, share in _RAMP_RANGES]
+    paths = set()
+    for case in cases:
+        j1, j2, tau_range = case
+        report, taus, brackets, scored, batches = _traced_search(monkeypatch, j1, j2,
+                                                                 tau_range)
+        lo, hi = tau_range or (0.0, 4.0 * math.pi * HBAR_MEV_PS / min(abs(j1), abs(j2)))
+        resolution = min(1e-3 * math.pi * HBAR_MEV_PS / max(abs(j1), abs(j2)),
+                         (hi - lo) / 200.0)
+        assert np.array_equal(taus, np.arange(max(lo, resolution), hi, resolution))
+        coarse = _residual_scan(*_trio_levels(j1, j2))(taus)
+        refine, dips = _full_grid_refines(coarse, lo)
+        assert brackets == [(max(lo, taus[k] - resolution),
+                             min(hi, taus[k] + resolution)) for k in refine], case
+        assert 1 not in batches, case
+        deepest = min(coarse[dips], default=math.inf)
+        # only a search with no dip at all scores every point
+        if len(dips):
             assert scored < len(taus), case
-            # the same search with every point admitted is the full-grid search
-            with monkeypatch.context() as patch:
-                patch.setattr(spins, "_down_down_q",
-                              lambda levels, projectors, taus: np.zeros(len(taus)))
-                full, _, full_brackets, _ = _traced_search(monkeypatch, j1, j2,
-                                                           tau_range)
-            assert full_brackets == brackets, case
-            assert full.duration_ps == report.duration_ps, case
-            assert np.array_equal(full.qubit_unitary, report.qubit_unitary), case
-            assert (full.control_residual_entanglement
-                    == report.control_residual_entanglement), case
-            assert full.entangling_power == report.entangling_power, case
-            if not any(coarse[k] < 1e-2 for k in dips):
-                paths.add("escalation")
-            if lo <= 0.0 and coarse[0] <= coarse[1]:
-                paths.add("ramp")
-            if j1 == j2:
-                paths.add("equal")
-    assert paths == {"escalation", "ramp", "equal"}
+        # the same search with every point admitted is the full-grid search
+        with monkeypatch.context() as patch:
+            patch.setattr(spins, "_down_down_q",
+                          lambda levels, projectors, taus: np.zeros(len(taus)))
+            full, _, full_brackets, _, _ = _traced_search(monkeypatch, j1, j2,
+                                                          tau_range)
+        assert full_brackets == brackets, case
+        assert full.duration_ps == report.duration_ps, case
+        assert np.array_equal(full.qubit_unitary, report.qubit_unitary), case
+        assert (full.control_residual_entanglement
+                == report.control_residual_entanglement), case
+        assert full.entangling_power == report.entangling_power, case
+        if deepest >= 1e-2:
+            paths.add("escalation")
+        if 8e-2 <= deepest < 0.64:
+            paths.add("level 0.64")
+        if deepest >= 0.64:
+            paths.add("every point")
+        if lo <= 0.0 and coarse[0] <= coarse[1]:
+            paths.add("ramp")
+        if j1 == j2:
+            paths.add("equal")
+    assert paths == {"escalation", "level 0.64", "every point", "ramp", "equal"}
+    # none of these searches admits a lone point at once; a screen that does
+    # must still score it by the matrix-matrix product
+    with monkeypatch.context() as patch:
+        patch.setattr(spins, "_down_down_q", lambda levels, projectors, taus:
+                      np.where(np.arange(len(taus)) == 7, 0.0, 0.5))
+        batches = _traced_search(monkeypatch, 20.0, 10.0, None)[4]
+    assert batches[0] == 2 and 1 not in batches
+    # an escalated level scores its points best first: table1's C2 trio, whose
+    # deepest dip lies at 1.1e-2, scored 415 points in batches when each level
+    # scored every point it admitted
+    batches = _traced_search(monkeypatch, 147.51734661265843, 20.91738401817267,
+                             None)[4]
+    assert sum(batches) <= 64
 
 
 def test_bounded_refine_is_scipys_bounded_brent(monkeypatch):

@@ -6,7 +6,9 @@ priced by McMurchie & Davidson's Hermite recursions (J. Comput. Phys. 26,
 from the Boys function. The recursions run once per block with the primitive
 exponents as numpy grids, so an overlap, kinetic, nuclear-attraction or
 electron-repulsion block is one contracted call whatever the expansion
-length.
+length. One Hermite table per orbital product serves its overlap, kinetic
+energy (from the table's extra row E_0^{la,lb+2}, pruned to t = 0) and
+nuclear attraction.
 
 The grids also carry a leading separation axis: center A sits at the origin
 and center B at (0, 0, r) with r an array of reduced separations, so one
@@ -112,8 +114,10 @@ def _boys_down(nmax: int, x, top):
     out = [top]
     if nmax:
         decay = np.exp(-x)
-        for n in range(nmax - 1, -1, -1):
-            out.append((2.0 * x * out[-1] + decay) / (2 * n + 1))
+        two_x = 2.0 * x
+        for n in range(nmax - 1, 0, -1):
+            out.append((two_x * out[-1] + decay) / (2 * n + 1))
+        out.append(two_x * out[-1] + decay)
     return out[::-1]
 
 
@@ -157,12 +161,13 @@ def _boys_array(nmax: int, x):
     if nmax + _BOYS_TERMS - 1 > _BOYS_MAX_ORDER:
         raise PreconditionError(f"the Boys table serves nmax <= "
                                 f"{_BOYS_MAX_ORDER - _BOYS_TERMS + 1}, got {nmax}")
-    node = np.rint(np.minimum(x, _BOYS_X_MAX) / _BOYS_STEP).astype(np.intp)
+    node = np.rint(np.minimum(x, _BOYS_X_MAX) / _BOYS_STEP)
     dx = x - node * _BOYS_STEP
+    node = node.astype(np.intp)
     rows = _boys_nodes()[nmax:nmax + _BOYS_TERMS]
     top = rows[-1].take(node)
     for k in range(_BOYS_TERMS - 2, -1, -1):
-        top = rows[k].take(node) - dx * top / (k + 1)
+        top = rows[k].take(node) - (dx * top / (k + 1) if k else dx * top)
     far = x >= _BOYS_X_MAX
     if far.any():
         a = nmax + 0.5
@@ -170,30 +175,38 @@ def _boys_array(nmax: int, x):
     return _boys_down(nmax, x, top)
 
 
-def _e_table(la: int, lb: int, a, b, Az, Bz):
-    """E_t^{la,lb}, t = 0..la+lb, along z over broadcastable exponent grids.
+def _e_table(la: int, lb: int, a, b, p, Pz, Az, Bz, kinetic: bool):
+    """(E_t^{la,lb} for t = 0..la+lb, E_0^{la,lb+2} if `kinetic` else None)
+    along z over broadcastable exponent grids, with p = a + b and center Pz.
 
     Built up from E^{00}: lb steps on the B index, then la on the A index,
     each E^{+1}_t = E_{t-1} / 2p + X E_t + (t+1) E_{t+1} with X = P - B or
-    P - A.
+    P - A. The kinetic row leaves after the lb B steps for two more and the
+    la A steps, keeping only the t that can still reach t = 0.
     """
-    p = a + b
-    Pz = (a * Az + b * Bz) / p
+    two_p = 2 * p
+    XB = Pz - Bz if lb or kinetic else None
+    XA = Pz - Az if la else None
+
+    def step(row, X, keep):
+        # the next row's first `keep` t; its top, E^{00} / (2p)^k, is never -0.0
+        n = len(row)
+        nxt = [X * row[0] + row[1] if n > 1 else X * row[0]]
+        for t in range(1, min(n + 1, keep)):
+            v = row[t - 1] / two_p + X * row[t] if t < n else row[t - 1] / two_p
+            nxt.append(v + (t + 1) * row[t + 1] if t + 1 < n else v)
+        return nxt
+
     xab = Az - Bz
     row = [np.exp(-(a * b / p) * xab * xab)]
-    for step in range(la + lb):
-        X = Pz - Bz if step < lb else Pz - Az
-        n = len(row)
-        nxt = []
-        for t in range(n + 1):
-            v = X * row[t] if t < n else 0.0
-            if t:
-                v = row[t - 1] / (2 * p) + v
-            if t + 1 < n:
-                v = v + (t + 1) * row[t + 1]
-            nxt.append(v)
-        row = nxt
-    return row
+    for _ in range(lb):
+        row = step(row, XB, len(row) + 1)
+    k_row = row
+    for k, X in enumerate([XB, XB] + [XA] * la if kinetic else []):
+        k_row = step(k_row, X, la + 2 - k)
+    for _ in range(la):
+        row = step(row, XA, len(row) + 1)
+    return row, (k_row[0] if kinetic else None)
 
 
 def _r_table(vmax: int, p, PC):
@@ -204,7 +217,7 @@ def _r_table(vmax: int, p, PC):
     R^n_{00v} = (v-1) R^{n+1}_{00,v-2} + PC R^{n+1}_{00,v-1}.
     """
     F = _boys_array(vmax, p * PC**2)
-    lower, level = None, [(-2.0 * p) ** n * F[n] for n in range(vmax + 1)]
+    lower, level = None, [F[0]] + [(-2.0 * p) ** n * F[n] for n in range(1, vmax + 1)]
     out = [level[0]]
     for v in range(1, vmax + 1):
         lower, level = level, [
@@ -254,15 +267,15 @@ def _one_electron(x: _Orbital, y: _Orbital, nuclei):
     over `nuclei`, a sequence of (Z_C, z_C), from one Hermite table over the
     ([m,] len x, len y) primitive grid (across the pair axis, two s
     primitives on a common center). T differentiates y's Gaussian along z
-    (l <= 1), one more table; each transverse direction adds (ab/p) S."""
+    (l <= 1), which takes the table's kinetic row E_0^{l_x,l_y+2}; each
+    transverse direction adds (ab/p) S."""
     a = x.exp[:, None]
     b = y.exp[None, :]
     p = a + b
     Pz = (a * x.z + b * y.z) / p
-    E = _e_table(x.l, y.l, a, b, x.z, y.z)
+    E, k_row = _e_table(x.l, y.l, a, b, p, Pz, x.z, y.z, kinetic=True)
     s = E[0]
-    j = y.l
-    t = b * (2 * j + 1) * s - 2.0 * b * b * _e_table(x.l, j + 2, a, b, x.z, y.z)[0]
+    t = b * (2 * y.l + 1) * s - 2.0 * b * b * k_row
     v = 0.0
     for charge, zc in nuclei:
         R = _r_table(len(E) - 1, p, Pz - zc)
@@ -309,8 +322,9 @@ def _density(x: _Orbital, y: _Orbital) -> _Density:
     i, j, fold = _index_pairs(len(x.exp), len(y.exp), x is y)
     a, b = x.exp[i], y.exp[j]
     p = a + b
-    return _Density(fold * x.coef[i] * y.coef[j], p, (a * x.z + b * y.z) / p,
-                    _e_table(x.l, y.l, a, b, x.z, y.z))
+    Pz = (a * x.z + b * y.z) / p
+    return _Density(fold * x.coef[i] * y.coef[j], p, Pz,
+                    _e_table(x.l, y.l, a, b, p, Pz, x.z, y.z, kinetic=False)[0])
 
 
 def _eri(bra: _Density, ket: _Density):
@@ -326,7 +340,8 @@ def _eri(bra: _Density, ket: _Density):
     for s, e in enumerate(bra.E):
         eb = np.take(e, u, axis=-1)
         for t, ek in enumerate(e_ket):
-            total = total + (-1.0) ** t * (eb * ek * R[s + t])
+            term = eb * ek * R[s + t]
+            total = total - term if t % 2 else total + term
 
     weights = fold * bra.weight[u] * ket.weight[v] * (2.0 * math.pi**2.5 / (p * q * np.sqrt(p + q)))
     return _contract(total, weights)
@@ -481,9 +496,15 @@ def _check_overlap(s: np.ndarray, separation_a: np.ndarray) -> None:
 
 
 def _check_grid(r_grid) -> np.ndarray:
-    """`r_grid`, any iterable of numbers, as a new 1-D float array; it must
-    be finite, positive and strictly increasing."""
-    grid = np.array(r_grid if isinstance(r_grid, np.ndarray) else list(r_grid), dtype=float)
+    """`r_grid`, an iterable of real numbers (a bool or a string is not
+    one), as a new 1-D float array; it must be finite, positive and strictly
+    increasing."""
+    if not (isinstance(r_grid, np.ndarray) and r_grid.dtype.kind in "fiu"):
+        try:
+            r_grid = [finite(r, "each R grid entry", PreconditionError) for r in r_grid]
+        except TypeError:
+            raise PreconditionError(f"R grid must be an iterable of numbers, got {r_grid!r}") from None
+    grid = np.array(r_grid, dtype=float)
     if grid.ndim != 1 or not (np.isfinite(grid).all() and (grid > 0.0).all()
                               and (grid[1:] > grid[:-1]).all()):
         raise PreconditionError("R grid must be finite, positive and strictly increasing")

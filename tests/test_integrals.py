@@ -7,7 +7,11 @@ which the oracle does not cover yet, are checked against the scalar
 McMurchie-Davidson loops in md_reference.py.
 """
 
+import hashlib
+import itertools
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,6 +33,8 @@ from donorgate import integrals
 
 import md_reference
 import quad_oracle
+
+DATA = Path(__file__).resolve().parent / "data"
 
 # frozen geometry: 1s-1s, a = 2.1 A on both centers, R = 10 A, eps = 5.7
 RADIUS_A = 2.1
@@ -154,6 +160,54 @@ def test_two_electron_splitting_property_consistent():
     assert res.two_electron_splitting_mev == pytest.approx(want, rel=1e-12)
 
 
+def _full_e_table(la, lb, a, b, Az, Bz):
+    """`integrals._e_table` as it built every table in full, its own p and
+    Pz included: the reference its rows, and the kinetic row it takes from
+    the same table, must equal bit for bit."""
+    p = a + b
+    Pz = (a * Az + b * Bz) / p
+    xab = Az - Bz
+    row = [np.exp(-(a * b / p) * xab * xab)]
+    for step in range(la + lb):
+        X = Pz - Bz if step < lb else Pz - Az
+        n = len(row)
+        nxt = []
+        for t in range(n + 1):
+            v = X * row[t] if t < n else 0.0
+            if t:
+                v = row[t - 1] / (2 * p) + v
+            if t + 1 < n:
+                v = v + (t + 1) * row[t + 1]
+            nxt.append(v)
+        row = nxt
+    return row
+
+
+@pytest.mark.parametrize("la, lb", [(0, 0), (0, 1), (1, 0), (1, 1)])
+def test_kinetic_row_equals_a_second_full_table(la, lb):
+    # random exponent grids over separations that keep the centers apart
+    # and that make them coincide, at the origin and away from it (every
+    # X = 0); the kinetic row is E_0^{la,lb+2} of a second full build
+    rng = np.random.default_rng(2 * la + lb)
+    a = rng.uniform(0.01, 40.0, (7, 1))
+    b = rng.uniform(0.01, 40.0, (1, 5))
+    for Az, Bz in ((0.0, np.concatenate([[0.0], rng.uniform(0.05, 30.0, 12)])[:, None, None]),
+                   (2.5, np.array([2.5, -1.0, 6.0])[:, None, None]),
+                   (0.0, 0.0)):
+        p = a + b
+        Pz = (a * Az + b * Bz) / p
+        E, k_row = integrals._e_table(la, lb, a, b, p, Pz, Az, Bz, kinetic=True)
+        want = _full_e_table(la, lb, a, b, Az, Bz)
+        assert len(E) == len(want) == la + lb + 1
+        for got, ref in zip(E, want):
+            assert got.tobytes() == ref.tobytes(), (Az, Bz)
+        ref = _full_e_table(la, lb + 2, a, b, Az, Bz)[0]
+        assert k_row.shape == ref.shape and k_row.tobytes() == ref.tobytes(), (Az, Bz)
+        E_only, none = integrals._e_table(la, lb, a, b, p, Pz, Az, Bz, kinetic=False)
+        assert none is None
+        assert [e.tobytes() for e in E_only] == [e.tobytes() for e in E]
+
+
 def test_blocks_match_scalar_reference():
     # the grid recursions against the primitive-by-primitive loops: the
     # excited control with a compact qubit (radii 1 and 0.5, charges l/a),
@@ -241,6 +295,32 @@ def test_exchange_curve_validates_grid_and_medium():
     mismatched = model_from_ionization("N", 0.6, 11.0, role="qubit")
     with pytest.raises(InvalidModelError):
         exchange_curve(control, mismatched, False, [8.0, 10.0])
+
+
+@pytest.mark.parametrize("grid", [5.0, None, "5.0", [True, 2.0], [0.5, True],
+                                  np.array([True]), [4.0, "5.0"], [[4.0], [5.0]],
+                                  [4.0, None]])
+def test_curves_reject_a_grid_that_is_not_numbers(grid):
+    # a bool is not a separation (True once priced a 1 A point) and a string
+    # is not one either
+    control = model_from_ionization("P", 0.6, 5.7)
+    qubit = model_from_ionization("N", 0.6, 5.7, role="qubit")
+    with pytest.raises(PreconditionError, match="R grid"):
+        exchange_curve(control, qubit, True, grid)
+    with pytest.raises(PreconditionError, match="R grid"):
+        transfer_splitting_curve(control, grid)
+
+
+def test_curves_take_integer_and_numpy_scalar_grids(fresh_cache):
+    fresh_cache()
+    control = model_from_ionization("P", 0.6, 5.7)
+    qubit = model_from_ionization("N", 0.6, 5.7, role="qubit")
+    want = exchange_curve(control, qubit, False, [8.0, 10.0])
+    assert exchange_curve(control, qubit, False, [8, np.int64(10)]) == want
+    assert exchange_curve(control, qubit, False, np.array([8, 10])) == want
+    assert exchange_curve(control, qubit, False, iter([np.float64(8.0), 10.0])) == want
+    assert transfer_splitting_curve(control, range(10, 13)) == \
+        transfer_splitting_curve(control, [10.0, 11.0, 12.0])
 
 
 def test_excited_curve_reaches_farther_than_ground():
@@ -405,18 +485,23 @@ def test_ill_conditioned_error_names_the_first_close_separation(fresh_cache):
         pair_integrals(a, a, 0.03, EPS)
 
 
+def _boys_x():
+    """Boys arguments: the Boys table's nodes are 0.01 apart up to x = 50,
+    so their midpoints are the farthest a point takes its Taylor series;
+    from 50 on the asymptote takes over. 1e-10 is where the erf form of F_0
+    gives way to its series."""
+    edge = integrals._BOYS_X_MAX
+    return np.concatenate([[0.0], np.logspace(-14, 3, 171),
+                           [np.nextafter(1e-10, 0.0), 1e-10, np.nextafter(1e-10, 1.0)],
+                           (np.arange(0, 5000, 7) + 0.5) / 100.0,
+                           [edge - 0.005, np.nextafter(edge, 0.0), edge,
+                            np.nextafter(edge, np.inf), edge + 0.005]])
+
+
 def test_boys_downward_recursion_matches_reference():
     # below x = 1e-12 the reference drops the linear term of the series,
     # which moves it by less than x relative
-    # the Boys table's nodes are 0.01 apart up to x = 50, so their midpoints
-    # are the farthest a point takes its Taylor series; from 50 on the
-    # asymptote takes over
-    edge = integrals._BOYS_X_MAX
-    x = np.concatenate([[0.0], np.logspace(-14, 3, 171),
-                        [np.nextafter(1e-10, 0.0), 1e-10, np.nextafter(1e-10, 1.0)],
-                        (np.arange(0, 5000, 7) + 0.5) / 100.0,
-                        [edge - 0.005, np.nextafter(edge, 0.0), edge,
-                         np.nextafter(edge, np.inf), edge + 0.005]])
+    x = _boys_x()
     for nmax in range(7):
         boys = integrals._boys_array(nmax, x)
         assert len(boys) == nmax + 1
@@ -426,6 +511,44 @@ def test_boys_downward_recursion_matches_reference():
                                        err_msg=f"nmax={nmax}, n={n}")
     with pytest.raises(PreconditionError, match="nmax <= 6"):
         integrals._boys_array(7, x)
+
+
+def _kernel_digests() -> dict:
+    """sha256 of the bytes of every block `_pair_blocks` returns, over s1/p2
+    pairs, three radius ratios and expansion lengths, one- and two-electron,
+    on three grids: one point, fig2a's 25 reduced points and 300 sorted
+    seeded points, which cross both chunk sizes; and of each order of
+    `_boys_array(nmax, x)`, nmax = 0..6, on `_boys_x()`. Bytes, not `==`,
+    so that a flipped sign of zero shows."""
+    def digest(values):
+        return hashlib.sha256(np.ascontiguousarray(values).tobytes()).hexdigest()
+
+    _, fig2a = get_preset("fig2a")
+    grids = {"one": np.array([3.0]),
+             "fig2a": np.array(fig2a.r_grid) / fig2a.control.ground_orbital_radius_a(),
+             "seeded": np.sort(np.random.default_rng(0).uniform(0.05, 120.0, 300))}
+    out = {}
+    for kind_a, kind_b, ratio, n_terms, two_electron in itertools.product(
+            ("s1", "p2"), ("s1", "p2"), (0.35, 1.0, 2.5), (3, 6, 8), (False, True)):
+        for name, r in grids.items():
+            blocks = integrals._pair_blocks(kind_a, kind_b, ratio, r, n_terms, two_electron)
+            key = f"{kind_a}-{kind_b} {ratio} {n_terms} {int(two_electron) + 1}e {name}"
+            out[key] = {block: digest(values) for block, values in blocks.items()}
+    x = _boys_x()
+    for nmax in range(7):
+        out[f"boys {nmax}"] = [digest(fn) for fn in integrals._boys_array(nmax, x)]
+    return out
+
+
+def test_kernel_blocks_keep_their_pinned_bytes():
+    # a change to the kernel that moves one bit of one block, a sign of zero
+    # included, must regenerate the file (`python3 tests/test_integrals.py`)
+    # and state why
+    pinned = json.loads((DATA / "pair_blocks_sha256.json").read_text())
+    got = _kernel_digests()
+    assert sorted(got) == sorted(pinned)
+    for key, digests in pinned.items():
+        assert got[key] == digests, key
 
 
 def _held(cache):
@@ -717,3 +840,8 @@ def test_curve_columns_equal_the_scalar_formula_bit_for_bit(fresh_cache):
         for row, r in zip(curve, fig2a.r_grid):
             assert row == _scalar_heitler_london(a, b, r, control.dielectric_constant), \
                 (excited, r)
+
+
+if __name__ == "__main__":
+    (DATA / "pair_blocks_sha256.json").write_text(
+        json.dumps(_kernel_digests(), indent=1, sort_keys=True) + "\n")

@@ -6,22 +6,27 @@ priced by McMurchie & Davidson's Hermite recursions (J. Comput. Phys. 26,
 from the Boys function. The recursions run once per block with the primitive
 exponents as numpy grids, so an overlap, kinetic, nuclear-attraction or
 electron-repulsion block is one contracted call whatever the expansion
-length. One Hermite table per orbital product serves its overlap, kinetic
-energy (from the table's extra row E_0^{la,lb+2}, pruned to t = 0) and
-nuclear attraction.
+length. The one-electron products of a pair that share their angular
+momenta (l_x, l_y), all three of a ground s1-s1 or a transfer p2-p2 pair,
+are stacked on one grid, so one Hermite table serves their overlaps,
+kinetic energies (from the table's extra row E_0^{la,lb+2}, pruned to t =
+0) and nuclear attractions.
 
 The grids also carry a leading separation axis: center A sits at the origin
 and center B at (0, 0, r) with r an array of reduced separations, so one
 kernel call, `_pair_blocks`, prices every block at every separation it is
 given and returns one value per separation. Inside the call the grids are
-cut along that axis to bound their temporaries: the electron-repulsion
-grids `_R_CHUNK` separations at a time, the one-electron grids, n_terms^2
-primitives per separation against up to n_terms^4, `_R_CHUNK * n_terms^2`
-at a time. An electron-repulsion integral runs over the distinct primitive
-pairs only: the product of an orbital with itself keeps each pair i <= j
-once, and (AB|AB), whose bra and ket are one product, keeps each pair of
-pairs u <= v once, an off-diagonal entry weighted twice; those index pairs
-are built once per shape. Each block is reduced to its value per separation
+cut along that axis to bound their temporaries: the one-electron grids hold
+their products times n_terms^2 entries per separation and the
+electron-repulsion grids up to n_terms^2 (n_terms^2 + 1) / 2, and each kind
+is priced in the fewest near-equal chunks of separations whose grids hold
+at most `_GRID_ENTRIES` entries. Separations past `_REACH` Bohr radii of
+center B are rejected, as rounding there reaches the kinetic energy. An
+electron-repulsion integral runs over the distinct primitive pairs only:
+the product of an orbital with itself keeps each pair i <= j once, and
+(AB|AB), whose bra and ket are one product, keeps each pair of pairs u <= v
+once, an off-diagonal entry weighted twice; those index pairs are built
+once per shape. Each block is reduced to its value per separation
 by a fixed-order sum along contiguous rows, never by a BLAS product, so a
 separation's blocks are the same bits whatever batch prices it.
 
@@ -84,11 +89,19 @@ from .errors import IllConditionedGeometryError, InvalidModelError, Precondition
 from .orbitals import OrbitalSpec, check_n_terms, fit_gaussian_expansion
 
 _OVERLAP_LIMIT = 0.999
-# separations per electron-repulsion chunk inside a kernel call; those grids
-# hold up to n_terms^4 primitives per separation, so this bounds the
-# temporaries of every grid (the one-electron chunks take n_terms^2 times as
-# many separations)
-_R_CHUNK = 8
+# the farthest separation priced, in center B's Bohr radii: the product of an
+# orbital with itself at z has its center Pz off z by up to 4u|z| (u =
+# 2^-53), and the kinetic row E_0^{l,l+2} takes that offset d squared beside
+# 1/2p. With p <= 2b for the largest exponent b of any frozen fit, 84.6 in B's
+# radii, 4 b d^2 <= u holds up to z = 1 / (8 sqrt(b u)) = 1.29e6; farther,
+# energies drift (fig2a's ground singlet by 3 % at 1e15 A) and then overflow
+_REACH = 1e6
+# entries a grid inside a kernel call holds at most, which bounds its
+# temporaries: a call's separations are cut into the fewest near-equal chunks
+# under it. It is 16 separations of (AB|AB) at n_terms = 6, 666 primitive
+# quartets each: with 8, 12, 25 or 32 in its place a curve_sweep op took
+# 10-14, 4-6, 11-22 and 11-18 % longer
+_GRID_ENTRIES = 16 * 666
 # reduced pair points the cache holds at most, and the blocks it holds per
 # point in the order `_pair_blocks` returns them (a one-electron point has
 # the first four)
@@ -257,33 +270,40 @@ def _contract(grid, weights):
     return np.add.reduce(np.ascontiguousarray(grid) * weights, axis=-1)
 
 
-def _contract_grid(x: _Orbital, y: _Orbital, grid):
-    """x.coef^T grid y.coef over the last two axes of the primitive grid."""
-    return _contract(grid.reshape(grid.shape[:-2] + (-1,)), np.outer(x.coef, y.coef).ravel())
+def _one_electron(pairs, charge_b: float, zb):
+    """(S, T + V) of each product x*y in `pairs`, which all share (x.l,
+    y.l): <x|y>, and <x| -laplacian/2 - 1/r_A - charge_b/r_B |y> with center
+    A's unit charge at the origin and center B's at `zb`, the (m, 1, 1)
+    separations. One Hermite table, one Hermite-Coulomb table per nucleus
+    and one contraction per term serve every product, over the stacked
+    (product, [m,] len x, len y) primitive grid (across the pair axis, two s
+    primitives on a common center); each result has one row per product. T
+    differentiates y's Gaussian along z (l <= 1), which takes the table's
+    kinetic row E_0^{l_x,l_y+2}; each transverse direction adds (ab/p) S.
 
-
-def _one_electron(x: _Orbital, y: _Orbital, nuclei):
-    """(S, T + V) of x*y: <x|y>, and <x| -laplacian/2 - sum_C Z_C / r_C |y>
-    over `nuclei`, a sequence of (Z_C, z_C), from one Hermite table over the
-    ([m,] len x, len y) primitive grid (across the pair axis, two s
-    primitives on a common center). T differentiates y's Gaussian along z
-    (l <= 1), which takes the table's kinetic row E_0^{l_x,l_y+2}; each
-    transverse direction adds (ab/p) S."""
-    a = x.exp[:, None]
-    b = y.exp[None, :]
+    Center A's attraction takes Pz itself as its offset and no charge
+    factor, as its z is 0 and its charge 1; it starts as 0.0 - x, not -x,
+    which would turn a +0.0 sum (E underflowed) into -0.0."""
+    xs, ys = zip(*pairs)
+    a = np.stack([x.exp for x in xs])[:, None, :, None]
+    b = np.stack([y.exp for y in ys])[:, None, None, :]
+    Az, Bz = (np.stack(np.broadcast_arrays(*(o.z for o in side))).reshape(len(pairs), -1, 1, 1)
+              for side in (xs, ys))
     p = a + b
-    Pz = (a * x.z + b * y.z) / p
-    E, k_row = _e_table(x.l, y.l, a, b, p, Pz, x.z, y.z, kinetic=True)
+    Pz = (a * Az + b * Bz) / p
+    E, k_row = _e_table(xs[0].l, ys[0].l, a, b, p, Pz, Az, Bz, kinetic=True)
     s = E[0]
-    t = b * (2 * y.l + 1) * s - 2.0 * b * b * k_row
-    v = 0.0
-    for charge, zc in nuclei:
-        R = _r_table(len(E) - 1, p, Pz - zc)
-        v = v - charge * sum(e * r for e, r in zip(E, R))
+    t = b * (2 * ys[0].l + 1) * s - 2.0 * b * b * k_row
+    v = 0.0 - sum(e * r for e, r in zip(E, _r_table(len(E) - 1, p, Pz)))
+    v = v - charge_b * sum(e * r for e, r in zip(E, _r_table(len(E) - 1, p, Pz - zb)))
+    weights = np.stack([np.outer(x.coef, y.coef).ravel() for x, y in pairs])[:, None]
+
+    def contract(grid):
+        return _contract(grid.reshape(grid.shape[:-2] + (-1,)), weights)
+
     g = (np.pi / p) ** 1.5
-    return (_contract_grid(x, y, g * s),
-            _contract_grid(x, y, g * (t + 2.0 * a * b / p * s))
-            + _contract_grid(x, y, 2.0 * math.pi / p * v))
+    return (contract(g * s),
+            contract(g * (t + 2.0 * a * b / p * s)) + contract(2.0 * math.pi / p * v))
 
 
 class _Density(NamedTuple):
@@ -347,10 +367,14 @@ def _eri(bra: _Density, ket: _Density):
     return _contract(total, weights)
 
 
-def _by_chunks(price, size: int, B: _Orbital, z):
-    """`price(B at z[i:i+size])` for each run of `size` separations, joined
-    into one array per block."""
-    parts = [price(B._replace(z=z[i:i + size])) for i in range(0, len(z), size)]
+def _by_chunks(price, per_separation: int, z):
+    """`price(z[i:j])` over the fewest near-equal runs of the separations
+    `z` whose grids, `per_separation` entries each, hold at most
+    `_GRID_ENTRIES` entries (one separation at least), joined into one array
+    per block."""
+    pieces = -(-len(z) // max(1, _GRID_ENTRIES // per_separation))
+    bounds = [len(z) * k // pieces for k in range(pieces + 1)]
+    parts = [price(z[i:j]) for i, j in zip(bounds, bounds[1:])]
     return {name: np.concatenate([part[name] for part in parts]) for name in parts[0]}
 
 
@@ -363,30 +387,40 @@ def _pair_blocks(kind_a, kind_b, radius_b, r, n_terms, two_electron):
     hartrees, with one value per separation. Near-coincident orbitals are
     priced too; the readers of the blocks reject them (`_check_overlap`).
 
-    The one-electron grids hold n_terms^2 primitives per separation and the
-    electron-repulsion grids up to n_terms^4, so the first are priced
-    `_R_CHUNK * n_terms^2` separations at a time and the second `_R_CHUNK`
-    at a time: no grid holds more than `_R_CHUNK * n_terms^4` entries.
+    <A|A>, <B|B> and <A|B> share (l_x, l_y) exactly when the two orbitals
+    share l, as in a ground s1-s1 or a transfer p2-p2 pair; then one
+    `_one_electron` pass prices all three, and otherwise one pass each. A
+    pass's grids hold its products times n_terms^2 entries per separation,
+    and the electron-repulsion grids, (AB|AB) the largest, n_terms^2
+    (n_terms^2 + 1) / 2, so each kind of pass cuts the separations into the
+    fewest near-equal chunks whose grids hold at most `_GRID_ENTRIES`.
     """
     A = _orbital(kind_a, 1.0, 0.0, n_terms)
     B = _orbital(kind_b, radius_b, 0.0, n_terms)
+    names = ("hAA", "hBB", "hAB")
+    groups = [names] if A.l == B.l else [(name,) for name in names]
 
-    def one_electron(b):
-        nuclei = ((1.0, A.z), (1.0 / radius_b, b.z))
-        _, h_aa = _one_electron(A, A, nuclei)
-        _, h_bb = _one_electron(b, b, nuclei)
-        s, h_ab = _one_electron(A, b, nuclei)
-        return {"S": s, "hAA": h_aa, "hBB": h_bb, "hAB": h_ab}
+    def one_electron(zb):
+        b = B._replace(z=zb)
+        products = {"hAA": (A, A), "hBB": (b, b), "hAB": (A, b)}
+        s, h = {}, {}
+        for group in groups:
+            s_group, h_group = _one_electron([products[name] for name in group],
+                                             1.0 / radius_b, zb)
+            s.update(zip(group, s_group))
+            h.update(zip(group, h_group))
+        return {"S": s["hAB"], **{name: h[name] for name in names}}
 
-    out = _by_chunks(one_electron, _R_CHUNK * n_terms**2, B, r[:, None, None])
+    out = _by_chunks(one_electron, len(groups[0]) * n_terms**2, r[:, None, None])
     if two_electron:
         aa = _density(A, A)
 
-        def repulsion(b):
+        def repulsion(zb):
+            b = B._replace(z=zb)
             ab = _density(A, b)
             return {"Jc": _eri(aa, _density(b, b)), "Kx": _eri(ab, ab)}
 
-        out.update(_by_chunks(repulsion, _R_CHUNK, B, r[:, None]))
+        out.update(_by_chunks(repulsion, n_terms**2 * (n_terms**2 + 1) // 2, r[:, None]))
     return out
 
 
@@ -495,6 +529,18 @@ def _check_overlap(s: np.ndarray, separation_a: np.ndarray) -> None:
             "orbitals nearly coincide")
 
 
+def _check_reach(b: OrbitalSpec, separation_a: np.ndarray) -> None:
+    """Reject separations past `_REACH` Bohr radii of center B, naming the
+    first such separation in grid order, in angstrom."""
+    limit = _REACH * b.bohr_radius_a
+    far = separation_a > limit
+    if far.any():
+        raise PreconditionError(
+            f"separation {float(separation_a[np.argmax(far)]):g} A is past {_REACH:g} Bohr "
+            f"radii of center B ({limit:g} A), where rounding of the product centers "
+            "reaches the kinetic energy")
+
+
 def _check_grid(r_grid) -> np.ndarray:
     """`r_grid`, an iterable of real numbers (a bool or a string is not
     one), as a new 1-D float array; it must be finite, positive and strictly
@@ -592,13 +638,15 @@ def _pair_curve(a: OrbitalSpec, b: OrbitalSpec, grid: np.ndarray, epsilon: float
     The one assembly of `exchange_curve` and `pair_integrals`: every step
     is a numpy operation over all points at once, in the order and with the
     operands a point's scalar formula takes, so a point's row does not
-    depend on the grid around it. Near-coincident orbitals are rejected
-    first, naming the first such separation.
+    depend on the grid around it. Separations past `_REACH` Bohr radii of
+    b, then near-coincident orbitals, are rejected first, each naming the
+    first such separation.
     """
     scale = a.bohr_radius_a  # length unit l
     hartree = medium_hartree_mev(epsilon, scale)
     zb = scale / b.bohr_radius_a
 
+    _check_reach(b, grid)
     s, h_aa, h_bb, h_ab, jc, kx = _reduced_pair.read(*_pair_keys(a, b, grid, n_terms)).T
     _check_overlap(s, grid)
     vnn = zb / (grid / scale)
@@ -628,7 +676,8 @@ def pair_integrals(
     n_terms: int = 6,
 ) -> PairIntegralResult:
     """Heitler-London integrals for envelopes `a` and `b` on centers
-    `separation_a` angstrom apart (finite, positive) in a medium of
+    `separation_a` angstrom apart (finite, positive, at most 1e6 Bohr radii
+    of `b`, where rounding would reach the kinetic energy) in a medium of
     dielectric constant `epsilon` (finite, above 1).
 
     A p2 envelope on either center is the 2p-sigma envelope pointing along
@@ -657,7 +706,8 @@ def exchange_curve(
 ) -> Curve:
     """J(R) for the control-qubit pair, control ground (1s) or excited (2p),
     as a `Curve` of `PairIntegralResult` rows, one per point of `r_grid`
-    (finite, positive, strictly increasing, in angstrom).
+    (finite, positive, strictly increasing, in angstrom, and at most 1e6
+    Bohr radii of the qubit's ground envelope, as in `pair_integrals`).
 
     The excited control is the 2p-sigma envelope pointing at the qubit.
 
@@ -698,7 +748,8 @@ def transfer_splitting_curve(
     n_terms: int = 6,
 ) -> Curve:
     """Excitation-sharing splitting of two identical controls versus R, as a
-    `Curve` of `TransferSplitting` rows, one per point of `r_grid`.
+    `Curve` of `TransferSplitting` rows, one per point of `r_grid` (as in
+    `exchange_curve`, at most 1e6 Bohr radii of the 2p envelope).
 
     One shared excitation hopping between two sigma-aligned 2p envelopes
     splits the transition into branches at base +/- |t|; the splitting is
@@ -715,6 +766,7 @@ def transfer_splitting_curve(
     base = finite(base_transition_mev, "base_transition_mev", PreconditionError)
     p2 = OrbitalSpec("p2", control.excited_orbital_radius_a())
     hartree = medium_hartree_mev(control.dielectric_constant, p2.bohr_radius_a)
+    _check_reach(p2, grid)
     blocks = _reduced_pair.read(*_pair_keys(p2, p2, grid, n_terms, two_electron=False))
     s, h_aa, h_bb, h_ab = blocks.T[:4]
     _check_overlap(s, grid)

@@ -30,6 +30,7 @@ from donorgate import (
     transfer_splitting_curve,
 )
 from donorgate import integrals
+from donorgate.orbitals import N_TERMS, fit_gaussian_expansion
 
 import md_reference
 import quad_oracle
@@ -208,32 +209,41 @@ def test_kinetic_row_equals_a_second_full_table(la, lb):
         assert [e.tobytes() for e in E_only] == [e.tobytes() for e in E]
 
 
-def test_blocks_match_scalar_reference():
+def test_blocks_match_scalar_reference(monkeypatch):
     # the grid recursions against the primitive-by-primitive loops: the
     # excited control with a compact qubit (radii 1 and 0.5, charges l/a),
     # and the p2-p2 transfer geometry, one-electron blocks only; the kernel
     # derives each charge from its radius and prices all separations of a
-    # case in one call. The ten-separation cases cross an electron-repulsion
-    # chunk boundary, and their folded sums (pairs i <= j of an orbital with
-    # itself, pairs of pairs u <= v of (AB|AB)) weight each off-diagonal
-    # entry twice, where the reference sums every primitive quadruple
-    ten = tuple(np.linspace(1.5, 9.6, 10))
-    assert len(ten) > integrals._R_CHUNK
+    # case in one call. The 80-separation cases cross an electron-repulsion
+    # chunk boundary (a chunk holds 78 separations of (AB|AB) at n_terms =
+    # 4), found from the separations each `_eri` call takes, and are checked
+    # on both sides of it and at every tenth point; their folded sums (pairs
+    # i <= j of an orbital with itself, pairs of pairs u <= v of (AB|AB))
+    # weight each off-diagonal entry twice, where the reference sums every
+    # primitive quadruple
+    sizes = []
+    eri = integrals._eri
+    monkeypatch.setattr(integrals, "_eri",
+                        lambda bra, ket: sizes.append(len(ket.Pz)) or eri(bra, ket))
+    long = np.linspace(1.5, 9.6, 80)
     cases = (
-        (("p2", "s1", 0.5, (3.0, 4.5), 4), True),
-        (("p2", "p2", 1.0, (6.0, 7.5), 4), False),
-        (("s1", "s1", 1.5, ten, 4), True),
-        (("p2", "s1", 0.5, ten, 4), True),
+        (("p2", "s1", 0.5, np.array([3.0, 4.5]), 4), True),
+        (("p2", "p2", 1.0, np.array([6.0, 7.5]), 4), False),
+        (("s1", "s1", 1.5, long, 4), True),
+        (("p2", "s1", 0.5, long, 4), True),
     )
     for (kind_a, kind_b, radius_b, seps, n_terms), two_electron in cases:
-        engine = integrals._pair_blocks(kind_a, kind_b, radius_b, np.array(seps),
-                                        n_terms, two_electron)
-        for i, r in enumerate(seps):
+        sizes.clear()
+        engine = integrals._pair_blocks(kind_a, kind_b, radius_b, seps, n_terms, two_electron)
+        starts = np.cumsum(sizes[1::2])[:-1]  # each chunk takes Jc, then Kx
+        assert (len(starts) > 0) == (len(seps) > 2)
+        points = set(range(0, len(seps), 10)) | set(starts) | set(starts - 1) | {len(seps) - 1}
+        for i in sorted(points):
             reference = md_reference.reduced_pair(
-                kind_a, kind_b, 1.0, radius_b, r, 1.0, 1.0 / radius_b, n_terms)
+                kind_a, kind_b, 1.0, radius_b, seps[i], 1.0, 1.0 / radius_b, n_terms)
             assert set(engine) <= set(reference)
             for key, got in engine.items():
-                assert got[i] == pytest.approx(reference[key], rel=1e-12), (kind_b, r, key)
+                assert got[i] == pytest.approx(reference[key], rel=1e-12), (kind_b, seps[i], key)
 
 
 def test_far_separation_splitting_underflows_cleanly():
@@ -241,6 +251,38 @@ def test_far_separation_splitting_underflows_cleanly():
     res = pair_integrals(a, a, 200.0, EPS)
     assert abs(res.exchange_splitting_mev) < 1e-9
     assert abs(res.overlap) < 1e-30
+
+
+def test_separations_past_the_reach_are_rejected(fresh_cache):
+    # the product of an orbital with itself at z has its center off z by
+    # up to 4u|z| (u = 2^-53), and the kinetic row takes that offset
+    # squared: fig2a's ground singlet read -3096 meV at 1e15 A against
+    # -2999 meV nearer, the transfer curve was NaN at 1e100 A and the
+    # excited J at 1e154 A, with overflow warnings
+    fresh_cache()
+    _, fig2a = get_preset("fig2a")
+    control, qubit = fig2a.control, fig2a.qubit
+    limit = integrals._REACH * qubit.ground_orbital_radius_a()
+    near, edge = exchange_curve(control, qubit, False, [1e3, limit])
+    assert edge.singlet_mev == pytest.approx(near.singlet_mev, rel=1e-12)
+    past = float(np.nextafter(limit, np.inf))
+    for call in (lambda: exchange_curve(control, qubit, False, [8.0, past]),
+                 lambda: exchange_curve(control, qubit, False, [8.0, 1e15]),
+                 lambda: exchange_curve(control, qubit, True, [1e154]),
+                 lambda: pair_integrals(OrbitalSpec("s1", 1.0), OrbitalSpec("s1", 1.0), 2e6, EPS),
+                 lambda: transfer_splitting_curve(control, [1e100])):
+        with pytest.raises(PreconditionError, match=r"past 1e\+06 Bohr radii of center B"):
+            call()
+
+
+def test_the_reach_keeps_the_kinetic_rounding_below_one_unit():
+    # the offset d <= 4u z of a product center enters E_0^{l,l+2} as d^2
+    # beside 1/2p, p <= 2b for the largest exponent b of any frozen fit
+    # (in center B's Bohr radii); 4 b d^2 <= u holds for z up to
+    # 1 / (8 sqrt(b u))
+    b = max(max(e for e, _ in fit_gaussian_expansion(OrbitalSpec(kind, 1.0), n).terms)
+            for kind in ("s1", "p2") for n in N_TERMS)
+    assert integrals._REACH <= 1.0 / (8.0 * math.sqrt(b * 2.0**-53))
 
 
 def test_coincident_centers_rejected():
@@ -513,24 +555,36 @@ def test_boys_downward_recursion_matches_reference():
         integrals._boys_array(7, x)
 
 
-def _kernel_digests() -> dict:
-    """sha256 of the bytes of every block `_pair_blocks` returns, over s1/p2
-    pairs, three radius ratios and expansion lengths, one- and two-electron,
-    on three grids: one point, fig2a's 25 reduced points and 300 sorted
-    seeded points, which cross both chunk sizes; and of each order of
-    `_boys_array(nmax, x)`, nmax = 0..6, on `_boys_x()`. Bytes, not `==`,
-    so that a flipped sign of zero shows."""
-    def digest(values):
-        return hashlib.sha256(np.ascontiguousarray(values).tobytes()).hexdigest()
+_PIN_CASES = tuple(itertools.product(
+    ("s1", "p2"), ("s1", "p2"), (0.35, 1.0, 2.5), (3, 6, 8), (False, True)))
 
+
+def _pin_grids(n_terms: int) -> dict:
+    """The reduced grids the kernel pin prices at `n_terms`: one point,
+    fig2a's 25 reduced points and 300 sorted seeded points, and at
+    n_terms = 3, whose one-electron chunks hold more than 300 separations,
+    1500 more."""
     _, fig2a = get_preset("fig2a")
     grids = {"one": np.array([3.0]),
              "fig2a": np.array(fig2a.r_grid) / fig2a.control.ground_orbital_radius_a(),
              "seeded": np.sort(np.random.default_rng(0).uniform(0.05, 120.0, 300))}
+    if n_terms == 3:
+        grids["long"] = np.sort(np.random.default_rng(1).uniform(0.05, 120.0, 1500))
+    return grids
+
+
+def _kernel_digests() -> dict:
+    """sha256 of the bytes of every block `_pair_blocks` returns, over s1/p2
+    pairs, three radius ratios and expansion lengths, one- and two-electron,
+    on `_pin_grids`, one of which crosses a chunk boundary in each pass of
+    each case; and of each order of `_boys_array(nmax, x)`, nmax = 0..6, on
+    `_boys_x()`. Bytes, not `==`, so that a flipped sign of zero shows."""
+    def digest(values):
+        return hashlib.sha256(np.ascontiguousarray(values).tobytes()).hexdigest()
+
     out = {}
-    for kind_a, kind_b, ratio, n_terms, two_electron in itertools.product(
-            ("s1", "p2"), ("s1", "p2"), (0.35, 1.0, 2.5), (3, 6, 8), (False, True)):
-        for name, r in grids.items():
+    for kind_a, kind_b, ratio, n_terms, two_electron in _PIN_CASES:
+        for name, r in _pin_grids(n_terms).items():
             blocks = integrals._pair_blocks(kind_a, kind_b, ratio, r, n_terms, two_electron)
             key = f"{kind_a}-{kind_b} {ratio} {n_terms} {int(two_electron) + 1}e {name}"
             out[key] = {block: digest(values) for block, values in blocks.items()}
@@ -549,6 +603,78 @@ def test_kernel_blocks_keep_their_pinned_bytes():
     assert sorted(got) == sorted(pinned)
     for key, digests in pinned.items():
         assert got[key] == digests, key
+
+
+def test_every_pinned_case_crosses_a_chunk_boundary(monkeypatch):
+    # the pin checks the joins between chunks only if, in each pass of each
+    # case, some grid is priced in more than one chunk: a kernel call there
+    # takes fewer separations than the grid holds. The kernels are stubbed
+    # out, as only their chunks are counted
+    seen = []
+
+    def one_electron(pairs, charge_b, zb):
+        seen.append(("1e", len(zb)))
+        return np.zeros((len(pairs), len(zb))), np.zeros((len(pairs), len(zb)))
+
+    def eri(bra, ket):
+        seen.append(("2e", len(ket.Pz)))
+        return np.zeros(len(ket.Pz))
+
+    monkeypatch.setattr(integrals, "_one_electron", one_electron)
+    monkeypatch.setattr(integrals, "_eri", eri)
+    for kind_a, kind_b, ratio, n_terms, two_electron in _PIN_CASES:
+        crossed = set()
+        for r in _pin_grids(n_terms).values():
+            seen.clear()
+            integrals._pair_blocks(kind_a, kind_b, ratio, r, n_terms, two_electron)
+            crossed |= {kind for kind, size in seen if size < len(r)}
+        assert crossed == ({"1e", "2e"} if two_electron else {"1e"}), \
+            (kind_a, kind_b, ratio, n_terms, two_electron)
+
+
+def _per_product_one_electron(x, y, nuclei):
+    """`integrals._one_electron` as it priced one product x*y per pass, with
+    each nucleus (Z_C, z_C) taken as it came, center A's z = 0 and Z = 1
+    included: the reference the grouped pass must equal bit for bit."""
+    a = x.exp[:, None]
+    b = y.exp[None, :]
+    p = a + b
+    Pz = (a * x.z + b * y.z) / p
+    E, k_row = integrals._e_table(x.l, y.l, a, b, p, Pz, x.z, y.z, kinetic=True)
+    s = E[0]
+    t = b * (2 * y.l + 1) * s - 2.0 * b * b * k_row
+    v = 0.0
+    for charge, zc in nuclei:
+        R = integrals._r_table(len(E) - 1, p, Pz - zc)
+        v = v - charge * sum(e * r for e, r in zip(E, R))
+    g = (np.pi / p) ** 1.5
+
+    def contract(grid):
+        return integrals._contract(grid.reshape(grid.shape[:-2] + (-1,)),
+                                   np.outer(x.coef, y.coef).ravel())
+
+    return contract(g * s), contract(g * (t + 2.0 * a * b / p * s)) + contract(2.0 * math.pi / p * v)
+
+
+@pytest.mark.parametrize("kind_a, kind_b", [("s1", "s1"), ("s1", "p2"), ("p2", "s1"),
+                                            ("p2", "p2")])
+def test_grouped_one_electron_pass_equals_one_pass_per_product(kind_a, kind_b):
+    # every one-electron block of `_pair_blocks` against the per-product
+    # pass over all separations at once, byte for byte; at the far points
+    # S and hAB underflow to 0
+    r = np.concatenate([np.geomspace(0.05, 40.0, 23), [150.0, 600.0, 3e3, 4e4]])
+    assert (integrals._pair_blocks("s1", "s1", 1.0, r, 3, False)["S"][-3:] == 0.0).all()
+    for ratio, n_terms in itertools.product((0.35, 1.0, 2.5), (3, 6, 8)):
+        A = integrals._orbital(kind_a, 1.0, 0.0, n_terms)
+        B = integrals._orbital(kind_b, ratio, r[:, None, None], n_terms)
+        nuclei = ((1.0, A.z), (1.0 / ratio, B.z))
+        s, h_ab = _per_product_one_electron(A, B, nuclei)
+        want = {"S": s, "hAA": _per_product_one_electron(A, A, nuclei)[1],
+                "hBB": _per_product_one_electron(B, B, nuclei)[1], "hAB": h_ab}
+        got = integrals._pair_blocks(kind_a, kind_b, ratio, r, n_terms, False)
+        assert list(got) == list(want)
+        for name, values in want.items():
+            assert got[name].tobytes() == values.tobytes(), (ratio, n_terms, name)
 
 
 def _held(cache):

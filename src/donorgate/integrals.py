@@ -282,8 +282,16 @@ def _one_electron(pairs, charge_b: float, zb):
     kinetic row E_0^{l_x,l_y+2}; each transverse direction adds (ab/p) S.
 
     Center A's attraction takes Pz itself as its offset and no charge
-    factor, as its z is 0 and its charge 1; it starts as 0.0 - x, not -x,
-    which would turn a +0.0 sum (E underflowed) into -0.0."""
+    factor, as its z is 0 and its charge 1. It starts as 0.0 - x, so a +0.0
+    sum (E underflowed) leaves V at +0.0 where -x would leave -0.0, but no
+    block's bytes depend on which. T + V is -0.0 only if both its
+    contractions are, and the kinetic one only if each of its terms is: its
+    weights are positive (so is every frozen fit coefficient), so each
+    entry t + (2ab/p) s would be -0.0, which needs s = E_0 = -0.0 with a
+    +0.0 kinetic row. E_0 is -0.0 only as X_B E^{00} with E^{00}
+    underflowed on <A|B> (X_B < 0), for (l_x, l_y) = (0, 1), and then the
+    kinetic row is -0.0 too. tests/test_integrals.py checks the fits' signs,
+    the kinetic entries and that an underflowed hAB is +0.0."""
     xs, ys = zip(*pairs)
     a = np.stack([x.exp for x in xs])[:, None, :, None]
     b = np.stack([y.exp for y in ys])[:, None, None, :]

@@ -177,7 +177,8 @@ def entangling_power(unitary: np.ndarray) -> float:
         raise DimensionError("entangling power is defined for two-qubit unitaries")
     if np.max(np.abs(U.conj().T @ U - np.eye(4))) > 1e-8:
         raise PreconditionError("input must be unitary")
-    W = np.kron(U, U)
+    # U x U as one broadcast product, the multiplications np.kron makes
+    W = (U[:, None, :, None] * U[None, :, None, :]).reshape(16, 16)
     purity = np.trace(W @ _AVG_IN @ W.conj().T @ _SWAP_A).real
     return float(1.0 - purity)
 
@@ -263,7 +264,12 @@ _UP, _DOWN = slice(0, 4), slice(4, 8)
 # its S0.S1, S0.S2 and S1.S2, and the projector onto its total spin 3/2
 _S01, _S02, _S12 = (build_hamiltonian(SpinSystem(_TRIO, {pair: 1.0}))
                     for pair in ((0, 1), (0, 2), (1, 2)))
-_QUARTET = 0.5 * np.eye(8) + (2.0 / 3.0) * (_S01 + _S02 + _S12)
+_EYE8 = np.eye(8)
+_QUARTET = 0.5 * _EYE8 + (2.0 / 3.0) * (_S01 + _S02 + _S12)
+_DOUBLETS = _EYE8 - _QUARTET
+
+# the index pairs k < l of the trio's three levels
+_LEVEL_PAIRS = np.triu_indices(3, 1)
 
 
 def _trio_levels(j1_mev: float, j2_mev: float) -> tuple:
@@ -285,9 +291,8 @@ def _trio_levels(j1_mev: float, j2_mev: float) -> tuple:
     H = j1 * _S01 + j2 * _S02
     e_q, gap = 0.25 * (j1 + j2), math.sqrt(j1 * j1 + j2 * j2 - j1 * j2)
     levels = np.array([e_q, 0.5 * gap - e_q, -0.5 * gap - e_q])
-    doublets = np.eye(8) - _QUARTET
-    upper = doublets @ (H - levels[2] * np.eye(8)) / gap
-    return levels, np.array([_QUARTET, upper, doublets - upper])
+    upper = _DOUBLETS @ (H - levels[2] * _EYE8) / gap
+    return levels, np.array([_QUARTET, upper, _DOUBLETS - upper])
 
 
 def _phases(levels: np.ndarray, taus) -> np.ndarray:
@@ -323,8 +328,8 @@ def _residual_bits(p_up: np.ndarray, p_down: np.ndarray, coh: np.ndarray,
     worst = np.argmin(ratio, axis=1)
     split, total = split[rows, worst], total[rows, worst]
     disc = np.sqrt(split)
-    plus = np.clip((total + disc) / 2.0 / total, 1e-300, 1.0)
-    minus = np.clip((total - disc) / 2.0 / total, 1e-300, 1.0)
+    plus = np.minimum(np.maximum((total + disc) / 2.0 / total, 1e-300), 1.0)
+    minus = np.minimum(np.maximum((total - disc) / 2.0 / total, 1e-300), 1.0)
     return -(plus * np.log2(plus) + minus * np.log2(minus))
 
 
@@ -341,7 +346,7 @@ def induced_qubit_operator(j1_mev: float, j2_mev: float, tau_ps: float) -> tuple
     (zero exactly when the block is unitary)."""
     M = induced_qubit_block(j1_mev, j2_mev, tau_ps)
     levels, projectors = _trio_levels(j1_mev, j2_mev)
-    return M, float(_residual_scan(levels, projectors)(np.array([float(tau_ps)]))[0])
+    return M, _residual_scan(levels, projectors).at(float(tau_ps))
 
 
 def _down_down_q(levels: np.ndarray, projectors: np.ndarray,
@@ -369,7 +374,7 @@ def _down_down_q(levels: np.ndarray, projectors: np.ndarray,
     more in q.
     """
     w = projectors[:, 3, 3]
-    k, l = np.triu_indices(len(levels), 1)
+    k, l = _LEVEL_PAIRS
     rates = (levels[k] - levels[l]) / HBAR_MEV_PS
     weights = 2.0 * w[k] * w[l]
     n = len(taus)
@@ -424,6 +429,14 @@ def _residual_scan(levels: np.ndarray, projectors: np.ndarray):
     <B_k psi|A_l psi>. The three 9 x 36 Gram tables are built once; each
     chunk of intervals costs three (chunk x 9) @ (9 x 36) products, written
     with everything after them into work arrays allocated once per call.
+
+    The returned function's `at(tau)` scores one interval, a float, from the
+    same tables. It makes the same three products, on one (1 x 9) row, so
+    they are matrix-vector products as on a one-row chunk, and then the
+    same float operations as `_residual_bits`, on that row alone and with
+    the worst probe's entropy taken from two scalars: it returns the
+    one-row chunk's value bit for bit, without the chunk's work arrays and
+    gathers.
     """
     A = projectors[:, _UP, _UP] @ _PROBES
     B = projectors[:, _DOWN, _UP] @ _PROBES
@@ -432,6 +445,23 @@ def _residual_scan(levels: np.ndarray, projectors: np.ndarray):
         return np.einsum("krp,lrp->klp", X.conj(), Y).reshape(9, -1)
 
     g_up, g_down, g_coh = gram(A, A), gram(B, B), gram(B, A)
+
+    def at(tau: float) -> float:
+        phases = _phases(levels, tau)
+        pairs = (phases.conj()[:, None] * phases).reshape(1, 9)
+        up, down = (pairs @ g_up).real, (pairs @ g_down).real
+        coh = np.square(np.abs(pairs @ g_coh))
+        split = np.square(up - down)
+        split += np.multiply(4.0, coh, out=coh)
+        total = up + down
+        worst = (split / np.square(total)).argmin()
+        split, total = float(split[0, worst]), float(total[0, worst])
+        disc = math.sqrt(split)
+        plus = min(max((total + disc) / 2.0 / total, 1e-300), 1.0)
+        minus = min(max((total - disc) / 2.0 / total, 1e-300), 1.0)
+        lam = np.array([plus, minus])
+        terms = lam * np.log2(lam)
+        return -float(terms[0] + terms[1])
 
     def residuals(taus: np.ndarray) -> np.ndarray:
         out = np.empty(len(taus))
@@ -451,6 +481,7 @@ def _residual_scan(levels: np.ndarray, projectors: np.ndarray):
                                                   coh[:n], work[:, :n])
         return out
 
+    residuals.at = at
     return residuals
 
 
@@ -555,10 +586,12 @@ def sfg_gate(j1_mev: float, j2_mev: float, tau_range: tuple = None, *,
     The trio's levels and projectors are computed once per search. The
     coarse scan and the refine score tau through them: the control's
     populations and coherence are quadratic forms in the three level
-    phases, tabulated once, so each tau point is a 9-term phase product per
-    moment. Points are scored in fixed-size chunks, so memory stays bounded
-    for any grid length. The reported gate is the control-up block of the
-    same U(tau).
+    phases, tabulated once per search in `_residual_scan`'s Gram tables and
+    shared by the scan's chunks and the refine, so each tau point is a
+    9-term phase product per moment. Grid points are scored in fixed-size
+    chunks, so memory stays bounded for any grid length, and the refine's
+    points one at a time by the scan's lone scorer `at`. The reported gate
+    is the control-up block of the same U(tau).
 
     Only screened points are scored. The |down down> probe's entropy H2(q),
     q = min(p, 1 - p), bounds the worst-probe residual from below at every
@@ -589,7 +622,9 @@ def sfg_gate(j1_mev: float, j2_mev: float, tau_range: tuple = None, *,
     therefore that of the full grid, and so are the scored values: a lone
     point would take a matrix-vector product, which rounds apart from the
     matrix-matrix one of a chunk of the full grid, so it is scored as a
-    doubled row.
+    doubled row. The refine's points, which no grid holds, take the
+    matrix-vector product in `at`, row by row, and round as a one-row chunk
+    of the scan would.
 
     A grid of more than `_MAX_GRID_POINTS` points raises PreconditionError
     before anything is allocated.
@@ -616,10 +651,6 @@ def sfg_gate(j1_mev: float, j2_mev: float, tau_range: tuple = None, *,
             f"more than the limit of {_MAX_GRID_POINTS}")
 
     residuals = _residual_scan(levels, projectors)
-
-    def residual_at(tau):
-        return residuals(np.array([tau]))[0]
-
     taus = np.arange(start, hi, resolution_ps)
     if len(taus) == 0:
         taus = np.array([0.5 * (lo + hi)])
@@ -684,7 +715,7 @@ def sfg_gate(j1_mev: float, j2_mev: float, tau_range: tuple = None, *,
     candidates = []
     for k in refine:
         x, fx = _minimize_bounded(
-            residual_at,
+            residuals.at,
             (max(lo, taus[k] - resolution_ps), min(hi, taus[k] + resolution_ps)),
             xatol=resolution_ps * 1e-9,
         )

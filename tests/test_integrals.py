@@ -253,6 +253,36 @@ def test_far_separation_splitting_underflows_cleanly():
     assert abs(res.overlap) < 1e-30
 
 
+def test_underflowed_one_electron_blocks_are_positive_zeros():
+    # `_one_electron` starts center A's attraction as 0.0 - x, and its
+    # docstring shows that the sign of zero this keeps cannot reach a
+    # block. The argument takes every frozen fit coefficient as positive and
+    # no kinetic entry as -0.0 where the <A|B> product underflows, on every
+    # (l_x, l_y); hAB is +0.0 there
+    for kind in ("s1", "p2"):
+        for n_terms in N_TERMS:
+            terms = fit_gaussian_expansion(OrbitalSpec(kind, 1.0), n_terms).terms
+            assert all(coef > 0.0 for _, coef in terms), (kind, n_terms)
+    far = np.array([1e3, 4e4, 1e6])
+    for kind_a, kind_b in itertools.product(("s1", "p2"), repeat=2):
+        for radius_b in (0.35, 1.0, 2.5):
+            for n_terms in (3, 8):
+                x = integrals._orbital(kind_a, 1.0, 0.0, n_terms)
+                y = integrals._orbital(kind_b, radius_b, far[:, None, None], n_terms)
+                a, b = x.exp[:, None], y.exp[None, :]
+                p = a + b
+                Pz = (a * 0.0 + b * y.z) / p
+                E, k_row = integrals._e_table(x.l, y.l, a, b, p, Pz, 0.0, y.z, kinetic=True)
+                assert not np.any(E), (kind_a, kind_b, radius_b, n_terms)
+                s = E[0]
+                kinetic = b * (2 * y.l + 1) * s - 2.0 * b * b * k_row + 2.0 * a * b / p * s
+                assert not np.signbit(kinetic).any(), (kind_a, kind_b, radius_b, n_terms)
+                blocks = integrals._pair_blocks(kind_a, kind_b, radius_b, far,
+                                                n_terms, False)
+                assert blocks["hAB"].tobytes() == np.zeros(len(far)).tobytes(), (
+                    kind_a, kind_b, radius_b, n_terms)
+
+
 def test_separations_past_the_reach_are_rejected(fresh_cache):
     # the product of an orbital with itself at z has its center off z by
     # up to 4u|z| (u = 2^-53), and the kinetic row takes that offset

@@ -134,6 +134,27 @@ def test_entangling_power_anchors():
         entangling_power(np.eye(8))
 
 
+def _kron_entangling_power(unitary):
+    """`spins.entangling_power` as it built U x U with `np.kron`: the
+    reference its broadcast product must equal bit for bit."""
+    W = np.kron(unitary, unitary)
+    return float(1.0 - np.trace(W @ spins._AVG_IN @ W.conj().T @ spins._SWAP_A).real)
+
+
+def test_entangling_power_equals_the_kron_form():
+    # random unitaries (QR of complex Gaussians), phase gates and the gates
+    # the search reports, whose entries include exact zeros and signed zeros
+    rng = np.random.default_rng(31)
+    gates = [np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))[0]
+             for _ in range(2000)]
+    gates += [np.diag(np.exp(1j * rng.uniform(-math.pi, math.pi, 4))) for _ in range(200)]
+    gates += [np.eye(4), -np.eye(4) + 0j, np.conj(np.eye(4) * -1j)]
+    gates += [sfg_gate(j1, j2).qubit_unitary for j1, j2 in ((10.0, 10.0), (-7.0, -7.0))]
+    for k, U in enumerate(gates):
+        got = entangling_power(U)
+        assert np.float64(got).tobytes() == np.float64(_kron_entangling_power(U)).tobytes(), k
+
+
 def test_symmetric_trio_clean_gate():
     J = 10.0
     report = sfg_gate(J, J)
@@ -265,10 +286,33 @@ def test_batched_scan_matches_propagator(j1, j2):
     assert np.max(np.abs(scanned - alone)) < 1e-14
 
 
+def test_lone_scorer_equals_a_one_row_chunk():
+    # `at` makes the one-row chunk's matrix-vector products and float
+    # operations without its work arrays; it must return the same bits, on
+    # random trios with equal, opposite, near-equal and random couplings, at
+    # tau near 0, within the first period and across several periods
+    rng = np.random.default_rng(29)
+    for case in range(1200):
+        j1 = float(rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 200.0))
+        j2 = (j1, -j1, j1 * (1.0 + float(rng.uniform(-1e-6, 1e-6))),
+              float(rng.uniform(-2.0, 2.0)) * j1)[case % 4]
+        levels, projectors = _trio_levels(j1, j2)
+        residuals = _residual_scan(levels, projectors)
+        period = 2.0 * math.pi * HBAR / abs(j1)
+        for tau in (float(rng.uniform(0.0, 1e-6) * period),
+                    float(rng.uniform(0.0, 1.0) * period),
+                    float(rng.uniform(1.0, 12.0) * period)):
+            want = residuals(np.array([tau]))[0]
+            got = residuals.at(tau)
+            assert isinstance(got, float), case
+            assert np.float64(got).tobytes() == want.tobytes(), (j1, j2, tau)
+
+
 def _stacked_residual_bits(p_up, p_down, coh, work):
     """`spins._residual_bits` as it took the worst probe with
-    `take_along_axis` and both eigenvalue fractions with `np.stack`: the
-    reference its row gather must equal bit for bit."""
+    `take_along_axis`, both eigenvalue fractions with `np.stack` and kept
+    them in (0, 1] with `np.clip`: the reference its row gather and its
+    `np.minimum(np.maximum(...))` must equal bit for bit."""
     split, total = work
     np.subtract(p_up, p_down, out=split)
     np.square(split, out=split)
@@ -289,7 +333,9 @@ def test_residual_bits_equal_the_stacked_formula(rows):
     # a full chunk and a lone tau, on random moments (|coherence|^2 <=
     # p_up p_down), with zero coherence, with p_up = p_down (every ratio
     # zero, so the worst probe is a tie), with totals near 1e-300 (ratios
-    # 0/0) and with totals near 1e-150 (squares near 1e-300)
+    # 0/0), with totals near 1e-150 (squares near 1e-300), with pure control
+    # states (p = 1 or p = 0, a zero fraction clipped up to 1e-300) and with
+    # a coherence a rounding above p_up p_down (fractions past 1 and below 0)
     rng = np.random.default_rng(rows)
     shape = (rows, 36)
     p_up = rng.uniform(0.0, 1.0, shape)
@@ -297,10 +343,16 @@ def test_residual_bits_equal_the_stacked_formula(rows):
     coh = rng.uniform(0.0, 1.0, shape) * p_up * p_down
     tiny = rng.uniform(0.5, 2.0, shape) * 1e-300
     small = p_up * 1e-150
+    pure = np.arange(rows)[:, None] % 3 == 0  # every probe of every third row
     cases = [(p_up, p_down, coh), (p_up, p_down, np.zeros(shape)),
              (p_up, p_up, coh), (p_up, p_up, np.zeros(shape)),
              (tiny, tiny[:, ::-1], np.zeros(shape)), (tiny, 3.0 * tiny, tiny),
-             (small, p_down * 1e-150, coh * 1e-300)]
+             (small, p_down * 1e-150, coh * 1e-300),
+             (np.ones(shape), np.zeros(shape), np.zeros(shape)),
+             (np.zeros(shape), np.ones(shape), np.zeros(shape)),
+             (np.where(pure, 1.0, p_up), np.where(pure, 0.0, p_down),
+              np.where(pure, 0.0, coh)),
+             (p_up, p_down, p_up * p_down * (1.0 + 1e-12))]
     for case, (up, down, c) in enumerate(cases):
         with np.errstate(invalid="ignore", divide="ignore"):
             got = spins._residual_bits(up, down, c.copy(), np.empty((2,) + shape))
@@ -429,8 +481,9 @@ def _full_grid_refines(coarse, lo):
 
 def _traced_search(monkeypatch, j1, j2, tau_range):
     """sfg_gate's report, its grid, the brackets it refined, the number of
-    points it scored and the row count of each batch it scored outside the
-    refine."""
+    points it scored and the row count of each batch it scored through the
+    chunked scan. A lone point scored by the scan's `at` outside the refine
+    fails the search."""
     grids, brackets, batches, scored, refining = [], [], [], [0], [False]
     screen, scan, minimize = (spins._down_down_q, spins._residual_scan,
                               spins._minimize_bounded)
@@ -444,9 +497,15 @@ def _traced_search(monkeypatch, j1, j2, tau_range):
 
         def counted(taus):
             scored[0] += len(taus)
-            if not refining[0]:
-                batches.append(len(taus))
+            batches.append(len(taus))
             return residuals(taus)
+
+        def counted_at(tau):
+            assert refining[0], "a lone point scored outside the refine"
+            scored[0] += 1
+            return residuals.at(tau)
+
+        counted.at = counted_at
         return counted
 
     def traced_minimize(fun, bounds, **kwargs):
@@ -571,8 +630,8 @@ def test_bounded_refine_is_scipys_bounded_brent(monkeypatch):
 
     monkeypatch.setattr(spins, "_minimize_bounded", recorded)
     for j1, j2 in _SELECTION_TRIOS:
-        tau = _traced_search(monkeypatch, j1, j2, None)[0].duration_ps
-        _traced_search(monkeypatch, j1, j2, (0.7 * tau, 1.3 * tau))
+        tau = _search_outcome(j1, j2, None)[1].duration_ps
+        _search_outcome(j1, j2, (0.7 * tau, 1.3 * tau))
     assert len(calls) > 2 * len(_SELECTION_TRIOS)
     calls += [(lambda x: (x - 2.0) * x * (x + 2.0) ** 2, (-3.0, -1.0), 1e-5),
               (lambda x: math.cos(x) + 0.1 * x, (1.0, 5.0), 1e-12),

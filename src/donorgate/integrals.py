@@ -39,18 +39,18 @@ Gamma(n+1/2) / (2 x^(n+1/2)) from x = 50 on (Helgaker, Jorgensen & Olsen,
 Molecular Electronic-Structure Theory, section 9.8).
 
 `exchange_curve`, `transfer_splitting_curve` and `pair_integrals` read
-their reduced points from one store, `_reduced_pair`, which holds at most
-`_CACHE_POINTS` (4096) points and is emptied when a call's misses would
-pass that bound. A call builds its pair configuration once and rounds its
-reduced separations to 12 decimals in one numpy pass, `_round12`: rint of
-each separation times 1e12, divided back by 1e12, which equals Python's
-`round(x, 12)` bit for bit; the few points whose scaled value lies within
-an ulp of a half-integer, or past 2^52, fall back to `round`. It then
-prices all of its misses in one kernel call and reads every point's blocks
-as one array. The Heitler-London assembly, `_pair_curve`, works on those
-columns, and `pair_integrals` is that assembly at one point. A curve
-comes back as a `Curve`: one read-only array per field, whose rows are
-built only when read.
+their blocks from one cache of whole pricing calls, `_reduced_pair`, which
+holds the last `_CACHE_CALLS` (64) calls. A call builds its pair
+configuration once and rounds its reduced separations to 12 decimals in one
+numpy pass, `_round12`: rint of each separation times 1e12, divided back by
+1e12, which equals Python's `round(x, 12)` bit for bit; the few points whose
+scaled value lies within an ulp of a half-integer, or past 2^52, fall back
+to `round`. The configuration and the tuple of those keys are the cache
+key; a miss prices every point in one kernel call and holds its blocks as
+one read-only (points, blocks) array. The Heitler-London assembly,
+`_pair_curve`, works on that array's columns, and `pair_integrals` is that
+assembly at one point. A curve comes back as a `Curve`: one read-only
+array per field, whose rows are built only when read.
 
 Every center and every orbital axis lies on the pair axis z. A contracted
 orbital is its coefficients and exponents, its angular momentum along z and
@@ -102,11 +102,8 @@ _REACH = 1e6
 # quartets each: with 8, 12, 25 or 32 in its place a curve_sweep op took
 # 10-14, 4-6, 11-22 and 11-18 % longer
 _GRID_ENTRIES = 16 * 666
-# reduced pair points the cache holds at most, and the blocks it holds per
-# point in the order `_pair_blocks` returns them (a one-electron point has
-# the first four)
-_CACHE_POINTS = 4096
-_BLOCKS = ("S", "hAA", "hBB", "hAB", "Jc", "Kx")
+# pricing calls the cache of reduced pair blocks holds
+_CACHE_CALLS = 64
 # the Boys table: node spacing, the x from which the asymptote takes over,
 # the highest order held and the Taylor terms taken per point; top orders up
 # to _BOYS_MAX_ORDER - _BOYS_TERMS + 1 = 6 are served, and the kernels ask
@@ -433,57 +430,20 @@ def _pair_blocks(kind_a, kind_b, radius_b, r, n_terms, two_electron):
 
 
 # ---------------------------------------------------------------------------
-# reduced (dimensionless) pair points, cached
+# reduced (dimensionless) pair blocks, cached by pricing call
 # ---------------------------------------------------------------------------
 
-class _PairCache:
-    """Pair blocks per reduced point, at most `maxsize` points.
-
-    Each pair configuration (kind_a, kind_b, radius_b, n_terms,
-    two_electron) maps its reduced separations, both from `_pair_keys`, to
-    rows of a (maxsize, 6) table, in `_BLOCKS` order (NaN for Jc and Kx
-    where only one-electron blocks are priced), filled in order. `read`
-    prices the points of a call it does not hold, all of one configuration,
-    in one `_pair_blocks` call in grid order, and returns all of the call's
-    rows as one (points, 6) array. If storing those points would take the
-    store past `maxsize`, it is emptied first and the call prices all of its
-    points; a call with more distinct points than `maxsize` stores none.
-    `cache_info()` is (hits, misses): rows read and points priced.
-    """
-
-    def __init__(self, maxsize: int):
-        self.maxsize = maxsize
-        self._rows = {}  # configuration -> {reduced separation: table row}
-        self._held = 0
-        self._table = np.empty((maxsize, len(_BLOCKS)))
-        self._hits = self._misses = 0
-
-    def read(self, config: tuple, separations: list) -> np.ndarray:
-        rows = self._rows.get(config, {})
-        missing = list(dict.fromkeys(r for r in separations if r not in rows))
-        if self._held + len(missing) > self.maxsize:
-            self._rows, self._held, rows = {}, 0, {}
-            missing = list(dict.fromkeys(separations))
-        self._hits += len(separations)
-        if missing:
-            self._misses += len(missing)
-            blocks = _pair_blocks(*config[:3], np.array(missing), *config[3:])
-            priced = np.full((len(missing), len(_BLOCKS)), np.nan)
-            priced[:, :len(blocks)] = np.column_stack(list(blocks.values()))
-            if len(missing) > self.maxsize:
-                at = dict(zip(missing, range(len(missing))))
-                return priced[[at[r] for r in separations]]
-            start, self._held = self._held, self._held + len(missing)
-            self._table[start:self._held] = priced
-            rows.update(zip(missing, range(start, self._held)))
-            self._rows[config] = rows
-        return self._table[[rows[r] for r in separations]]
-
-    def cache_info(self) -> tuple:
-        return self._hits, self._misses
-
-
-_reduced_pair = _PairCache(_CACHE_POINTS)
+@functools.lru_cache(maxsize=_CACHE_CALLS)
+def _reduced_pair(config: tuple, separations: tuple) -> np.ndarray:
+    """The blocks of the pair configuration `config`, (kind_a, kind_b,
+    radius_b, n_terms, two_electron), at the reduced separations
+    `separations`, both keyed by `_read_blocks`: one kernel call in grid
+    order, as one read-only (points, blocks) array whose columns are S, hAA,
+    hBB, hAB and, with two-electron blocks, Jc and Kx."""
+    blocks = _pair_blocks(*config[:3], np.array(separations), *config[3:])
+    table = np.column_stack(list(blocks.values()))
+    table.flags.writeable = False
+    return table
 
 
 def _round12(x: np.ndarray) -> list:
@@ -509,16 +469,21 @@ def _round12(x: np.ndarray) -> list:
     return keys
 
 
-def _pair_keys(a: OrbitalSpec, b: OrbitalSpec, separation_a: np.ndarray, n_terms: int,
-               two_electron: bool = True) -> tuple:
-    """Pair-cache keys of `a` and `b` at the separations `separation_a`
-    (angstrom, a 1-D array): the pair configuration, built once with the
-    radius ratio rounded to 12 decimals by Python's `round`, and the list of
-    reduced separations (in units of a's radius) rounded to 12 decimals by
-    one `_round12` call, the same bits as `round` gives."""
+def _read_blocks(a: OrbitalSpec, b: OrbitalSpec, separation_a: np.ndarray, n_terms: int,
+                 two_electron: bool = True) -> np.ndarray:
+    """`_reduced_pair`'s blocks of `a` and `b` at the separations
+    `separation_a` (angstrom, a 1-D array). Its key is the pair
+    configuration, built once with the radius ratio rounded to 12 decimals
+    by Python's `round`, and the tuple of reduced separations (in units of
+    a's radius) rounded to 12 decimals by one `_round12` call, the same bits
+    as `round` gives. An empty grid gives an empty array and reaches
+    neither the cache nor the kernel, whose chunks cannot cut zero
+    separations."""
+    if not len(separation_a):
+        return np.empty((0, 6 if two_electron else 4))
     scale = a.bohr_radius_a
     config = (a.kind, b.kind, round(b.bohr_radius_a / scale, 12), n_terms, two_electron)
-    return config, _round12(separation_a / scale)
+    return _reduced_pair(config, tuple(_round12(separation_a / scale)))
 
 
 def _hopping(s, h_aa, h_bb, h_ab):
@@ -641,7 +606,8 @@ class Curve(Sequence):
 def _pair_curve(a: OrbitalSpec, b: OrbitalSpec, grid: np.ndarray, epsilon: float,
                 n_terms: int) -> Curve:
     """The Heitler-London rows of `a` and `b` at the separations `grid`
-    (angstrom, a checked 1-D array), from the pair cache.
+    (angstrom, a checked 1-D array), assembled from the columns of one
+    cached pricing call's (points, blocks) array.
 
     The one assembly of `exchange_curve` and `pair_integrals`: every step
     is a numpy operation over all points at once, in the order and with the
@@ -655,7 +621,7 @@ def _pair_curve(a: OrbitalSpec, b: OrbitalSpec, grid: np.ndarray, epsilon: float
     zb = scale / b.bohr_radius_a
 
     _check_reach(b, grid)
-    s, h_aa, h_bb, h_ab, jc, kx = _reduced_pair.read(*_pair_keys(a, b, grid, n_terms)).T
+    s, h_aa, h_bb, h_ab, jc, kx = _read_blocks(a, b, grid, n_terms).T
     _check_overlap(s, grid)
     vnn = zb / (grid / scale)
     h11 = h_aa + h_bb + jc + vnn
@@ -692,9 +658,9 @@ def pair_integrals(
     the line between the two centers, so only their separation enters. In
     the length unit l = a_A the nuclear charges are (l/a_A, l/a_B): each
     isolated center then binds its own 1s envelope with its Coulombic
-    binding energy in the medium. The blocks are read from the pair cache,
-    and the result is `exchange_curve`'s assembly at one point, so it
-    equals a curve's row at that separation bit for bit.
+    binding energy in the medium. The blocks are a one-point pricing call,
+    cached as a curve's is, and the result is `exchange_curve`'s assembly
+    at one point, so it equals a curve's row at that separation bit for bit.
     """
     check_n_terms(n_terms)  # before the cache, where 6.0 would hit a 6 entry
     r_ang = float(separation_a)
@@ -720,13 +686,12 @@ def exchange_curve(
     The excited control is the 2p-sigma envelope pointing at the qubit.
 
     The pair configuration is built once per call, and each point's reduced
-    separation is rounded once. The points missing from the pair cache (at
-    most 4096 reduced points, emptied when a call's misses would pass that)
-    are priced in one call of the integral kernel along a separation axis,
-    each point once however long the grid; then every point's blocks are
-    read in one array and assembled as columns, as `pair_integrals`
-    assembles one point, so a row equals a `pair_integrals` call on the
-    same two envelopes at that separation.
+    separation is rounded once. A call the cache does not hold (it keeps
+    the last 64) prices every point in one call of the integral kernel
+    along a separation axis, however long the grid; a repeat call reads
+    that call's blocks back. The blocks come as one array and are assembled
+    as columns, as `pair_integrals` assembles one point, so a row equals a
+    `pair_integrals` call on the same two envelopes at that separation.
     """
     grid = _check_grid(r_grid)
     check_n_terms(n_terms)
@@ -764,10 +729,10 @@ def transfer_splitting_curve(
     2|t|. Monopole shifts are excluded: both donors are neutral, so the
     ion-ion and electron-ion monopole tails compensate.
 
-    As in `exchange_curve`, the grid's cache misses are priced in one kernel
-    call along a separation axis, one-electron blocks only, and every point
-    is then read from the pair cache in one array and assembled as columns,
-    so a row equals a one-point curve at that separation.
+    As in `exchange_curve`, a call the cache does not hold prices the grid
+    in one kernel call along a separation axis, one-electron blocks only,
+    and the blocks are read as one array and assembled as columns, so a
+    row equals a one-point curve at that separation.
     """
     grid = _check_grid(r_grid)
     check_n_terms(n_terms)
@@ -775,8 +740,7 @@ def transfer_splitting_curve(
     p2 = OrbitalSpec("p2", control.excited_orbital_radius_a())
     hartree = medium_hartree_mev(control.dielectric_constant, p2.bohr_radius_a)
     _check_reach(p2, grid)
-    blocks = _reduced_pair.read(*_pair_keys(p2, p2, grid, n_terms, two_electron=False))
-    s, h_aa, h_bb, h_ab = blocks.T[:4]
+    s, h_aa, h_bb, h_ab = _read_blocks(p2, p2, grid, n_terms, two_electron=False).T
     _check_overlap(s, grid)
     t_mev = _hopping(s, h_aa, h_bb, h_ab) * hartree
     return Curve(

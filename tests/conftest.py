@@ -9,15 +9,17 @@ from donorgate import feasibility, integrals
 
 @pytest.fixture
 def fresh_cache(monkeypatch):
-    """A factory of empty pair caches: each call puts a new one, of the
-    package's size unless `maxsize` is given, in place of
-    `integrals._reduced_pair` for this test only, and returns it. Each call
-    also empties the lattice coupling tables, with a new
-    `feasibility._coupling_table` of the same bound, so that no tally reads
-    a J priced before it."""
+    """A factory of empty pair caches: each call puts a new one, a
+    `functools.lru_cache` of the package's size around
+    `integrals._reduced_pair.__wrapped__`, in its place for this test only,
+    and returns it. Each call also empties the lattice coupling tables, with
+    a new `feasibility._coupling_table` of the same bound, so that no tally
+    reads a J priced before it."""
 
-    def make(maxsize=integrals._CACHE_POINTS):
-        cache = integrals._PairCache(maxsize)
+    def make():
+        pairs = integrals._reduced_pair
+        cache = functools.lru_cache(maxsize=pairs.cache_parameters()["maxsize"])(
+            pairs.__wrapped__)
         monkeypatch.setattr(integrals, "_reduced_pair", cache)
         tables = feasibility._coupling_table
         monkeypatch.setattr(feasibility, "_coupling_table", functools.lru_cache(

@@ -509,8 +509,8 @@ def test_lattice_table_equals_the_curve_at_each_pairs_separation(fresh_cache, sc
 
 
 def test_a_repeat_tally_prices_nothing(monkeypatch, fresh_cache):
-    # a warm patch reads every J from its table: no curve call, no point
-    # read from or priced into the pair store
+    # a warm patch reads every J from its table: no curve call, no call
+    # read from or priced into the pair cache
     sc = _bench_patch_scenario()
     fresh_cache()
     region = feasibility._dope_patch(sc, 0)
@@ -526,6 +526,31 @@ def test_a_repeat_tally_prices_nothing(monkeypatch, fresh_cache):
     assert _patch_tally(sc, region) == first
     assert calls == []
     assert integrals._reduced_pair.cache_info() == info
+
+
+def test_a_repeat_r60_integrals_stage_calls_no_kernel(monkeypatch, fresh_cache):
+    # the seed-0 R = 60 A, c = 0.3 % patch's integrals stage, run a second
+    # time, reads each of its curves' blocks back from the pair cache: no
+    # kernel call, and the same rows
+    _, sc = get_preset("table1")
+    sc = dataclasses.replace(
+        sc, placements=None, lattice=LatticeSpec(60.0),
+        random_placement=RandomPlacementSpec(3e-3, {"P": 0.4, "N": 0.6}, seed=0))
+    realized, controls, qubits = feasibility._placement_stage(sc)
+    calls = []
+    kernel = integrals._pair_blocks
+
+    def counted(*args):
+        calls.append(len(args[3]))
+        return kernel(*args)
+
+    monkeypatch.setattr(integrals, "_pair_blocks", counted)
+    fresh_cache()
+    first = feasibility._integrals_stage(realized, controls, qubits)
+    assert len(calls) == 3 and sum(calls) > 4000  # P-N excited and ground, P-P transfer
+    calls.clear()
+    assert feasibility._integrals_stage(realized, controls, qubits) == first
+    assert calls == []
 
 
 def test_a_fill_that_raises_stores_nothing(monkeypatch, fresh_cache):

@@ -482,21 +482,17 @@ def test_curves_match_points_priced_one_at_a_time(fresh_cache, kernel_calls):
         _assert_rows_close(_rows(batched), _rows(single))
 
 
-def test_partly_warm_grid_gives_the_cold_rows(fresh_cache, kernel_calls):
+def test_partly_warm_grid_gives_the_cold_rows(fresh_cache):
+    # a grid a third of whose points an earlier call priced gives the rows
+    # of the grid priced from an empty cache, bit for bit
     _, fig2a = get_preset("fig2a")
     grid = fig2a.r_grid
     fresh_cache()
     cold = exchange_curve(fig2a.control, fig2a.qubit, True, grid)
-    cache = fresh_cache()
+    fresh_cache()
     exchange_curve(fig2a.control, fig2a.qubit, True, grid[::3])
-    assert cache.cache_info() == (len(grid[::3]), len(grid[::3]))
-    kernel_calls.clear()
     warm = exchange_curve(fig2a.control, fig2a.qubit, True, grid)
-    # only the points the priming left out reach the kernel
-    priced = sum(len(call) for call in kernel_calls)
-    assert priced == len(grid) - len(grid[::3])
-    assert cache.cache_info() == (len(grid[::3]) + len(grid), len(grid))
-    _assert_rows_close(_rows(warm), _rows(cold))
+    assert list(warm) == list(cold)
 
 
 def test_a_pair_point_does_not_depend_on_the_batch_that_priced_it(fresh_cache):
@@ -509,11 +505,10 @@ def test_a_pair_point_does_not_depend_on_the_batch_that_priced_it(fresh_cache):
     assert 24.0 in fig3.r_grid
     fresh_cache()
     alone = transfer_splitting_curve(control, (24.0,))[0].transfer_mev
-    cache = fresh_cache()
-    transfer_splitting_curve(fig3.control, fig3.r_grid)
-    misses = cache.cache_info()[1]
+    fresh_cache()
+    in_fig3 = transfer_splitting_curve(fig3.control, fig3.r_grid)
     after_fig3 = transfer_splitting_curve(control, (24.0,))[0].transfer_mev
-    assert cache.cache_info()[1] == misses  # read from fig3's batch
+    assert in_fig3[list(fig3.r_grid).index(24.0)].transfer_mev == alone
     assert after_fig3 == alone
 
 
@@ -707,66 +702,14 @@ def test_grouped_one_electron_pass_equals_one_pass_per_product(kind_a, kind_b):
             assert got[name].tobytes() == values.tobytes(), (ratio, n_terms, name)
 
 
-def _held(cache):
-    """The points `cache` holds, checked against its own count."""
-    held = sum(map(len, cache._rows.values()))
-    assert held == cache._held
-    return held
-
-
-def test_cache_holds_at_most_its_bound_and_empties_before_passing_it(
-        fresh_cache, kernel_calls):
-    # a store of 8 points: a call whose misses would take it past 8 empties
-    # it first, every configuration included, and prices all of its own
-    # points, hits too, in one kernel call; a call of more than 8 distinct
-    # points stores none; every row equals the cold one bit for bit
+def test_a_4200_point_grid_is_one_kernel_call(fresh_cache, kernel_calls):
+    # a long grid is priced in one kernel call, each point once, and its
+    # rows equal the same points priced in two shorter calls
     control = model_from_ionization("P", 0.6, 5.7)
-    qubit = model_from_ionization("N", 0.6, 5.7, role="qubit")
-    grid = list(np.linspace(20.0, 40.0, 12))
+    grid = np.linspace(20.0, 60.0, 4200)
     fresh_cache()
-    cold = list(transfer_splitting_curve(control, grid))
-    cold_exchange = list(exchange_curve(control, qubit, False, grid[:3]))
-    cache = fresh_cache(maxsize=8)
-
-    def priced(curve, points, want, sizes, held):
-        kernel_calls.clear()
-        assert list(curve(control, points)) == want
-        assert [len(call) for call in kernel_calls] == sizes
-        assert _held(cache) == held <= cache.maxsize
-
-    def ground(model, points):
-        return exchange_curve(model, qubit, False, points)
-
-    transfer = transfer_splitting_curve
-    priced(transfer, grid[:6], cold[:6], [6], 6)
-    (transfer_config,) = cache._rows
-    # 3 warm and 3 cold points: 6 + 3 > 8, so all 6 are priced again
-    priced(transfer, grid[3:9], cold[3:9], [6], 6)
-    assert sorted(cache._rows[transfer_config].values()) == list(range(6))
-    # another configuration's 3 points: 6 + 3 > 8, the transfer rows go
-    priced(ground, grid[:3], cold_exchange, [3], 3)
-    assert transfer_config not in cache._rows and len(cache._rows) == 1
-    # 3 + 5 = 8 fits, and both configurations are held
-    priced(transfer, grid[:5], cold[:5], [5], 8)
-    assert len(cache._rows) == 2
-    priced(transfer, grid[3:5], cold[3:5], [], 8)
-    # 12 points > 8: priced once, returned and not stored
-    priced(transfer, grid, cold, [12], 0)
-    assert cache._rows == {}
-    assert cache.cache_info() == (6 + 6 + 3 + 5 + 2 + 12, 6 + 6 + 3 + 5 + 12)
-
-
-def test_a_grid_longer_than_the_cache_prices_each_point_once(fresh_cache, kernel_calls):
-    # a grid with more points than the cache holds is priced in one kernel
-    # call and read back from that call, not priced a second time alone;
-    # its rows equal the same points priced in two shorter calls
-    control = model_from_ionization("P", 0.6, 5.7)
-    grid = np.linspace(20.0, 60.0, integrals._CACHE_POINTS + 104)
-    cache = fresh_cache()
-    assert cache.maxsize == integrals._CACHE_POINTS
     curve = transfer_splitting_curve(control, grid)
-    assert len(kernel_calls) == 1
-    assert cache.cache_info()[1] == len(grid)
+    assert [len(call) for call in kernel_calls] == [len(grid)]
     halves = []
     for part in np.array_split(grid, 2):
         fresh_cache()
@@ -783,12 +726,32 @@ def test_second_pricing_of_a_curve_calls_no_kernel(fresh_cache, kernel_calls):
     second = exchange_curve(fig2a.control, fig2a.qubit, True, fig2a.r_grid)
     assert kernel_calls == []
     assert _rows(second) == _rows(first)
-    # a one-point call reads the same cache
+    # a one-point call gives the curve's row at that point
     a = OrbitalSpec("p2", fig2a.control.excited_orbital_radius_a())
     b = OrbitalSpec("s1", fig2a.qubit.ground_orbital_radius_a())
-    assert _rows([pair_integrals(a, b, fig2a.r_grid[4], fig2a.control.dielectric_constant)]) \
-        == [_rows(first)[4]]
-    assert kernel_calls == []
+    assert pair_integrals(a, b, fig2a.r_grid[4], fig2a.control.dielectric_constant) == first[4]
+
+
+def test_a_curves_overlap_column_is_a_read_only_view_of_the_cached_blocks(fresh_cache):
+    # the cache holds each call's blocks once, and a curve reads its overlap
+    # column straight from them: that view cannot be made writeable, so a
+    # second call still returns the first call's rows bit for bit
+    fresh_cache()
+    _, fig2a = get_preset("fig2a")
+    grid = np.array(fig2a.r_grid)
+    first = exchange_curve(fig2a.control, fig2a.qubit, True, grid)
+    rows = list(first)
+    a = OrbitalSpec("p2", fig2a.control.excited_orbital_radius_a())
+    b = OrbitalSpec("s1", fig2a.qubit.ground_orbital_radius_a())
+    blocks = integrals._read_blocks(a, b, grid, 6)
+    assert np.shares_memory(first.overlap, blocks)
+    with pytest.raises(ValueError):
+        first.overlap.flags.writeable = True
+    with pytest.raises(ValueError):
+        blocks[:, 0] = 0.0
+    second = exchange_curve(fig2a.control, fig2a.qubit, True, grid)
+    assert np.shares_memory(second.overlap, blocks)
+    assert list(second) == rows
 
 
 def test_a_curve_builds_each_point_key_once(fresh_cache, monkeypatch):
@@ -821,7 +784,7 @@ def test_a_curve_builds_each_point_key_once(fresh_cache, monkeypatch):
         exchange_curve(fig2a.control, fig2a.qubit, True, grid)
         assert keyed == [[r / scale for r in grid]], temperature
         assert rounded == [ratio], temperature
-    assert cache.cache_info() == (2 * len(grid), len(grid))
+    assert cache.cache_info()[:2] == (1, 1)  # the warm call is a hit
 
 
 def _round_bits(x) -> tuple:
@@ -916,7 +879,7 @@ def test_an_empty_grid_gives_an_empty_curve(fresh_cache, kernel_calls):
         assert list(curve) == []
         assert curve.separation_a.shape == curve.transfer_mev.shape == (0,)
     assert kernel_calls == []
-    assert cache.cache_info() == (0, 0)
+    assert cache.cache_info()[:2] == (0, 0)
 
 
 def test_near_coincident_exchange_pair_names_the_first_close_separation(fresh_cache):
@@ -973,7 +936,8 @@ def _scalar_heitler_london(a, b, r, epsilon, n_terms=6):
     zb = scale / b.bohr_radius_a
     blocks = integrals._pair_blocks(a.kind, b.kind, round(b.bohr_radius_a / scale, 12),
                                     np.array([round(r / scale, 12)]), n_terms, True)
-    s, h_aa, h_bb, h_ab, jc, kx = (float(blocks[k][0]) for k in integrals._BLOCKS)
+    s, h_aa, h_bb, h_ab, jc, kx = (float(blocks[k][0])
+                                   for k in ("S", "hAA", "hBB", "hAB", "Jc", "Kx"))
     vnn = zb / (r / scale)
     h11 = h_aa + h_bb + jc + vnn
     h12 = 2.0 * s * h_ab + kx + s * s * vnn

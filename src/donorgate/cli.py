@@ -20,7 +20,7 @@ import numpy as np
 
 from . import __version__
 from .configure import infer_adjacency, simulate_scan
-from .constants import DIAMOND_LATTICE_CONSTANT
+from .constants import DIAMOND_LATTICE_CONSTANT, RYDBERG_EV
 from .donor import model_from_ionization, with_radius_scale, zeeman_check
 from .errors import DonorgateError, InvalidSpecError, NoCleanGateError
 from .feasibility import patch_statistics, resolve_cluster, run_feasibility
@@ -138,7 +138,7 @@ def _cmd_emt(args):
         ("coulombic_binding_ev", model.coulombic_binding_ev),
         ("dielectric_constant", model.dielectric_constant),
         ("effective_mass_ratio",
-         model.dielectric_constant ** 2 * model.coulombic_binding_ev / 13.6),
+         model.dielectric_constant ** 2 * model.coulombic_binding_ev / RYDBERG_EV),
         ("effective_bohr_radius_a", model.effective_bohr_radius_a),
     ]
     if args.field_t is not None:

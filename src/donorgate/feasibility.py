@@ -19,7 +19,7 @@ import numpy as np
 from .configure import calibrate_gate_time, infer_adjacency, simulate_scan
 from .constants import HBAR_MEV_PS
 from .errors import (DonorgateError, InvalidSpecError, NoCleanGateError,
-                     PreconditionError, StageError)
+                     PreconditionError, StageError, count)
 from .integrals import exchange_curve, transfer_splitting_curve
 from .lattice import DopedRegion, place_dopants
 from .scenario import Placement, Scenario
@@ -335,7 +335,7 @@ def resolve_cluster(scenario: Scenario, seed: int = None):
 
     Runs the placement, integrals and spectra stages only.
     """
-    seed = scenario.seed if seed is None else int(seed)
+    seed = scenario.seed if seed is None else count(seed, "seed")
     realized, controls, qubits = _placement_stage(scenario)
     _, couplings, _, hopping = _integrals_stage(realized, controls, qubits)
     lines, _, _ = _spectra_stage(realized, hopping, seed)
@@ -344,7 +344,7 @@ def resolve_cluster(scenario: Scenario, seed: int = None):
 
 def run_feasibility(scenario: Scenario, seed: int = None) -> FeasibilityReport:
     """Run the full pipeline on one scenario and collect the report."""
-    seed = scenario.seed if seed is None else int(seed)
+    seed = scenario.seed if seed is None else count(seed, "seed")
     realized, controls, qubits = _placement_stage(scenario)
     exchange_rows, couplings, transfer_rows, hopping = \
         _integrals_stage(realized, controls, qubits)
@@ -507,9 +507,10 @@ def patch_statistics(scenario: Scenario, n_patches: int,
     """Dope `n_patches` independent patches and tally what each could host."""
     if scenario.random_placement is None:
         raise InvalidSpecError("patch statistics need a random placement spec")
+    n_patches = count(n_patches, "n_patches")
     if n_patches < 1:
         raise InvalidSpecError("n_patches must be >= 1")
-    seed = scenario.seed if seed is None else int(seed)
+    seed = scenario.seed if seed is None else count(seed, "seed")
 
     children = np.random.SeedSequence(seed).spawn(n_patches)
     qubit_counts, control_counts, gate_counts = {}, {}, {}

@@ -1,7 +1,6 @@
 """Command line surface: artifacts, formats, exit codes."""
 
 import csv
-import dataclasses
 import io
 import json
 import os
@@ -14,6 +13,8 @@ import pytest
 
 import donorgate
 from donorgate.cli import main
+
+import pins
 
 
 def _run(capsys, *argv):
@@ -47,35 +48,6 @@ def test_splitting_curve_from_preset(capsys):
         == pytest.approx(2 * first["t_meV"], rel=1e-9)
 
 
-DATA = Path(__file__).resolve().parent / "data"
-
-
-@pytest.mark.parametrize("argv, pinned", [
-    (("exchange", "curve", "--preset", "fig2a"), "exchange_curve_fig2a.csv"),
-    (("exchange", "curve", "--preset", "fig2b"), "exchange_curve_fig2b.csv"),
-    (("splitting", "curve", "--preset", "fig3"), "splitting_curve_fig3.csv"),
-])
-def test_figure_curves_equal_their_pinned_csv(capsys, argv, pinned):
-    # a change to the integral kernel or the Boys function that moves a
-    # printed digit of these curves must regenerate the file and state why
-    code, out, _ = _run(capsys, *argv)
-    assert code == 0
-    assert out.encode() == (DATA / pinned).read_bytes()
-
-
-def test_table1_report_equals_its_pinned_json():
-    # a fresh interpreter, so the report cannot depend on what this process
-    # priced before it; a change that moves a byte of it must regenerate the
-    # file and state why
-    src = str(Path(donorgate.__file__).resolve().parents[1])
-    proc = subprocess.run(
-        [sys.executable, "-m", "donorgate.cli", "feasibility", "run", "--preset",
-         "table1"],
-        capture_output=True, timeout=300, env={**os.environ, "PYTHONPATH": src})
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == (DATA / "table1_report.json").read_bytes()
-
-
 def test_table1_report_does_not_depend_on_what_the_process_priced_before(
         capsys, fresh_cache):
     # the figure commands price their grids first, from an empty pair cache,
@@ -83,7 +55,7 @@ def test_table1_report_does_not_depend_on_what_the_process_priced_before(
     # 4201-point curve, longer than the cache holds, empties it, and its
     # rows at fig2a's separations must equal the pinned fig2a rows; the
     # report must still equal the pinned file, which a fresh interpreter
-    # gives (the test above)
+    # gives (the table1_report pin)
     fresh_cache()
     for argv in (("splitting", "curve", "--preset", "fig3"),
                  ("exchange", "curve", "--preset", "fig2a"),
@@ -94,53 +66,11 @@ def test_table1_report_does_not_depend_on_what_the_process_priced_before(
     assert code == 0
     rows = {row[0]: row for row in csv.reader(io.StringIO(out))}
     assert len(rows) == 1 + 4201
-    pinned = list(csv.reader(io.StringIO((DATA / "exchange_curve_fig2a.csv").read_text())))
+    pinned = list(csv.reader(io.StringIO(pins.pinned("exchange_curve_fig2a").decode())))
     assert [rows[row[0]] for row in pinned] == pinned
     code, out, _ = _run(capsys, "feasibility", "run", "--preset", "table1")
     assert code == 0
-    assert out.encode() == (DATA / "table1_report.json").read_bytes()
-
-
-def _random_scenario(radius_a, concentration):
-    """table1's species placed at random: P:N 0.4:0.6, placement seed 0."""
-    _, sc = donorgate.get_preset("table1")
-    return dataclasses.replace(
-        sc, placements=None, lattice=donorgate.LatticeSpec(radius_a),
-        random_placement=donorgate.RandomPlacementSpec(concentration, {"P": 0.4, "N": 0.6},
-                                                       seed=0))
-
-
-def test_random_patch_report_equals_its_pinned_json(capsys, tmp_path):
-    # table1's species on a realized R = 15 A, c = 0.2 % patch, saved and
-    # run from the file; a change that moves a byte of the report must
-    # regenerate the pinned file and state why
-    path = tmp_path / "random.json"
-    donorgate.save_scenario(_random_scenario(15.0, 2e-3), path)
-    code, out, _ = _run(capsys, "feasibility", "run", "--scenario", str(path))
-    assert code == 0
-    assert out.encode() == (DATA / "random_patch_report.json").read_bytes()
-
-
-@pytest.mark.parametrize("radius_a, concentration, patches, seed, pinned", [
-    (15.0, 2e-3, "40", "1", "patch_statistics_random.json"),
-    (40.0, 3e-3, "8", "7", "patch_statistics_r40.json"),
-    (60.0, 3e-3, "10", "3", "patch_statistics_r60.json"),
-])
-def test_patch_statistics_equal_their_pinned_json(tmp_path, radius_a, concentration,
-                                                  patches, seed, pinned):
-    # the gate tally of CI's random.json scenario (R = 15 A, c = 0.2 %), of
-    # a patch_sweep-like one (R = 40 A, c = 0.3 %) and of the same at
-    # R = 60 A, from a fresh interpreter; a change that moves a byte of one
-    # must regenerate the pinned file and state why
-    path = tmp_path / "random.json"
-    donorgate.save_scenario(_random_scenario(radius_a, concentration), path)
-    src = str(Path(donorgate.__file__).resolve().parents[1])
-    proc = subprocess.run(
-        [sys.executable, "-m", "donorgate.cli", "feasibility", "patches", "--scenario",
-         str(path), "--patches", patches, "--seed", seed, "--format", "json"],
-        capture_output=True, timeout=300, env={**os.environ, "PYTHONPATH": src})
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == (DATA / pinned).read_bytes()
+    assert out.encode() == pins.pinned("table1_report")
 
 
 def test_lattice_count_json(capsys):
@@ -186,12 +116,16 @@ def test_emt_json(capsys):
     (("emt", "--binding-ev", "0.6", "--field-t", "nan"), "field_t must be a finite number"),
     (("splitting", "curve", "--base-mev", "nan", "--r-min", "10", "--r-max", "11"),
      "base_transition_mev must be a finite number"),
+    (("feasibility", "run", "--preset", "table1", "--seed", "-1"),
+     "seed must be a non-negative integer"),
+    (("configure", "infer", "--preset", "table1", "--seed", "-1"),
+     "seed must be a non-negative integer"),
 ])
 def test_bad_values_exit_2_naming_them(capsys, argv, message):
     code, out, err = _run(capsys, *argv)
     assert code == 2
     assert out == ""
-    assert err.startswith(f"donorgate: error: {message}")
+    assert err.startswith(f"donorgate: error: {message}") and err.count("\n") == 1
 
 
 def test_dope_stats_seed_override(capsys):
@@ -261,30 +195,14 @@ def test_scenario_file_input(capsys, tmp_path):
     assert len(json.loads(out)["entries"]) == 2
 
 
-def test_saved_preset_reproduces_the_preset_report(capsys, tmp_path):
-    from donorgate import get_preset, save_scenario
-    path = tmp_path / "saved_table1.json"
-    save_scenario(get_preset("table1")[1], path)
-    code_file, from_file, _ = _run(capsys, "feasibility", "run", "--scenario", str(path))
-    code_preset, from_preset, _ = _run(capsys, "feasibility", "run", "--preset", "table1")
-    assert code_file == code_preset == 0
-    assert from_file == from_preset
-
-
 def test_feasibility_patches_from_a_saved_random_scenario(capsys, tmp_path):
-    import dataclasses
-    from donorgate import (LatticeSpec, RandomPlacementSpec, get_preset,
-                           patch_statistics, save_scenario)
-    _, sc = get_preset("table1")
-    sc = dataclasses.replace(
-        sc, placements=None, lattice=LatticeSpec(15.0),
-        random_placement=RandomPlacementSpec(2e-3, {"P": 0.4, "N": 0.6}, seed=0))
+    sc = pins.random_scenario(15.0, 2e-3)
     path = tmp_path / "random.json"
-    save_scenario(sc, path)
+    donorgate.save_scenario(sc, path)
     code, out, _ = _run(capsys, "feasibility", "patches", "--scenario", str(path),
                         "--patches", "3", "--seed", "1", "--format", "json")
     assert code == 0
-    assert json.loads(out) == patch_statistics(sc, 3, seed=1).to_dict()
+    assert json.loads(out) == donorgate.patch_statistics(sc, 3, seed=1).to_dict()
 
 
 # one edit each to a saved table1: (key path, new value, the JSON path the

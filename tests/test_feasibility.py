@@ -1,9 +1,6 @@
 """End-to-end pipeline: the five-dopant cluster and random patches."""
 
 import dataclasses
-import hashlib
-import json
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,7 +24,9 @@ from donorgate import (
     transfer_splitting_curve,
 )
 from donorgate import feasibility, integrals
-from donorgate.feasibility import _patch_tally
+from donorgate.feasibility import _patch_tally, resolve_cluster
+
+import pins
 
 # excited-state couplings of the bundled cluster, frozen from a direct run
 EXCITED_J = {
@@ -309,8 +308,14 @@ def test_patch_statistics_require_random_spec():
     _, sc = get_preset("table1")
     with pytest.raises(InvalidSpecError):
         patch_statistics(sc, n_patches=2, seed=1)
-    with pytest.raises(InvalidSpecError):
-        patch_statistics(_random_scenario(), n_patches=0, seed=1)
+    # n_patches and every seed override must be counts: no bool, fraction or negative
+    for n_patches, seed in ((0, 1), (True, 1), (2.5, 1), (2, 2.7), (2, -1), (2, True)):
+        with pytest.raises(InvalidSpecError):
+            patch_statistics(_random_scenario(), n_patches=n_patches, seed=seed)
+    for run in (run_feasibility, resolve_cluster):
+        for seed in (2.7, -1, True):
+            with pytest.raises(InvalidSpecError, match="seed"):
+                run(sc, seed=seed)
 
 
 def _tally_and_report(sc, seed):
@@ -444,12 +449,8 @@ def test_integrals_stage_prices_each_species_group_once(monkeypatch, fresh_cache
 
 
 def _bench_patch_scenario():
-    """The benchmark's patch: table1's species, R = 40 A, c = 0.3 %,
-    P:N 0.4:0.6."""
-    _, sc = get_preset("table1")
-    return dataclasses.replace(
-        sc, placements=None, lattice=LatticeSpec(40.0),
-        random_placement=RandomPlacementSpec(3e-3, {"P": 0.4, "N": 0.6}, seed=0))
+    """The benchmark's patch: table1's species, R = 40 A, c = 0.3 %."""
+    return pins.random_scenario(40.0, 3e-3)
 
 
 def _tallied_pairs(sc, region):
@@ -532,10 +533,7 @@ def test_a_repeat_r60_integrals_stage_calls_no_kernel(monkeypatch, fresh_cache):
     # the seed-0 R = 60 A, c = 0.3 % patch's integrals stage, run a second
     # time, reads each of its curves' blocks back from the pair cache: no
     # kernel call, and the same rows
-    _, sc = get_preset("table1")
-    sc = dataclasses.replace(
-        sc, placements=None, lattice=LatticeSpec(60.0),
-        random_placement=RandomPlacementSpec(3e-3, {"P": 0.4, "N": 0.6}, seed=0))
+    sc = pins.random_scenario(60.0, 3e-3)
     realized, controls, qubits = feasibility._placement_stage(sc)
     calls = []
     kernel = integrals._pair_blocks
@@ -626,26 +624,6 @@ def test_spins_stage_ranks_equal_couplings_as_before():
     for r in records:
         assert (r["qubits"], (r["j1_mev"], r["j2_mev"])) == todays_rule(r["control"])
     assert [r["qubits"] for r in records] == [("Q2", "Q3"), ("Q3", "Q2")]
-
-
-DATA = Path(__file__).resolve().parent / "data"
-
-
-def test_random_patch_corpus_equals_its_pinned_digests():
-    # the full reports of 40 realized patches, pinned as sha256 digests;
-    # a change that moves a byte of one must regenerate the file and state why
-    _, sc = get_preset("table1")
-    sc = dataclasses.replace(
-        sc, placements=None, lattice=LatticeSpec(15.0),
-        epr=EprModel(0.05, zeeman_spread_fwhm_mev=40.0),
-        random_placement=RandomPlacementSpec(2.5e-3, {"P": 0.4, "N": 0.6}, seed=0))
-    pinned = json.loads((DATA / "random_corpus_sha256.json").read_text())
-    assert sorted(pinned, key=int) == [str(seed) for seed in range(40)]
-    for seed, digest in pinned.items():
-        patch = dataclasses.replace(sc, random_placement=dataclasses.replace(
-            sc.random_placement, seed=int(seed)))
-        report = run_feasibility(patch).to_json()
-        assert hashlib.sha256(report.encode()).hexdigest() == digest, seed
 
 
 def test_empty_region_reports_zero_everything():

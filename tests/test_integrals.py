@@ -7,11 +7,8 @@ which the oracle does not cover yet, are checked against the scalar
 McMurchie-Davidson loops in md_reference.py.
 """
 
-import hashlib
 import itertools
-import json
 import math
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,9 +30,8 @@ from donorgate import integrals
 from donorgate.orbitals import N_TERMS, fit_gaussian_expansion
 
 import md_reference
+import pins
 import quad_oracle
-
-DATA = Path(__file__).resolve().parent / "data"
 
 # frozen geometry: 1s-1s, a = 2.1 A on both centers, R = 10 A, eps = 5.7
 RADIUS_A = 2.1
@@ -552,23 +548,10 @@ def test_ill_conditioned_error_names_the_first_close_separation(fresh_cache):
         pair_integrals(a, a, 0.03, EPS)
 
 
-def _boys_x():
-    """Boys arguments: the Boys table's nodes are 0.01 apart up to x = 50,
-    so their midpoints are the farthest a point takes its Taylor series;
-    from 50 on the asymptote takes over. 1e-10 is where the erf form of F_0
-    gives way to its series."""
-    edge = integrals._BOYS_X_MAX
-    return np.concatenate([[0.0], np.logspace(-14, 3, 171),
-                           [np.nextafter(1e-10, 0.0), 1e-10, np.nextafter(1e-10, 1.0)],
-                           (np.arange(0, 5000, 7) + 0.5) / 100.0,
-                           [edge - 0.005, np.nextafter(edge, 0.0), edge,
-                            np.nextafter(edge, np.inf), edge + 0.005]])
-
-
 def test_boys_downward_recursion_matches_reference():
     # below x = 1e-12 the reference drops the linear term of the series,
     # which moves it by less than x relative
-    x = _boys_x()
+    x = pins.boys_x()
     for nmax in range(7):
         boys = integrals._boys_array(nmax, x)
         assert len(boys) == nmax + 1
@@ -580,61 +563,11 @@ def test_boys_downward_recursion_matches_reference():
         integrals._boys_array(7, x)
 
 
-_PIN_CASES = tuple(itertools.product(
-    ("s1", "p2"), ("s1", "p2"), (0.35, 1.0, 2.5), (3, 6, 8), (False, True)))
-
-
-def _pin_grids(n_terms: int) -> dict:
-    """The reduced grids the kernel pin prices at `n_terms`: one point,
-    fig2a's 25 reduced points and 300 sorted seeded points, and at
-    n_terms = 3, whose one-electron chunks hold more than 300 separations,
-    1500 more."""
-    _, fig2a = get_preset("fig2a")
-    grids = {"one": np.array([3.0]),
-             "fig2a": np.array(fig2a.r_grid) / fig2a.control.ground_orbital_radius_a(),
-             "seeded": np.sort(np.random.default_rng(0).uniform(0.05, 120.0, 300))}
-    if n_terms == 3:
-        grids["long"] = np.sort(np.random.default_rng(1).uniform(0.05, 120.0, 1500))
-    return grids
-
-
-def _kernel_digests() -> dict:
-    """sha256 of the bytes of every block `_pair_blocks` returns, over s1/p2
-    pairs, three radius ratios and expansion lengths, one- and two-electron,
-    on `_pin_grids`, one of which crosses a chunk boundary in each pass of
-    each case; and of each order of `_boys_array(nmax, x)`, nmax = 0..6, on
-    `_boys_x()`. Bytes, not `==`, so that a flipped sign of zero shows."""
-    def digest(values):
-        return hashlib.sha256(np.ascontiguousarray(values).tobytes()).hexdigest()
-
-    out = {}
-    for kind_a, kind_b, ratio, n_terms, two_electron in _PIN_CASES:
-        for name, r in _pin_grids(n_terms).items():
-            blocks = integrals._pair_blocks(kind_a, kind_b, ratio, r, n_terms, two_electron)
-            key = f"{kind_a}-{kind_b} {ratio} {n_terms} {int(two_electron) + 1}e {name}"
-            out[key] = {block: digest(values) for block, values in blocks.items()}
-    x = _boys_x()
-    for nmax in range(7):
-        out[f"boys {nmax}"] = [digest(fn) for fn in integrals._boys_array(nmax, x)]
-    return out
-
-
-def test_kernel_blocks_keep_their_pinned_bytes():
-    # a change to the kernel that moves one bit of one block, a sign of zero
-    # included, must regenerate the file (`python3 tests/test_integrals.py`)
-    # and state why
-    pinned = json.loads((DATA / "pair_blocks_sha256.json").read_text())
-    got = _kernel_digests()
-    assert sorted(got) == sorted(pinned)
-    for key, digests in pinned.items():
-        assert got[key] == digests, key
-
-
 def test_every_pinned_case_crosses_a_chunk_boundary(monkeypatch):
-    # the pin checks the joins between chunks only if, in each pass of each
-    # case, some grid is priced in more than one chunk: a kernel call there
-    # takes fewer separations than the grid holds. The kernels are stubbed
-    # out, as only their chunks are counted
+    # the pair_blocks pin checks the joins between chunks only if, in each
+    # pass of each case, some grid is priced in more than one chunk: a
+    # kernel call there takes fewer separations than the grid holds. The
+    # kernels are stubbed out, as only their chunks are counted
     seen = []
 
     def one_electron(pairs, charge_b, zb):
@@ -647,9 +580,9 @@ def test_every_pinned_case_crosses_a_chunk_boundary(monkeypatch):
 
     monkeypatch.setattr(integrals, "_one_electron", one_electron)
     monkeypatch.setattr(integrals, "_eri", eri)
-    for kind_a, kind_b, ratio, n_terms, two_electron in _PIN_CASES:
+    for kind_a, kind_b, ratio, n_terms, two_electron in pins.PAIR_BLOCK_CASES:
         crossed = set()
-        for r in _pin_grids(n_terms).values():
+        for r in pins.pair_block_grids(n_terms).values():
             seen.clear()
             integrals._pair_blocks(kind_a, kind_b, ratio, r, n_terms, two_electron)
             crossed |= {kind for kind, size in seen if size < len(r)}
@@ -961,7 +894,3 @@ def test_curve_columns_equal_the_scalar_formula_bit_for_bit(fresh_cache):
             assert row == _scalar_heitler_london(a, b, r, control.dielectric_constant), \
                 (excited, r)
 
-
-if __name__ == "__main__":
-    (DATA / "pair_blocks_sha256.json").write_text(
-        json.dumps(_kernel_digests(), indent=1, sort_keys=True) + "\n")

@@ -6,10 +6,7 @@ the shell table asserts are taken from its histogram, not from literature
 tables.
 """
 
-import hashlib
-import json
 import math
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,8 +23,9 @@ from donorgate import (
 from donorgate import lattice
 from donorgate.lattice import _integer_sites
 
+import pins
+
 A0 = 3.567
-DATA = Path(__file__).resolve().parent / "data"
 
 
 def _brute_diamond(radius: float, a0: float = A0) -> np.ndarray:
@@ -168,19 +166,11 @@ def test_placement_validation():
             place_dopants(spec, 0.02, mix, seed=1)
 
 
-def test_placement_equals_its_pinned_digests():
-    # R = 40 A, c = 0.3 %, P:N 0.4:0.6 (the patch_sweep patch), seeds 0-9:
-    # sha256 of the site bytes followed by the species as a JSON list; a
-    # change that moves one site or species must regenerate the file and
-    # state why
-    pinned = json.loads((DATA / "place_dopants_r40_sha256.json").read_text())
-    assert sorted(pinned, key=int) == [str(seed) for seed in range(10)]
-    for seed, digest in pinned.items():
-        region = place_dopants(LatticeSpec(40.0), 3e-3, {"P": 0.4, "N": 0.6}, int(seed))
+def test_pinned_placements_are_contiguous_int32():
+    # the place_dopants_r40 pin digests the site bytes, which hold neither
+    # the dtype nor the memory layout
+    for region in pins.placements_r40().values():
         assert region.sites.dtype == np.int32 and region.sites.flags.c_contiguous
-        h = hashlib.sha256(region.sites.tobytes())
-        h.update(json.dumps(list(region.species)).encode())
-        assert h.hexdigest() == digest, seed
 
 
 def test_neighbor_statistics_against_binomial():

@@ -1,11 +1,8 @@
 """Spin-cluster dynamics against an independently built Kronecker oracle."""
 
-import hashlib
-import json
 import math
 import re
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,8 +28,9 @@ from donorgate.spins import (_MAX_GRID_POINTS, _SCAN_CHUNK, _SCREEN_MARGIN,
                              _down_down_q, _entropy_cut, _residual_scan,
                              _trio_levels)
 
+from pins import search_outcome
+
 HBAR = 0.6582  # meV ps
-DATA = Path(__file__).resolve().parent / "data"
 
 SX = np.array([[0, 1], [1, 0]]) / 2.0
 SY = np.array([[0, -1j], [1j, 0]]) / 2.0
@@ -366,34 +364,6 @@ def _entropy_bits(q):
     return -np.sum(lam * np.log2(lam), axis=0)
 
 
-def _search_outcome(j1, j2, tau_range):
-    try:
-        return True, sfg_gate(j1, j2, tau_range)
-    except NoCleanGateError as err:
-        return False, err.best_candidate
-
-
-def test_r60_patch_searches_keep_their_pinned_outcomes():
-    # the 189 (j1, j2) searches run_feasibility makes on table1's species at
-    # R = 60 A, c = 0.3 %, P:N 0.4:0.6, placement seed 0. Each pair's sha256
-    # covers the search over the default range and over calibrate_gate_time's
-    # (0.7 tau, 1.3 tau) window: the clean flag, duration, residual and
-    # entangling power as JSON, then the unitary's bytes
-    pinned = json.loads((DATA / "gate_search_r60_sha256.json").read_text())
-    assert len(pinned) == 189
-    for j1, j2, digest in pinned:
-        h = hashlib.sha256()
-        clean, report = _search_outcome(j1, j2, None)
-        tau = report.duration_ps
-        for clean, report in ((clean, report),
-                              _search_outcome(j1, j2, (0.7 * tau, 1.3 * tau))):
-            h.update(json.dumps([clean, report.duration_ps,
-                                 report.control_residual_entanglement,
-                                 report.entangling_power]).encode())
-            h.update(report.qubit_unitary.tobytes())
-        assert h.hexdigest() == digest, (j1, j2)
-
-
 def _sfg_grid(j1, j2, lo, hi):
     """The tau grid sfg_gate scans over (lo, hi)."""
     resolution = min(1e-3 * math.pi * HBAR_MEV_PS / max(abs(j1), abs(j2)),
@@ -630,8 +600,8 @@ def test_bounded_refine_is_scipys_bounded_brent(monkeypatch):
 
     monkeypatch.setattr(spins, "_minimize_bounded", recorded)
     for j1, j2 in _SELECTION_TRIOS:
-        tau = _search_outcome(j1, j2, None)[1].duration_ps
-        _search_outcome(j1, j2, (0.7 * tau, 1.3 * tau))
+        tau = search_outcome(j1, j2, None)[1].duration_ps
+        search_outcome(j1, j2, (0.7 * tau, 1.3 * tau))
     assert len(calls) > 2 * len(_SELECTION_TRIOS)
     calls += [(lambda x: (x - 2.0) * x * (x + 2.0) ** 2, (-3.0, -1.0), 1e-5),
               (lambda x: math.cos(x) + 0.1 * x, (1.0, 5.0), 1e-12),

@@ -75,40 +75,57 @@ def _placement_stage(scenario):
     return realized, realized.controls(), realized.qubits()
 
 
-def _separation(la, pa, lb, pb) -> float:
-    """Distance between two placed dopants; a shared site raises."""
-    sep = float(np.linalg.norm(pb - pa))
-    if sep <= 0.0:
-        raise InvalidSpecError(f"{la} and {lb} share a site")
-    return sep
+def _distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Every separation |b[j] - a[i]| of the rows of `a` and `b`, (n, 3)
+    arrays, as a (len(a), len(b)) array. Each entry is one stacked
+    (1x3)@(3x1) product, which numpy prices with the dot that
+    `np.linalg.norm(b[j] - a[i])` takes, so the two agree bit for bit."""
+    d = b[None] - a[:, None]
+    return np.sqrt(np.matmul(d[..., None, :], d[..., :, None]))[..., 0, 0]
+
+
+def _refuse_shared(shared: np.ndarray, a_labels, b_labels) -> None:
+    """Raise for the first (i, j), in row order, that `shared` marks."""
+    if shared.any():
+        i, j = np.argwhere(shared)[0]
+        raise InvalidSpecError(f"{a_labels[i]} and {b_labels[j]} share a site")
+
+
+def _species_kinds(scenario, species_names) -> tuple:
+    """Each dopant's species, as an index into `scenario.species`, and
+    whether that species is a control."""
+    index = {s.species_name: i for i, s in enumerate(scenario.species)}
+    kind = np.array([index[name] for name in species_names], dtype=np.int64)
+    return kind, np.array([s.role == "control" for s in scenario.species])[kind]
+
+
+def _species_groups(scenario, *kinds):
+    """Yield the models (one per pair member) and the member mask of each
+    species group of a set of pairs, in increasing order of species index,
+    the first member's most significant. `kinds` give each pair's species,
+    one array per pair member, as indices into `scenario.species`."""
+    n_species = len(scenario.species)
+    code = np.zeros(len(kinds[0]), dtype=np.int64)
+    for kind in kinds:
+        code = code * n_species + kind
+    for group in np.flatnonzero(np.bincount(code, minlength=n_species ** len(kinds))).tolist():
+        member = code == group
+        first = np.argmax(member)
+        yield tuple(scenario.species[kind[first]] for kind in kinds), member
 
 
 def _price_pairs(scenario, curve, names, separation, *kinds):
     """One array per column name in `names`: that column of the priced
-    curves, one entry per pair.
-
-    `kinds` give each pair's species, one array per pair member, as indices
-    into `scenario.species`. The pairs of one species group share one
-    `curve(*models, r_grid=grid)` call over the group's distinct
-    separations, in increasing order, which returns one row per grid point;
-    the groups' columns are joined in order of their species indices and
-    each pair reads its row's entry.
-    """
-    code = np.zeros(len(separation), dtype=np.int64)
-    for kind in kinds:
-        code = code * len(scenario.species) + kind
-    parts = [[np.empty(0)] * len(names)]
-    at = np.empty(len(separation), dtype=np.int64)
-    priced = 0
-    for group in np.unique(code):
-        member = code == group
+    curves, one entry per pair. Each species group of pairs (see
+    `_species_groups`) is priced by one `curve(*models, r_grid=grid)` call
+    over its distinct separations in increasing order, one row per point."""
+    columns = [np.empty(len(separation)) for _ in names]
+    for models, member in _species_groups(scenario, *kinds):
         grid, where = np.unique(separation[member], return_inverse=True)
-        first = np.argmax(member)
-        at[member] = priced + where
-        rows = curve(*(scenario.species[kind[first]] for kind in kinds), r_grid=grid)
-        parts.append([getattr(rows, name) for name in names])
-        priced += len(grid)
-    return [np.concatenate(column)[at] for column in zip(*parts)]
+        rows = curve(*models, r_grid=grid)
+        for column, name in zip(columns, names):
+            column[member] = getattr(rows, name)[where]
+    return columns
 
 
 @_stage("integrals")
@@ -116,36 +133,48 @@ def _integrals_stage(scenario, controls, qubits):
     """Exchange for every control-qubit pair inside the cutoff, transfer for
     every control-control pair (the spectra stage needs all of them, keyed
     by the unordered label pair), priced by species group as the patch
-    tally prices them; a transfer takes the species of the smaller label."""
-    near = [(c, q, sep) for c, c_pos in controls for q, q_pos in qubits
-            if (sep := _separation(c, c_pos, q, q_pos)) <= scenario.pair_cutoff_a]
-    mutual = [(la, lb, _separation(la, pa, lb, pb))
-              for i, (la, pa) in enumerate(controls) for lb, pb in controls[i + 1:]]
-    index = {s.species_name: i for i, s in enumerate(scenario.species)}
-    kind = {p.label: index[p.species] for p in scenario.placements}
+    tally prices them; a transfer takes the species of the smaller label.
+    Every separation comes from one `_distances` matrix per role pair, in
+    the placements' row order. A shared site raises, checked control-qubit,
+    then control-control, then qubit-qubit."""
+    kind, is_control = _species_kinds(scenario, [p.species for p in scenario.placements])
+    c_kind, q_kind = kind[is_control], kind[~is_control]
+    c_labels, c_pos = [c for c, _ in controls], np.array([p for _, p in controls]).reshape(-1, 3)
+    q_labels, q_pos = [q for q, _ in qubits], np.array([p for _, p in qubits]).reshape(-1, 3)
 
-    sep = np.array([s for _, _, s in near])
-    c_kind = np.array([kind[c] for c, _, _ in near], dtype=np.int64)
-    q_kind = np.array([kind[q] for _, q, _ in near], dtype=np.int64)
+    to_qubit = _distances(c_pos, q_pos)
+    _refuse_shared(to_qubit <= 0.0, c_labels, q_labels)
+    upper = np.triu(np.ones((len(controls),) * 2, dtype=bool), 1)
+    to_control = _distances(c_pos, c_pos)
+    _refuse_shared(upper & (to_control <= 0.0), c_labels, c_labels)
+    # an exact screen; only a share builds the q x q match that names it
+    if len(np.unique(q_pos, axis=0)) < len(q_pos):
+        _refuse_shared(np.triu((q_pos[:, None] == q_pos[None]).all(-1), 1), q_labels, q_labels)
+
+    ci, qi = np.nonzero(to_qubit <= scenario.pair_cutoff_a)
+    sep = to_qubit[ci, qi]
     (j_excited,) = _price_pairs(scenario, functools.partial(exchange_curve, excited=True),
-                                ("exchange_splitting_mev",), sep, c_kind, q_kind)
+                                ("exchange_splitting_mev",), sep, c_kind[ci], q_kind[qi])
     (j_ground,) = _price_pairs(scenario, functools.partial(exchange_curve, excited=False),
-                               ("exchange_splitting_mev",), sep, c_kind, q_kind)
-    exchange_rows = [{"control": c, "qubit": q, "separation_a": s,
+                               ("exchange_splitting_mev",), sep, c_kind[ci], q_kind[qi])
+    exchange_rows = [{"control": c_labels[i], "qubit": q_labels[j], "separation_a": s,
                       "j_excited_mev": je, "j_ground_mev": jg}
-                     for (c, q, s), je, jg in zip(near, j_excited.tolist(), j_ground.tolist())]
+                     for i, j, s, je, jg in zip(ci.tolist(), qi.tolist(), sep.tolist(),
+                                                j_excited.tolist(), j_ground.tolist())]
     couplings = {(r["control"], r["qubit"]): r["j_excited_mev"] for r in exchange_rows}
 
+    ia, ib = np.nonzero(upper)
+    rank = np.argsort(np.argsort(c_labels))  # labels compare as strings
+    smaller = np.where(rank[ia] < rank[ib], ia, ib)
+    mutual = to_control[ia, ib]
     transfer, splitting = _price_pairs(
         scenario, functools.partial(transfer_splitting_curve,
                                     base_transition_mev=scenario.spectral.base_transition_mev),
-        ("transfer_mev", "splitting_mev"),
-        np.array([s for _, _, s in mutual]),
-        np.array([kind[min(la, lb)] for la, lb, _ in mutual], dtype=np.int64))
-    transfer_rows = [{"pair": (la, lb), "separation_a": s,
+        ("transfer_mev", "splitting_mev"), mutual, c_kind[smaller])
+    transfer_rows = [{"pair": (c_labels[i], c_labels[j]), "separation_a": s,
                       "transfer_mev": t, "splitting_mev": split}
-                     for (la, lb, s), t, split in zip(mutual, transfer.tolist(),
-                                                      splitting.tolist())]
+                     for i, j, s, t, split in zip(ia.tolist(), ib.tolist(), mutual.tolist(),
+                                                  transfer.tolist(), splitting.tolist())]
     hopping = {frozenset(r["pair"]): r["transfer_mev"] for r in transfer_rows}
     return exchange_rows, couplings, transfer_rows, hopping
 
@@ -471,9 +500,7 @@ def _patch_tally(scenario, region) -> tuple:
     read from the `_CouplingTable` of its (control species, qubit species)
     group by n; a warm table prices nothing and calls no curve.
     """
-    index = {s.species_name: i for i, s in enumerate(scenario.species)}
-    kind = np.array([index[name] for name in region.species], dtype=np.int64)
-    is_control = np.array([s.role == "control" for s in scenario.species])[kind]
+    kind, is_control = _species_kinds(scenario, region.species)
     c_kind, q_kind = kind[is_control], kind[~is_control]
     controls = region.sites[is_control].astype(np.int64)
     qubits = region.sites[~is_control].astype(np.int64)
@@ -490,13 +517,9 @@ def _patch_tally(scenario, region) -> tuple:
     ci, qi = np.nonzero(np.sqrt(n2) * quarter <= scenario.pair_cutoff_a)
     n = n2[ci, qi]
 
-    n_species = len(scenario.species)
-    group = c_kind[ci] * n_species + q_kind[qi]
     j = np.empty(len(n))
-    for code in np.flatnonzero(np.bincount(group, minlength=n_species * n_species)).tolist():
-        member = group == code
-        c_model, q_model = (scenario.species[k] for k in divmod(code, n_species))
-        j[member] = _coupling_table(c_model, q_model, quarter).read(n[member])
+    for models, member in _species_groups(scenario, c_kind[ci], q_kind[qi]):
+        j[member] = _coupling_table(*models, quarter).read(n[member])
     strong = np.abs(j) >= scenario.min_gate_coupling_mev
     gates = np.count_nonzero(np.bincount(ci[strong], minlength=len(controls)) >= 2)
     return len(qubits), len(controls), int(gates)

@@ -41,13 +41,10 @@ Molecular Electronic-Structure Theory, section 9.8).
 `exchange_curve`, `transfer_splitting_curve` and `pair_integrals` read
 their blocks from one cache of whole pricing calls, `_reduced_pair`, which
 holds the last `_CACHE_CALLS` (64) calls. A call builds its pair
-configuration once and rounds its reduced separations to 12 decimals in one
-numpy pass, `_round12`: rint of each separation times 1e12, divided back by
-1e12, which equals Python's `round(x, 12)` bit for bit; the few points whose
-scaled value lies within an ulp of a half-integer, or past 2^52, fall back
-to `round`. The configuration and the tuple of those keys are the cache
-key; a miss prices every point in one kernel call and holds its blocks as
-one read-only (points, blocks) array. The Heitler-London assembly,
+configuration once and rounds each reduced separation to 12 decimals with
+Python's `round`. The configuration and the tuple of those keys are the
+cache key; a miss prices every point in one kernel call and holds its
+blocks as one read-only (points, blocks) array. The Heitler-London assembly,
 `_pair_curve`, works on that array's columns, and `pair_integrals` is that
 assembly at one point. A curve comes back as a `Curve`: one read-only
 array per field, whose rows are built only when read.
@@ -446,44 +443,20 @@ def _reduced_pair(config: tuple, separations: tuple) -> np.ndarray:
     return table
 
 
-def _round12(x: np.ndarray) -> list:
-    """`[round(v, 12) for v in x.tolist()]`, bit for bit, from numpy.
-
-    With y = x * 1e12 and n = rint(y), the key is n / 1e12. Python's `round`
-    is the double nearest the exact x * 10^12 rounded half-even to an
-    integer, over 10^12; the product, `rint` and the division are each
-    correctly rounded, so the two agree wherever y and the exact product
-    round to the same integer. That holds unless y lies within one ulp of a
-    half-integer, |(|y - n|) - 1/2| <= spacing(|y|); those points, and those
-    with |y| >= 2^52 or not finite (an overflowed product), fall back to
-    `round`. (`np.round` is this without the fallback, so it rounds some
-    values one bit apart.)"""
-    with np.errstate(over="ignore", invalid="ignore"):
-        y = x * 1e12
-        n = np.rint(y)
-        near_half = np.abs(np.abs(y - n) - 0.5) <= np.spacing(np.abs(y))
-        unsure = np.flatnonzero(near_half | ~(np.abs(y) < 2.0**52))
-    keys = (n / 1e12).tolist()
-    for i in unsure.tolist():
-        keys[i] = round(float(x[i]), 12)
-    return keys
-
-
 def _read_blocks(a: OrbitalSpec, b: OrbitalSpec, separation_a: np.ndarray, n_terms: int,
                  two_electron: bool = True) -> np.ndarray:
     """`_reduced_pair`'s blocks of `a` and `b` at the separations
     `separation_a` (angstrom, a 1-D array). Its key is the pair
-    configuration, built once with the radius ratio rounded to 12 decimals
-    by Python's `round`, and the tuple of reduced separations (in units of
-    a's radius) rounded to 12 decimals by one `_round12` call, the same bits
-    as `round` gives. An empty grid gives an empty array and reaches
-    neither the cache nor the kernel, whose chunks cannot cut zero
-    separations."""
+    configuration, built once with the radius ratio rounded to 12 decimals,
+    and the tuple of reduced separations (in units of a's radius), each
+    rounded to 12 decimals; Python's `round` makes every key. An empty grid
+    gives an empty array and reaches neither the cache nor the kernel, whose
+    chunks cannot cut zero separations."""
     if not len(separation_a):
         return np.empty((0, 6 if two_electron else 4))
     scale = a.bohr_radius_a
     config = (a.kind, b.kind, round(b.bohr_radius_a / scale, 12), n_terms, two_electron)
-    return _reduced_pair(config, tuple(_round12(separation_a / scale)))
+    return _reduced_pair(config, tuple(round(r, 12) for r in (separation_a / scale).tolist()))
 
 
 def _hopping(s, h_aa, h_bb, h_ab):

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import DIAMOND_LATTICE_CONSTANT
-from .errors import InsufficientRegionError, InvalidSpecError, store_finite
+from .errors import InsufficientRegionError, InvalidSpecError, count, store_finite
 
 
 @dataclass(frozen=True)
@@ -189,11 +189,11 @@ def place_dopants(
     """Independent Bernoulli occupation of every site at the given fraction.
 
     species_mix maps species id -> fraction (a non-empty mix of finite
-    fractions that sum to 1). Placement is reproducible: a fixed enumeration
-    order and a single rng stream mean identical (spec, concentration, seed)
-    give identical regions. The occupied sites are gathered by index from
-    the enumerated (n, 3) int32 array, so `sites` is a new C-contiguous
-    int32 array in enumeration order.
+    fractions that sum to 1), and seed a non-negative integer. Placement is
+    reproducible: a fixed enumeration order and a single rng stream mean
+    identical (spec, concentration, seed) give identical regions. The
+    occupied sites are gathered by index from the enumerated (n, 3) int32
+    array, so `sites` is a new C-contiguous int32 array in enumeration order.
     """
     if not (0.0 < concentration < 1.0):
         raise InvalidSpecError("concentration must lie strictly between 0 and 1")
@@ -204,6 +204,7 @@ def place_dopants(
         raise InvalidSpecError(
             "species mix must be non-empty, its fractions finite, non-negative and summing to 1")
     names = list(mix.keys())
+    seed = count(seed, "seed")
 
     coords = _integer_sites(spec.lattice_constant, spec.bounding_radius)
     rng = np.random.default_rng(seed)

@@ -120,6 +120,8 @@ def test_emt_json(capsys):
      "seed must be a non-negative integer"),
     (("configure", "infer", "--preset", "table1", "--seed", "-1"),
      "seed must be a non-negative integer"),
+    (("dope", "stats", "--concentration", "0.01", "--radius", "10", "--seed", "-1"),
+     "seed must be a non-negative integer"),
 ])
 def test_bad_values_exit_2_naming_them(capsys, argv, message):
     code, out, err = _run(capsys, *argv)

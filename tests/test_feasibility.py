@@ -206,6 +206,18 @@ def test_qubit_on_a_control_site_is_rejected_on_both_paths(monkeypatch):
         assert isinstance(err.value.cause, InvalidSpecError)
 
 
+def test_two_qubits_on_one_site_are_rejected():
+    # a qubit-qubit share is refused in the integrals stage, as the
+    # control-qubit and control-control ones are
+    _, sc = get_preset("table1")
+    on_q1 = dataclasses.replace(sc.placements[3], position_a=sc.placements[2].position_a)
+    bad = dataclasses.replace(sc, placements=sc.placements[:3] + (on_q1,) + sc.placements[4:])
+    with pytest.raises(StageError, match="Q1 and Q2 share a site") as err:
+        run_feasibility(bad)
+    assert err.value.stage == "integrals"
+    assert isinstance(err.value.cause, InvalidSpecError)
+
+
 def test_line_energies_use_each_pairs_own_transfer():
     # C1-C2 and C2-C3 are both 12 A apart but are priced with different
     # control models, so their transfer amplitudes differ; each must enter
@@ -234,6 +246,22 @@ def test_line_energies_use_each_pairs_own_transfer():
     assert [line["control"] for line in rep.lines] == labels
     assert [line["energy_mev"] for line in rep.lines] == pytest.approx(
         want, rel=1e-12)
+
+
+def test_a_transfer_takes_the_species_of_the_smaller_label():
+    # labels compare as strings, so C10, listed second, is the smaller of
+    # C2 and C10, and its species prices their transfer
+    _, sc = get_preset("table1")
+    hard = model_from_ionization("P", 0.6, 5.7, role="control")
+    soft = model_from_ionization("Ps", 0.6, 5.7, central_cell_split_ev=0.2,
+                                 role="control")
+    pair = dataclasses.replace(sc, species=(hard, soft), placements=(
+        Placement("C2", "P", (0.0, 0.0)), Placement("C10", "Ps", (12.0, 0.0))))
+    (row,) = run_feasibility(pair).transfer
+    want = transfer_splitting_curve(soft, [12.0],
+                                    base_transition_mev=sc.spectral.base_transition_mev)
+    assert row["pair"] == ("C2", "C10")
+    assert row["transfer_mev"] == want.transfer_mev[0]
 
 
 # --- random patches ----------------------------------------------------------
@@ -527,6 +555,31 @@ def test_a_repeat_tally_prices_nothing(monkeypatch, fresh_cache):
     assert _patch_tally(sc, region) == first
     assert calls == []
     assert integrals._reduced_pair.cache_info() == info
+
+
+def _role_positions(case):
+    """(control, qubit) positions: table1's, or a seed-0 c = 0.3 % patch's
+    at R = 40 or 60 A, or 100 random non-lattice points each."""
+    if case == "random":
+        return np.random.default_rng(2009).uniform(-60.0, 60.0, (2, 100, 3))
+    sc = get_preset("table1")[1] if case == "table1" else pins.random_scenario(case, 3e-3)
+    _, controls, qubits = feasibility._placement_stage(sc)
+    return tuple(np.array([p for _, p in placed]) for placed in (controls, qubits))
+
+
+@pytest.mark.parametrize("case", ["table1", 40.0, 60.0, "random"])
+def test_distances_equal_per_pair_norms_bit_for_bit(case):
+    # the integrals stage takes every separation from `_distances`, whose
+    # stacked matmul must stay the dot that np.linalg.norm takes on every
+    # numpy and BLAS the package allows: the control-qubit and
+    # control-control pairs, or 10 000 random pairs
+    controls, qubits = _role_positions(case)
+    pairs = [(controls, controls), (controls, qubits)] if case != "random" else [(controls, qubits)]
+    for a, b in pairs:
+        fast = feasibility._distances(a, b)
+        slow = np.array([[np.linalg.norm(q - p) for q in b] for p in a])
+        assert fast.shape == slow.shape == (len(a), len(b))
+        assert np.array_equal(fast.view(np.int64), slow.view(np.int64))
 
 
 def test_a_repeat_r60_integrals_stage_calls_no_kernel(monkeypatch, fresh_cache):

@@ -689,86 +689,27 @@ def test_a_curves_overlap_column_is_a_read_only_view_of_the_cached_blocks(fresh_
 
 def test_a_curve_builds_each_point_key_once(fresh_cache, monkeypatch):
     # a call builds its pair configuration once, rounding the radius ratio
-    # with one `round`, and rounds its reduced separations with one
-    # `_round12` call on the reduced grid in grid order, cold and warm; the
-    # Boys table is filled first, so that no other rounding is counted
+    # with one `round`, then rounds each reduced separation with one `round`
+    # in grid order, cold and warm; the Boys table is filled first, so that
+    # no other rounding is counted
     cache = fresh_cache()
     _, fig2a = get_preset("fig2a")
     integrals._boys_nodes()
-    rounded, keyed = [], []
-    round12 = integrals._round12
+    rounded = []
 
     def counted_round(x, ndigits=None):
         rounded.append(x)
         return round(x, ndigits)
 
-    def counted_keys(x):
-        keyed.append(x.tolist())
-        return round12(x)
-
     monkeypatch.setattr(integrals, "round", counted_round, raising=False)
-    monkeypatch.setattr(integrals, "_round12", counted_keys)
     grid = list(fig2a.r_grid)
     scale = fig2a.control.excited_orbital_radius_a()
     ratio = fig2a.qubit.ground_orbital_radius_a() / scale
     for temperature in ("cold", "warm"):
         rounded.clear()
-        keyed.clear()
         exchange_curve(fig2a.control, fig2a.qubit, True, grid)
-        assert keyed == [[r / scale for r in grid]], temperature
-        assert rounded == [ratio], temperature
+        assert rounded == [ratio] + [r / scale for r in grid], temperature
     assert cache.cache_info()[:2] == (1, 1)  # the warm call is a hit
-
-
-def _round_bits(x) -> tuple:
-    """`_round12(x)` and Python's `round(v, 12)` of each value, as int64 bit
-    patterns."""
-    x = np.asarray(x, dtype=float)
-    fast = np.array(integrals._round12(x), dtype=float).view(np.int64)
-    slow = np.array([round(v, 12) for v in x.tolist()], dtype=float).view(np.int64)
-    return fast, slow
-
-
-def test_numpy_keys_equal_python_round_bit_for_bit(monkeypatch):
-    rng = np.random.default_rng(2009)
-    # log-uniform across every scale a reduced separation can take
-    spread = 10.0 ** rng.uniform(-13.0, 4.0, 200_000)
-    # exact half-integers after scaling, (k + 1/2) / 1e12, and the doubles
-    # either side of each: the points where the scaled product's own
-    # rounding could flip which integer is nearest
-    k = np.floor(10.0 ** rng.uniform(0.0, 15.5, 200_000))
-    halves = (k + 0.5) / 1e12
-    near_halves = np.concatenate([halves, np.nextafter(halves, 0.0),
-                                  np.nextafter(halves, np.inf)])
-    # either side of 2^52 / 1e12, where the scaled value stops holding a
-    # fraction, bit by bit and over a wider band
-    edge = np.array([2.0**52 / 1e12])
-    steps = (edge.view(np.int64) + np.arange(-2000, 2001)).view(float)
-    band = rng.uniform(edge[0] / 2, edge[0] * 2, 20_000)
-    # values whose scaled product overflows, which `round` returns as they are
-    huge = np.array([1e296, 1e300, np.finfo(float).max])
-    for name, x in (("spread", spread), ("halves", near_halves), ("2^52", steps),
-                    ("band", band), ("overflow", huge)):
-        fast, slow = _round_bits(x)
-        assert np.array_equal(fast, slow), (name, x[fast != slow][:5])
-    # every reduced separation the fig2a, fig2b and fig3 curves key
-    seen = []
-    round12 = integrals._round12
-
-    def recorded(x):
-        seen.append(x.copy())
-        return round12(x)
-
-    monkeypatch.setattr(integrals, "_round12", recorded)
-    for preset in ("fig2a", "fig2b"):
-        _, sc = get_preset(preset)
-        for excited in (False, True):
-            exchange_curve(sc.control, sc.qubit, excited, sc.r_grid)
-    _, fig3 = get_preset("fig3")
-    transfer_splitting_curve(fig3.control, fig3.r_grid)
-    assert len(seen) == 5
-    fast, slow = _round_bits(np.concatenate(seen))
-    assert np.array_equal(fast, slow)
 
 
 # ---------------------------------------------------------------------------

@@ -164,6 +164,10 @@ def test_placement_validation():
     for mix in ({"P": 0.5, "N": 0.2}, {"P": math.nan, "N": 1.0}, {}):
         with pytest.raises(InvalidSpecError):
             place_dopants(spec, 0.02, mix, seed=1)
+    # a negative, boolean or fractional seed is refused, not handed to numpy
+    for seed in (-1, True, 2.5):
+        with pytest.raises(InvalidSpecError, match="seed must be a non-negative integer"):
+            place_dopants(spec, 0.02, {"P": 1.0}, seed=seed)
 
 
 def test_pinned_placements_are_contiguous_int32():

@@ -23,7 +23,9 @@ a dip can be. The probe |down down> stays in the S_z = -1/2 sector, so the
 control's state for it has no coherence and its entropy is H2(p), with
 p(tau) = |U[3, 3]|^2 a sum of three real cosines: a closed-form lower bound
 on the worst case. H2 rises with q = min(p, 1 - p), so the probes are scored
-only where q lies below the cut that a level sets.
+only where q lies below the cut that a level sets. On the uniform grid the
+three cosines come by angle addition, as one (blocks x 6) @ (6 x 512) matrix
+product per search.
 
 Basis convention: spin k maps to bit (n-1-k) of the state index, bit value 0
 meaning m = +1/2. Equivalently the basis is the Kronecker product of the
@@ -236,8 +238,16 @@ _PROBES = _single_qubit_probes()
 # chunk. The 9 level-pair phases (73 kB a chunk) stay under it and are
 # allocated per chunk. The |down down> screen splits the grid into blocks of
 # the same length and takes cosines only of the block starts and of the
-# offsets within a block; it keeps two full-grid arrays (16 bytes a point).
+# offsets within a block; its only full-grid array is q (8 bytes a point).
 _SCAN_CHUNK = 512
+
+# block rows per (rows x 6) @ (6 x _SCAN_CHUNK) product of the |down down>
+# screen, a constant so that OpenBLAS keeps it on one thread. On a 2-vCPU
+# host a product ran single-threaded at up to 320 rows (79 us) and on both
+# cores from 340 rows (0.17-12 ms a call); from 16 to 320 rows a piece costs
+# 0.26-0.32 us a row. 64 rows is 32 768 grid points, and their 256 kB
+# product is still in cache when q is taken from it
+_SCREEN_ROWS = 64
 
 # the gate search's refine threshold and first screen level, in bits, and
 # the margin for rounding between the |down down> bound and a scored residual
@@ -251,8 +261,9 @@ _FIRST_BATCH = 32
 # rounding (see `_down_down_q`)
 _CUT_PAD = 1e-6
 
-# the most tau points one search may scan. A search holds about 28 bytes a
-# point at its peak, 65 where the screen admits every point: at most 270 MB.
+# the most tau points one search may scan. A search holds about 26 bytes a
+# point at its peak (tau, q and the padded scores), 65 where the screen
+# admits every point: at most 270 MB. The screen itself holds 8 bytes a point.
 # A default range has about 4000 * max|J| / min|J| points
 _MAX_GRID_POINTS = 1 << 22
 
@@ -343,10 +354,12 @@ def induced_qubit_block(j1_mev: float, j2_mev: float, tau_ps: float) -> np.ndarr
 
 def induced_qubit_operator(j1_mev: float, j2_mev: float, tau_ps: float) -> tuple:
     """`induced_qubit_block`, plus the residual control entanglement in bits
-    (zero exactly when the block is unitary)."""
-    M = induced_qubit_block(j1_mev, j2_mev, tau_ps)
+    (zero exactly when the block is unitary), from one build of the trio's
+    levels and projectors."""
     levels, projectors = _trio_levels(j1_mev, j2_mev)
-    return M, _residual_scan(levels, projectors).at(float(tau_ps))
+    tau = finite(tau_ps, "tau_ps", PreconditionError)
+    return (_trio_propagator(levels, projectors, tau)[_UP, _UP],
+            _residual_scan(levels, projectors).at(tau))
 
 
 def _down_down_q(levels: np.ndarray, projectors: np.ndarray,
@@ -364,14 +377,22 @@ def _down_down_q(levels: np.ndarray, projectors: np.ndarray,
     The grid is cut into blocks of `_SCAN_CHUNK` points, and each cosine is
     taken by angle addition, cos(a + b) = cos a cos b - sin a sin b, from the
     cosine and sine of its block's start a and of its offset b within the
-    block: 2 * (blocks + `_SCAN_CHUNK`) transcendental calls a rate, and
-    two products and two sums a rate per point. Against the cosine of each
-    point's own angle, q moved by at most 2.0e-13 over 200 random trios with
-    default grids of up to 580 k points. Near the first level's cut (H2 = 1e-2, q = 8e-4) dH2/dq =
-    log2((1 - q)/q) is below 11 and falls as the level rises, so the entropy
-    this admits against moves by at most 2.2e-12 bits, far inside
-    `_SCREEN_MARGIN`; `_entropy_cut` pads each cut by a further 8e-10 or
-    more in q.
+    block. So p less its constant is one (blocks x 6) @ (6 x `_SCAN_CHUNK`)
+    matrix product: each row holds cos a and -sin a of a block start's three
+    angles, each column the weighted cos b and sin b of an offset's, so a
+    search takes 6 * (blocks + `_SCAN_CHUNK`) transcendental calls and 6
+    multiply-adds a point. The product is taken `_SCREEN_ROWS` block rows at
+    a time, on one OpenBLAS thread, and each piece is turned into q in place
+    while it is still in cache, so q is the only full-grid array.
+
+    Against the cosine of each point's own angle, q moved by at most 2.7e-13
+    over 600 random trios with default grids of up to 594 k points, and by
+    less than 2e-13 on grids of up to 1e5 points; the error grows with the
+    grid's last angle. Near the first level's cut (H2 = 1e-2, q = 8e-4)
+    dH2/dq = log2((1 - q)/q) is below 11 and falls as the level rises, so
+    the entropy this admits against moves by at most 3.0e-12 bits, far
+    inside `_SCREEN_MARGIN`; `_entropy_cut` pads each cut by a further 8e-10
+    or more in q.
     """
     w = projectors[:, 3, 3]
     k, l = _LEVEL_PAIRS
@@ -379,17 +400,20 @@ def _down_down_q(levels: np.ndarray, projectors: np.ndarray,
     weights = 2.0 * w[k] * w[l]
     n = len(taus)
     offsets = (taus[1] - taus[0] if n > 1 else 0.0) * np.arange(min(n, _SCAN_CHUNK))
-    starts = taus[::_SCAN_CHUNK]
-    p = np.zeros((len(starts), len(offsets)))
-    term = np.empty_like(p)
-    for rate, weight in zip(rates, weights):
-        a, b = rate * starts, rate * offsets
-        p += np.multiply.outer(np.cos(a), weight * np.cos(b), out=term)
-        p -= np.multiply.outer(np.sin(a), weight * np.sin(b), out=term)
-    p, term = p.reshape(-1)[:n], term.reshape(-1)[:n]
+    a = np.multiply.outer(taus[::_SCAN_CHUNK], rates)
+    starts = np.stack((np.cos(a), -np.sin(a)), axis=-1).reshape(-1, 6)
+    b = np.multiply.outer(rates, offsets)
+    shifts = (weights[:, None, None]
+              * np.stack((np.cos(b), np.sin(b)), axis=1)).reshape(6, -1)
     constant = float(np.sum(w * w))
-    np.subtract(1.0 - constant, p, out=term)
-    return np.minimum(np.add(p, constant, out=p), term, out=p)
+    q = np.empty((len(starts), len(offsets)))
+    term = np.empty((min(len(starts), _SCREEN_ROWS), len(offsets)))
+    for row in range(0, len(starts), _SCREEN_ROWS):
+        p = np.matmul(starts[row:row + _SCREEN_ROWS], shifts,
+                      out=q[row:row + _SCREEN_ROWS])
+        np.subtract(1.0 - constant, p, out=term[:len(p)])
+        np.minimum(np.add(p, constant, out=p), term[:len(p)], out=p)
+    return q.reshape(-1)[:n]
 
 
 def _binary_entropy(q: float) -> float:
@@ -581,7 +605,9 @@ def sfg_gate(j1_mev: float, j2_mev: float, tau_range: tuple = None, *,
     of SciPy's bounded Brent minimizer, and returns the clean one with the
     largest entangling power.
     If none gets below `residual_threshold`, raises NoCleanGateError
-    carrying the best candidate.
+    carrying the best candidate. `tau_range` must be two finite real bounds
+    (lo, hi) with hi > max(lo, 0), and `residual_threshold` a finite real
+    above 0; a string or a bool is neither, and PreconditionError is raised.
 
     The trio's levels and projectors are computed once per search. The
     coarse scan and the refine score tau through them: the control's
@@ -598,11 +624,12 @@ def sfg_gate(j1_mev: float, j2_mev: float, tau_range: tuple = None, *,
     grid point, in closed form. H2 rises with q, so "H2(q) below a level
     (plus 1e-9 for rounding)" is "q below a cut", found once per level by
     bisection; q comes by angle addition from the cosines of the grid's
-    block starts and in-block offsets (`_down_down_q`). No cosine, log or
-    matrix product is taken per point. The angle addition moves the entropy
-    by at most 2.2e-12 bits, far inside the 1e-9 margin, and the cut is
-    padded outward besides, so the screen admits every point the exact
-    bound admits, and rarely a few more. The 36 probes are scored only at
+    block starts and in-block offsets, as one small matrix product per
+    search (`_down_down_q`). No cosine or log is taken per point, only 6
+    multiply-adds. The angle addition moves the entropy by at most 3.0e-12
+    bits, far inside the 1e-9 margin, and the cut is padded outward
+    besides, so the screen admits every point the exact bound admits, and
+    rarely a few more. The 36 probes are scored only at
     admitted points; the others stand as +inf. The level starts at 1e-2,
     the refine threshold: any point whose true residual is below it is
     scored, and an unscored neighbour's true residual is above it, so every
@@ -633,13 +660,17 @@ def sfg_gate(j1_mev: float, j2_mev: float, tau_range: tuple = None, *,
     j_min, j_max = sorted(abs(float(j)) for j in (j1_mev, j2_mev))
     if tau_range is None:
         tau_range = (0.0, 4.0 * math.pi * HBAR_MEV_PS / j_min)
-    lo, hi = float(tau_range[0]), float(tau_range[1])
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise PreconditionError("tau range bounds must be finite")
+    try:
+        lo, hi = tau_range
+    except (TypeError, ValueError):
+        raise PreconditionError(
+            f"tau range must be two bounds, got {tau_range!r}") from None
+    lo = finite(lo, "tau range lower bound", PreconditionError)
+    hi = finite(hi, "tau range upper bound", PreconditionError)
     if hi <= lo or hi <= 0:
         raise PreconditionError("tau range must be a forward interval")
-    if not (math.isfinite(residual_threshold) and residual_threshold > 0):
-        raise PreconditionError("residual_threshold must be finite and positive")
+    if finite(residual_threshold, "residual_threshold", PreconditionError) <= 0:
+        raise PreconditionError("residual_threshold must be positive")
     # narrow explicit ranges must still get a usable grid
     resolution_ps = min(1e-3 * math.pi * HBAR_MEV_PS / j_max, (hi - lo) / 200.0)
 

@@ -25,6 +25,7 @@ from donorgate import (
 from donorgate.constants import HBAR_MEV_PS
 from donorgate import spins
 from donorgate.spins import (_MAX_GRID_POINTS, _SCAN_CHUNK, _SCREEN_MARGIN,
+                             _SCREEN_ROWS,
                              _down_down_q, _entropy_cut, _residual_scan,
                              _trio_levels)
 
@@ -230,6 +231,21 @@ def test_sfg_gate_grid_validation():
                       (-math.inf, 1.0)):
         with pytest.raises(PreconditionError):
             sfg_gate(5.0, 5.0, bad_range)
+    # exactly two bounds, each a real number: a string, a bool or a third
+    # bound is refused, not converted, truncated or left to numpy
+    for bad_range in (("0", "1"), (0.0, 1.0, 2.0), "x", [0.0], (), 1.0,
+                      (True, 1.0), (0.0, False)):
+        with pytest.raises(PreconditionError, match="^tau range"):
+            sfg_gate(20.0, 10.0, bad_range)
+    for bad_range in (("0", "1"), (True, 1.0), (0.0, False)):
+        with pytest.raises(PreconditionError, match="must be a finite number"):
+            sfg_gate(20.0, 10.0, bad_range)
+    # any pair of real numbers is a range: a list, an array, integers
+    want = sfg_gate(10.0, 10.0, (0.0, 1.0))
+    for good_range in ([0.0, 1.0], np.array([0.0, 1.0]), (0, 1)):
+        got = sfg_gate(10.0, 10.0, good_range)
+        assert got.duration_ps == want.duration_ps
+        assert np.array_equal(got.qubit_unitary, want.qubit_unitary)
 
 
 def test_sfg_gate_threshold_validation():
@@ -238,6 +254,12 @@ def test_sfg_gate_threshold_validation():
     for bad_threshold in (0.0, -1.0, math.nan, math.inf):
         with pytest.raises(PreconditionError):
             sfg_gate(5.0, 5.0, residual_threshold=bad_threshold)
+    # a string or a bool is no threshold, though float() would take either
+    for bad_threshold in ("1e-6", True, None):
+        with pytest.raises(PreconditionError, match="residual_threshold must be "
+                                                   "a finite number"):
+            sfg_gate(5.0, 5.0, residual_threshold=bad_threshold)
+    assert sfg_gate(5.0, 5.0, residual_threshold=1).entangling_power > 0.1
 
 
 def _reference_residuals(j1, j2, taus):
@@ -371,13 +393,56 @@ def _sfg_grid(j1, j2, lo, hi):
     return np.arange(max(lo, resolution), hi, resolution)
 
 
+def _cosine_per_point_q(levels, projectors, taus):
+    """q = min(p, 1 - p) for the |down down> probe, with the cosine of each
+    point's own angle: p = sum_k w_k^2 + 2 sum_{k<l} w_k w_l cos((E_k -
+    E_l) tau/hbar), w_k = P_k[3, 3]."""
+    w = projectors[:, 3, 3]
+    constant = float(np.sum(w * w))
+    p = sum(2.0 * w[k] * w[l] * np.cos((levels[k] - levels[l]) * taus / HBAR_MEV_PS)
+            for k, l in ((0, 1), (0, 2), (1, 2)))
+    return np.minimum(p + constant, 1.0 - constant - p)
+
+
+def test_down_down_q_is_a_cosine_per_point_within_2e_13():
+    # the screen takes each point's cosines from its block start's and its
+    # in-block offset's; against a cosine per point q stays within the
+    # 2e-13 that its docstring claims, on seeded trios with equal, opposite
+    # and random-ratio couplings, over uniform grids at the search's step
+    # from one point to about 1e5, a third of them starting within 1e-6 of 0
+    rng = np.random.default_rng(35)
+    lengths = [1, 2, 3, _SCAN_CHUNK - 1, _SCAN_CHUNK, _SCAN_CHUNK + 1,
+               3 * _SCAN_CHUNK + 7, 100_000]
+    lengths += [int(n) for n in np.exp(rng.uniform(0.0, math.log(50_000.0), 28))]
+    worst = 0.0
+    for case, n in enumerate(lengths):
+        j1 = float(rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 200.0))
+        j2 = (j1, -j1, float(rng.uniform(-2.0, 2.0)) * j1)[case % 3]
+        step = 1e-3 * math.pi * HBAR_MEV_PS / max(abs(j1), abs(j2))
+        step *= float(rng.uniform(0.5, 2.0))
+        period = 2.0 * math.pi * HBAR_MEV_PS / abs(j1)
+        start = float(rng.uniform(0.0, 1e-6 if case % 3 == 0 else 4.0) * period)
+        taus = np.arange(start, start + (n - 0.5) * step, step)
+        assert len(taus) == n, case
+        trio = _trio_levels(j1, j2)
+        q = _down_down_q(*trio, taus)
+        assert q.shape == taus.shape, case
+        error = float(np.max(np.abs(q - _cosine_per_point_q(*trio, taus))))
+        assert error < 2e-13, (j1, j2, n, error)
+        worst = max(worst, error)
+    assert worst > 0.0  # the two ways round apart, so the bound is tested
+    # the longest grid spans several row pieces of the screen's product
+    assert max(lengths) > 2 * _SCREEN_ROWS * _SCAN_CHUNK
+
+
 def test_down_down_screen_admits_every_point_below_the_level():
     # one probe's entropy never exceeds the worst probe's, so the screen must
     # admit every point whose scored residual lies below the level, over
     # random trios that include equal and opposite couplings and grids that
     # start near zero: on a multi-block grid with a partial last block, on
-    # the narrow range calibrate_gate_time searches, and on the one-point
-    # grid sfg_gate falls back to
+    # the narrow range calibrate_gate_time searches, on the one-point grid
+    # sfg_gate falls back to and, for every 130th trio, on a grid at the
+    # search's step that spans three row pieces of the screen's product
     rng = np.random.default_rng(16)
     levels_bits = [1e-2 * 8.0 ** m for m in range(4)]
     assert levels_bits[-1] >= 1.0
@@ -394,9 +459,15 @@ def test_down_down_screen_admits_every_point_below_the_level():
         tau = float(rng.uniform(0.05, 1.0) * period)
         narrow = _sfg_grid(j1, j2, 0.7 * tau, 1.3 * tau)
         one_point = np.array([tau])
+        grids = [blocks, narrow, one_point]
+        if case % 130 == 0:
+            resolution = 1e-3 * math.pi * HBAR_MEV_PS / max(abs(j1), abs(j2))
+            points = (2 * _SCREEN_ROWS + 5) * _SCAN_CHUNK + 37.5
+            grids.append(np.arange(start, start + points * resolution, resolution))
+            assert len(grids[-1]) > 2 * _SCREEN_ROWS * _SCAN_CHUNK, case
         trio = _trio_levels(j1, j2)
         residuals = _residual_scan(*trio)
-        for taus in (blocks, narrow, one_point):
+        for taus in grids:
             q = _down_down_q(*trio, taus)
             scored = residuals(taus)
             assert np.all(_entropy_bits(q) <= scored + 1e-12), (j1, j2, case)

@@ -18,8 +18,8 @@ import numpy as np
 
 from .configure import calibrate_gate_time, infer_adjacency, simulate_scan
 from .constants import HBAR_MEV_PS
-from .errors import (DonorgateError, InvalidSpecError, NoCleanGateError,
-                     PreconditionError, StageError, count)
+from .errors import (DependencyError, DonorgateError, InvalidSpecError,
+                     NoCleanGateError, PreconditionError, StageError, count)
 from .integrals import exchange_curve, transfer_splitting_curve
 from .lattice import DopedRegion, place_dopants
 from .scenario import Placement, Scenario
@@ -285,9 +285,11 @@ def _configure_stage(scenario, lines, couplings, gate_records):
         # a control with several resonances is timed from its nearest one
         entry = min(attributed[control],
                     key=lambda e: abs(e.optical_energy_mev - line_of[control]))
+        # a control with fewer than two inferred qubits, or attributed one it
+        # has no coupling to, cannot be timed and scored: it goes uncalibrated
         try:
             cal = calibrate_gate_time(entry, control, couplings)
-        except PreconditionError:
+        except (PreconditionError, DependencyError):
             continue
         calibrations.append({
             "control": control, "qubits": tuple(cal.qubit_labels),

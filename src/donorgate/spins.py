@@ -27,6 +27,16 @@ only where q lies below the cut that a level sets. On the uniform grid the
 three cosines come by angle addition, as one (blocks x 6) @ (6 x 512) matrix
 product per search.
 
+A search is a pure function of its checked arguments. `sfg_gate` checks them
+on every call and keeps the last 256 searches in an LRU, `_gate_search`,
+keyed by the floats (j1, j2, lo, hi, residual_threshold). A hit hands back
+the cached report, whose unitary is read-only because every caller shares
+it, or raises a fresh NoCleanGateError built from the call's own arguments
+and the cached best candidate. Only a search repeated with equal arguments
+in one process gains: a report repeated over scan seeds runs no search after
+the first, while a cold one-shot run searches each distinct set of arguments
+once, as before.
+
 Basis convention: spin k maps to bit (n-1-k) of the state index, bit value 0
 meaning m = +1/2. Equivalently the basis is the Kronecker product of the
 single-spin bases in spin order.
@@ -267,6 +277,10 @@ _CUT_PAD = 1e-6
 # A default range has about 4000 * max|J| / min|J| points
 _MAX_GRID_POINTS = 1 << 22
 
+# whole gate searches the search cache holds: a table1 report makes 6
+# distinct ones, the seed-0 R = 60 A, c = 0.3 % patch 182 for its 189 gates
+_CACHE_SEARCHES = 256
+
 
 # the gate trio's spins, and its basis rows with the control (spin 0) up and down
 _TRIO = (("C", "control"), ("Q1", "qubit"), ("Q2", "qubit"))
@@ -283,6 +297,16 @@ _DOUBLETS = _EYE8 - _QUARTET
 _LEVEL_PAIRS = np.triu_indices(3, 1)
 
 
+def _trio_couplings(j1_mev: float, j2_mev: float) -> tuple:
+    """The gate trio's two couplings as floats; each must be finite and
+    nonzero, since the control couples both qubits."""
+    for name, j in (("j1", j1_mev), ("j2", j2_mev)):
+        if finite(j, name, PreconditionError) == 0.0:
+            raise PreconditionError(f"{name} must be nonzero: the control "
+                                    "couples both qubits")
+    return float(j1_mev), float(j2_mev)
+
+
 def _trio_levels(j1_mev: float, j2_mev: float) -> tuple:
     """The three levels (meV) of the gate trio, the control (spin 0) coupled
     to qubits 1 and 2, and the projector onto each.
@@ -294,11 +318,7 @@ def _trio_levels(j1_mev: float, j2_mev: float) -> tuple:
     at least max|J|/sqrt(2), is divided by, so the projectors hold to
     rounding however close E_Q comes to a doublet.
     """
-    for name, j in (("j1", j1_mev), ("j2", j2_mev)):
-        if finite(j, name, PreconditionError) == 0.0:
-            raise PreconditionError(f"{name} must be nonzero: the control "
-                                    "couples both qubits")
-    j1, j2 = float(j1_mev), float(j2_mev)
+    j1, j2 = _trio_couplings(j1_mev, j2_mev)
     H = j1 * _S01 + j2 * _S02
     e_q, gap = 0.25 * (j1 + j2), math.sqrt(j1 * j1 + j2 * j2 - j1 * j2)
     levels = np.array([e_q, 0.5 * gap - e_q, -0.5 * gap - e_q])
@@ -655,11 +675,24 @@ def sfg_gate(j1_mev: float, j2_mev: float, tau_range: tuple = None, *,
 
     A grid of more than `_MAX_GRID_POINTS` points raises PreconditionError
     before anything is allocated.
+
+    The search is a pure function of its checked arguments, so whole
+    searches are kept in an LRU of `_CACHE_SEARCHES` (256) calls,
+    `_gate_search`, keyed by the Python floats (j1, j2, lo, hi,
+    residual_threshold). `tau_range=None` and the default range given
+    explicitly share one entry, and so do lo = -0.0 and lo = 0.0. The
+    argument checks run on every call and nothing is cached for a call they
+    refuse. The report returned, hit or miss, is the cached one, so its
+    `qubit_unitary` is shared and read-only: copy it before writing to it. A
+    search with no clean interval caches its best candidate, and every call
+    raises a fresh NoCleanGateError whose message is built from the call's
+    own range and threshold. Only a search repeated with equal arguments in
+    one process gains; an LRU gets no hit on a cycle of more distinct
+    searches than its bound.
     """
-    levels, projectors = _trio_levels(j1_mev, j2_mev)
-    j_min, j_max = sorted(abs(float(j)) for j in (j1_mev, j2_mev))
+    j1, j2 = _trio_couplings(j1_mev, j2_mev)
     if tau_range is None:
-        tau_range = (0.0, 4.0 * math.pi * HBAR_MEV_PS / j_min)
+        tau_range = (0.0, 4.0 * math.pi * HBAR_MEV_PS / min(abs(j1), abs(j2)))
     try:
         lo, hi = tau_range
     except (TypeError, ValueError):
@@ -669,18 +702,43 @@ def sfg_gate(j1_mev: float, j2_mev: float, tau_range: tuple = None, *,
     hi = finite(hi, "tau range upper bound", PreconditionError)
     if hi <= lo or hi <= 0:
         raise PreconditionError("tau range must be a forward interval")
-    if finite(residual_threshold, "residual_threshold", PreconditionError) <= 0:
+    threshold = finite(residual_threshold, "residual_threshold", PreconditionError)
+    if threshold <= 0:
         raise PreconditionError("residual_threshold must be positive")
-    # narrow explicit ranges must still get a usable grid
-    resolution_ps = min(1e-3 * math.pi * HBAR_MEV_PS / j_max, (hi - lo) / 200.0)
-
-    start = max(lo, resolution_ps)
-    points = math.ceil((hi - start) / resolution_ps)
+    step = _grid_step(j1, j2, lo, hi)
+    points = math.ceil((hi - max(lo, step)) / step)
     if points > _MAX_GRID_POINTS:
         raise PreconditionError(
             f"tau range ({lo:.4g}, {hi:.4g}) ps needs {points} grid points, "
             f"more than the limit of {_MAX_GRID_POINTS}")
+    report, clean = _gate_search(j1, j2, lo, hi, threshold)
+    if not clean:
+        raise NoCleanGateError(
+            f"no entangling interval in ({lo:.4g}, {hi:.4g}) ps brings the "
+            f"control residual below {threshold:g} bits "
+            f"(best {report.control_residual_entanglement:.3g} at "
+            f"{report.duration_ps:.4g} ps)",
+            best_candidate=report,
+        )
+    return report
 
+
+def _grid_step(j1: float, j2: float, lo: float, hi: float) -> float:
+    """The gate search's tau step over (lo, hi): 1e-3 * pi*hbar/max|J|, or
+    finer, so that even a narrow range gets 200 steps."""
+    return min(1e-3 * math.pi * HBAR_MEV_PS / max(abs(j1), abs(j2)), (hi - lo) / 200.0)
+
+
+@functools.lru_cache(maxsize=_CACHE_SEARCHES)
+def _gate_search(j1: float, j2: float, lo: float, hi: float, threshold: float) -> tuple:
+    """`sfg_gate`'s search over its checked arguments: (the gate, True), or
+    (the best candidate, False) when no interval is clean. Each report's
+    unitary is read-only, since every hit shares it. lo = -0.0 and lo = 0.0
+    share an entry: the sign of a zero lo reaches no bit of the search, whose
+    grid starts one step up and never refines its first point when lo <= 0."""
+    levels, projectors = _trio_levels(j1, j2)
+    resolution_ps = _grid_step(j1, j2, lo, hi)
+    start = max(lo, resolution_ps)
     residuals = _residual_scan(levels, projectors)
     taus = np.arange(start, hi, resolution_ps)
     if len(taus) == 0:
@@ -761,6 +819,7 @@ def sfg_gate(j1_mev: float, j2_mev: float, tau_range: tuple = None, *,
         # this is M itself to machine precision, and the non-unitary part is
         # already accounted for by the residual entanglement field
         gate = unitary_part(M)
+        gate.flags.writeable = False
         return GateReport(
             duration_ps=tau,
             qubit_unitary=gate,
@@ -773,17 +832,10 @@ def sfg_gate(j1_mev: float, j2_mev: float, tau_range: tuple = None, *,
     # not a gate; a candidate has to actually entangle to qualify
     gates = [rep for rep in reports if rep.entangling_power > _EP_FLOOR]
     clean = [rep for rep in gates
-             if rep.control_residual_entanglement < residual_threshold]
+             if rep.control_residual_entanglement < threshold]
     if not clean:
         pool = gates or reports
-        best = min(pool, key=lambda rep: rep.control_residual_entanglement)
-        raise NoCleanGateError(
-            f"no entangling interval in ({lo:.4g}, {hi:.4g}) ps brings the "
-            f"control residual below {residual_threshold:g} bits "
-            f"(best {best.control_residual_entanglement:.3g} at "
-            f"{best.duration_ps:.4g} ps)",
-            best_candidate=best,
-        )
+        return min(pool, key=lambda rep: rep.control_residual_entanglement), False
     # quantized so the shorter of two equal-power intervals wins the tie
     return max(clean, key=lambda rep: (round(rep.entangling_power, 9),
-                                       -rep.duration_ps))
+                                       -rep.duration_ps)), True

@@ -23,7 +23,7 @@ from donorgate import (
     run_feasibility,
     transfer_splitting_curve,
 )
-from donorgate import feasibility, integrals
+from donorgate import feasibility, integrals, spins
 from donorgate.feasibility import _patch_tally, resolve_cluster
 
 import pins
@@ -150,6 +150,34 @@ def test_each_control_is_calibrated_from_a_resonance_attributed_to_it(monkeypatc
     for control, want in TABLE1_CALIBRATIONS.items():
         got = (cals[control]["duration_ps"], cals[control]["fidelity_to_target"])
         assert got == pytest.approx(want, rel=1e-9), control
+
+
+def test_a_control_attributed_an_uncoupled_qubit_is_not_calibrated(monkeypatch):
+    # at a 30 A pair cutoff C2 (12, 0, 0) has no coupling to Q1 (-21, 4.5, 0),
+    # 33.3 A away. An inference that gives C2's resonance Q1 as its strongest
+    # coupling cannot be scored against the truth: that control goes
+    # uncalibrated, as one with fewer than two inferred qubits does, and the
+    # report is still made
+    real = feasibility.infer_adjacency
+
+    def misattributed(scan, threshold):
+        hyp = real(scan, threshold)
+        c1, c2 = sorted(hyp.entries, key=lambda e: e.optical_energy_mev)
+        c2 = dataclasses.replace(c2, couplings=(("Q1", 500.0),) + c2.couplings)
+        return dataclasses.replace(hyp, entries=(c1, c2))
+
+    monkeypatch.setattr(feasibility, "infer_adjacency", misattributed)
+    _, sc = get_preset("table1")
+    sc = dataclasses.replace(sc, pair_cutoff_a=30.0)
+    report = run_feasibility(sc)
+    assert ("C2", "Q1") not in {(r["control"], r["qubit"]) for r in report.exchange}
+    conf = report.configuration
+    assert [e["control"] for e in conf["entries"]] == ["C1", "C2"]
+    assert not conf["entries"][1]["match"] and not conf["recovered"]
+    (cal,) = conf["calibrations"]
+    assert cal["control"] == "C1" and sorted(cal["qubits"]) == ["Q1", "Q2"]
+    got = (cal["duration_ps"], cal["fidelity_to_target"])
+    assert got == pytest.approx(TABLE1_CALIBRATIONS["C1"], rel=1e-9)
 
 
 def test_report_is_deterministic(table1_report):
@@ -602,6 +630,29 @@ def test_a_repeat_r60_integrals_stage_calls_no_kernel(monkeypatch, fresh_cache):
     calls.clear()
     assert feasibility._integrals_stage(realized, controls, qubits) == first
     assert calls == []
+
+
+def test_a_repeat_r60_report_runs_no_gate_search(monkeypatch, fresh_gate_cache):
+    # the seed-0 R = 60 A, c = 0.3 % patch's gate searches run once per
+    # distinct coupling pair (lattice pairs repeat separations: its 189
+    # gates have 182 pairs), and a second run reads every one back from the
+    # gate cache: no residual scan is built, and the report is the same
+    sc = pins.random_scenario(60.0, 3e-3)
+    scans = []
+    scan = spins._residual_scan
+
+    def counted(levels, projectors):
+        scans.append(levels)
+        return scan(levels, projectors)
+
+    monkeypatch.setattr(spins, "_residual_scan", counted)
+    fresh_gate_cache()
+    first = run_feasibility(sc)
+    pairs = {(g["j1_mev"], g["j2_mev"]) for g in first.gates}
+    assert len(scans) == len(pairs) > 100
+    scans.clear()
+    assert run_feasibility(sc).to_json() == first.to_json()
+    assert scans == []
 
 
 def test_a_fill_that_raises_stores_nothing(monkeypatch, fresh_cache):

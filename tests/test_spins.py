@@ -520,11 +520,11 @@ def _full_grid_refines(coarse, lo):
     return refine, dips
 
 
-def _traced_search(monkeypatch, j1, j2, tau_range):
+def _traced_search(monkeypatch, fresh_gate_cache, j1, j2, tau_range):
     """sfg_gate's report, its grid, the brackets it refined, the number of
     points it scored and the row count of each batch it scored through the
-    chunked scan. A lone point scored by the scan's `at` outside the refine
-    fails the search."""
+    chunked scan, from a search run afresh on an empty gate cache. A lone
+    point scored by the scan's `at` outside the refine fails the search."""
     grids, brackets, batches, scored, refining = [], [], [], [0], [False]
     screen, scan, minimize = (spins._down_down_q, spins._residual_scan,
                               spins._minimize_bounded)
@@ -557,6 +557,7 @@ def _traced_search(monkeypatch, j1, j2, tau_range):
         finally:
             refining[0] = False
 
+    fresh_gate_cache()
     with monkeypatch.context() as patch:
         patch.setattr(spins, "_down_down_q", traced_screen)
         patch.setattr(spins, "_residual_scan", traced_scan)
@@ -590,25 +591,30 @@ _SELECTION_TRIOS = [(20.0, 10.0), (20.0, 20.0), (10.0, 10.0), (-10.0, -10.0),
 _RAMP_RANGES = [(147.5, 20.9, 0.05), (20.0, 10.0, 0.1), (20.0, 10.0, 0.02)]
 
 
-def test_screened_search_selects_as_the_full_grid(monkeypatch):
+def _selection_cases():
+    """(j1, j2, tau_range) of every selection trio over the default range
+    and over the (0.7 tau, 1.3 tau) window that calibrate_gate_time searches,
+    then of the ramp ranges."""
+    cases = []
+    for j1, j2 in _SELECTION_TRIOS:
+        tau = search_outcome(j1, j2, None)[1].duration_ps
+        cases += [(j1, j2, None), (j1, j2, (0.7 * tau, 1.3 * tau))]
+    return cases + [(j1, j2, (0.0, share * 4.0 * math.pi * HBAR_MEV_PS
+                              / min(abs(j1), abs(j2))))
+                    for j1, j2, share in _RAMP_RANGES]
+
+
+def test_screened_search_selects_as_the_full_grid(monkeypatch, fresh_gate_cache):
     # the screen scores only points whose q lies below the level's cut; it must
     # refine the grid indices the fully scored grid would, and report the
     # same gate to the bit. Lone points (gemv) and chunks (gemm) round apart
     # in the last place, so this also guards the rounding of screened subsets,
     # and outside the refine no batch may be a lone point
-    cases = []
-    for j1, j2 in _SELECTION_TRIOS:
-        tau = _traced_search(monkeypatch, j1, j2, None)[0].duration_ps
-        # the default range, and the narrow one calibrate_gate_time searches
-        cases += [(j1, j2, None), (j1, j2, (0.7 * tau, 1.3 * tau))]
-    cases += [(j1, j2, (0.0, share * 4.0 * math.pi * HBAR_MEV_PS
-                        / min(abs(j1), abs(j2))))
-              for j1, j2, share in _RAMP_RANGES]
     paths = set()
-    for case in cases:
+    for case in _selection_cases():
         j1, j2, tau_range = case
-        report, taus, brackets, scored, batches = _traced_search(monkeypatch, j1, j2,
-                                                                 tau_range)
+        report, taus, brackets, scored, batches = _traced_search(
+            monkeypatch, fresh_gate_cache, j1, j2, tau_range)
         lo, hi = tau_range or (0.0, 4.0 * math.pi * HBAR_MEV_PS / min(abs(j1), abs(j2)))
         resolution = min(1e-3 * math.pi * HBAR_MEV_PS / max(abs(j1), abs(j2)),
                          (hi - lo) / 200.0)
@@ -626,8 +632,8 @@ def test_screened_search_selects_as_the_full_grid(monkeypatch):
         with monkeypatch.context() as patch:
             patch.setattr(spins, "_down_down_q",
                           lambda levels, projectors, taus: np.zeros(len(taus)))
-            full, _, full_brackets, _, _ = _traced_search(monkeypatch, j1, j2,
-                                                          tau_range)
+            full, _, full_brackets, _, _ = _traced_search(
+                monkeypatch, fresh_gate_cache, j1, j2, tau_range)
         assert full_brackets == brackets, case
         assert full.duration_ps == report.duration_ps, case
         assert np.array_equal(full.qubit_unitary, report.qubit_unitary), case
@@ -650,20 +656,118 @@ def test_screened_search_selects_as_the_full_grid(monkeypatch):
     with monkeypatch.context() as patch:
         patch.setattr(spins, "_down_down_q", lambda levels, projectors, taus:
                       np.where(np.arange(len(taus)) == 7, 0.0, 0.5))
-        batches = _traced_search(monkeypatch, 20.0, 10.0, None)[4]
+        batches = _traced_search(monkeypatch, fresh_gate_cache, 20.0, 10.0, None)[4]
     assert batches[0] == 2 and 1 not in batches
     # an escalated level scores its points best first: table1's C2 trio, whose
     # deepest dip lies at 1.1e-2, scored 415 points in batches when each level
     # scored every point it admitted
-    batches = _traced_search(monkeypatch, 147.51734661265843, 20.91738401817267,
-                             None)[4]
+    batches = _traced_search(monkeypatch, fresh_gate_cache, 147.51734661265843,
+                             20.91738401817267, None)[4]
     assert sum(batches) <= 64
 
 
-def test_bounded_refine_is_scipys_bounded_brent(monkeypatch):
+def _outcome(j1, j2, tau_range):
+    """One sfg_gate call as bits, and its report: the clean flag, the
+    duration, residual and entangling power as float.hex, the unitary's
+    bytes, and the NoCleanGateError message (None for a clean gate)."""
+    try:
+        report, message = sfg_gate(j1, j2, tau_range), None
+    except NoCleanGateError as err:
+        report, message = err.best_candidate, str(err)
+    return (message is None, report.duration_ps.hex(),
+            report.control_residual_entanglement.hex(), report.entangling_power.hex(),
+            report.qubit_unitary.tobytes(), message), report
+
+
+def test_a_cached_search_is_the_uncached_search_bit_for_bit(monkeypatch,
+                                                            fresh_gate_cache):
+    # every selection case, searched without a cache, then a miss and a hit
+    # on an empty one: the same bits each time. A hit hands back the cached
+    # report, whose unitary every caller shares, so it refuses writes
+    cases = _selection_cases()
+    with monkeypatch.context() as patch:
+        patch.setattr(spins, "_gate_search", spins._gate_search.__wrapped__)
+        want = [_outcome(*case)[0] for case in cases]
+    cache = fresh_gate_cache()
+    for case, bits in zip(cases, want):
+        miss, first = _outcome(*case)
+        hit, again = _outcome(*case)
+        assert miss == bits and hit == bits, case
+        assert again is first, case
+        with pytest.raises(ValueError, match="read-only"):
+            again.qubit_unitary[0, 0] = 0.0
+    assert cache.cache_info()[:2] == (len(cases), len(cases))  # hits, misses
+    assert {bits[0] for bits in want} == {True, False}
+
+
+def test_a_signed_zero_lower_bound_keeps_its_own_message(monkeypatch,
+                                                         fresh_gate_cache):
+    # -0.0 and 0.0 compare equal, so both ranges share one entry, in either
+    # order, and the sign of zero reaches no bit of the search; but they print
+    # apart, and every call, hit or miss, raises a fresh error whose message
+    # is built from its own range
+    ranges = [(-0.0, 0.3), (0.0, 0.3)]
+    with monkeypatch.context() as patch:
+        patch.setattr(spins, "_gate_search", spins._gate_search.__wrapped__)
+        want = [_outcome(116.4, 38.6, r)[0] for r in ranges]
+    assert "in (-0, 0.3) ps" in want[0][-1] and "in (0, 0.3) ps" in want[1][-1]
+    assert want[0][:-1] == want[1][:-1]
+    for order in ([0, 1], [1, 0]):
+        cache = fresh_gate_cache()
+        for _ in range(2):
+            for k in order:
+                assert _outcome(116.4, 38.6, ranges[k])[0] == want[k], (order, k)
+        assert cache.cache_info()[:2] == (3, 1)  # hits, misses
+    errors = []
+    for _ in range(2):
+        with pytest.raises(NoCleanGateError) as err:
+            sfg_gate(116.4, 38.6, ranges[0])
+        errors.append(err.value)
+    assert errors[0] is not errors[1]
+    assert errors[0].best_candidate is errors[1].best_candidate
+
+
+def test_refused_arguments_raise_on_every_call_and_cache_nothing(fresh_gate_cache):
+    # a bad range, a bad threshold, a zero or non-finite coupling and a grid
+    # past the limit are refused before the cache, on a hit's key too
+    cache = fresh_gate_cache()
+    sfg_gate(5.0, 5.0)
+    info = cache.cache_info()
+    refused = [((5.0, 5.0, (0.0, math.nan)), {}), ((20.0, 10.0, (0.0, 1.0, 2.0)), {}),
+               ((20.0, 10.0, "x"), {}), ((5.0, 5.0, (1.0, 0.5)), {}),
+               ((5.0, 5.0), {"residual_threshold": 0.0}),
+               ((5.0, 5.0), {"residual_threshold": "1e-6"}),
+               ((5.0, 0.0), {}), ((math.nan, 5.0), {}),
+               ((20.0, 10.0, (0.0, 1e12)), {})]
+    for args, kwargs in refused:
+        for _ in range(2):
+            with pytest.raises(PreconditionError):
+                sfg_gate(*args, **kwargs)
+    assert cache.cache_info() == info
+    assert info.currsize == 1
+
+
+def test_the_gate_cache_is_bounded(fresh_gate_cache):
+    # the seed-0 R = 60 A patch makes 182 distinct searches for its 189
+    # gates, all of which the bound holds; past it the least recently used
+    # search is dropped
+    cache = fresh_gate_cache()
+    bound = cache.cache_parameters()["maxsize"]
+    assert bound == spins._CACHE_SEARCHES >= 189
+    for k in range(bound + 20):
+        search_outcome(10.0 + 0.01 * k, 5.0, (0.0, 0.5))
+        assert cache.cache_info().currsize <= bound
+    assert cache.cache_info()[1:] == (bound + 20, bound, bound)  # misses, maxsize, size
+    search_outcome(10.0, 5.0, (0.0, 0.5))
+    assert cache.cache_info().misses == bound + 21
+
+
+def test_bounded_refine_is_scipys_bounded_brent(monkeypatch, fresh_gate_cache):
     # the refine is a port of minimize_scalar(method="bounded"); it must give
-    # the same x and value to the bit on every bracket the gate search refines
+    # the same x and value to the bit on every bracket the gate search
+    # refines, each search run afresh on an empty gate cache
     calls, minimize = [], spins._minimize_bounded
+    fresh_gate_cache()
 
     def recorded(fun, bounds, xatol):
         calls.append((fun, bounds, xatol))

@@ -39,6 +39,9 @@ from .spins import induced_qubit_operator  # noqa: F401
 # to the strongest ones; far outside any configuration of interest
 _MAX_SPLIT = 12
 
+# s + s is finite, so (s + s)/2 == s, for every float s up to this
+_HALF_MAX = float(np.finfo(float).max) / 2.0
+
 
 @dataclass(frozen=True)
 class EprModel:
@@ -101,11 +104,21 @@ class ScanMap:
         if np.any((self.row_spectrum < 0)
                   | (self.row_spectrum >= len(self.spectra))):
             raise InvalidSpecError("row_spectrum indexes past the spectra")
+        # NaN fails no `<` test, so finiteness is checked first
+        if not np.all(np.isfinite(self.spectra)):
+            raise InvalidSpecError("response must be finite")
         if np.any(self.spectra < 0):
             raise InvalidSpecError("response must be non-negative")
         for axis in (self.optical_axis_mev, self.epr_axis_mev):
+            if not np.all(np.isfinite(axis)):
+                raise InvalidSpecError("axes must be finite")
             if len(axis) > 1 and np.any(np.diff(axis) <= 0):
                 raise InvalidSpecError("axes must be strictly increasing")
+        for position in dict(self.epr_lines_mev).values():
+            finite(position, "EPR line position")
+        store_finite(self, "epr_linewidth_mev", "homogeneous_fwhm_mev")
+        if self.epr_linewidth_mev <= 0 or self.homogeneous_fwhm_mev <= 0:
+            raise InvalidSpecError("EPR linewidth and homogeneous width must be positive")
 
     @property
     def response(self) -> np.ndarray:
@@ -249,16 +262,19 @@ def _find_peaks(values: np.ndarray, height: float, prominence: float) -> np.ndar
 
 
 def _peak_positions(axis: np.ndarray, values: np.ndarray, floor: float) -> list:
-    """Sub-sample peak centers by parabolic refinement of local maxima."""
-    idx = _find_peaks(values, floor, floor / 2.0)
+    """Sub-sample peak centers by parabolic refinement of local maxima.
+
+    A peak has a lower sample on each side, so it is never at either end.
+    The refinement runs on Python floats: the same IEEE operations as on
+    numpy scalars, so the same values, without their per-operation cost.
+    """
     out = []
-    for k in idx:
-        if 0 < k < len(values) - 1:
-            denom = values[k - 1] - 2.0 * values[k] + values[k + 1]
-            frac = 0.5 * (values[k - 1] - values[k + 1]) / denom if denom != 0 else 0.0
-            out.append(float(axis[k] + np.clip(frac, -1, 1) * (axis[1] - axis[0])))
-        else:
-            out.append(float(axis[k]))
+    for k in _find_peaks(values, floor, floor / 2.0).tolist():
+        before, at, after = values[k - 1:k + 2].tolist()
+        denom = before - 2.0 * at + after
+        frac = 0.5 * (before - after) / denom if denom != 0 else 0.0
+        out.append(float(axis[k]) + min(max(frac, -1.0), 1.0)
+                   * (float(axis[1]) - float(axis[0])))
     return out
 
 
@@ -266,29 +282,61 @@ def _baseline(spectra: np.ndarray, row_spectrum: np.ndarray) -> tuple:
     """The elementwise median row of the map and each row's deviation from it.
 
     Equal to `np.median(response, axis=0)` and `np.sum(np.abs(response -
-    baseline), axis=1)` on the dense map, bit for bit, but taken over the
-    distinct spectra by rank counting. Spectrum k, used by c_k rows, holds
-    the ranks below_k to below_k + c_k - 1 of each column, where below_k
-    counts the rows of the spectra j < k with s_j <= s_k and of the spectra
-    j > k with s_j < s_k: the tie order a stable sort of the dense column
-    gives. The median is the element of rank N//2 (the mean of ranks N//2-1
-    and N//2 for even N), so it is only selected, and each spectrum's
-    deviation is summed once.
+    baseline), axis=1)` on the dense map, bit for bit, for N optical rows
+    and K distinct spectra of M points, taken in one of two ways.
+
+    The majority rule, O(K * M): if one spectrum s is used by c rows with
+    2c > N, it is the median. Its rows hold the c consecutive ranks b to
+    b + c - 1 of each column, whatever the ties, with b <= N - c. The median
+    reads ranks ceil(N/2) - 1 and floor(N/2) (one rank for odd N), and the
+    block holds both: b <= N - c < N/2, and b + c - 1 >= c - 1 >= floor(N/2)
+    as c > N/2. For even N the median is (s + s)/2, which is s exactly while
+    s + s does not overflow, that is while s is at most half the largest
+    float. The baseline is then a copy of s, its rows deviate by exactly 0,
+    and only the other spectra are summed. This is the scan
+    `infer_adjacency` expects, where most frequencies excite nothing:
+    table1's scan uses its spectra 204, 8 and 8 times over 220 rows.
+
+    Otherwise, 2c = N included, `_ranked_median` selects the median by rank
+    counting in O(K^2 * M).
+    """
+    counts = np.bincount(row_spectrum, minlength=len(spectra))
+    n_rows = len(row_spectrum)
+    summed = np.flatnonzero(counts)
+    major = int(np.argmax(counts)) if n_rows else None
+    if (n_rows and 2 * counts[major] > n_rows
+            and (n_rows % 2 or spectra[major].max() <= _HALF_MAX)):
+        baseline = spectra[major].copy()
+        summed = summed[summed != major]
+    else:
+        baseline = _ranked_median(spectra, counts, n_rows)
+    # the baseline and one row's deviation are each a single row: 122 kB at
+    # a table1 scan's 15 294 points, under glibc's 128 KiB mmap threshold,
+    # so neither is mapped and page-faulted afresh on every call
+    gap = np.empty(spectra.shape[1])
+    deviation = np.zeros(len(spectra))
+    for k in summed:
+        deviation[k] = np.sum(np.abs(np.subtract(spectra[k], baseline, out=gap), out=gap))
+    return baseline, deviation[row_spectrum]
+
+
+def _ranked_median(spectra: np.ndarray, counts: np.ndarray, n_rows: int) -> np.ndarray:
+    """The elementwise median of the rows, spectrum k used by `counts[k]`
+    of the `n_rows` rows, by rank counting over the distinct spectra.
+
+    Spectrum k, used by c_k rows, holds the ranks below_k to below_k + c_k
+    - 1 of each column, where below_k counts the rows of the spectra j < k
+    with s_j <= s_k and of the spectra j > k with s_j < s_k: the tie order a
+    stable sort of the dense column gives. The median is the element of
+    rank N//2 (the mean of ranks N//2-1 and N//2 for even N), so it is only
+    selected.
 
     Each used spectrum is compared with each other one, so the cost grows
     as K^2 * M for K spectra of M points. A frequency sweep crosses two
-    window edges per line, so a scan of L lines has at most 2L + 1 spectra:
-    K <= 9 for the 4 controls the feasibility pipeline configures at most
-    (`feasibility._CONFIGURE_MAX_CONTROLS`).
+    window edges per line, so a scan of L lines has at most 2L + 1 spectra.
     """
-    counts = np.bincount(row_spectrum, minlength=len(spectra))
     used = np.flatnonzero(counts)
-    n_rows = len(row_spectrum)
     ranks = (n_rows // 2,) if n_rows % 2 else (n_rows // 2 - 1, n_rows // 2)
-    # the picked ranks, the baseline and one row's deviation are each a
-    # single row: 122 kB at a table1 scan's 15 294 points, under glibc's
-    # 128 KiB mmap threshold, so none is mapped and page-faulted afresh on
-    # every call
     picked = [np.empty(spectra.shape[1]) for _ in ranks]
     for k in used:
         below = np.zeros(spectra.shape[1], dtype=np.intp)
@@ -297,11 +345,7 @@ def _baseline(spectra: np.ndarray, row_spectrum: np.ndarray) -> tuple:
             np.add(below, counts[j], out=below, where=ahead)
         for value, r in zip(picked, ranks):
             np.copyto(value, spectra[k], where=(below <= r) & (r < below + counts[k]))
-    baseline = picked[0] if n_rows % 2 else (picked[0] + picked[1]) / 2.0
-    gap = np.empty(spectra.shape[1])
-    deviation = np.array([np.sum(np.abs(np.subtract(row, baseline, out=gap), out=gap))
-                          for row in spectra])[row_spectrum]
-    return baseline, deviation
+    return picked[0] if n_rows % 2 else (picked[0] + picked[1]) / 2.0
 
 
 def infer_adjacency(scan: ScanMap,
@@ -309,15 +353,19 @@ def infer_adjacency(scan: ScanMap,
     """Recover which optical resonances move which EPR lines, and by how much.
 
     Works purely from the map and the settings stamped on it: the baseline
-    spectrum is the elementwise median row (most frequencies excite
-    nothing), taken over the map's distinct spectra weighted by how many
-    rows use each; each control occupies a window of full width 2*delta_h in
-    which rows deviate, so rising steps of the row deviation locate
-    transitions at (step edge) + delta_h; the splitting of a vanished EPR
-    line in the window's exclusive row is the coupling, labelled by the
-    nearest stamped EPR line. Estimated couplings
-    below the detection threshold are dropped. Resonances closer than delta_h
-    to a neighbor are flagged ambiguous.
+    spectrum is the elementwise median row, taken over the map's distinct
+    spectra weighted by how many rows use each. Most frequencies excite
+    nothing, so one spectrum is usually used by more than half the rows;
+    that spectrum holds both middle ranks of every column, whatever the
+    ties, so it is the median and is taken in O(K * M) for K spectra of M
+    points (`_baseline`). Without such a majority, exactly half included,
+    the median is selected by rank counting in O(K^2 * M). Each control
+    occupies a window of full width 2*delta_h in which rows deviate, so
+    rising steps of the row deviation locate transitions at (step edge) +
+    delta_h; the splitting of a vanished EPR line in the window's exclusive
+    row is the coupling, labelled by the nearest stamped EPR line. Estimated
+    couplings below the detection threshold are dropped. Resonances closer
+    than delta_h to a neighbor are flagged ambiguous.
     """
     if finite(detection_threshold_mev, "detection threshold", PreconditionError) <= 0:
         raise PreconditionError("detection threshold must be positive")

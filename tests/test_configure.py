@@ -284,8 +284,9 @@ def _assert_baseline_exact(scan):
     baseline, deviation = _baseline(scan.spectra, scan.row_spectrum)
     dense = scan.response
     want = np.median(dense, axis=0)
-    assert np.array_equal(baseline, want)
-    assert np.array_equal(deviation, np.sum(np.abs(dense - want), axis=1))
+    assert baseline.tobytes() == want.tobytes()
+    assert deviation.tobytes() == np.sum(np.abs(dense - want), axis=1).tobytes()
+    return baseline
 
 
 def test_table1_scan_stores_three_spectra_and_its_exact_baseline():
@@ -318,9 +319,27 @@ def _synthetic_scan(spectra, row_spectrum):
     [4, 8, 0, 4, 8, 0, 4, 8],  # even, three spectra used
     list(range(9)),  # each spectrum once
     [8] * 7,  # odd, only the last spectrum used
+    [0, 2, 2, 1, 2],  # odd, a majority
+    [1, 1, 0, 1, 2, 1],  # even, a majority
+    [0] * 2 + [3] * 3,  # a majority in the last spectrum
+    [2, 2, 2, 0, 1, 1],  # even, exactly half in one of three spectra
+    [0, 1, 2, 0, 1, 2, 3],  # odd, no majority
 ])
-def test_weighted_median_matches_dense_median(row_spectrum):
-    # every table of 1 to 9 spectra the row index fits
+def test_weighted_median_matches_dense_median(ranked_calls, row_spectrum):
+    # a spectrum used by more than half the rows holds both middle ranks of
+    # every column, whatever the ties, so it is the median as it stands;
+    # exactly half is not enough and is ranked
+    majority = 2 * max(np.bincount(row_spectrum)) > len(row_spectrum)
+    for table in _tied_tables(row_spectrum):
+        ranked_calls.clear()
+        scan = _synthetic_scan(table, row_spectrum)
+        baseline = _assert_baseline_exact(scan)
+        assert len(ranked_calls) == (0 if majority else 1)
+        assert not np.shares_memory(baseline, scan.spectra)
+
+
+def _tied_tables(row_spectrum):
+    """Every table of 1 to 9 spectra the row index fits, each with ties."""
     for n_spectra in range(max(row_spectrum) + 1, 10):
         rng = np.random.default_rng(n_spectra)
         spectra = rng.uniform(0.0, 2.0, size=(n_spectra, 64))
@@ -331,8 +350,31 @@ def test_weighted_median_matches_dense_median(row_spectrum):
         spectra[:, 10:30] = rng.choice([0.0, 0.25, 1.0 / 3.0], size=(n_spectra, 20))
         spectra[n_spectra // 2] = 0.0
         # and a table whose columns are each equal across the spectra
-        for table in (spectra, np.repeat(spectra[-1:], n_spectra, axis=0)):
-            _assert_baseline_exact(_synthetic_scan(table, row_spectrum))
+        yield spectra
+        yield np.repeat(spectra[-1:], n_spectra, axis=0)
+
+
+@pytest.fixture
+def ranked_calls(monkeypatch):
+    """The calls `_baseline` makes to its rank-counting median."""
+    calls, rank = [], configure._ranked_median
+    monkeypatch.setattr(configure, "_ranked_median",
+                        lambda *args: calls.append(args) or rank(*args))
+    return calls
+
+
+def test_a_majority_spectrum_past_half_the_largest_float_is_ranked(ranked_calls):
+    # for even N the median is (s + s)/2, which overflows to inf above half
+    # the largest float; for odd N it is s itself
+    spectra = np.array([[1.0, 2.0], [1e308, 3.0]])
+    for row_spectrum, majority in (([1, 1, 0], True), ([1, 1, 1, 0], False)):
+        ranked_calls.clear()
+        with np.errstate(over="ignore"):
+            _assert_baseline_exact(_synthetic_scan(spectra, row_spectrum))
+        assert len(ranked_calls) == (0 if majority else 1)
+    with np.errstate(over="ignore"):
+        baseline, deviation = _baseline(spectra, np.array([1, 1, 1, 0]))
+    assert baseline[0] == np.inf and np.all(deviation == np.inf)
 
 
 def _peak_cases():
@@ -370,6 +412,38 @@ def test_peak_finder_is_scipys_find_peaks(monkeypatch):
         assert np.array_equal(_find_peaks(values, height, height / 2.0), want), values
 
 
+def _numpy_peak_positions(axis, values, floor):
+    """Parabolic refinement on numpy scalars, with `np.clip`, a peak at
+    either end taken as is."""
+    out = []
+    for k in _find_peaks(values, floor, floor / 2.0):
+        if 0 < k < len(values) - 1:
+            denom = values[k - 1] - 2.0 * values[k] + values[k + 1]
+            frac = 0.5 * (values[k - 1] - values[k + 1]) / denom if denom != 0 else 0.0
+            out.append(float(axis[k] + np.clip(frac, -1, 1) * (axis[1] - axis[0])))
+        else:
+            out.append(float(axis[k]))
+    return out
+
+
+def test_peak_positions_are_the_numpy_scalar_refinement():
+    rng = np.random.default_rng(5)
+    _, sc = get_preset("table1")
+    scan = simulate_scan(*resolve_cluster(sc))
+    rows = [(scan.epr_axis_mev, row) for row in scan.spectra]
+    for values in _peak_cases():
+        # ends and flat tops from the peak cases, on offset uneven grids
+        axis = np.cumsum(rng.uniform(0.01, 0.3, len(values))) - rng.uniform(0, 50)
+        rows.append((axis, values))
+    rows += [(np.linspace(-3.0, 4.0, 101), rng.uniform(0.0, 1.0, 101) ** 4)
+             for _ in range(100)]
+    for axis, values in rows:
+        for floor in (0.0, 0.12 * float(np.max(values, initial=0.0)), 0.5):
+            got = configure._peak_positions(axis, values, floor)
+            assert all(type(p) is float for p in got)
+            assert got == _numpy_peak_positions(axis, values, floor), values
+
+
 def test_scan_map_checks_its_row_index():
     spectra = np.ones((2, 4))
     scan = _synthetic_scan(spectra, [1, 0, 1])
@@ -388,9 +462,40 @@ def test_scan_map_checks_its_row_index():
         _synthetic_scan(-spectra, [1, 0, 1])
 
 
+def test_scan_map_refuses_values_that_are_not_finite():
+    # NaN compares false both ways, so it passes `< 0` and `diff <= 0`
+    # checks; inference then returned an empty hypothesis without an error
+    axis, spectra, rows = np.arange(3.0), np.ones((2, 4)), [1, 0, 1]
+    lines = (("Q1", 0.0),)
+    ScanMap(axis, np.arange(4.0), spectra, rows, lines, GAMMA, DELTA_H)
+    for value in (np.nan, np.inf, -np.inf):
+        bad = spectra.copy()
+        bad[1, 2] = value
+        with pytest.raises(InvalidSpecError):
+            ScanMap(axis, np.arange(4.0), bad, rows, lines, GAMMA, DELTA_H)
+        for at in (0, 1, 2):
+            bad_axis = np.arange(3.0)
+            bad_axis[at] = value
+            with pytest.raises(InvalidSpecError):
+                ScanMap(bad_axis, np.arange(4.0), spectra, rows, lines, GAMMA, DELTA_H)
+            with pytest.raises(InvalidSpecError):
+                ScanMap(axis, np.r_[bad_axis, 3.0], spectra, rows, lines, GAMMA, DELTA_H)
+    with pytest.raises(InvalidSpecError):  # a NaN on a one-point axis
+        ScanMap(axis, [np.nan], np.ones((2, 1)), rows, lines, GAMMA, DELTA_H)
+    for position in (np.nan, np.inf):  # a line that names no EPR position
+        with pytest.raises(InvalidSpecError):
+            ScanMap(axis, np.arange(4.0), spectra, rows,
+                    (("Q1", 0.0), ("Q2", position)), GAMMA, DELTA_H)
+    for width in (np.nan, np.inf, -GAMMA, 0.0, True, "0.05"):
+        with pytest.raises(InvalidSpecError):
+            ScanMap(axis, np.arange(4.0), spectra, rows, lines, width, DELTA_H)
+        with pytest.raises(InvalidSpecError):
+            ScanMap(axis, np.arange(4.0), spectra, rows, lines, GAMMA, width)
+
+
 def test_one_point_epr_axis_is_read_without_a_step():
-    # a peak at either end of the EPR axis is taken as is, so a one-point
-    # axis needs no sample step
+    # a peak needs a lower sample on each side, so a one-point axis has
+    # none and needs no sample step
     scan = ScanMap(np.arange(3.0), np.array([0.5]), np.array([[0.0], [1.0]]),
                    [0, 0, 1], (("Q1", 0.5),), 0.05, 1.1)
     (entry,) = infer_adjacency(scan, 0.05).entries

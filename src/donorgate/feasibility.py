@@ -130,13 +130,14 @@ def _price_pairs(scenario, curve, names, separation, *kinds):
 
 @_stage("integrals")
 def _integrals_stage(scenario, controls, qubits):
-    """Exchange for every control-qubit pair inside the cutoff, transfer for
-    every control-control pair (the spectra stage needs all of them, keyed
-    by the unordered label pair), priced by species group as the patch
+    """Exchange for every control-qubit pair inside the cutoff and transfer
+    for every control-control pair, priced by species group as the patch
     tally prices them; a transfer takes the species of the smaller label.
-    Every separation comes from one `_distances` matrix per role pair, in
-    the placements' row order. A shared site raises, checked control-qubit,
-    then control-control, then qubit-qubit."""
+    Every separation comes from one `_distances` matrix per role pair. A
+    shared site raises, checked control-qubit, then control-control, then
+    qubit-qubit. Returns the exchange and transfer rows, then, in the
+    placements' row order, the excited-state J (controls x qubits, 0 out of
+    reach), its reach mask and the symmetric transfer matrix."""
     kind, is_control = _species_kinds(scenario, [p.species for p in scenario.placements])
     c_kind, q_kind = kind[is_control], kind[~is_control]
     c_labels, c_pos = [c for c, _ in controls], np.array([p for _, p in controls]).reshape(-1, 3)
@@ -151,7 +152,8 @@ def _integrals_stage(scenario, controls, qubits):
     if len(np.unique(q_pos, axis=0)) < len(q_pos):
         _refuse_shared(np.triu((q_pos[:, None] == q_pos[None]).all(-1), 1), q_labels, q_labels)
 
-    ci, qi = np.nonzero(to_qubit <= scenario.pair_cutoff_a)
+    reach = to_qubit <= scenario.pair_cutoff_a
+    ci, qi = np.nonzero(reach)
     sep = to_qubit[ci, qi]
     (j_excited,) = _price_pairs(scenario, functools.partial(exchange_curve, excited=True),
                                 ("exchange_splitting_mev",), sep, c_kind[ci], q_kind[qi])
@@ -161,7 +163,8 @@ def _integrals_stage(scenario, controls, qubits):
                       "j_excited_mev": je, "j_ground_mev": jg}
                      for i, j, s, je, jg in zip(ci.tolist(), qi.tolist(), sep.tolist(),
                                                 j_excited.tolist(), j_ground.tolist())]
-    couplings = {(r["control"], r["qubit"]): r["j_excited_mev"] for r in exchange_rows}
+    excited = np.zeros(reach.shape)
+    excited[ci, qi] = j_excited
 
     ia, ib = np.nonzero(upper)
     rank = np.argsort(np.argsort(c_labels))  # labels compare as strings
@@ -175,13 +178,22 @@ def _integrals_stage(scenario, controls, qubits):
                       "transfer_mev": t, "splitting_mev": split}
                      for i, j, s, t, split in zip(ia.tolist(), ib.tolist(), mutual.tolist(),
                                                   transfer.tolist(), splitting.tolist())]
-    hopping = {frozenset(r["pair"]): r["transfer_mev"] for r in transfer_rows}
-    return exchange_rows, couplings, transfer_rows, hopping
+    hop = np.zeros(upper.shape)
+    hop[ia, ib] = hop[ib, ia] = transfer
+    return exchange_rows, transfer_rows, excited, reach, hop
+
+
+def _couplings(controls, qubits, excited, reach) -> dict:
+    """The excited-state J of every pair in reach, keyed by (control label,
+    qubit label) in row order: the form the scan API takes."""
+    ci, qi = np.nonzero(reach)
+    return {(controls[i][0], qubits[k][0]): j
+            for i, k, j in zip(ci.tolist(), qi.tolist(), excited[ci, qi].tolist())}
 
 
 @_stage("spectra")
-def _spectra_stage(scenario, hopping, seed):
-    lines = gate_transitions(scenario, hopping, seed=[seed, 0x53])
+def _spectra_stage(scenario, transfer, seed):
+    lines = gate_transitions(scenario, transfer, seed=[seed, 0x53])
     resolvable = (resolvable_gate_count(lines,
                                         scenario.spectral.homogeneous_fwhm_mev,
                                         scenario.spectral.resolution_factor)
@@ -194,19 +206,18 @@ def _spectra_stage(scenario, hopping, seed):
 
 
 @_stage("spins")
-def _spins_stage(scenario, couplings):
-    # each control's couplings at or above the floor, in dict order, so the
-    # stable sort below keeps the first of equal |J|
-    strong = {}
-    for (c, q), j in couplings.items():
-        if abs(j) >= scenario.min_gate_coupling_mev:
-            strong.setdefault(c, []).append((q, j))
+def _spins_stage(scenario, controls, qubits, excited, reach):
+    """A gate record per control with two or more qubits in reach at or above
+    the gate floor, in label order: the two largest |J| of its row of
+    `excited`, by a stable sort that keeps the first of equal |J|."""
+    strong = reach & (np.abs(excited) >= scenario.min_gate_coupling_mev)
     records = []
-    for c_label in sorted(strong):
-        ranked = sorted(strong[c_label], key=lambda item: abs(item[1]), reverse=True)
-        if len(ranked) < 2:
-            continue
-        (qa, ja), (qb, jb) = ranked[:2]
+    for c_label, i in sorted((controls[i][0], i) for i in np.flatnonzero(strong.sum(1) >= 2)):
+        row = np.flatnonzero(strong[i])
+        ranked = sorted(zip(row.tolist(), excited[i, row].tolist()),
+                        key=lambda item: abs(item[1]), reverse=True)
+        (ka, ja), (kb, jb) = ranked[:2]
+        qa, qb = qubits[ka][0], qubits[kb][0]
         j_eff = effective_coupling(ja, jb, scenario.excitation_energy_mev)
         try:
             report = sfg_gate(ja, jb)
@@ -235,9 +246,9 @@ def _spins_stage(scenario, couplings):
 
 
 @_stage("configure")
-def _configure_stage(scenario, lines, couplings, gate_records):
-    n_controls = len({c for c, _ in couplings})
-    if not lines or not couplings:
+def _configure_stage(scenario, lines, controls, qubits, excited, reach, gate_records):
+    n_controls = np.count_nonzero(reach.any(1))
+    if not lines or not n_controls:
         return {"attempted": False, "reason": "nothing to configure"}
     if n_controls > _CONFIGURE_MAX_CONTROLS:
         return {"attempted": False,
@@ -249,13 +260,13 @@ def _configure_stage(scenario, lines, couplings, gate_records):
         return {"attempted": False,
                 "reason": f"no EPR offset for qubits {missing}"}
 
+    couplings = _couplings(controls, qubits, excited, reach)
     scan = simulate_scan(scenario, lines, couplings)
     hypothesis = infer_adjacency(scan, scenario.detection_threshold_mev)
 
-    truth = {}
-    for (c, q), j in couplings.items():
-        if abs(j) >= scenario.detection_threshold_mev:
-            truth.setdefault(c, set()).add(q)
+    detected = reach & (np.abs(excited) >= scenario.detection_threshold_mev)
+    truth = {controls[i][0]: {qubits[k][0] for k in np.flatnonzero(detected[i])}
+             for i in np.flatnonzero(detected.any(1))}
     line_of = {l.gate_id: l.energy_mev for l in lines}
 
     # each resonance belongs to the control with the nearest line
@@ -368,20 +379,21 @@ def resolve_cluster(scenario: Scenario, seed: int = None):
     """
     seed = scenario.seed if seed is None else count(seed, "seed")
     realized, controls, qubits = _placement_stage(scenario)
-    _, couplings, _, hopping = _integrals_stage(realized, controls, qubits)
-    lines, _, _ = _spectra_stage(realized, hopping, seed)
-    return realized, lines, couplings
+    _, _, excited, reach, transfer = _integrals_stage(realized, controls, qubits)
+    lines, _, _ = _spectra_stage(realized, transfer, seed)
+    return realized, lines, _couplings(controls, qubits, excited, reach)
 
 
 def run_feasibility(scenario: Scenario, seed: int = None) -> FeasibilityReport:
     """Run the full pipeline on one scenario and collect the report."""
     seed = scenario.seed if seed is None else count(seed, "seed")
     realized, controls, qubits = _placement_stage(scenario)
-    exchange_rows, couplings, transfer_rows, hopping = \
+    exchange_rows, transfer_rows, excited, reach, transfer = \
         _integrals_stage(realized, controls, qubits)
-    lines, line_rows, resolvable = _spectra_stage(realized, hopping, seed)
-    gate_records = _spins_stage(realized, couplings)
-    configuration = _configure_stage(realized, lines, couplings, gate_records)
+    lines, line_rows, resolvable = _spectra_stage(realized, transfer, seed)
+    gate_records = _spins_stage(realized, controls, qubits, excited, reach)
+    configuration = _configure_stage(realized, lines, controls, qubits, excited, reach,
+                                     gate_records)
 
     targets = {
         "qubits_met": len(qubits) >= scenario.n_qubit_target,

@@ -3,12 +3,12 @@
 Each control donor carries one optical transition. Overlap with other excited
 controls shifts it deterministically: the shared excitation delocalizes, so
 the branch energies are the eigenvalues of the one-excitation hopping
-matrix, whose off-diagonals are the transfer amplitudes of each control pair,
-read from a map keyed by the pair's two labels. Strain and charged-defect
-fields shift it randomly. The spread of these shifts across a patch is the
-inhomogeneous width, and it is a resource: lines far enough apart can be
-addressed one at a time, so the number of usable gates is the number of
-lines that remain pairwise separated on the scale of the homogeneous width.
+matrix, whose off-diagonals are the transfer amplitudes of the control pairs.
+Strain and charged-defect fields shift it randomly. The spread of these
+shifts across a patch is the inhomogeneous width, and it is a resource:
+lines far enough apart can be addressed one at a time, so the number of
+usable gates is the number of lines that remain pairwise separated on the
+scale of the homogeneous width.
 
 All width parameters are full widths at half maximum.
 """
@@ -21,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import HC_MEV_NM
-from .errors import (DependencyError, InvalidSpecError, PreconditionError,
-                     finite, store_finite, text)
+from .errors import (InvalidSpecError, PreconditionError, finite, store_finite,
+                     text)
 
 # FWHM of a unit-sigma Gaussian
 GAUSSIAN_FWHM = 2.0 * math.sqrt(2.0 * math.log(2.0))
@@ -98,57 +98,44 @@ class TransitionLine:
         return sum(value for _, value in self.shift_breakdown)
 
 
-def _overlap_shifts(labels, hopping) -> np.ndarray:
-    """Branch shifts from excitation sharing among the labelled controls.
-
-    The single shared excitation hops between controls i and j with the
-    amplitude `hopping[frozenset((label_i, label_j))]`, so the transition
-    energies are base + eigenvalues of the hopping matrix. Branches are
-    assigned to controls in the order of `labels`, ascending in energy; for
-    an isolated control the shift is exactly zero.
-    """
-    m = len(labels)
-    if m == 1:
-        return np.zeros(1)
-    hop = np.zeros((m, m))
-    for i in range(m):
-        for j in range(i + 1, m):
-            try:
-                hop[i, j] = hop[j, i] = hopping[frozenset((labels[i], labels[j]))]
-            except KeyError:
-                raise DependencyError(
-                    f"no hopping amplitude for the control pair {labels[i]}-"
-                    f"{labels[j]}; evaluate transfer_splitting_curve at their "
-                    "separation first") from None
-    return np.linalg.eigvalsh(hop)
-
-
-def gate_transitions(scenario, hopping, seed=None) -> list:
+def gate_transitions(scenario, transfer, seed=None) -> list:
     """Optical lines for every control in the scenario, from its spectral
     model (`scenario.spectral`).
 
-    `hopping` maps the unordered label pair of every two controls,
-    `frozenset((label_a, label_b))`, to their transfer amplitude in meV (the
-    `transfer_mev` of `integrals.transfer_splitting_curve` at their
-    separation); a missing pair raises DependencyError. Random shift
-    components are drawn one control at a time in label order, so a fixed
-    seed fixes the lines.
+    `transfer` is the controls' hopping matrix in meV, in
+    `scenario.controls()` order: entry (i, j) is the `transfer_mev` of
+    `integrals.transfer_splitting_curve` at the separation of controls i and
+    j, and the diagonal is zero; any other matrix raises PreconditionError.
+    The transition energies are base + its eigenvalues, assigned to the
+    controls in label order, ascending in energy; an isolated control's
+    shift is exactly zero. Random shift components are drawn one control at
+    a time in label order, so a fixed seed fixes the lines.
     """
-    labels = sorted(label for label, _ in scenario.controls())
-    if not labels:
+    controls = [label for label, _ in scenario.controls()]
+    m = len(controls)
+    transfer = np.asarray(transfer)
+    if transfer.shape != (m, m):
+        raise PreconditionError(
+            f"transfer matrix has shape {transfer.shape}, not ({m}, {m}) for {m} controls")
+    if (not np.isfinite(transfer).all() or not np.array_equal(transfer, transfer.T)
+            or transfer.diagonal().any()):
+        raise PreconditionError("transfer matrix must be finite and symmetric, "
+                                "with a zero diagonal")
+    if not m:
         return []
-    shifts = _overlap_shifts(labels, hopping)
+    order = sorted(range(m), key=controls.__getitem__)
+    shifts = np.linalg.eigvalsh(transfer[np.ix_(order, order)])
     spectral = scenario.spectral
 
     rng = np.random.default_rng(seed)
     lines = []
-    for label, overlap in zip(labels, shifts):
+    for i, overlap in zip(order, shifts):
         breakdown = [(_RESERVED_COMPONENT, float(overlap))]
         for name, width in spectral.disorder_components:
             breakdown.append((name, float(rng.normal(0.0, width / GAUSSIAN_FWHM))))
         energy = spectral.base_transition_mev + sum(v for _, v in breakdown)
         lines.append(TransitionLine(
-            gate_id=label,
+            gate_id=controls[i],
             energy_mev=energy,
             width_mev=spectral.homogeneous_fwhm_mev,
             shift_breakdown=tuple(breakdown),

@@ -477,7 +477,7 @@ def test_integrals_stage_prices_each_species_group_once(monkeypatch, fresh_cache
         lambda control, r_grid, base_transition_mev: control.species_name))
     # an empty pair cache, so that no row is read from another test's batch
     fresh_cache()
-    exchange, _, transfer, _ = feasibility._integrals_stage(realized, controls, qubits)
+    exchange, transfer, *_ = feasibility._integrals_stage(realized, controls, qubits)
 
     groups = {(species[r["control"]], species[r["qubit"]]) for r in exchange}
     transfer_species = {species[min(r["pair"])] for r in transfer}
@@ -628,7 +628,9 @@ def test_a_repeat_r60_integrals_stage_calls_no_kernel(monkeypatch, fresh_cache):
     first = feasibility._integrals_stage(realized, controls, qubits)
     assert len(calls) == 3 and sum(calls) > 4000  # P-N excited and ground, P-P transfer
     calls.clear()
-    assert feasibility._integrals_stage(realized, controls, qubits) == first
+    again = feasibility._integrals_stage(realized, controls, qubits)
+    assert again[:2] == first[:2]
+    assert all(np.array_equal(a, b) for a, b in zip(again[2:], first[2:]))
     assert calls == []
 
 
@@ -707,15 +709,27 @@ def test_lattice_tables_keep_at_most_their_bound(fresh_cache):
 
 
 def test_spins_stage_ranks_equal_couplings_as_before():
-    # grouping the couplings by control in one pass keeps each control's
-    # dict order, so a tie in |J| picks the pair today's rule, a scan of the
-    # whole dict per control and a stable sort by |J|, picks
+    # ranking a control's row of J keeps its qubits' placement order, so a
+    # tie in |J| picks the pair today's rule, a scan of the label-keyed
+    # dict in the integrals stage's row order and a stable sort by |J|,
+    # picks; the qubits are placed Q3, Q2, Q1, Q4, so that placement order,
+    # not label order, breaks the ties
     _, sc = get_preset("table1")
-    couplings = {("C2", "Q3"): 20.0, ("C1", "Q2"): -20.0, ("C2", "Q1"): 0.5,
-                 ("C1", "Q3"): 20.0, ("C2", "Q2"): -20.0, ("C1", "Q1"): 20.0,
-                 ("C2", "Q4"): 20.0}
-    sc = dataclasses.replace(sc, placements=sc.placements + (
-        Placement("Q4", "N", (30.0, 30.0)),))
+    c1, c2, q1, q2, q3 = sc.placements
+    sc = dataclasses.replace(sc, placements=(c1, c2, q3, q2, q1,
+                                             Placement("Q4", "N", (30.0, 30.0))))
+    controls, qubits = sc.controls(), sc.qubits()
+    c_at = {c: i for i, (c, _) in enumerate(controls)}
+    q_at = {q: k for k, (q, _) in enumerate(qubits)}
+    given = {("C2", "Q3"): 20.0, ("C1", "Q2"): -20.5, ("C2", "Q1"): 0.5,
+             ("C1", "Q3"): 20.0, ("C2", "Q2"): -20.0, ("C1", "Q1"): 20.0,
+             ("C2", "Q4"): 20.0}
+    excited = np.zeros((len(controls), len(qubits)))
+    for (c, q), j in given.items():
+        excited[c_at[c], q_at[q]] = j
+    reach = excited != 0.0
+    couplings = feasibility._couplings(controls, qubits, excited, reach)
+    assert couplings.items() == given.items()
 
     def todays_rule(c_label):
         ranked = sorted(((q, j) for (c, q), j in couplings.items()
@@ -723,7 +737,7 @@ def test_spins_stage_ranks_equal_couplings_as_before():
                         key=lambda item: abs(item[1]), reverse=True)
         return tuple(q for q, _ in ranked[:2]), tuple(j for _, j in ranked[:2])
 
-    records = feasibility._spins_stage(sc, couplings)
+    records = feasibility._spins_stage(sc, controls, qubits, excited, reach)
     assert [r["control"] for r in records] == ["C1", "C2"]
     for r in records:
         assert (r["qubits"], (r["j1_mev"], r["j2_mev"])) == todays_rule(r["control"])

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from donorgate import (
-    DependencyError,
     EprModel,
     InvalidSpecError,
     LatticeSpec,
@@ -57,8 +56,8 @@ def test_two_control_lines_sit_at_transfer_branches():
     ])
     transfer = transfer_splitting_curve(CONTROL, [24.0], base_transition_mev=600.0)
     t = abs(transfer[0].transfer_mev)
-    hopping = {frozenset(("C1", "C2")): transfer[0].transfer_mev}
-    lines = gate_transitions(sc, hopping, seed=5)
+    hop = np.array([[0.0, transfer[0].transfer_mev], [transfer[0].transfer_mev, 0.0]])
+    lines = gate_transitions(sc, hop, seed=5)
     energies = sorted(ln.energy_mev for ln in lines)
     assert energies[0] == pytest.approx(600.0 - t, rel=1e-9)
     assert energies[1] == pytest.approx(600.0 + t, rel=1e-9)
@@ -71,7 +70,7 @@ def test_two_control_lines_sit_at_transfer_branches():
 
 def test_single_control_is_unshifted_without_disorder():
     sc = _scenario([Placement("C1", "P", (0.0, 0.0, 0.0))])
-    (line,) = gate_transitions(sc, {}, seed=3)
+    (line,) = gate_transitions(sc, np.zeros((1, 1)), seed=3)
     assert line.energy_mev == pytest.approx(600.0)
 
 
@@ -81,9 +80,9 @@ NOISY = SpectralModel(600.0, 1.1, (("strain", 10.0),), 1.5)
 def test_lines_deterministic_in_seed():
     sc = replace(_scenario([Placement("C1", "P", (0.0, 0.0, 0.0))]),
                  spectral=NOISY)
-    a = gate_transitions(sc, {}, seed=42)
-    b = gate_transitions(sc, {}, seed=42)
-    c = gate_transitions(sc, {}, seed=43)
+    a = gate_transitions(sc, np.zeros((1, 1)), seed=42)
+    b = gate_transitions(sc, np.zeros((1, 1)), seed=42)
+    c = gate_transitions(sc, np.zeros((1, 1)), seed=43)
     assert a[0].energy_mev == b[0].energy_mev
     assert a[0].energy_mev != c[0].energy_mev
 
@@ -93,20 +92,34 @@ def test_disorder_width_is_fwhm():
     # estimate to ~3%, assert 10%
     sc = replace(_scenario([Placement("C1", "P", (0.0, 0.0, 0.0))]),
                  spectral=NOISY)
-    shifts = [gate_transitions(sc, {}, seed=s)[0].energy_mev - 600.0
+    shifts = [gate_transitions(sc, np.zeros((1, 1)), seed=s)[0].energy_mev - 600.0
               for s in range(600)]
     assert np.std(shifts) == pytest.approx(10.0 / 2.3548, rel=0.10)
 
 
-def test_missing_transfer_row_is_a_dependency_error():
+def test_a_malformed_transfer_matrix_is_refused():
+    # the matrix is read in scenario.controls() order, (m, m) for m
+    # controls; one of another shape, not finite, not symmetric or not zero
+    # on the diagonal is refused before any line is placed
     sc = _scenario([
         Placement("C1", "P", (-12.0, 0.0, 0.0)),
         Placement("C2", "P", (12.0, 0.0, 0.0)),
         Placement("C3", "P", (0.0, 12.0, 0.0)),
     ])
-    hopping = {frozenset(("C1", "C2")): 30.0, frozenset(("C1", "C3")): 40.0}
-    with pytest.raises(DependencyError, match="C2-C3"):
-        gate_transitions(sc, hopping, seed=5)
+    good = np.array([[0.0, 30.0, 40.0], [30.0, 0.0, 20.0], [40.0, 20.0, 0.0]])
+    assert len(gate_transitions(sc, good, seed=5)) == 3
+    lopsided = good.copy()
+    lopsided[1, 2] = 21.0
+    on_site = good + np.eye(3)
+    for bad, why in ((good[:2, :2], "shape"), (np.zeros((3, 4)), "shape"),
+                     ({}, "shape"), (np.where(good == 20.0, np.nan, good), "finite"),
+                     (np.where(good == 30.0, np.inf, good), "finite"),
+                     (lopsided, "symmetric"), (on_site, "zero diagonal")):
+        with pytest.raises(PreconditionError, match=f"transfer matrix .*{why}"):
+            gate_transitions(sc, bad, seed=5)
+    with pytest.raises(PreconditionError, match="shape"):
+        gate_transitions(_scenario([]), good, seed=5)
+    assert gate_transitions(_scenario([]), np.zeros((0, 0)), seed=5) == []
 
 
 def _brute_max_subset(energies, min_gap):

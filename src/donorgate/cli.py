@@ -213,8 +213,8 @@ def _cmd_gate_run(args):
 
 def _cmd_configure_scan(args):
     scenario = _scenario_from_args(args)
-    realized, lines, couplings = resolve_cluster(scenario, args.seed)
-    scan = simulate_scan(realized, lines, couplings)
+    realized, lines, excited = resolve_cluster(scenario, args.seed)
+    scan = simulate_scan(realized, lines, excited)
     header, rows = scan.to_rows()
     spectra = [[float(v) for v in spectrum] for spectrum in scan.spectra]
     payload = {
@@ -227,8 +227,8 @@ def _cmd_configure_scan(args):
 
 def _cmd_configure_infer(args):
     scenario = _scenario_from_args(args)
-    realized, lines, couplings = resolve_cluster(scenario, args.seed)
-    hypothesis = infer_adjacency(simulate_scan(realized, lines, couplings),
+    realized, lines, excited = resolve_cluster(scenario, args.seed)
+    hypothesis = infer_adjacency(simulate_scan(realized, lines, excited),
                                  realized.detection_threshold_mev)
     rows = []
     for entry in hypothesis.entries:

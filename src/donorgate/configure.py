@@ -7,17 +7,18 @@ control is excited, every qubit EPR line coupled to it splits into two
 components displaced by half the coupling (both signs, equal weight, so m
 simultaneously excited couplings fan a line into 2^m components). Rows are
 sums of unit-height Lorentzians over the EPR axis. The scan is rendered from
-the controls' optical lines and the couplings keyed by (control label,
-qubit label); every model it is rendered with is the scenario's own
-(`scenario.spectral`, `scenario.epr`), and the map carries the instrument
-settings it was taken with: the EPR line position of each qubit label, the
-EPR linewidth and the homogeneous width. Inference reads the map back
+the controls' optical lines and the integrals stage's excited-state J, a
+(controls x qubits) array in the scenario's placement order; every model
+it is rendered with is the scenario's own (`scenario.spectral`,
+`scenario.epr`), and the map carries the instrument settings it was taken
+with: the EPR line position of each qubit label, the EPR linewidth and the
+homogeneous width. Inference reads the map back
 without touching ground truth: resonance positions from the rows whose
 deviation from the baseline spectrum steps up, couplings from the splitting
 of each vanished EPR line. Calibration times one control's gate from the
 resonance the caller attributed to that control (the feasibility pipeline
 gives each resonance to the control with the nearest line) and scores it
-against the true couplings.
+against that control's row of the true J.
 """
 
 from __future__ import annotations
@@ -141,16 +142,19 @@ def _lorentzian(axis: np.ndarray, center: float, fwhm: float) -> np.ndarray:
     return half * half / ((axis - center) ** 2 + half * half)
 
 
-def simulate_scan(scenario, lines, couplings) -> ScanMap:
+def simulate_scan(scenario, lines, excited) -> ScanMap:
     """Render the two-dimensional configuration scan for a scenario.
 
     `lines` are the controls' optical lines (`TransitionLine`s) and
-    `couplings` maps (control label, qubit label) to the excited-state
-    exchange in meV, as the pipeline's integrals stage keys it; pairs it
-    omits are uncoupled. The spectral and EPR models and the qubits' EPR
-    line positions come from the scenario. The optical axis covers every
-    line within 4 homogeneous widths (step delta_h/4), the EPR axis every
-    component within 8 linewidths (step linewidth/5).
+    `excited` is the excited-state exchange in meV as the integrals stage
+    returns it: a (controls x qubits) array in `scenario.controls()` x
+    `scenario.qubits()` order, 0 where a pair is uncoupled. An array of
+    another shape or with an entry that is not a finite number, and a line
+    that names no control, raise PreconditionError. The spectral and EPR
+    models and the qubits' EPR line positions come from the scenario. The
+    optical axis covers every line within 4 homogeneous widths (step
+    delta_h/4), the EPR axis every component within 8 linewidths (step
+    linewidth/5); a qubit's couplings are summed in control label order.
 
     A row excites the controls whose line lies within delta_h of its
     frequency, |E - f| <= delta_h, taken for every row and line in one
@@ -162,32 +166,35 @@ def simulate_scan(scenario, lines, couplings) -> ScanMap:
     delta_h = scenario.spectral.homogeneous_fwhm_mev
     gamma = scenario.epr.linewidth_mev
 
+    controls = [c for c, _ in scenario.controls()]
+    qubits = [q for q, _ in scenario.qubits()]
+    excited, shape = np.asarray(excited), (len(controls), len(qubits))
+    if excited.shape != shape:
+        raise PreconditionError(f"exchange matrix has shape {excited.shape}, not {shape}")
+    if excited.dtype.kind not in "iuf" or not np.isfinite(excited).all():
+        raise PreconditionError("exchange matrix must hold finite numbers")
     line_of = {line.gate_id: line.energy_mev for line in lines}
+    if not line_of.keys() <= set(controls):
+        raise PreconditionError(f"lines {sorted(line_of.keys() - set(controls))} name no control")
     epr_lines = scenario.qubit_epr_offsets()
-    offsets = dict(epr_lines)
 
-    center = (min(line_of.values()), max(line_of.values())) if line_of else (
-        scenario.spectral.base_transition_mev,) * 2
-    optical_axis = np.arange(center[0] - 4.0 * delta_h,
-                             center[1] + 4.0 * delta_h, delta_h / 4.0)
+    energies = [*line_of.values()] or [scenario.spectral.base_transition_mev]
+    optical_axis = np.arange(min(energies) - 4.0 * delta_h,
+                             max(energies) + 4.0 * delta_h, delta_h / 4.0)
 
-    per_qubit = {q: [] for q in offsets}
-    for (c, q), j in sorted(couplings.items()):
-        if q in per_qubit and j != 0.0:
-            per_qubit[q].append((c, j))
+    # each qubit's nonzero couplings as (control, J), in control label order
+    column = dict(zip(qubits, excited.T.tolist()))
+    coupled = [[(c, j) for c, j in sorted(zip(controls, column[q])) if j != 0.0]
+               for q, _ in epr_lines]
 
-    if offsets:
-        reach = [abs(off) + sum(abs(j) for _, j in per_qubit[q]) / 2.0
-                 for q, off in offsets.items()]
-        span = max(reach) + 8.0 * gamma
-    else:
-        span = 8.0 * gamma
+    span = max((abs(off) + sum(abs(j) for _, j in pairs) / 2.0
+                for (_, off), pairs in zip(epr_lines, coupled)), default=0.0) + 8.0 * gamma
     epr_axis = np.arange(-span, span, gamma / 5.0)
 
-    def render(excited):
+    def render(on):
         row = np.zeros_like(epr_axis)
-        for q, base in offsets.items():
-            split = sorted((j for c, j in per_qubit[q] if c in excited),
+        for (_, base), pairs in zip(epr_lines, coupled):
+            split = sorted((j for c, j in pairs if c in on),
                            key=abs, reverse=True)[:_MAX_SPLIT]
             weight = 1.0 / (1 << len(split))
             for signs in itertools.product((0.5, -0.5), repeat=len(split)):
@@ -198,9 +205,9 @@ def simulate_scan(scenario, lines, couplings) -> ScanMap:
     # a row depends only on which controls are excited, and most rows of a
     # scan share one of a few such sets: render each set once
     labels = list(line_of)
-    excited = np.abs(np.array(list(line_of.values()), dtype=float)
-                     - optical_axis[:, None]) <= delta_h
-    sets, first, row_set = np.unique(excited, axis=0, return_index=True,
+    lit = np.abs(np.array(list(line_of.values()), dtype=float)
+                 - optical_axis[:, None]) <= delta_h
+    sets, first, row_set = np.unique(lit, axis=0, return_index=True,
                                      return_inverse=True)
     # number the sets in the order the rows first reach them
     order = np.argsort(first)
@@ -436,22 +443,22 @@ def infer_adjacency(scan: ScanMap,
     return AdjacencyHypothesis(tuple(entries), detection_threshold_mev)
 
 
-def calibrate_gate_time(entry: ControlHypothesis, control_id: str,
-                        couplings: dict) -> GateReport:
+def calibrate_gate_time(entry: ControlHypothesis, row, qubit_labels) -> GateReport:
     """Pick the gate interval from one inferred resonance and score it.
 
-    `entry` is the resonance attributed to `control_id`; its two strongest
+    `entry` is the resonance attributed to one control; its two strongest
     inferred couplings name the qubits and time the gate (what an
-    experiment would know). `couplings` holds the true excited-state
-    exchange keyed by (control label, qubit label). Fidelity is the overlap
-    between the gate the true system realizes at the chosen interval and
-    the gate it would realize if calibrated from the true couplings directly.
+    experiment would know). `row` is that control's row of the true
+    excited-state J, as `simulate_scan` takes it, and `qubit_labels` name
+    its columns; a named qubit with no nonzero J there raises
+    DependencyError. Fidelity is the overlap between the gate the true
+    system realizes at the chosen interval and the gate it would realize if
+    calibrated from the true couplings directly.
     """
     ranked = sorted(entry.couplings, key=lambda c: abs(c[1]), reverse=True)
     if len(ranked) < 2:
         raise PreconditionError(
-            f"control {control_id!r} needs two coupled qubits, "
-            f"inference found {len(ranked)}")
+            f"calibration needs two coupled qubits, inference found {len(ranked)}")
     (qa, ja_inferred), (qb, jb_inferred) = ranked[:2]
     try:
         inferred_report = sfg_gate(ja_inferred, jb_inferred)
@@ -461,8 +468,8 @@ def calibrate_gate_time(entry: ControlHypothesis, control_id: str,
         inferred_report = err.best_candidate
     tau = inferred_report.duration_ps
 
-    ja_true = couplings.get((control_id, qa), 0.0)
-    jb_true = couplings.get((control_id, qb), 0.0)
+    true = dict(zip(qubit_labels, np.asarray(row, dtype=float).tolist()))
+    ja_true, jb_true = true.get(qa, 0.0), true.get(qb, 0.0)
     if ja_true == 0.0 or jb_true == 0.0:
         raise DependencyError("ground-truth couplings missing for fidelity scoring")
     try:

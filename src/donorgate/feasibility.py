@@ -183,14 +183,6 @@ def _integrals_stage(scenario, controls, qubits):
     return exchange_rows, transfer_rows, excited, reach, hop
 
 
-def _couplings(controls, qubits, excited, reach) -> dict:
-    """The excited-state J of every pair in reach, keyed by (control label,
-    qubit label) in row order: the form the scan API takes."""
-    ci, qi = np.nonzero(reach)
-    return {(controls[i][0], qubits[k][0]): j
-            for i, k, j in zip(ci.tolist(), qi.tolist(), excited[ci, qi].tolist())}
-
-
 @_stage("spectra")
 def _spectra_stage(scenario, transfer, seed):
     lines = gate_transitions(scenario, transfer, seed=[seed, 0x53])
@@ -260,14 +252,14 @@ def _configure_stage(scenario, lines, controls, qubits, excited, reach, gate_rec
         return {"attempted": False,
                 "reason": f"no EPR offset for qubits {missing}"}
 
-    couplings = _couplings(controls, qubits, excited, reach)
-    scan = simulate_scan(scenario, lines, couplings)
+    scan = simulate_scan(scenario, lines, excited)
     hypothesis = infer_adjacency(scan, scenario.detection_threshold_mev)
 
     detected = reach & (np.abs(excited) >= scenario.detection_threshold_mev)
     truth = {controls[i][0]: {qubits[k][0] for k in np.flatnonzero(detected[i])}
              for i in np.flatnonzero(detected.any(1))}
     line_of = {l.gate_id: l.energy_mev for l in lines}
+    row_of = {c: i for i, (c, _) in enumerate(controls)}
 
     # each resonance belongs to the control with the nearest line
     matches = []
@@ -299,7 +291,7 @@ def _configure_stage(scenario, lines, controls, qubits, excited, reach, gate_rec
         # a control with fewer than two inferred qubits, or attributed one it
         # has no coupling to, cannot be timed and scored: it goes uncalibrated
         try:
-            cal = calibrate_gate_time(entry, control, couplings)
+            cal = calibrate_gate_time(entry, excited[row_of[control]], [q for q, _ in qubits])
         except (PreconditionError, DependencyError):
             continue
         calibrations.append({
@@ -370,18 +362,19 @@ class FeasibilityReport:
 
 
 def resolve_cluster(scenario: Scenario, seed: int = None):
-    """(realized scenario, optical lines, couplings) for scan and inference
-    work: the `TransitionLine`s of the controls and the excited-state
-    exchange keyed by (control label, qubit label), as `simulate_scan` takes
+    """(realized scenario, optical lines, excited-state J) for scan and
+    inference work: the controls' `TransitionLine`s and the integrals
+    stage's (controls x qubits) J, 0 out of reach, in the realized
+    scenario's `controls()` x `qubits()` order, as `simulate_scan` takes
     them.
 
     Runs the placement, integrals and spectra stages only.
     """
     seed = scenario.seed if seed is None else count(seed, "seed")
     realized, controls, qubits = _placement_stage(scenario)
-    _, _, excited, reach, transfer = _integrals_stage(realized, controls, qubits)
+    _, _, excited, _, transfer = _integrals_stage(realized, controls, qubits)
     lines, _, _ = _spectra_stage(realized, transfer, seed)
-    return realized, lines, _couplings(controls, qubits, excited, reach)
+    return realized, lines, excited
 
 
 def run_feasibility(scenario: Scenario, seed: int = None) -> FeasibilityReport:

@@ -167,10 +167,10 @@ class Scenario:
         return [l for l, _ in self.qubits() if l not in table]
 
     def qubit_epr_offsets(self) -> tuple:
-        """(label, meV) EPR line positions for every placed qubit: explicit
-        offsets when the EPR model has them, otherwise sampled from the
-        configured spread with the scenario seed."""
-        labels = [l for l, _ in self.qubits()]
+        """(label, meV) EPR line positions of the placed qubits in label
+        order: explicit offsets when the EPR model has them, otherwise
+        sampled from the configured spread with the scenario seed."""
+        labels = sorted(l for l, _ in self.qubits())
         if self.epr.zeeman_offsets_mev is not None:
             missing = self.qubits_without_epr_offset()
             if missing:
@@ -179,7 +179,7 @@ class Scenario:
             return tuple((l, table[l]) for l in labels)
         rng = np.random.default_rng([self.seed, 0xE9])
         sigma = self.epr.zeeman_spread_fwhm_mev / GAUSSIAN_FWHM
-        return tuple((l, float(rng.normal(0.0, sigma))) for l in sorted(labels))
+        return tuple((l, float(rng.normal(0.0, sigma))) for l in labels)
 
     def with_placements(self, placements) -> "Scenario":
         """Same scenario with realized explicit placements."""

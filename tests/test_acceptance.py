@@ -12,13 +12,8 @@ import numpy as np
 import pytest
 
 from donorgate import (
-    EprModel,
     LatticeSpec,
-    Placement,
-    Scenario,
-    SpectralModel,
     SpinSystem,
-    TransitionLine,
     build_hamiltonian,
     effective_coupling,
     exchange_curve,
@@ -36,6 +31,7 @@ from donorgate.cli import main as cli_main
 from donorgate.lattice import neighbor_statistics, place_dopants, sphere_count_report
 from donorgate.spectra import GAUSSIAN_FWHM, resolvable_gate_count
 from donorgate.spins import HBAR_MEV_PS
+from test_configure import _random_case
 
 # quoted values for the five-dopant cluster: (separation A, exchange meV)
 CLUSTER_TARGETS = {
@@ -225,48 +221,6 @@ def test_criterion_08_spin_dynamics():
            f"ep {report.entangling_power:.3f}")
 
 
-# --- criterion 9 helpers ----------------------------------------------------
-
-DELTA_H = 1.1
-GAMMA = 0.05
-_CONTROL = model_from_ionization("P", 0.6, 5.7, role="control")
-_QUBIT = model_from_ionization("N", 0.6, 5.7, role="qubit",
-                               radius_scale_factor=0.5)
-
-
-def _random_case(seed):
-    """2 controls, 3 qubits; lines and couplings separable by construction."""
-    rng = np.random.default_rng(seed)
-    thr = 1.0
-    e1 = 600.0 + rng.uniform(-10.0, 0.0)
-    e2 = e1 + rng.uniform(3.0 * DELTA_H, 25.0)
-    lines = (TransitionLine("C1", e1, DELTA_H, ()),
-             TransitionLine("C2", e2, DELTA_H, ()))
-    qs = ("Q1", "Q2", "Q3")
-    adj = {}
-    for cid in ("C1", "C2"):
-        for k in rng.choice(3, size=2, replace=False):
-            adj[(cid, qs[k])] = float(rng.uniform(5.5 * thr, 30.0))
-    jmax = max(adj.values())
-    spacing = jmax / 2.0 + 12.0 * GAMMA + 1.0
-    offsets = tuple((q, (i - 1) * spacing + float(rng.uniform(-0.2, 0.2)))
-                    for i, q in enumerate(qs))
-    placements = [Placement("C1", "P", (0.0, 0.0, 0.0)),
-                  Placement("C2", "P", (24.0, 0.0, 0.0))]
-    placements += [Placement(q, "N", (8.0 * i, 8.0, 0.0))
-                   for i, q in enumerate(qs)]
-    scenario = Scenario(
-        name="round-trip",
-        lattice=LatticeSpec(40.0),
-        species=(_CONTROL, _QUBIT),
-        spectral=SpectralModel(600.0, DELTA_H, (), 1.5),
-        epr=EprModel(GAMMA, zeeman_offsets_mev=offsets),
-        placements=tuple(placements),
-        detection_threshold_mev=thr,
-    )
-    return scenario, lines, adj
-
-
 def test_criterion_09_adjacency_round_trip(table1_report):
     failures = []
     for seed in range(100):
@@ -275,10 +229,10 @@ def test_criterion_09_adjacency_round_trip(table1_report):
                               sc.detection_threshold_mev)
         recovered = len(hyp.entries) == 2
         if recovered:
-            for line in lines:
+            for line, row in zip(lines, adj):
                 entry = min(hyp.entries,
                             key=lambda e: abs(e.optical_energy_mev - line.energy_mev))
-                want = {q for (c, q) in adj if c == line.gate_id}
+                want = {q for (q, _), j in zip(sc.qubits(), row) if j}
                 recovered &= set(dict(entry.couplings)) == want
         if not recovered:
             failures.append(seed)

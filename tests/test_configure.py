@@ -8,6 +8,7 @@ import pytest
 from scipy.signal import find_peaks
 
 from donorgate import (
+    DependencyError,
     EprModel,
     InvalidSpecError,
     LatticeSpec,
@@ -59,11 +60,8 @@ def _one_control_case(j1=8.0, j2=0.0):
         Placement("Q2", "N", (8.0, 8.0, 0.0)),
     ]
     offsets = (("Q1", -8.0), ("Q2", 8.0))
-    couplings = {("C1", "Q1"): j1}
-    if j2:
-        couplings[("C1", "Q2")] = j2
     lines = (TransitionLine("C1", 600.0, DELTA_H, ()),)
-    return _scenario(placements, offsets), lines, couplings
+    return _scenario(placements, offsets), lines, np.array([[j1, j2]])
 
 
 def _row_nearest(scan, optical_mev):
@@ -116,9 +114,9 @@ def test_scan_is_additive_over_disjoint_clusters():
     offsets = (("Q1", -8.0), ("Q2", 8.0), ("Q3", 20.0))
     lines = (TransitionLine("C1", 590.0, DELTA_H, ()),
              TransitionLine("C2", 610.0, DELTA_H, ()))
-    both = {("C1", "Q1"): 6.0, ("C2", "Q2"): 9.0}
-    only1 = {("C1", "Q1"): 6.0}
-    only2 = {("C2", "Q2"): 9.0}
+    both = np.array([[6.0, 0.0, 0.0], [0.0, 9.0, 0.0]])
+    only1 = np.array([[6.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+    only2 = np.array([[0.0, 0.0, 0.0], [0.0, 9.0, 0.0]])
     sc = _scenario(placements, offsets)
     scans = [simulate_scan(sc, lines, c) for c in (both, only1, only2)]
     for scan in scans[1:]:
@@ -157,7 +155,7 @@ def test_scan_row_sets_are_numbered_as_the_rows_first_reach_them():
                              spectral=SpectralModel(600.0, 1.0, (), 1.5))
     lines = (TransitionLine("C1", 600.0, 1.0, ()),
              TransitionLine("C2", 601.5, 1.0, ()))
-    scan = simulate_scan(sc, lines, {("C1", "Q1"): 6.0, ("C2", "Q2"): 9.0})
+    scan = simulate_scan(sc, lines, np.diag([6.0, 9.0]))
     optical = scan.optical_axis_mev
     for edge in (599.0, 601.0, 600.5, 602.5):
         assert edge in optical
@@ -171,15 +169,40 @@ def test_scan_row_sets_are_numbered_as_the_rows_first_reach_them():
     assert scan.row_spectrum.tolist() == [order.index(s) for s in sets]
     assert len(scan.spectra) == 4
     assert np.array_equal(scan.spectra[3],
-                          simulate_scan(sc, lines[1:], {("C2", "Q2"): 9.0}).spectra[1])
+                          simulate_scan(sc, lines[1:], np.diag([0.0, 9.0])).spectra[1])
     # no lines: every row excites nothing and shares one spectrum
-    empty = simulate_scan(sc, (), {})
+    empty = simulate_scan(sc, (), np.zeros((2, 2)))
     assert len(empty.spectra) == 1
     assert not empty.row_spectrum.any()
 
 
 def _infer(sc, scan):
     return infer_adjacency(scan, sc.detection_threshold_mev)
+
+
+def test_a_malformed_exchange_matrix_is_refused():
+    # J is read in scenario.controls() x scenario.qubits() order, (1, 2)
+    # here; one of another shape, or with an entry that is not a finite
+    # number, is refused before any axis is laid out (a NaN or an inf would
+    # reach np.arange), and so is a line that names no control
+    sc, lines, excited = _one_control_case(j1=8.0, j2=11.0)
+    assert len(simulate_scan(sc, lines, excited).spectra) == 2
+    stray = (TransitionLine("C9", 610.0, DELTA_H, ()),)
+    for bad, why in ((excited[0], "shape"), (excited.T, "shape"),
+                     (np.vstack([excited, excited]), "shape"), ({("C1", "Q1"): 8.0}, "shape"),
+                     (np.array([[np.nan, 11.0]]), "finite"),
+                     (np.array([[8.0, np.inf]]), "finite"),
+                     (np.array([[-np.inf, 11.0]]), "finite"),
+                     (np.array([["7", "11"]]), "finite"),
+                     (np.array([[8.0, "7"]], dtype=object), "finite"),
+                     (np.array([[True, False]]), "finite")):
+        with pytest.raises(PreconditionError, match=f"exchange matrix .*{why}"):
+            simulate_scan(sc, lines, bad)
+    with pytest.raises(PreconditionError, match="C9"):
+        simulate_scan(sc, lines + stray, excited)
+    # an integer matrix is a matrix of numbers, rendered as its floats
+    ints = simulate_scan(sc, lines, np.array([[8, 11]]))
+    assert ints.spectra.tobytes() == simulate_scan(sc, lines, excited).spectra.tobytes()
 
 
 def test_scan_carries_its_instrument_settings():
@@ -216,7 +239,7 @@ def test_inference_deterministic():
 def test_empty_scenario_gives_empty_hypothesis():
     placements = [Placement("Q1", "N", (0.0, 8.0, 0.0))]
     sc = _scenario(placements, (("Q1", -8.0),))
-    scan = simulate_scan(sc, (), {})
+    scan = simulate_scan(sc, (), np.zeros((0, 1)))
     hyp = _infer(sc, scan)
     assert hyp.entries == ()
 
@@ -232,15 +255,15 @@ def test_overlapping_optical_lines_flagged_ambiguous():
     # two controls 0.4 delta_h apart: inside each other's excitation window
     lines = (TransitionLine("C1", 600.0, DELTA_H, ()),
              TransitionLine("C2", 600.0 + 0.4 * DELTA_H, DELTA_H, ()))
-    couplings = {("C1", "Q1"): 6.0, ("C2", "Q2"): 9.0}
     sc = _scenario(placements, offsets)
-    scan = simulate_scan(sc, lines, couplings)
+    scan = simulate_scan(sc, lines, np.diag([6.0, 9.0]))
     hyp = _infer(sc, scan)
     assert any(e.ambiguous for e in hyp.entries)
 
 
 def _random_case(seed):
-    """2 controls, 3 qubits, separated lines, couplings well above threshold."""
+    """2 controls, 3 qubits, separated lines, couplings well above
+    threshold: (scenario, lines, J), each control coupled to two qubits."""
     rng = np.random.default_rng(seed)
     thr = 1.0
     e1 = 600.0 + rng.uniform(-10.0, 0.0)
@@ -248,12 +271,11 @@ def _random_case(seed):
     lines = (TransitionLine("C1", e1, DELTA_H, ()),
              TransitionLine("C2", e2, DELTA_H, ()))
     qs = ("Q1", "Q2", "Q3")
-    adj = {}
-    for cid in ("C1", "C2"):
+    adj = np.zeros((2, 3))
+    for row in adj:
         for k in rng.choice(3, size=2, replace=False):
-            adj[(cid, qs[k])] = float(rng.uniform(5.5 * thr, 30.0))
-    jmax = max(adj.values())
-    spacing = jmax / 2.0 + 12.0 * GAMMA + 1.0
+            row[k] = rng.uniform(5.5 * thr, 30.0)
+    spacing = float(adj.max()) / 2.0 + 12.0 * GAMMA + 1.0
     offsets = tuple((q, (i - 1) * spacing + float(rng.uniform(-0.2, 0.2)))
                     for i, q in enumerate(qs))
     placements = [Placement("C1", "P", (0.0, 0.0, 0.0)),
@@ -269,11 +291,11 @@ def test_round_trip_recovers_random_scenarios():
         scan = simulate_scan(sc, lines, adj)
         hyp = _infer(sc, scan)
         assert len(hyp.entries) == 2, f"seed {seed}"
-        for line in lines:
+        for line, row in zip(lines, adj):
             cid = line.gate_id
             entry = min(hyp.entries,
                         key=lambda e: abs(e.optical_energy_mev - line.energy_mev))
-            want = {q: j for (c, q), j in adj.items() if c == cid}
+            want = {q: j for q, j in zip(("Q1", "Q2", "Q3"), row) if j}
             got = dict(entry.couplings)
             assert set(got) == set(want), f"seed {seed} {cid}"
             for q, j in want.items():
@@ -505,13 +527,16 @@ def test_one_point_epr_axis_is_read_without_a_step():
 
 # --- calibration ----------------------------------------------------------
 
+# the true J of table1's two controls, by control, over the qubits QUBITS
+QUBITS = ("Q1", "Q2", "Q3")
+TABLE1_TRUTH = {"C1": [116.4, 38.61, 0.0], "C2": [0.0, 20.92, 147.5]}
+
+
 def test_exact_inference_calibrates_to_unit_fidelity():
-    truth = {("C1", "Q1"): 116.4, ("C1", "Q2"): 38.61,
-             ("C2", "Q2"): 20.92, ("C2", "Q3"): 147.5}
     exact = {"C1": ControlHypothesis(574.264, (("Q1", 116.4), ("Q2", 38.61))),
              "C2": ControlHypothesis(625.736, (("Q3", 147.5), ("Q2", 20.92)))}
     for cid, entry in exact.items():
-        rep = calibrate_gate_time(entry, cid, truth)
+        rep = calibrate_gate_time(entry, TABLE1_TRUTH[cid], QUBITS)
         assert rep.fidelity_to_target == pytest.approx(1.0, abs=1e-8), cid
         assert rep.entangling_power > 1e-6
 
@@ -519,15 +544,14 @@ def test_exact_inference_calibrates_to_unit_fidelity():
 def test_five_percent_error_tolerable_for_clean_ratio_clusters():
     # equal couplings calibrate at the first clean interval, where a 5%
     # coupling error costs little (measured worst 0.989 over wider sweeps)
-    truth = {("C1", "Q1"): 40.0, ("C1", "Q2"): 40.0,
-             ("C2", "Q2"): 25.0, ("C2", "Q3"): 25.0}
+    truth = {"C1": [40.0, 40.0, 0.0], "C2": [0.0, 25.0, 25.0]}
     rng = np.random.default_rng(1)
     for _ in range(2):
         f = lambda j: float(j * (1.0 + rng.uniform(-0.05, 0.05)))
         pert = (ControlHypothesis(574.264, (("Q1", f(40.0)), ("Q2", f(40.0)))),
                 ControlHypothesis(625.736, (("Q3", f(25.0)), ("Q2", f(25.0)))))
         for cid, entry in zip(("C1", "C2"), pert):
-            rep = calibrate_gate_time(entry, cid, truth)
+            rep = calibrate_gate_time(entry, truth[cid], QUBITS)
             assert rep.fidelity_to_target >= 0.95
 
 
@@ -535,8 +559,6 @@ def test_generic_ratio_clusters_are_tau_sensitive():
     # at the table1 coupling ratios the usable dip sits near J*tau/hbar of
     # 25-30 rad, so a 5% coupling error is a large phase error; the sweep
     # documents that honestly rather than asserting robustness
-    truth = {("C1", "Q1"): 116.4, ("C1", "Q2"): 38.61,
-             ("C2", "Q2"): 20.92, ("C2", "Q3"): 147.5}
     rng = np.random.default_rng(0)
     fids = []
     for _ in range(2):
@@ -544,7 +566,8 @@ def test_generic_ratio_clusters_are_tau_sensitive():
         pert = (ControlHypothesis(574.264, (("Q1", f(116.4)), ("Q2", f(38.61)))),
                 ControlHypothesis(625.736, (("Q3", f(147.5)), ("Q2", f(20.92)))))
         for cid, entry in zip(("C1", "C2"), pert):
-            fids.append(calibrate_gate_time(entry, cid, truth).fidelity_to_target)
+            fids.append(calibrate_gate_time(entry, TABLE1_TRUTH[cid], QUBITS)
+                        .fidelity_to_target)
     assert all(0.0 < f_ <= 1.0 + 1e-12 for f_ in fids)
     assert max(fids) > 0.9  # some draws stay close
     assert min(fids) > 0.2  # none collapse to an unrelated gate
@@ -563,7 +586,18 @@ def test_detection_threshold_validation():
 def test_calibration_needs_two_inferred_qubits():
     one = ControlHypothesis(574.264, (("Q1", 116.4),))
     with pytest.raises(PreconditionError):
-        calibrate_gate_time(one, "C1", {("C1", "Q1"): 116.4})
+        calibrate_gate_time(one, [116.4], ("Q1",))
+
+
+def test_calibration_needs_true_couplings_to_both_qubits():
+    # a qubit the control has J = 0 to, exactly, or that no column names,
+    # cannot be scored: the pipeline then leaves the control uncalibrated
+    entry = ControlHypothesis(574.264, (("Q1", 116.4), ("Q2", 38.61)))
+    assert calibrate_gate_time(entry, [116.4, 38.61, 0.0], QUBITS).qubit_labels == ("Q1", "Q2")
+    for row, labels in (([116.4, 0.0, 0.0], QUBITS), ([0.0, 38.61, 0.0], QUBITS),
+                        ([116.4, 38.61], ("Q1", "Q3"))):
+        with pytest.raises(DependencyError):
+            calibrate_gate_time(entry, row, labels)
 
 
 def test_epr_model_validation():

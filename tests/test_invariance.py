@@ -5,7 +5,8 @@ The one transform here is a shuffle of the placement order. Every section of
 the report is compared keyed by label, bit for bit, through its JSON text: a
 transfer row by its unordered pair, and a gate's qubit pair as a set only
 where its two couplings are equal, since a tie in |J| keeps the qubit placed
-first.
+first. The configuration scan of the cluster is compared bit for bit too:
+its axes, its spectra, its row index and its table of EPR lines.
 """
 
 import dataclasses
@@ -47,12 +48,22 @@ def _keyed(report) -> dict:
     return {section: json.dumps(rows, sort_keys=True) for section, rows in out.items()}
 
 
+def _scan(sc) -> dict:
+    """The bytes of the cluster's configuration scan, and its EPR lines."""
+    scan = dg.simulate_scan(*dg.resolve_cluster(sc))
+    return {"optical_axis": scan.optical_axis_mev.tobytes(),
+            "epr_axis": scan.epr_axis_mev.tobytes(), "spectra": scan.spectra.tobytes(),
+            "row_spectrum": scan.row_spectrum.tobytes(), "epr_lines": scan.epr_lines_mev}
+
+
 @pytest.mark.parametrize("make", [_table1, _corpus_seed3])
 def test_a_shuffle_of_the_placements_leaves_the_report_unchanged(make):
     sc = make()
-    want = _keyed(dg.run_feasibility(sc))
+    want, want_scan = _keyed(dg.run_feasibility(sc)), _scan(sc)
     n = len(sc.placements)
     rng = np.random.default_rng(26)
     for order in (np.arange(n)[::-1], rng.permutation(n), rng.permutation(n)):
         shuffled = dataclasses.replace(sc, placements=tuple(sc.placements[i] for i in order))
         assert _keyed(dg.run_feasibility(shuffled)) == want
+        got = _scan(shuffled)
+        assert [k for k in want_scan if got[k] != want_scan[k]] == []

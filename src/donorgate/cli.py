@@ -27,7 +27,7 @@ from .feasibility import patch_statistics, resolve_cluster, run_feasibility
 from .integrals import exchange_curve, transfer_splitting_curve
 from .lattice import (LatticeSpec, neighbor_statistics, place_dopants,
                       shell_sizes, sphere_count_report)
-from .scenario import get_preset, list_presets, load_scenario
+from .scenario import _grid, get_preset, list_presets, load_scenario
 from .spins import sfg_gate
 
 
@@ -88,9 +88,7 @@ def _curve_models(args):
         raise InvalidSpecError("r-min, r-max and r-step must be finite")
     if args.r_max <= args.r_min or args.r_step <= 0:
         raise InvalidSpecError("need r-min < r-max and a positive r-step")
-    grid = tuple(np.round(np.arange(args.r_min, args.r_max + args.r_step / 2,
-                                    args.r_step), 9))
-    return control, qubit, grid, args.base_mev
+    return control, qubit, _grid(args.r_min, args.r_max, args.r_step), args.base_mev
 
 
 # -- command bodies ----------------------------------------------------------

@@ -29,7 +29,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import (DependencyError, InvalidSpecError, NoCleanGateError,
-                     PreconditionError, finite, sorted_pairs, store_finite)
+                     PreconditionError, finite, finite_matrix, sorted_pairs,
+                     store_finite)
 from .spins import (GateReport, gate_fidelity, induced_qubit_block, sfg_gate,
                     unitary_part)
 # bench/tracing.py counts calls under this module's name; the calibration
@@ -148,13 +149,13 @@ def simulate_scan(scenario, lines, excited) -> ScanMap:
     `lines` are the controls' optical lines (`TransitionLine`s) and
     `excited` is the excited-state exchange in meV as the integrals stage
     returns it: a (controls x qubits) array in `scenario.controls()` x
-    `scenario.qubits()` order, 0 where a pair is uncoupled. An array of
-    another shape or with an entry that is not a finite number, and a line
-    that names no control, raise PreconditionError. The spectral and EPR
-    models and the qubits' EPR line positions come from the scenario. The
-    optical axis covers every line within 4 homogeneous widths (step
-    delta_h/4), the EPR axis every component within 8 linewidths (step
-    linewidth/5); a qubit's couplings are summed in control label order.
+    `scenario.qubits()` order, 0 where a pair is uncoupled. Another array
+    (see `errors.finite_matrix`) or a line that names no control raises
+    PreconditionError. The spectral and EPR models and the qubits' EPR line
+    positions come from the scenario. The optical axis covers every line
+    within 4 homogeneous widths (step delta_h/4), the EPR axis every
+    component within 8 linewidths (step linewidth/5); a qubit's couplings
+    are summed in control label order.
 
     A row excites the controls whose line lies within delta_h of its
     frequency, |E - f| <= delta_h, taken for every row and line in one
@@ -168,11 +169,7 @@ def simulate_scan(scenario, lines, excited) -> ScanMap:
 
     controls = [c for c, _ in scenario.controls()]
     qubits = [q for q, _ in scenario.qubits()]
-    excited, shape = np.asarray(excited), (len(controls), len(qubits))
-    if excited.shape != shape:
-        raise PreconditionError(f"exchange matrix has shape {excited.shape}, not {shape}")
-    if excited.dtype.kind not in "iuf" or not np.isfinite(excited).all():
-        raise PreconditionError("exchange matrix must hold finite numbers")
+    excited = finite_matrix(excited, (len(controls), len(qubits)), "exchange matrix")
     line_of = {line.gate_id: line.energy_mev for line in lines}
     if not line_of.keys() <= set(controls):
         raise PreconditionError(f"lines {sorted(line_of.keys() - set(controls))} name no control")

@@ -9,6 +9,8 @@ import math
 import numbers
 from dataclasses import fields
 
+import numpy as np
+
 
 class DonorgateError(Exception):
     """Base class for all library errors."""
@@ -88,6 +90,20 @@ def finite(value, what: str, error=InvalidSpecError) -> float:
             or not math.isfinite(value)):
         raise error(f"{what} must be a finite number, got {value!r}")
     return float(value)
+
+
+def finite_matrix(value, shape: tuple, what: str) -> np.ndarray:
+    """`value` as an array of `shape` (a ragged nesting has none) with an
+    integer or float dtype and finite entries, else PreconditionError."""
+    try:
+        array = np.asarray(value)
+    except ValueError:
+        raise PreconditionError(f"{what} is ragged, not of shape {shape}") from None
+    if array.shape != shape:
+        raise PreconditionError(f"{what} has shape {array.shape}, not {shape}")
+    if array.dtype.kind not in "iuf" or not np.isfinite(array).all():
+        raise PreconditionError(f"{what} must hold finite numbers")
+    return array
 
 
 def count(value, what: str, error=InvalidSpecError) -> int:

@@ -20,8 +20,8 @@ from .configure import calibrate_gate_time, infer_adjacency, simulate_scan
 from .constants import HBAR_MEV_PS
 from .errors import (DependencyError, DonorgateError, InvalidSpecError,
                      NoCleanGateError, PreconditionError, StageError, count)
-from .integrals import exchange_curve, transfer_splitting_curve
-from .lattice import DopedRegion, place_dopants
+from .integrals import _splitting, exchange_curve, transfer_splitting_curve
+from .lattice import DopedRegion, _integer_sites, place_dopants
 from .scenario import Placement, Scenario
 from .spectra import gate_transitions, resolvable_gate_count
 from .spins import effective_coupling, sfg_gate
@@ -71,8 +71,17 @@ def _stage(name):
 
 @_stage("placement")
 def _placement_stage(scenario):
+    """The realized scenario, then its controls' and its qubits' records:
+    each the labels, the species (indices into `scenario.species`) and an
+    (n, 3) array of positions of that role's dopants, in placement order."""
     realized = realize_placements(scenario)
-    return realized, realized.controls(), realized.qubits()
+    placed = realized.placements
+    kind, is_control = _species_kinds(realized, [p.species for p in placed])
+    positions = np.array([p.position_a for p in placed], dtype=float).reshape(-1, 3)
+
+    def record(role):
+        return [p.label for p, keep in zip(placed, role) if keep], kind[role], positions[role]
+    return realized, record(is_control), record(~is_control)
 
 
 def _distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -114,18 +123,16 @@ def _species_groups(scenario, *kinds):
         yield tuple(scenario.species[kind[first]] for kind in kinds), member
 
 
-def _price_pairs(scenario, curve, names, separation, *kinds):
-    """One array per column name in `names`: that column of the priced
-    curves, one entry per pair. Each species group of pairs (see
-    `_species_groups`) is priced by one `curve(*models, r_grid=grid)` call
-    over its distinct separations in increasing order, one row per point."""
-    columns = [np.empty(len(separation)) for _ in names]
+def _price_pairs(scenario, curve, name, separation, *kinds):
+    """The `name` column of the priced curves, one entry per pair. Each
+    species group of pairs (see `_species_groups`) is priced by one
+    `curve(*models, r_grid=grid)` call over its distinct separations in
+    increasing order, one row per point."""
+    column = np.empty(len(separation))
     for models, member in _species_groups(scenario, *kinds):
         grid, where = np.unique(separation[member], return_inverse=True)
-        rows = curve(*models, r_grid=grid)
-        for column, name in zip(columns, names):
-            column[member] = getattr(rows, name)[where]
-    return columns
+        column[member] = getattr(curve(*models, r_grid=grid), name)[where]
+    return column
 
 
 @_stage("integrals")
@@ -133,19 +140,16 @@ def _integrals_stage(scenario, controls, qubits):
     """Exchange for every control-qubit pair inside the cutoff and transfer
     for every control-control pair, priced by species group as the patch
     tally prices them; a transfer takes the species of the smaller label.
-    Every separation comes from one `_distances` matrix per role pair. A
-    shared site raises, checked control-qubit, then control-control, then
-    qubit-qubit. Returns the exchange and transfer rows, then, in the
-    placements' row order, the excited-state J (controls x qubits, 0 out of
-    reach), its reach mask and the symmetric transfer matrix."""
-    kind, is_control = _species_kinds(scenario, [p.species for p in scenario.placements])
-    c_kind, q_kind = kind[is_control], kind[~is_control]
-    c_labels, c_pos = [c for c, _ in controls], np.array([p for _, p in controls]).reshape(-1, 3)
-    q_labels, q_pos = [q for q, _ in qubits], np.array([p for _, p in qubits]).reshape(-1, 3)
-
+    Every separation comes from one `_distances` matrix per role pair of the
+    placement stage's records. A shared site raises, checked control-qubit,
+    then control-control, then qubit-qubit. Returns, in placement order, the
+    control-qubit separations, their reach mask, the excited- and ground-state
+    J (controls x qubits, 0 out of reach), the control-control separations
+    and the symmetric transfer matrix."""
+    (c_labels, c_kind, c_pos), (q_labels, q_kind, q_pos) = controls, qubits
     to_qubit = _distances(c_pos, q_pos)
     _refuse_shared(to_qubit <= 0.0, c_labels, q_labels)
-    upper = np.triu(np.ones((len(controls),) * 2, dtype=bool), 1)
+    upper = np.triu(np.ones((len(c_labels),) * 2, dtype=bool), 1)
     to_control = _distances(c_pos, c_pos)
     _refuse_shared(upper & (to_control <= 0.0), c_labels, c_labels)
     # an exact screen; only a share builds the q x q match that names it
@@ -154,33 +158,20 @@ def _integrals_stage(scenario, controls, qubits):
 
     reach = to_qubit <= scenario.pair_cutoff_a
     ci, qi = np.nonzero(reach)
-    sep = to_qubit[ci, qi]
-    (j_excited,) = _price_pairs(scenario, functools.partial(exchange_curve, excited=True),
-                                ("exchange_splitting_mev",), sep, c_kind[ci], q_kind[qi])
-    (j_ground,) = _price_pairs(scenario, functools.partial(exchange_curve, excited=False),
-                               ("exchange_splitting_mev",), sep, c_kind[ci], q_kind[qi])
-    exchange_rows = [{"control": c_labels[i], "qubit": q_labels[j], "separation_a": s,
-                      "j_excited_mev": je, "j_ground_mev": jg}
-                     for i, j, s, je, jg in zip(ci.tolist(), qi.tolist(), sep.tolist(),
-                                                j_excited.tolist(), j_ground.tolist())]
-    excited = np.zeros(reach.shape)
-    excited[ci, qi] = j_excited
+    excited, ground = np.zeros(reach.shape), np.zeros(reach.shape)
+    for j, branch in ((excited, True), (ground, False)):
+        j[ci, qi] = _price_pairs(scenario, functools.partial(exchange_curve, excited=branch),
+                                 "exchange_splitting_mev", to_qubit[ci, qi], c_kind[ci], q_kind[qi])
 
     ia, ib = np.nonzero(upper)
     rank = np.argsort(np.argsort(c_labels))  # labels compare as strings
     smaller = np.where(rank[ia] < rank[ib], ia, ib)
-    mutual = to_control[ia, ib]
-    transfer, splitting = _price_pairs(
+    hop = np.zeros(upper.shape)
+    hop[ia, ib] = hop[ib, ia] = _price_pairs(
         scenario, functools.partial(transfer_splitting_curve,
                                     base_transition_mev=scenario.spectral.base_transition_mev),
-        ("transfer_mev", "splitting_mev"), mutual, c_kind[smaller])
-    transfer_rows = [{"pair": (c_labels[i], c_labels[j]), "separation_a": s,
-                      "transfer_mev": t, "splitting_mev": split}
-                     for i, j, s, t, split in zip(ia.tolist(), ib.tolist(), mutual.tolist(),
-                                                  transfer.tolist(), splitting.tolist())]
-    hop = np.zeros(upper.shape)
-    hop[ia, ib] = hop[ib, ia] = transfer
-    return exchange_rows, transfer_rows, excited, reach, hop
+        "transfer_mev", to_control[ia, ib], c_kind[smaller])
+    return to_qubit, reach, excited, ground, to_control, hop
 
 
 @_stage("spectra")
@@ -201,15 +192,16 @@ def _spectra_stage(scenario, transfer, seed):
 def _spins_stage(scenario, controls, qubits, excited, reach):
     """A gate record per control with two or more qubits in reach at or above
     the gate floor, in label order: the two largest |J| of its row of
-    `excited`, by a stable sort that keeps the first of equal |J|."""
+    `excited`, by a stable sort that keeps the first of equal |J|. A qubit's
+    T1 is its species'."""
+    (c_labels, _, _), (q_labels, q_kind, _) = controls, qubits
     strong = reach & (np.abs(excited) >= scenario.min_gate_coupling_mev)
     records = []
-    for c_label, i in sorted((controls[i][0], i) for i in np.flatnonzero(strong.sum(1) >= 2)):
+    for c_label, i in sorted((c_labels[i], i) for i in np.flatnonzero(strong.sum(1) >= 2)):
         row = np.flatnonzero(strong[i])
         ranked = sorted(zip(row.tolist(), excited[i, row].tolist()),
                         key=lambda item: abs(item[1]), reverse=True)
         (ka, ja), (kb, jb) = ranked[:2]
-        qa, qb = qubits[ka][0], qubits[kb][0]
         j_eff = effective_coupling(ja, jb, scenario.excitation_energy_mev)
         try:
             report = sfg_gate(ja, jb)
@@ -217,13 +209,11 @@ def _spins_stage(scenario, controls, qubits, excited, reach):
         except NoCleanGateError as err:
             report = err.best_candidate
             clean = False
-        margins = {}
-        for q in (qa, qb):
-            model = scenario.model_for(q)
-            if model.t1_s is not None:
-                margins[q] = model.t1_s * 1e12 / report.duration_ps
+        t1_s = {q_labels[k]: scenario.species[q_kind[k]].t1_s for k in (ka, kb)}
+        margins = {q: float(t1 * 1e12 / report.duration_ps)
+                   for q, t1 in t1_s.items() if t1 is not None}
         records.append({
-            "control": c_label, "qubits": (qa, qb),
+            "control": c_label, "qubits": [q_labels[ka], q_labels[kb]],
             "j1_mev": float(ja), "j2_mev": float(jb),
             "j_eff_mev": float(j_eff),
             "tau_scale_ps": float(np.pi * HBAR_MEV_PS / abs(j_eff)),
@@ -231,8 +221,7 @@ def _spins_stage(scenario, controls, qubits, excited, reach):
             "residual_bits": float(report.control_residual_entanglement),
             "entangling_power": float(report.entangling_power),
             "clean": clean,
-            "t1_margin": ({q: float(m) for q, m in margins.items()}
-                          if margins else None),
+            "t1_margin": margins or None,
         })
     return records
 
@@ -255,11 +244,11 @@ def _configure_stage(scenario, lines, controls, qubits, excited, reach, gate_rec
     scan = simulate_scan(scenario, lines, excited)
     hypothesis = infer_adjacency(scan, scenario.detection_threshold_mev)
 
+    (c_labels, _, _), (q_labels, _, _) = controls, qubits
     detected = reach & (np.abs(excited) >= scenario.detection_threshold_mev)
-    truth = {controls[i][0]: {qubits[k][0] for k in np.flatnonzero(detected[i])}
+    truth = {c_labels[i]: {q_labels[k] for k in np.flatnonzero(detected[i])}
              for i in np.flatnonzero(detected.any(1))}
     line_of = {l.gate_id: l.energy_mev for l in lines}
-    row_of = {c: i for i, (c, _) in enumerate(controls)}
 
     # each resonance belongs to the control with the nearest line
     matches = []
@@ -291,7 +280,7 @@ def _configure_stage(scenario, lines, controls, qubits, excited, reach, gate_rec
         # a control with fewer than two inferred qubits, or attributed one it
         # has no coupling to, cannot be timed and scored: it goes uncalibrated
         try:
-            cal = calibrate_gate_time(entry, excited[row_of[control]], [q for q, _ in qubits])
+            cal = calibrate_gate_time(entry, excited[c_labels.index(control)], q_labels)
         except (PreconditionError, DependencyError):
             continue
         calibrations.append({
@@ -321,6 +310,8 @@ class FeasibilityReport:
     targets: dict
 
     def to_dict(self) -> dict:
+        """JSON-ready data. Its rows and configuration are the report's own,
+        not copies: read them, do not edit them."""
         return {
             "scenario": self.scenario_name,
             "seed": self.seed,
@@ -328,10 +319,10 @@ class FeasibilityReport:
                            for l, s, p in self.placements],
             "counts": {"controls": self.n_controls, "qubits": self.n_qubits},
             "exchange": list(self.exchange),
-            "transfer": [dict(r, pair=list(r["pair"])) for r in self.transfer],
+            "transfer": list(self.transfer),
             "lines": list(self.lines),
             "resolvable_gates": self.resolvable_gates,
-            "gates": [dict(g, qubits=list(g["qubits"])) for g in self.gates],
+            "gates": list(self.gates),
             "configuration": self.configuration,
             "targets": self.targets,
         }
@@ -372,7 +363,7 @@ def resolve_cluster(scenario: Scenario, seed: int = None):
     """
     seed = scenario.seed if seed is None else count(seed, "seed")
     realized, controls, qubits = _placement_stage(scenario)
-    _, _, excited, _, transfer = _integrals_stage(realized, controls, qubits)
+    _, _, excited, _, _, transfer = _integrals_stage(realized, controls, qubits)
     lines, _, _ = _spectra_stage(realized, transfer, seed)
     return realized, lines, excited
 
@@ -381,15 +372,30 @@ def run_feasibility(scenario: Scenario, seed: int = None) -> FeasibilityReport:
     """Run the full pipeline on one scenario and collect the report."""
     seed = scenario.seed if seed is None else count(seed, "seed")
     realized, controls, qubits = _placement_stage(scenario)
-    exchange_rows, transfer_rows, excited, reach, transfer = \
+    to_qubit, reach, excited, ground, to_control, transfer = \
         _integrals_stage(realized, controls, qubits)
     lines, line_rows, resolvable = _spectra_stage(realized, transfer, seed)
     gate_records = _spins_stage(realized, controls, qubits, excited, reach)
     configuration = _configure_stage(realized, lines, controls, qubits, excited, reach,
                                      gate_records)
 
+    c_labels, q_labels = controls[0], qubits[0]
+    ci, qi = np.nonzero(reach)
+    exchange = tuple(
+        {"control": c_labels[i], "qubit": q_labels[k], "separation_a": s,
+         "j_excited_mev": je, "j_ground_mev": jg}
+        for i, k, s, je, jg in zip(ci.tolist(), qi.tolist(), to_qubit[ci, qi].tolist(),
+                                   excited[ci, qi].tolist(), ground[ci, qi].tolist()))
+    ia, ib = np.triu_indices(len(c_labels), 1)
+    t = transfer[ia, ib]
+    transfer_rows = tuple(
+        {"pair": [c_labels[i], c_labels[j]], "separation_a": s, "transfer_mev": tm,
+         "splitting_mev": split}
+        for i, j, s, tm, split in zip(ia.tolist(), ib.tolist(), to_control[ia, ib].tolist(),
+                                      t.tolist(), _splitting(t).tolist()))
+
     targets = {
-        "qubits_met": len(qubits) >= scenario.n_qubit_target,
+        "qubits_met": len(q_labels) >= scenario.n_qubit_target,
         "gates_met": len(gate_records) >= scenario.n_gate_target,
         "n_qubit_target": scenario.n_qubit_target,
         "n_gate_target": scenario.n_gate_target,
@@ -399,10 +405,10 @@ def run_feasibility(scenario: Scenario, seed: int = None) -> FeasibilityReport:
         seed=seed,
         placements=tuple((p.label, p.species, p.position_a)
                          for p in realized.placements),
-        n_controls=len(controls),
-        n_qubits=len(qubits),
-        exchange=tuple(exchange_rows),
-        transfer=tuple(transfer_rows),
+        n_controls=len(c_labels),
+        n_qubits=len(q_labels),
+        exchange=exchange,
+        transfer=transfer_rows,
         lines=tuple(line_rows),
         resolvable_gates=resolvable,
         gates=tuple(gate_records),
@@ -453,47 +459,22 @@ def _dope_patch(scenario, seed) -> DopedRegion:
     return place_dopants(scenario.lattice, rp.concentration, dict(rp.mix), seed)
 
 
-class _CouplingTable:
-    """Excited-state J of one (control model, qubit model) pair on a lattice
-    of site spacing unit `quarter` (a/4), indexed by the integer squared
-    separation n, so a pair n apart is sqrt(n) * quarter angstrom apart.
-
-    Filled lazily: `read` prices the n it has not priced yet in one
-    `exchange_curve` call over sqrt(n) * quarter, the same floats the pairs'
-    separations are, and every pair then reads its J with one gather. A
-    curve row does not depend on the grid around it, so an entry equals the
-    curve at that separation bit for bit. The table is as long as the
-    largest n it has read plus one, at most floor((cutoff / quarter)^2) + 1
-    for pairs within `cutoff`; a fill that raises stores nothing.
-    """
-
-    def __init__(self, control, qubit, quarter: float):
-        self._models = control, qubit
-        self.quarter = quarter
-        self.j = np.empty(0)
-        self.priced = np.zeros(0, dtype=bool)
-
-    def read(self, n: np.ndarray) -> np.ndarray:
-        """J at each integer squared separation of `n` (a 1-D int array)."""
-        known = n < len(self.priced)
-        known[known] = self.priced[n[known]]
-        if not known.all():
-            miss = np.unique(n[~known])
-            rows = exchange_curve(*self._models, True, np.sqrt(miss) * self.quarter)
-            if miss[-1] >= len(self.j):
-                grow = miss[-1] + 1 - len(self.j)
-                self.j = np.concatenate([self.j, np.zeros(grow)])
-                self.priced = np.concatenate([self.priced, np.zeros(grow, dtype=bool)])
-            self.j[miss] = rows.exchange_splitting_mev
-            self.priced[miss] = True
-        return self.j[n]
-
-
 @functools.lru_cache(maxsize=8)
-def _coupling_table(control, qubit, quarter: float) -> _CouplingTable:
-    """The lattice coupling table of one model pair and a/4, kept for the
-    most recently used 8 of them."""
-    return _CouplingTable(control, qubit, quarter)
+def _coupling_table(control, qubit, lattice_constant: float, cutoff: float) -> np.ndarray:
+    """Excited-state J of one (control model, qubit model) pair, indexed by
+    the squared separation n in units of a/4: read-only, priced by one
+    `exchange_curve` over sqrt(n) * a/4 for every n = |s|^2 of a site s
+    within `cutoff` (a pair's separation is plus or minus a site), 0
+    elsewhere. A curve row does not depend on its grid, so an entry equals
+    the curve at that separation bit for bit. A pricing that raises is not
+    kept."""
+    sites = _integer_sites(lattice_constant, cutoff).astype(np.int64)
+    n = np.unique((sites * sites).sum(1))[1:]  # n = 0 is the origin
+    table = np.zeros(n[-1] + 1)
+    table[n] = exchange_curve(control, qubit, True,
+                              np.sqrt(n) * (lattice_constant / 4.0)).exchange_splitting_mev
+    table.flags.writeable = False
+    return table
 
 
 @_stage("integrals")
@@ -504,8 +485,9 @@ def _patch_tally(scenario, region) -> tuple:
     at or above the gate floor, as the spins stage needs for a gate record;
     no spectra, spins or scan work, so patch sweeps stay cheap. Each pair's
     integer squared separation n comes from the integer sites, and its J is
-    read from the `_CouplingTable` of its (control species, qubit species)
-    group by n; a warm table prices nothing and calls no curve.
+    read at n from the `_coupling_table` of its (control species, qubit
+    species) group, over the cutoff or the patch's diameter if that is
+    shorter; a warm table prices nothing and calls no curve.
     """
     kind, is_control = _species_kinds(scenario, region.species)
     c_kind, q_kind = kind[is_control], kind[~is_control]
@@ -520,13 +502,16 @@ def _patch_tally(scenario, region) -> tuple:
         # the labels realize_placements gives: per role, in site order
         i, j = np.argwhere(n2 == 0)[0]
         raise InvalidSpecError(f"C{i + 1} and Q{j + 1} share a site")
-    quarter = scenario.lattice.lattice_constant / 4.0
-    ci, qi = np.nonzero(np.sqrt(n2) * quarter <= scenario.pair_cutoff_a)
+    a, cutoff = scenario.lattice.lattice_constant, scenario.pair_cutoff_a
+    ci, qi = np.nonzero(np.sqrt(n2) * (a / 4.0) <= cutoff)
     n = n2[ci, qi]
 
+    # no pair spans more than the diameter; a/4 of slack keeps its own n
+    # where rounding puts the radius a hair short of its shell
+    reach = min(cutoff, 2.0 * scenario.lattice.bounding_radius + a / 4.0)
     j = np.empty(len(n))
     for models, member in _species_groups(scenario, c_kind[ci], q_kind[qi]):
-        j[member] = _coupling_table(*models, quarter).read(n[member])
+        j[member] = _coupling_table(*models, a, reach)[n[member]]
     strong = np.abs(j) >= scenario.min_gate_coupling_mev
     gates = np.count_nonzero(np.bincount(ci[strong], minlength=len(controls)) >= 2)
     return len(qubits), len(controls), int(gates)

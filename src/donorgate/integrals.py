@@ -464,6 +464,11 @@ def _hopping(s, h_aa, h_bb, h_ab):
     return (h_ab - s * (h_aa + h_bb) / 2.0) / (1.0 - s * s)
 
 
+def _splitting(t_mev):
+    """The splitting 2|t| of two controls' branches at base +/- |t|."""
+    return 2.0 * np.abs(t_mev)
+
+
 def _check_overlap(s: np.ndarray, separation_a: np.ndarray) -> None:
     """Reject pairs whose orbitals nearly coincide, naming the first such
     separation in grid order, in angstrom as the caller passed it."""
@@ -720,7 +725,7 @@ def transfer_splitting_curve(
         TransferSplitting,
         separation_a=grid,
         transfer_mev=t_mev,
-        splitting_mev=2.0 * np.abs(t_mev),
+        splitting_mev=_splitting(t_mev),
         branch_lower_mev=base - np.abs(t_mev),
         branch_upper_mev=base + np.abs(t_mev),
     )

@@ -21,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import HC_MEV_NM
-from .errors import (InvalidSpecError, PreconditionError, finite, store_finite,
-                     text)
+from .errors import (InvalidSpecError, PreconditionError, finite, finite_matrix,
+                     store_finite, text)
 
 # FWHM of a unit-sigma Gaussian
 GAUSSIAN_FWHM = 2.0 * math.sqrt(2.0 * math.log(2.0))
@@ -105,22 +105,17 @@ def gate_transitions(scenario, transfer, seed=None) -> list:
     `transfer` is the controls' hopping matrix in meV, in
     `scenario.controls()` order: entry (i, j) is the `transfer_mev` of
     `integrals.transfer_splitting_curve` at the separation of controls i and
-    j, and the diagonal is zero; any other matrix raises PreconditionError.
-    The transition energies are base + its eigenvalues, assigned to the
+    j, and the diagonal is zero; any other matrix (see also
+    `errors.finite_matrix`) raises PreconditionError. The transition energies are base + its eigenvalues, assigned to the
     controls in label order, ascending in energy; an isolated control's
     shift is exactly zero. Random shift components are drawn one control at
     a time in label order, so a fixed seed fixes the lines.
     """
     controls = [label for label, _ in scenario.controls()]
     m = len(controls)
-    transfer = np.asarray(transfer)
-    if transfer.shape != (m, m):
-        raise PreconditionError(
-            f"transfer matrix has shape {transfer.shape}, not ({m}, {m}) for {m} controls")
-    if (not np.isfinite(transfer).all() or not np.array_equal(transfer, transfer.T)
-            or transfer.diagonal().any()):
-        raise PreconditionError("transfer matrix must be finite and symmetric, "
-                                "with a zero diagonal")
+    transfer = finite_matrix(transfer, (m, m), "transfer matrix")
+    if not np.array_equal(transfer, transfer.T) or transfer.diagonal().any():
+        raise PreconditionError("transfer matrix must be symmetric, with a zero diagonal")
     if not m:
         return []
     order = sorted(range(m), key=controls.__getitem__)

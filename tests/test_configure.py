@@ -190,6 +190,7 @@ def test_a_malformed_exchange_matrix_is_refused():
     stray = (TransitionLine("C9", 610.0, DELTA_H, ()),)
     for bad, why in ((excited[0], "shape"), (excited.T, "shape"),
                      (np.vstack([excited, excited]), "shape"), ({("C1", "Q1"): 8.0}, "shape"),
+                     ([[8.0, 11.0], [8.0]], "shape"),
                      (np.array([[np.nan, 11.0]]), "finite"),
                      (np.array([[8.0, np.inf]]), "finite"),
                      (np.array([[-np.inf, 11.0]]), "finite"),

@@ -23,7 +23,7 @@ from donorgate import (
     run_feasibility,
     transfer_splitting_curve,
 )
-from donorgate import feasibility, integrals, spins
+from donorgate import feasibility, integrals, lattice, spins
 from donorgate.feasibility import _patch_tally, resolve_cluster
 
 import pins
@@ -80,7 +80,7 @@ def test_cluster_optical_lines(table1_report):
     assert l1["energy_mev"] == pytest.approx(574.264, abs=1e-3)
     assert l2["energy_mev"] == pytest.approx(625.736, abs=1e-3)
     (t,) = table1_report.transfer
-    assert t["pair"] == ("C1", "C2")
+    assert t["pair"] == ["C1", "C2"]
     assert t["transfer_mev"] == pytest.approx(25.7356, rel=1e-4)
     assert l2["energy_mev"] - l1["energy_mev"] == pytest.approx(
         t["splitting_mev"], rel=1e-12)
@@ -288,7 +288,7 @@ def test_a_transfer_takes_the_species_of_the_smaller_label():
     (row,) = run_feasibility(pair).transfer
     want = transfer_splitting_curve(soft, [12.0],
                                     base_transition_mev=sc.spectral.base_transition_mev)
-    assert row["pair"] == ("C2", "C10")
+    assert row["pair"] == ["C2", "C10"]
     assert row["transfer_mev"] == want.transfer_mev[0]
 
 
@@ -459,7 +459,7 @@ def test_integrals_stage_prices_each_species_group_once(monkeypatch, fresh_cache
     # (control species, qubit species, branch) and one transfer curve per
     # species, and every row equals that pair priced alone, bit for bit
     sc = _two_control_species_scenario()
-    realized, controls, qubits = feasibility._placement_stage(sc)
+    realized = realize_placements(sc)
     species = {p.label: p.species for p in realized.placements}
     calls = []
 
@@ -477,7 +477,8 @@ def test_integrals_stage_prices_each_species_group_once(monkeypatch, fresh_cache
         lambda control, r_grid, base_transition_mev: control.species_name))
     # an empty pair cache, so that no row is read from another test's batch
     fresh_cache()
-    exchange, transfer, *_ = feasibility._integrals_stage(realized, controls, qubits)
+    report = run_feasibility(realized)
+    exchange, transfer = report.exchange, report.transfer
 
     groups = {(species[r["control"]], species[r["qubit"]]) for r in exchange}
     transfer_species = {species[min(r["pair"])] for r in transfer}
@@ -509,6 +510,14 @@ def _bench_patch_scenario():
     return pins.random_scenario(40.0, 3e-3)
 
 
+def _on_shell_scenario():
+    """The benchmark's patch with its cutoff exactly on the lattice shell
+    n = 536, about 20.6 A, where 261 control-qubit pairs of seeds 0-19 sit."""
+    sc = _bench_patch_scenario()
+    return dataclasses.replace(
+        sc, pair_cutoff_a=float(np.sqrt(536) * (sc.lattice.lattice_constant / 4.0)))
+
+
 def _tallied_pairs(sc, region):
     """Each control-qubit pair within the cutoff, one pair at a time:
     (control, qubit, control model, qubit model, n, separation), with the
@@ -530,6 +539,7 @@ def _tallied_pairs(sc, region):
 
 @pytest.mark.parametrize("scenario, seeds", [
     (_bench_patch_scenario, range(20)), (_two_control_species_scenario, range(6)),
+    (_on_shell_scenario, range(20)),
 ])
 def test_lattice_table_equals_the_curve_at_each_pairs_separation(fresh_cache, scenario,
                                                                  seeds):
@@ -539,7 +549,8 @@ def test_lattice_table_equals_the_curve_at_each_pairs_separation(fresh_cache, sc
     # and the gate count follows from those J
     sc = scenario()
     fresh_cache()
-    quarter = sc.lattice.lattice_constant / 4.0
+    a, cutoff = sc.lattice.lattice_constant, sc.pair_cutoff_a
+    quarter = a / 4.0
     for seed in seeds:
         region = feasibility._dope_patch(sc, seed)
         n_qubits, n_controls, gates = _patch_tally(sc, region)
@@ -554,15 +565,47 @@ def test_lattice_table_equals_the_curve_at_each_pairs_separation(fresh_cache, sc
                             zip(grid, curve.exchange_splitting_mev.tolist())})
         strong = {}
         for c, q, c_model, q_model, n, sep in pairs:
-            table = feasibility._coupling_table(c_model, q_model, quarter)
-            assert table.priced[n]
-            assert table.j[n] == curve_j[(c_model, q_model, sep)], (seed, c, q)
+            table = feasibility._coupling_table(c_model, q_model, a, cutoff)
+            assert table[n] == curve_j[(c_model, q_model, sep)], (seed, c, q)
             if abs(curve_j[(c_model, q_model, sep)]) >= sc.min_gate_coupling_mev:
                 strong[c] = strong.get(c, 0) + 1
         assert gates == sum(k >= 2 for k in strong.values()), seed
         for c_model, q_model in {p[2:4] for p in pairs}:
-            table = feasibility._coupling_table(c_model, q_model, quarter)
-            assert len(table.j) <= int((sc.pair_cutoff_a / quarter) ** 2) + 1
+            table = feasibility._coupling_table(c_model, q_model, a, cutoff)
+            assert len(table) <= int((sc.pair_cutoff_a / quarter) ** 2) + 1
+
+
+def test_a_cutoff_past_the_patch_prices_only_its_diameter(monkeypatch, fresh_cache):
+    # a cutoff far past the patch, the usual way to ask for none, tallies
+    # each pair as the curve at its separation does, and its table prices
+    # no separation past the patch's diameter and a quarter cell, not the
+    # 7e8 sites of the 1000 A sphere
+    sc = dataclasses.replace(_bench_patch_scenario(), pair_cutoff_a=1000.0)
+    fresh_cache()
+    priced = []
+
+    def counted(*args, **kwargs):
+        priced.append(float(np.max(args[3])))
+        return exchange_curve(*args, **kwargs)
+
+    monkeypatch.setattr(feasibility, "exchange_curve", counted)
+    for seed in range(3):
+        region = feasibility._dope_patch(sc, seed)
+        pairs, n_controls, n_qubits = _tallied_pairs(sc, region)
+        strong = {}
+        for models in {(c_model, q_model) for _, _, c_model, q_model, _, _ in pairs}:
+            seps = [(c, sep) for c, _, c_model, q_model, _, sep in pairs
+                    if (c_model, q_model) == models]
+            grid, where = np.unique([sep for _, sep in seps], return_inverse=True)
+            j = exchange_curve(*models, True, grid).exchange_splitting_mev[where]
+            for (c, _), jc in zip(seps, j.tolist()):
+                if abs(jc) >= sc.min_gate_coupling_mev:
+                    strong[c] = strong.get(c, 0) + 1
+        gates = sum(k >= 2 for k in strong.values())
+        assert _patch_tally(sc, region) == (n_qubits, n_controls, gates), seed
+    quarter = sc.lattice.lattice_constant / 4.0
+    assert len(priced) == 1
+    assert priced[0] <= 2.0 * sc.lattice.bounding_radius + quarter
 
 
 def test_a_repeat_tally_prices_nothing(monkeypatch, fresh_cache):
@@ -592,7 +635,7 @@ def _role_positions(case):
         return np.random.default_rng(2009).uniform(-60.0, 60.0, (2, 100, 3))
     sc = get_preset("table1")[1] if case == "table1" else pins.random_scenario(case, 3e-3)
     _, controls, qubits = feasibility._placement_stage(sc)
-    return tuple(np.array([p for _, p in placed]) for placed in (controls, qubits))
+    return controls[2], qubits[2]
 
 
 @pytest.mark.parametrize("case", ["table1", 40.0, 60.0, "random"])
@@ -629,8 +672,7 @@ def test_a_repeat_r60_integrals_stage_calls_no_kernel(monkeypatch, fresh_cache):
     assert len(calls) == 3 and sum(calls) > 4000  # P-N excited and ground, P-P transfer
     calls.clear()
     again = feasibility._integrals_stage(realized, controls, qubits)
-    assert again[:2] == first[:2]
-    assert all(np.array_equal(a, b) for a, b in zip(again[2:], first[2:]))
+    assert all(np.array_equal(a, b) for a, b in zip(again, first))
     assert calls == []
 
 
@@ -660,33 +702,35 @@ def test_a_repeat_r60_report_runs_no_gate_search(monkeypatch, fresh_gate_cache):
 def test_a_fill_that_raises_stores_nothing(monkeypatch, fresh_cache):
     # no lattice pair of these models nearly coincides, so the overlap
     # limit is lowered until the nearest ones do: the tally's error names
-    # the first close separation, as one curve over the pairs' separations
-    # does, and the table keeps only what it held before the failed fill
+    # the first close separation of the table's own grid, as one curve over
+    # that grid does, even for a patch whose own pairs are far apart, and no
+    # table is kept, so a tally under the real limit prices one afresh
     _, sc = get_preset("table1")
     control, qubit = sc.species
-    quarter = sc.lattice.lattice_constant / 4.0
+    a = sc.lattice.lattice_constant
+    quarter = a / 4.0
     fresh_cache()
+    sites = lattice._integer_sites(a, sc.pair_cutoff_a).astype(np.int64)
+    grid = np.sqrt(np.unique((sites * sites).sum(1))[1:]) * quarter
     far = DopedRegion(sc.lattice, np.array([[0, 0, 0], [8, 8, 0], [12, 0, 4]]),
                       ("P", "N", "N"), 1e-3, 0)
-    _patch_tally(sc, far)
-    table = feasibility._coupling_table(control, qubit, quarter)
-    held = table.j.copy(), table.priced.copy()
-    assert held[1].sum() == 2
 
-    # a 2p-1s overlap grows with separation here: n = 3 stays below the
-    # limit, and n = 11, 16 and 32 pass it
+    # a 2p-1s overlap grows with separation here: n = 3 and 8 stay below
+    # the limit, and n = 11 passes it
+    limit = integrals._OVERLAP_LIMIT
     monkeypatch.setattr(integrals, "_OVERLAP_LIMIT", 0.22)
-    near = DopedRegion(sc.lattice, np.array(
-        [[0, 0, 0], [8, 8, 0], [4, 4, 0], [1, 1, 1], [4, 0, 0], [-3, 1, 1]]),
-        ("P", "N", "N", "N", "N", "N"), 1e-3, 0)
     with pytest.raises(IllConditionedGeometryError) as direct:
-        exchange_curve(control, qubit, True, np.sqrt([3, 11, 16, 32, 128]) * quarter)
+        exchange_curve(control, qubit, True, grid)
     assert f"at separation {np.sqrt(11) * quarter:g} A" in str(direct.value)
     with pytest.raises(StageError) as err:
-        _patch_tally(sc, near)
+        _patch_tally(sc, far)
     assert isinstance(err.value.cause, IllConditionedGeometryError)
     assert str(err.value.cause) == str(direct.value)
-    assert np.array_equal(table.j, held[0]) and np.array_equal(table.priced, held[1])
+    assert feasibility._coupling_table.cache_info().currsize == 0
+
+    monkeypatch.setattr(integrals, "_OVERLAP_LIMIT", limit)
+    assert _patch_tally(sc, far)[:2] == (2, 1)
+    assert feasibility._coupling_table.cache_info().currsize == 1
 
 
 def test_lattice_tables_keep_at_most_their_bound(fresh_cache):
@@ -718,28 +762,28 @@ def test_spins_stage_ranks_equal_couplings_as_before():
     c1, c2, q1, q2, q3 = sc.placements
     sc = dataclasses.replace(sc, placements=(c1, c2, q3, q2, q1,
                                              Placement("Q4", "N", (30.0, 30.0))))
-    controls, qubits = sc.controls(), sc.qubits()
-    c_at = {c: i for i, (c, _) in enumerate(controls)}
-    q_at = {q: k for k, (q, _) in enumerate(qubits)}
+    _, controls, qubits = feasibility._placement_stage(sc)
+    c_at = {c: i for i, c in enumerate(controls[0])}
+    q_at = {q: k for k, q in enumerate(qubits[0])}
     given = {("C2", "Q3"): 20.0, ("C1", "Q2"): -20.5, ("C2", "Q1"): 0.5,
              ("C1", "Q3"): 20.0, ("C2", "Q2"): -20.0, ("C1", "Q1"): 20.0,
              ("C2", "Q4"): 20.0}
-    excited = np.zeros((len(controls), len(qubits)))
+    excited = np.zeros((len(controls[0]), len(qubits[0])))
     for (c, q), j in given.items():
         excited[c_at[c], q_at[q]] = j
     reach = excited != 0.0
 
     def todays_rule(c_label):
-        ranked = sorted(((q, given[c_label, q]) for q, _ in qubits
+        ranked = sorted(((q, given[c_label, q]) for q in qubits[0]
                          if abs(given.get((c_label, q), 0.0)) >= sc.min_gate_coupling_mev),
                         key=lambda item: abs(item[1]), reverse=True)
-        return tuple(q for q, _ in ranked[:2]), tuple(j for _, j in ranked[:2])
+        return [q for q, _ in ranked[:2]], tuple(j for _, j in ranked[:2])
 
     records = feasibility._spins_stage(sc, controls, qubits, excited, reach)
     assert [r["control"] for r in records] == ["C1", "C2"]
     for r in records:
         assert (r["qubits"], (r["j1_mev"], r["j2_mev"])) == todays_rule(r["control"])
-    assert [r["qubits"] for r in records] == [("Q2", "Q3"), ("Q3", "Q2")]
+    assert [r["qubits"] for r in records] == [["Q2", "Q3"], ["Q3", "Q2"]]
 
 
 def test_empty_region_reports_zero_everything():

@@ -112,8 +112,11 @@ def test_a_malformed_transfer_matrix_is_refused():
     lopsided[1, 2] = 21.0
     on_site = good + np.eye(3)
     for bad, why in ((good[:2, :2], "shape"), (np.zeros((3, 4)), "shape"),
-                     ({}, "shape"), (np.where(good == 20.0, np.nan, good), "finite"),
+                     ({}, "shape"), ([[0.0, 30.0, 40.0], [30.0, 0.0], [40.0, 20.0, 0.0]], "shape"),
+                     (np.where(good == 20.0, np.nan, good), "finite"),
                      (np.where(good == 30.0, np.inf, good), "finite"),
+                     (good.astype(str), "finite"), (good.astype(object), "finite"),
+                     (good.astype(bool), "finite"), (good.astype(complex), "finite"),
                      (lopsided, "symmetric"), (on_site, "zero diagonal")):
         with pytest.raises(PreconditionError, match=f"transfer matrix .*{why}"):
             gate_transitions(sc, bad, seed=5)

@@ -150,7 +150,8 @@ def simulate_scan(scenario, lines, excited) -> ScanMap:
     `excited` is the excited-state exchange in meV as the integrals stage
     returns it: a (controls x qubits) array in `scenario.controls()` x
     `scenario.qubits()` order, 0 where a pair is uncoupled. Another array
-    (see `errors.finite_matrix`) or a line that names no control raises
+    (see `errors.finite_matrix`), a line that names no control, two lines
+    that name one, or a line energy that is not a finite number raises
     PreconditionError. The spectral and EPR models and the qubits' EPR line
     positions come from the scenario. The optical axis covers every line
     within 4 homogeneous widths (step delta_h/4), the EPR axis every
@@ -170,7 +171,12 @@ def simulate_scan(scenario, lines, excited) -> ScanMap:
     controls = [c for c, _ in scenario.controls()]
     qubits = [q for q, _ in scenario.qubits()]
     excited = finite_matrix(excited, (len(controls), len(qubits)), "exchange matrix")
-    line_of = {line.gate_id: line.energy_mev for line in lines}
+    line_of = {}
+    for line in lines:
+        if line.gate_id in line_of:
+            raise PreconditionError(f"two lines name {line.gate_id}")
+        line_of[line.gate_id] = finite(line.energy_mev, f"{line.gate_id}'s line energy",
+                                       PreconditionError)
     if not line_of.keys() <= set(controls):
         raise PreconditionError(f"lines {sorted(line_of.keys() - set(controls))} name no control")
     epr_lines = scenario.qubit_epr_offsets()
@@ -188,8 +194,7 @@ def simulate_scan(scenario, lines, excited) -> ScanMap:
                 for (_, off), pairs in zip(epr_lines, coupled)), default=0.0) + 8.0 * gamma
     epr_axis = np.arange(-span, span, gamma / 5.0)
 
-    def render(on):
-        row = np.zeros_like(epr_axis)
+    def render(on, row):
         for (_, base), pairs in zip(epr_lines, coupled):
             split = sorted((j for c, j in pairs if c in on),
                            key=abs, reverse=True)[:_MAX_SPLIT]
@@ -197,22 +202,18 @@ def simulate_scan(scenario, lines, excited) -> ScanMap:
             for signs in itertools.product((0.5, -0.5), repeat=len(split)):
                 shift = sum(s * j for s, j in zip(signs, split))
                 row += weight * _lorentzian(epr_axis, base + shift, gamma)
-        return row
 
     # a row depends only on which controls are excited, and most rows of a
-    # scan share one of a few such sets: render each set once
+    # scan share one of a few such sets: number each set when a row first
+    # reaches it, and render it once
     labels = list(line_of)
     lit = np.abs(np.array(list(line_of.values()), dtype=float)
                  - optical_axis[:, None]) <= delta_h
-    sets, first, row_set = np.unique(lit, axis=0, return_index=True,
-                                     return_inverse=True)
-    # number the sets in the order the rows first reach them
-    order = np.argsort(first)
-    number = np.empty_like(order)
-    number[order] = np.arange(len(order))
-    row_spectrum = number[row_set.reshape(-1)]
-    spectra = np.array([render({labels[c] for c in np.flatnonzero(s)})
-                        for s in sets[order]]).reshape(len(sets), len(epr_axis))
+    sets = {}
+    row_spectrum = [sets.setdefault(on.tobytes(), len(sets)) for on in lit]
+    spectra = np.zeros((len(sets), len(epr_axis)))
+    for on, row in zip(sets, spectra):
+        render({labels[c] for c in np.flatnonzero(np.frombuffer(on, dtype=bool))}, row)
     return ScanMap(optical_axis, epr_axis, spectra, row_spectrum, epr_lines,
                    gamma, delta_h)
 

@@ -145,10 +145,12 @@ def resolvable_gate_count(lines, homogeneous_fwhm_mev: float,
 
     Counted greedily left to right after sorting; on sorted energies that
     rule is exact, not a heuristic. Accepts TransitionLine objects or bare
-    energies in meV.
+    energies in meV; an energy that is not a finite number, which no sort
+    can place, raises PreconditionError.
     """
     energies = sorted(
-        line.energy_mev if isinstance(line, TransitionLine) else float(line)
+        finite(line.energy_mev if isinstance(line, TransitionLine) else line,
+               "line energy", PreconditionError)
         for line in lines
     )
     if not energies:

@@ -6,13 +6,22 @@ on what the process priced before; or a dict of these. The form is the
 output's bytes, or a JSON map of the sha256 digests of the byte strings it
 holds. tests/test_pins.py checks every pin; `python tests/pins.py` rewrites
 every file from src/, for a change meant to move a pinned byte, which says in
-CHANGES.md which pins moved and why."""
+CHANGES.md which pins moved and why. `python tests/pins.py --diff OLD` makes
+every output once and prints how it differs from the same file under the
+directory OLD, rewriting nothing: each numeric field's largest relative
+change and where it is, and each digest that changed."""
 
+import argparse
+import csv
 import dataclasses
 import hashlib
+import io
 import itertools
 import json
+import math
+import numbers
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -92,16 +101,70 @@ def pinned(name) -> bytes:
 
 def moved(name) -> list:
     """Where pin `name`'s file differs from what its producer makes now: the
-    lines that differ, or the keys or rows of a sha256 map. Empty if none."""
+    paths `drift` names, or ["layout"] if only the bytes differ. Empty if
+    none."""
     got, want = produced(name), pinned(name)
-    if got == want:
-        return []
-    split = (lambda b: b.split(b"\n")) if PINS[name].form is raw else json.loads
-    got, want = split(got), split(want)
-    if isinstance(got, list):
-        got, want = dict(enumerate(got, 1)), dict(enumerate(want, 1))
-    return sorted(k for k in got.keys() | want.keys() if got.get(k) != want.get(k)) \
-        or ["layout"]
+    return [] if got == want else list(drift(name, got, want)) or ["layout"]
+
+
+def _leaves(tree, path=""):
+    """(path, value) of each leaf of a JSON tree; a key is written .key, a
+    list index [i]."""
+    if isinstance(tree, dict):
+        for key, value in tree.items():
+            yield from _leaves(value, f"{path}.{key}" if path else key)
+    elif isinstance(tree, list):
+        for i, value in enumerate(tree):
+            yield from _leaves(value, f"{path}[{i}]")
+    else:
+        yield path, tree
+
+
+def _number(cell: str):
+    try:
+        return float(cell)
+    except ValueError:
+        return cell
+
+
+def _fields(name, data: bytes) -> dict:
+    """The leaves of pin `name`'s file by path: a JSON tree's, or each CSV
+    cell under [row].column, a cell that reads as a number as that number."""
+    if not PINS[name].file.endswith(".csv"):
+        return dict(_leaves(json.loads(data)))
+    header, *rows = csv.reader(io.StringIO(data.decode()))
+    return {f"[{i}].{column}": _number(cell)
+            for i, row in enumerate(rows) for column, cell in zip(header, row)}
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def drift(name, new: bytes, old: bytes) -> dict:
+    """How output `new` of pin `name` differs from `old`, as {path: change}.
+
+    For a raw pin, each numeric field that moved (its path with the list
+    indices dropped, so one field spans a list) gives the path where it
+    moved most, mapped to that relative change |new - old| / |old| (inf
+    from 0). Every other leaf that differs, or is on one side only, maps to
+    None, as does each digest of a sha256 pin that changed. Empty if none.
+    """
+    new, old = _fields(name, new), _fields(name, old)
+    absent, worst = object(), {}
+    for path in sorted(new.keys() | old.keys()):
+        a, b = new.get(path, absent), old.get(path, absent)
+        # a NaN on both sides has not moved
+        if a == b or a != a and b != b:
+            continue
+        if PINS[name].form is raw and _is_number(a) and _is_number(b):
+            field = re.sub(r"\[\d+\]", "[]", path)
+            change = abs(a - b) / abs(b) if b else math.inf
+            if field not in worst or change > worst[field][1]:
+                worst[field] = (path, change)
+        else:
+            worst[path] = (path, None)
+    return dict(sorted(worst.values()))
 
 
 def random_scenario(radius_a, concentration):
@@ -258,7 +321,20 @@ PINS = {
 
 
 if __name__ == "__main__":
-    # two pins of one file that disagree leave it failing the first one
+    parser = argparse.ArgumentParser(description=__doc__)
+    parser.add_argument("--diff", metavar="OLD", type=Path,
+                        help="compare each output with its file under OLD; write nothing")
+    old_dir = parser.parse_args().diff
     for name, pin in PINS.items():
-        (DATA / pin.file).write_bytes(produced(name))
-        print(f"{pin.file}: {name}")
+        if old_dir is None:
+            # two pins of one file that disagree leave it failing the first one
+            (DATA / pin.file).write_bytes(produced(name))
+            print(f"{pin.file}: {name}")
+        elif not (old_dir / pin.file).exists():
+            print(f"{pin.file} ({name}): not under {old_dir}")
+        else:
+            changes = drift(name, produced(name), (old_dir / pin.file).read_bytes())
+            print(f"{pin.file} ({name}): {len(changes)} moved" if changes else
+                  f"{pin.file} ({name}): no change")
+            for path, change in changes.items():
+                print(f"  {path}: " + ("changed" if change is None else f"{change:.3g} relative"))

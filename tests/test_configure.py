@@ -184,7 +184,9 @@ def test_a_malformed_exchange_matrix_is_refused():
     # J is read in scenario.controls() x scenario.qubits() order, (1, 2)
     # here; one of another shape, or with an entry that is not a finite
     # number, is refused before any axis is laid out (a NaN or an inf would
-    # reach np.arange), and so is a line that names no control
+    # reach np.arange), and so is a line that names no control, a second
+    # line for one control (which would silently replace the first), or a
+    # line energy that is not a finite number
     sc, lines, excited = _one_control_case(j1=8.0, j2=11.0)
     assert len(simulate_scan(sc, lines, excited).spectra) == 2
     stray = (TransitionLine("C9", 610.0, DELTA_H, ()),)
@@ -201,6 +203,11 @@ def test_a_malformed_exchange_matrix_is_refused():
             simulate_scan(sc, lines, bad)
     with pytest.raises(PreconditionError, match="C9"):
         simulate_scan(sc, lines + stray, excited)
+    with pytest.raises(PreconditionError, match="two lines name C1"):
+        simulate_scan(sc, lines + (TransitionLine("C1", 640.0, DELTA_H, ()),), excited)
+    for energy in (math.nan, math.inf, -math.inf, np.float64("nan")):
+        with pytest.raises(PreconditionError, match="C1's line energy must be a finite"):
+            simulate_scan(sc, (TransitionLine("C1", energy, DELTA_H, ()),), excited)
     # an integer matrix is a matrix of numbers, rendered as its floats
     ints = simulate_scan(sc, lines, np.array([[8, 11]]))
     assert ints.spectra.tobytes() == simulate_scan(sc, lines, excited).spectra.tobytes()

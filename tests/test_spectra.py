@@ -15,6 +15,7 @@ from donorgate import (
     PreconditionError,
     Scenario,
     SpectralModel,
+    TransitionLine,
     gate_transitions,
     model_from_ionization,
     resolvable_gate_count,
@@ -142,6 +143,15 @@ def test_resolvable_count_hand_cases():
     assert resolvable_gate_count([0.0, 1.5], 1.0, 1.5) == 2
     with pytest.raises(PreconditionError):
         resolvable_gate_count([], 1.0, 1.5)
+    # a NaN has no place in a sort, so the count would hang on where it
+    # lands; an energy that is not a finite number is refused, bare or in
+    # a line
+    for bad in (math.nan, math.inf, -math.inf):
+        for energies in ([1.0, bad, 3.0, 2.0], [bad, 1.0, 3.0, 2.0]):
+            with pytest.raises(PreconditionError, match="finite"):
+                resolvable_gate_count(energies, 0.5)
+            with pytest.raises(PreconditionError, match="finite"):
+                resolvable_gate_count([TransitionLine("C1", e, 0.5, ()) for e in energies], 0.5)
 
 
 def test_resolvable_count_takes_the_spectral_model_rule():

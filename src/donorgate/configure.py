@@ -31,6 +31,7 @@ import numpy as np
 from .errors import (DependencyError, InvalidSpecError, NoCleanGateError,
                      PreconditionError, finite, finite_matrix, sorted_pairs,
                      store_finite)
+from .spectra import check_line_width
 from .spins import (GateReport, gate_fidelity, induced_qubit_block, sfg_gate,
                     unitary_part)
 # bench/tracing.py counts calls under this module's name; the calibration
@@ -151,7 +152,8 @@ def simulate_scan(scenario, lines, excited) -> ScanMap:
     returns it: a (controls x qubits) array in `scenario.controls()` x
     `scenario.qubits()` order, 0 where a pair is uncoupled. Another array
     (see `errors.finite_matrix`), a line that names no control, two lines
-    that name one, or a line energy that is not a finite number raises
+    that name one, a line energy that is not a finite number or a line
+    width that is not the scenario's homogeneous width raises
     PreconditionError. The spectral and EPR models and the qubits' EPR line
     positions come from the scenario. The optical axis covers every line
     within 4 homogeneous widths (step delta_h/4), the EPR axis every
@@ -175,6 +177,7 @@ def simulate_scan(scenario, lines, excited) -> ScanMap:
     for line in lines:
         if line.gate_id in line_of:
             raise PreconditionError(f"two lines name {line.gate_id}")
+        check_line_width(line, delta_h)
         line_of[line.gate_id] = finite(line.energy_mev, f"{line.gate_id}'s line energy",
                                        PreconditionError)
     if not line_of.keys() <= set(controls):

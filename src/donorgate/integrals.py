@@ -7,10 +7,13 @@ from the Boys function. The recursions run once per block with the primitive
 exponents as numpy grids, so an overlap, kinetic, nuclear-attraction or
 electron-repulsion block is one contracted call whatever the expansion
 length. The one-electron products of a pair that share their angular
-momenta (l_x, l_y), all three of a ground s1-s1 or a transfer p2-p2 pair,
-are stacked on one grid, so one Hermite table serves their overlaps,
+momenta (l_x, l_y), <B|B> and <A|B> of a ground s1-s1 or a transfer p2-p2
+pair, are stacked on one grid, so one Hermite table serves their overlaps,
 kinetic energies (from the table's extra row E_0^{la,lb+2}, pruned to t =
-0) and nuclear attractions.
+0) and nuclear attractions. Center A's terms do not depend on the
+separation: its orbital, its self-density and every part of <A|h|A> but
+the attraction to center B are a constant table per (kind, n_terms),
+`_center_a`, built on first use.
 
 The grids also carry a leading separation axis: center A sits at the origin
 and center B at (0, 0, r) with r an array of reduced separations, so one
@@ -26,9 +29,11 @@ electron-repulsion integral runs over the distinct primitive pairs only:
 the product of an orbital with itself keeps each pair i <= j once, and
 (AB|AB), whose bra and ket are one product, keeps each pair of pairs u <= v
 once, an off-diagonal entry weighted twice; those index pairs are built
-once per shape. Each block is reduced to its value per separation
-by a fixed-order sum along contiguous rows, never by a BLAS product, so a
-separation's blocks are the same bits whatever batch prices it.
+once per shape, and each integral's quartets (index pairs, reduced
+exponents and weights) once per call. Each block is reduced to its value
+per separation by a fixed-order sum along contiguous rows, never by a BLAS
+product, so a separation's blocks are the same bits whatever batch prices
+it.
 
 The Boys function is evaluated at its top order only and recurred downward,
 F_n = (2x F_{n+1} + e^-x) / (2n + 1), which is stable in that direction.
@@ -96,8 +101,12 @@ _REACH = 1e6
 # entries a grid inside a kernel call holds at most, which bounds its
 # temporaries: a call's separations are cut into the fewest near-equal chunks
 # under it. It is 16 separations of (AB|AB) at n_terms = 6, 666 primitive
-# quartets each: with 8, 12, 25 or 32 in its place a curve_sweep op took
-# 10-14, 4-6, 11-22 and 11-18 % longer
+# quartets each, 85 kB a float grid, and the allocator sets its ceiling:
+# from glibc's 128 KiB mmap threshold on, each temporary is mapped and
+# page-faulted afresh. A 25-point p2-s1 pricing at 16 or 24 separations a
+# chunk took 0-0.1 minor page faults a call, and at 25 (one 133 kB chunk)
+# 434-531 and 14-35 % longer; with 8, 12, 25 or 32 in its place a
+# curve_sweep op took 10-14, 4-6, 11-22 and 11-18 % longer
 _GRID_ENTRIES = 16 * 666
 # pricing calls the cache of reduced pair blocks holds
 _CACHE_CALLS = 64
@@ -163,6 +172,9 @@ def _boys_array(nmax: int, x):
     x = np.asarray(x, dtype=float)
     if nmax == 0:
         small = x < 1e-10
+        if not small.any():
+            root = np.sqrt(x)
+            return [math.sqrt(math.pi) * erf(root) / (2.0 * root)]
         root = np.sqrt(np.where(small, 1.0, x))
         return [np.where(small, 1.0 - x / 3.0, math.sqrt(math.pi) * erf(root) / (2.0 * root))]
     if nmax + _BOYS_TERMS - 1 > _BOYS_MAX_ORDER:
@@ -349,12 +361,87 @@ def _density(x: _Orbital, y: _Orbital) -> _Density:
                     _e_table(x.l, y.l, a, b, p, Pz, x.z, y.z, kinetic=False)[0])
 
 
-def _eri(bra: _Density, ket: _Density):
-    """Contracted (bra|ket) over every pair of their primitive pairs at
-    once; when bra is ket, as in (AB|AB), each pair of pairs u <= v once."""
+class _CenterA(NamedTuple):
+    """Center A's terms, which no pricing call changes: A is the radius-1
+    orbital at the origin, so every A*A entry is the same at every
+    separation. `orbital` is A; `density` is A*A over its distinct
+    primitive pairs, the repulsion blocks' bra of Jc. The rest is <A|h|A>
+    as `_one_electron` grids it, (n, n) primitive pairs: exponent sums `p`,
+    centers `Pz` (all 0), Hermite rows `E`, the factor 2 pi / p, the
+    contraction `weights`, the contracted kinetic term `kinetic` and the
+    attraction to A's own nucleus `v_own`, 0.0 - sum_t E_t R_t, per
+    primitive pair."""
+
+    orbital: _Orbital
+    density: _Density
+    p: np.ndarray
+    Pz: np.ndarray
+    E: list
+    two_pi_over_p: np.ndarray
+    weights: np.ndarray
+    kinetic: float
+    v_own: np.ndarray
+
+
+@functools.cache
+def _center_a(kind: str, n_terms: int) -> _CenterA:
+    """Center A's terms for an orbital `kind` of `n_terms` primitives, with
+    the float operations and operands of `_one_electron`'s (A, A) product,
+    built on first use; the arrays are read-only, as every call shares
+    them."""
+    A = _orbital(kind, 1.0, 0.0, n_terms)
+    a, b = A.exp[:, None], A.exp[None, :]
+    p = a + b
+    Pz = (a * A.z + b * A.z) / p
+    E, k_row = _e_table(A.l, A.l, a, b, p, Pz, A.z, A.z, kinetic=True)
+    s = E[0]
+    t = b * (2 * A.l + 1) * s - 2.0 * b * b * k_row
+    weights = np.outer(A.coef, A.coef).ravel()
+    kinetic = _contract(((np.pi / p) ** 1.5 * (t + 2.0 * a * b / p * s)).ravel(), weights)
+    v_own = 0.0 - sum(e * r for e, r in zip(E, _r_table(len(E) - 1, p, Pz)))
+    center = _CenterA(A, _density(A, A), p, Pz, E, 2.0 * math.pi / p, weights, float(kinetic),
+                      v_own)
+    density = center.density
+    for array in (A.coef, A.exp, density.weight, density.p, density.Pz, *density.E, p, Pz, *E,
+                  center.two_pi_over_p, weights, v_own):
+        array.flags.writeable = False
+    return center
+
+
+def _h_aa(center: _CenterA, charge_b: float, zb):
+    """<A|h|A> at the (m, 1, 1) separations `zb`: only the attraction to
+    center B is priced, then added as `_one_electron` adds it."""
+    E = center.E
+    v = center.v_own - charge_b * sum(e * r for e, r in zip(E, _r_table(len(E) - 1, center.p,
+                                                                         center.Pz - zb)))
+    return center.kinetic + _contract((center.two_pi_over_p * v).reshape(len(zb), -1),
+                                      center.weights)
+
+
+class _Quartets(NamedTuple):
+    """The primitive quartets of (bra|ket), which do not depend on the
+    separation: index pairs `u` into bra's primitive pairs and `v` into
+    ket's, reduced exponents pq / (p + q) and contraction weights."""
+
+    u: np.ndarray
+    v: np.ndarray
+    reduced: np.ndarray
+    weights: np.ndarray
+
+
+def _quartets(bra: _Density, ket: _Density) -> _Quartets:
+    """(bra|ket)'s quartets: every pair of their primitive pairs, or, when
+    bra is ket, as in (AB|AB), each pair of pairs u <= v once."""
     u, v, fold = _index_pairs(len(bra.weight), len(ket.weight), bra is ket)
     p, q = bra.p[u], ket.p[v]
-    R = _r_table(len(bra.E) + len(ket.E) - 2, p * q / (p + q),
+    weights = fold * bra.weight[u] * ket.weight[v] * (2.0 * math.pi**2.5 / (p * q * np.sqrt(p + q)))
+    return _Quartets(u, v, p * q / (p + q), weights)
+
+
+def _eri(bra: _Density, ket: _Density, quartets: _Quartets):
+    """Contracted (bra|ket) over `quartets`, all at once."""
+    u, v, reduced, weights = quartets
+    R = _r_table(len(bra.E) + len(ket.E) - 2, reduced,
                  np.take(bra.Pz, u, axis=-1) - np.take(ket.Pz, v, axis=-1))
 
     e_ket = [np.take(e, v, axis=-1) for e in ket.E]
@@ -364,19 +451,23 @@ def _eri(bra: _Density, ket: _Density):
         for t, ek in enumerate(e_ket):
             term = eb * ek * R[s + t]
             total = total - term if t % 2 else total + term
-
-    weights = fold * bra.weight[u] * ket.weight[v] * (2.0 * math.pi**2.5 / (p * q * np.sqrt(p + q)))
     return _contract(total, weights)
 
 
-def _by_chunks(price, per_separation: int, z):
-    """`price(z[i:j])` over the fewest near-equal runs of the separations
-    `z` whose grids, `per_separation` entries each, hold at most
+def _rows(density: _Density, rows: slice) -> _Density:
+    """The separations `rows` of a density priced over a call's separations
+    (its Pz and E rows; its weights and p do not depend on them)."""
+    return density._replace(Pz=density.Pz[rows], E=[e[rows] for e in density.E])
+
+
+def _by_chunks(price, per_separation: int, count: int):
+    """`price(slice(i, j))` over the fewest near-equal runs of `count`
+    separations whose grids, `per_separation` entries each, hold at most
     `_GRID_ENTRIES` entries (one separation at least), joined into one array
     per block."""
-    pieces = -(-len(z) // max(1, _GRID_ENTRIES // per_separation))
-    bounds = [len(z) * k // pieces for k in range(pieces + 1)]
-    parts = [price(z[i:j]) for i, j in zip(bounds, bounds[1:])]
+    pieces = -(-count // max(1, _GRID_ENTRIES // per_separation))
+    bounds = [count * k // pieces for k in range(pieces + 1)]
+    parts = [price(slice(i, j)) for i, j in zip(bounds, bounds[1:])]
     return {name: np.concatenate([part[name] for part in parts]) for name in parts[0]}
 
 
@@ -389,40 +480,48 @@ def _pair_blocks(kind_a, kind_b, radius_b, r, n_terms, two_electron):
     hartrees, with one value per separation. Near-coincident orbitals are
     priced too; the readers of the blocks reject them (`_check_overlap`).
 
-    <A|A>, <B|B> and <A|B> share (l_x, l_y) exactly when the two orbitals
-    share l, as in a ground s1-s1 or a transfer p2-p2 pair; then one
-    `_one_electron` pass prices all three, and otherwise one pass each. A
-    pass's grids hold its products times n_terms^2 entries per separation,
-    and the electron-repulsion grids, (AB|AB) the largest, n_terms^2
-    (n_terms^2 + 1) / 2, so each kind of pass cuts the separations into the
-    fewest near-equal chunks whose grids hold at most `_GRID_ENTRIES`.
+    Center A's terms come from `_center_a`, so of <A|h|A> only the
+    attraction to center B is priced. <B|B> and <A|B> share (l_x, l_y)
+    exactly when the two orbitals share l, as in a ground s1-s1 or a
+    transfer p2-p2 pair; then one `_one_electron` pass prices both, and
+    otherwise one pass each. B's densities and each repulsion block's
+    quartets are built once over all separations. A pass's grids hold its
+    products times n_terms^2 entries per separation, and the
+    electron-repulsion grids, (AB|AB) the largest, n_terms^2 (n_terms^2 +
+    1) / 2, so each kind of pass cuts the separations into the fewest
+    near-equal chunks whose grids hold at most `_GRID_ENTRIES`.
     """
-    A = _orbital(kind_a, 1.0, 0.0, n_terms)
+    center = _center_a(kind_a, n_terms)
+    A = center.orbital
     B = _orbital(kind_b, radius_b, 0.0, n_terms)
-    names = ("hAA", "hBB", "hAB")
+    charge_b = 1.0 / radius_b
+    names = ("hBB", "hAB")
     groups = [names] if A.l == B.l else [(name,) for name in names]
 
-    def one_electron(zb):
+    def one_electron(rows):
+        zb = r[rows, None, None]
         b = B._replace(z=zb)
-        products = {"hAA": (A, A), "hBB": (b, b), "hAB": (A, b)}
-        s, h = {}, {}
+        products = {"hBB": (b, b), "hAB": (A, b)}
+        s, h = {}, {"hAA": _h_aa(center, charge_b, zb)}
         for group in groups:
-            s_group, h_group = _one_electron([products[name] for name in group],
-                                             1.0 / radius_b, zb)
+            s_group, h_group = _one_electron([products[name] for name in group], charge_b, zb)
             s.update(zip(group, s_group))
             h.update(zip(group, h_group))
-        return {"S": s["hAB"], **{name: h[name] for name in names}}
+        return {"S": s["hAB"], "hAA": h["hAA"], "hBB": h["hBB"], "hAB": h["hAB"]}
 
-    out = _by_chunks(one_electron, len(groups[0]) * n_terms**2, r[:, None, None])
+    out = _by_chunks(one_electron, len(groups[0]) * n_terms**2, len(r))
     if two_electron:
-        aa = _density(A, A)
+        aa = center.density
+        b = B._replace(z=r[:, None])
+        ab, bb = _density(A, b), _density(b, b)
+        coulomb, exchange = _quartets(aa, bb), _quartets(ab, ab)
 
-        def repulsion(zb):
-            b = B._replace(z=zb)
-            ab = _density(A, b)
-            return {"Jc": _eri(aa, _density(b, b)), "Kx": _eri(ab, ab)}
+        def repulsion(rows):
+            ab_rows = _rows(ab, rows)
+            return {"Jc": _eri(aa, _rows(bb, rows), coulomb),
+                    "Kx": _eri(ab_rows, ab_rows, exchange)}
 
-        out.update(_by_chunks(repulsion, n_terms**2 * (n_terms**2 + 1) // 2, r[:, None]))
+        out.update(_by_chunks(repulsion, n_terms**2 * (n_terms**2 + 1) // 2, len(r)))
     return out
 
 
@@ -495,7 +594,13 @@ def _check_reach(b: OrbitalSpec, separation_a: np.ndarray) -> None:
 def _check_grid(r_grid) -> np.ndarray:
     """`r_grid`, an iterable of real numbers (a bool or a string is not
     one), as a new 1-D float array; it must be finite, positive and strictly
-    increasing."""
+    increasing. A tuple or list of finite floats, as a preset grid is, is
+    read in one numpy pass; any other is read entry by entry, naming the
+    first entry that is not a finite number."""
+    if isinstance(r_grid, (tuple, list)) and all(isinstance(r, float) for r in r_grid):
+        floats = np.array(r_grid, dtype=float)
+        if np.isfinite(floats).all():
+            r_grid = floats
     if not (isinstance(r_grid, np.ndarray) and r_grid.dtype.kind in "fiu"):
         try:
             r_grid = [finite(r, "each R grid entry", PreconditionError) for r in r_grid]

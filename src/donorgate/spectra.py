@@ -98,6 +98,14 @@ class TransitionLine:
         return sum(value for _, value in self.shift_breakdown)
 
 
+def check_line_width(line: TransitionLine, fwhm_mev: float) -> None:
+    """Raise PreconditionError unless `line` carries the homogeneous width
+    `fwhm_mev` that its reader renders or counts it with."""
+    if line.width_mev != fwhm_mev:
+        raise PreconditionError(f"{line.gate_id}'s line width {line.width_mev!r} meV is not "
+                                f"the homogeneous width {fwhm_mev!r} meV")
+
+
 def gate_transitions(scenario, transfer, seed=None) -> list:
     """Optical lines for every control in the scenario, from its spectral
     model (`scenario.spectral`).
@@ -146,13 +154,16 @@ def resolvable_gate_count(lines, homogeneous_fwhm_mev: float,
     Counted greedily left to right after sorting; on sorted energies that
     rule is exact, not a heuristic. Accepts TransitionLine objects or bare
     energies in meV; an energy that is not a finite number, which no sort
-    can place, raises PreconditionError.
+    can place, or a line whose width is not `homogeneous_fwhm_mev` raises
+    PreconditionError.
     """
-    energies = sorted(
-        finite(line.energy_mev if isinstance(line, TransitionLine) else line,
-               "line energy", PreconditionError)
-        for line in lines
-    )
+    energies = []
+    for line in lines:
+        if isinstance(line, TransitionLine):
+            check_line_width(line, homogeneous_fwhm_mev)
+            line = line.energy_mev
+        energies.append(finite(line, "line energy", PreconditionError))
+    energies.sort()
     if not energies:
         raise PreconditionError("need at least one line")
     _check_resolution(homogeneous_fwhm_mev, resolution_factor, PreconditionError)

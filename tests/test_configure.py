@@ -213,6 +213,17 @@ def test_a_malformed_exchange_matrix_is_refused():
     assert ints.spectra.tobytes() == simulate_scan(sc, lines, excited).spectra.tobytes()
 
 
+def test_a_line_of_another_width_is_refused():
+    # the scan renders every line on the scenario's homogeneous width, so a
+    # line that carries another one (50 times wider here) is refused, not
+    # rendered as if it were the scenario's; so is a NaN width
+    sc, lines, excited = _one_control_case(j1=8.0)
+    for width in (55.0, DELTA_H * (1.0 + 1e-15), math.nan):
+        with pytest.raises(PreconditionError, match="C1's line width .* is not the homogeneous"):
+            simulate_scan(sc, (TransitionLine("C1", 600.0, width, ()),), excited)
+    assert len(simulate_scan(sc, lines, excited).optical_axis_mev) == 32
+
+
 def test_scan_carries_its_instrument_settings():
     sc, lines, couplings = _one_control_case(j1=8.0, j2=11.0)
     scan = simulate_scan(sc, lines, couplings)

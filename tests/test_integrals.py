@@ -9,6 +9,11 @@ McMurchie-Davidson loops in md_reference.py.
 
 import itertools
 import math
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -220,7 +225,8 @@ def test_blocks_match_scalar_reference(monkeypatch):
     sizes = []
     eri = integrals._eri
     monkeypatch.setattr(integrals, "_eri",
-                        lambda bra, ket: sizes.append(len(ket.Pz)) or eri(bra, ket))
+                        lambda bra, ket, quartets: sizes.append(len(ket.Pz))
+                        or eri(bra, ket, quartets))
     long = np.linspace(1.5, 9.6, 80)
     cases = (
         (("p2", "s1", 0.5, np.array([3.0, 4.5]), 4), True),
@@ -367,15 +373,26 @@ def test_exchange_curve_validates_grid_and_medium():
 
 @pytest.mark.parametrize("grid", [5.0, None, "5.0", [True, 2.0], [0.5, True],
                                   np.array([True]), [4.0, "5.0"], [[4.0], [5.0]],
-                                  [4.0, None]])
+                                  [4.0, None],
+                                  (4.0, math.nan), [math.inf, 4.0], (4.0, -math.inf),
+                                  (np.float64(4.0), np.float64("nan")), [4.0, np.float64(np.inf)],
+                                  (4.0, 5.0, True), [np.float64(4.0), 5, np.nan],
+                                  (5.0, 4.0), [0.0, 4.0], (np.float64(-1.0), 4.0)])
 def test_curves_reject_a_grid_that_is_not_numbers(grid):
     # a bool is not a separation (True once priced a 1 A point) and a string
-    # is not one either
+    # is not one either. A tuple or list of floats is read in one numpy
+    # pass; a non-finite entry still gets the entry-by-entry message, which
+    # names it, and finite floats out of order or not positive are refused
+    # after the pass
     control = model_from_ionization("P", 0.6, 5.7)
     qubit = model_from_ionization("N", 0.6, 5.7, role="qubit")
-    with pytest.raises(PreconditionError, match="R grid"):
+    entries = grid if isinstance(grid, (tuple, list)) else []
+    bad = [r for r in entries if isinstance(r, float) and not math.isfinite(r)]
+    match = (re.escape(f"each R grid entry must be a finite number, got {bad[0]!r}") if bad
+             else "R grid")
+    with pytest.raises(PreconditionError, match=match):
         exchange_curve(control, qubit, True, grid)
-    with pytest.raises(PreconditionError, match="R grid"):
+    with pytest.raises(PreconditionError, match=match):
         transfer_splitting_curve(control, grid)
 
 
@@ -574,7 +591,7 @@ def test_every_pinned_case_crosses_a_chunk_boundary(monkeypatch):
         seen.append(("1e", len(zb)))
         return np.zeros((len(pairs), len(zb))), np.zeros((len(pairs), len(zb)))
 
-    def eri(bra, ket):
+    def eri(bra, ket, quartets):
         seen.append(("2e", len(ket.Pz)))
         return np.zeros(len(ket.Pz))
 
@@ -633,6 +650,50 @@ def test_grouped_one_electron_pass_equals_one_pass_per_product(kind_a, kind_b):
         assert list(got) == list(want)
         for name, values in want.items():
             assert got[name].tobytes() == values.tobytes(), (ratio, n_terms, name)
+
+
+@pytest.mark.parametrize("kind_a", ["s1", "p2"])
+def test_center_a_table_gives_the_generic_haa_bit_for_bit(kind_a):
+    # a pricing call prices only <A|-Z_B/r_B|A> and takes the rest of hAA
+    # from center A's constant table: at random radius ratios, on a grid
+    # that every one-electron pass prices in more than one chunk, hAA must
+    # equal the generic one-electron pass over the product (A, A) byte for
+    # byte
+    rng = np.random.default_rng(["s1", "p2"].index(kind_a))
+    r = np.sort(rng.uniform(0.3, 40.0, 1300))
+    for n_terms in (3, 6, 8):
+        assert len(r) > integrals._GRID_ENTRIES // n_terms**2
+        A = integrals._orbital(kind_a, 1.0, 0.0, n_terms)
+        for kind_b in ("s1", "p2"):
+            ratio = rng.uniform(0.3, 2.5)
+            want = integrals._one_electron([(A, A)], 1.0 / ratio, r[:, None, None])[1][0]
+            got = integrals._pair_blocks(kind_a, kind_b, ratio, r, n_terms, False)["hAA"]
+            assert got.tobytes() == want.tobytes(), (n_terms, kind_b, ratio)
+
+
+def test_center_a_tables_are_read_only():
+    # every call shares them, so no array of theirs can be written
+    for kind, n_terms in itertools.product(("s1", "p2"), N_TERMS):
+        center = integrals._center_a(kind, n_terms)
+        assert integrals._center_a(kind, n_terms) is center
+        arrays = [*center.orbital[:2], *center.density[:3], *center.density.E,
+                  center.p, center.Pz, *center.E, center.two_pi_over_p, center.weights,
+                  center.v_own]
+        for array in arrays:
+            assert isinstance(array, np.ndarray) and not array.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                array[...] = 0.0
+    assert integrals._center_a.cache_info().currsize <= 2 * len(N_TERMS)
+
+
+def test_importing_the_package_builds_no_center_table():
+    code = ("import donorgate\n"
+            "from donorgate import integrals\n"
+            "assert integrals._center_a.cache_info().currsize == 0\n")
+    src = str(Path(integrals.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_a_4200_point_grid_is_one_kernel_call(fresh_cache, kernel_calls):

@@ -154,6 +154,18 @@ def test_resolvable_count_hand_cases():
                 resolvable_gate_count([TransitionLine("C1", e, 0.5, ()) for e in energies], 0.5)
 
 
+def test_resolvable_count_refuses_a_line_of_another_width():
+    # lines are counted on the homogeneous width passed in, so a line that
+    # carries another one is refused; bare energies carry none
+    lines = [TransitionLine("C1", 600.0, 1.1, ()), TransitionLine("C2", 602.0, 1.1, ())]
+    assert resolvable_gate_count(lines, 1.1, 1.5) == 2
+    for width in (55.0, 0.5, math.nan):
+        odd = [lines[0], TransitionLine("C2", 602.0, width, ())]
+        with pytest.raises(PreconditionError, match="C2's line width .* is not the homogeneous"):
+            resolvable_gate_count(odd, 1.1, 1.5)
+    assert resolvable_gate_count([600.0, 602.0], 1.1, 1.5) == 2
+
+
 def test_resolvable_count_takes_the_spectral_model_rule():
     # a width or factor that a SpectralModel rejects cannot be counted on
     lines = [574.264, 625.736]
